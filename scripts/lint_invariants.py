@@ -30,6 +30,11 @@ one of the engine's structural invariants:
                      and the wall clock), which is what keeps simulated
                      per-query cost bit-identical with metrics/tracing on
                      or off.
+  kernel-harvest     No tuple harvesting (GetTuple( / Deserialize /
+                     heap->Read) in src/access/parallel_scan.cc: a parallel
+                     kernel runs the serial operators (or their phase
+                     functions) over its morsels and never grows a harvest
+                     loop of its own, so the two cannot drift apart.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -109,6 +114,14 @@ RULES = [
         "message": "accounting primitive referenced from src/obs/ "
                    "(observability must never touch simulated cost)",
         "applies": lambda rel: rel.startswith("obs" + os.sep),
+    },
+    {
+        "name": "kernel-harvest",
+        "pattern": re.compile(r"\bGetTuple\(|\bDeserialize|\bheap->Read\b"),
+        "message": "tuple harvesting in a parallel kernel (run the serial "
+                   "operator over the morsel instead)",
+        "applies": lambda rel: rel == os.path.join("access",
+                                                   "parallel_scan.cc"),
     },
 ]
 

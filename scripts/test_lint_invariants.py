@@ -93,6 +93,19 @@ class LintTest(unittest.TestCase):
                    "void H(SimDisk* d, CpuMeter* c) { (void)d; (void)c; }\n")
         self.assertEqual(self.names(), ["obs-accounting", "obs-accounting"])
 
+    def test_kernel_harvest_fires_in_parallel_scan_only(self):
+        self.write("access/parallel_scan.cc",
+                   "const uint8_t* d = page.GetTuple(s, &size);\n"
+                   "schema.DeserializeInto(d, size, slot);\n"
+                   "Tuple t = heap->Read(tid, ctx);\n"
+                   "// Comments may say GetTuple( and heap->Read.\n"
+                   "FullScan scan(heap, predicate, options);\n")
+        # The serial operators own the harvest loops.
+        self.write("access/full_scan.cc",
+                   "const uint8_t* d = page.GetTuple(s, &size);\n")
+        self.write("access/sort_scan.cc", "Tuple t = heap->Read(tid, ctx);\n")
+        self.assertEqual(self.names(), ["kernel-harvest"] * 3)
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

@@ -56,6 +56,30 @@ struct AccessPathStats {
                          const AccessPathStats&) = default;
 };
 
+/// Work counted by a tuple loop that leaves charging to its caller, so one
+/// loop can serve callers that charge per batch (the serial operators) and
+/// per morsel (the parallel kernels) without moving a single charge.
+struct ScanWork {
+  uint64_t pages = 0;      ///< Heap page fetch events.
+  uint64_t inspected = 0;
+  uint64_t produced = 0;
+  uint64_t cache_ops = 0;  ///< Tuple ID Cache inserts/probes.
+
+  /// Charges in the fixed order inspect, cache op, produce. (A zero cache-op
+  /// charge would add an exact 0.0; skipping it keeps loops without cache
+  /// ops at their two-charge sums for free.)
+  void Charge(CpuMeter* cpu) const {
+    cpu->ChargeInspect(inspected);
+    if (cache_ops != 0) cpu->ChargeCacheOp(cache_ops);
+    cpu->ChargeProduce(produced);
+  }
+  void AddTo(AccessPathStats* stats) const {
+    stats->heap_pages_probed += pages;
+    stats->tuples_inspected += inspected;
+    stats->tuples_produced += produced;
+  }
+};
+
 /// Abstract pipelined access path (see the lifecycle contract above).
 class AccessPath {
  public:

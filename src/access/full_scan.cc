@@ -30,7 +30,8 @@ void FullScan::CloseImpl() {
   cur_slot_ = 0;
 }
 
-bool FullScan::NextBatchImpl(TupleBatch* out) {
+bool FullScan::Fill(TupleBatch* out, const TupleIdCache* exclude,
+                    ScanWork* work) {
   const ExecContext& ctx = this->ctx();
   const Schema& schema = heap_->schema();
   const FileId file = heap_->file_id();
@@ -41,9 +42,12 @@ bool FullScan::NextBatchImpl(TupleBatch* out) {
   // Dense-fill kernel: the running count stays in a register; failed
   // residuals simply do not advance it, reusing the slot.
   Tuple* rows = out->fill_rows();
-  size_t filled = out->fill_begin();
+  const size_t begin = out->fill_begin();
+  size_t filled = begin;
   const size_t cap = out->capacity();
+  uint64_t pages = 0;
   uint64_t inspected = 0;
+  uint64_t cache_ops = 0;
   while (filled < cap && cur_page_ < num_pages_) {
     if (cur_page_ >= window_end_) {
       const uint32_t window = std::min<uint32_t>(options_.read_ahead_pages,
@@ -53,13 +57,13 @@ bool FullScan::NextBatchImpl(TupleBatch* out) {
     }
     const PageGuard guard = ctx.pool->Pin(file, cur_page_);
     const Page& page = *guard;
-    if (cur_slot_ == 0) ++stats_.heap_pages_probed;
+    if (cur_slot_ == 0) ++pages;
     const uint16_t num_slots = page.num_slots();
     uint16_t slot = cur_slot_;
     while (slot < num_slots && filled < cap) {
+      const SlotId s = slot++;
       uint32_t size = 0;
-      const uint8_t* data = page.GetTuple(slot, &size);
-      ++slot;
+      const uint8_t* data = page.GetTuple(s, &size);
       if (data == nullptr) continue;  // Tombstoned slot.
       ++inspected;
       // Cheap key check on the serialized bytes before materializing.
@@ -68,6 +72,10 @@ bool FullScan::NextBatchImpl(TupleBatch* out) {
       Tuple* decoded = &rows[filled];
       schema.DeserializeInto(data, size, decoded);
       if (has_residual && !predicate_.residual(*decoded)) continue;
+      if (exclude != nullptr) {
+        ++cache_ops;
+        if (exclude->Contains(Tid{cur_page_, s})) continue;
+      }
       ++filled;
     }
     cur_slot_ = slot;
@@ -76,12 +84,19 @@ bool FullScan::NextBatchImpl(TupleBatch* out) {
       cur_slot_ = 0;
     }
   }
-  const uint64_t produced = filled - out->fill_begin();
   out->set_filled(filled);
-  stats_.tuples_inspected += inspected;
-  stats_.tuples_produced += produced;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeProduce(produced);
+  work->pages += pages;
+  work->inspected += inspected;
+  work->produced += filled - begin;
+  work->cache_ops += cache_ops;
+  return filled == cap;
+}
+
+bool FullScan::NextBatchImpl(TupleBatch* out) {
+  ScanWork work;
+  Fill(out, /*exclude=*/nullptr, &work);
+  work.Charge(ctx().cpu);
+  work.AddTo(&stats_);
   return !out->empty();
 }
 

@@ -5,7 +5,7 @@
 //
 // The morsel *decomposition* is a pure function of the data — page counts and
 // key distribution — never of the degree of parallelism. Combined with
-// per-morsel accounting streams (MorselContext) this makes simulated cost
+// per-morsel accounting streams (AccountingStack) this makes simulated cost
 // DOP-invariant: running the same morsel list with 1, 2 or 8 workers charges
 // bit-identical simulated time.
 
@@ -62,9 +62,7 @@ class MorselSource {
     return true;
   }
 
-  void Reset() { next_.store(0, std::memory_order_relaxed); }
   size_t size() const { return morsels_.size(); }
-  const Morsel& morsel(size_t i) const { return morsels_[i]; }
   /// Total heap pages across page-range morsels (0 for key-range lists).
   uint64_t total_pages() const { return total_pages_; }
 

@@ -3,6 +3,11 @@
 // pointer, skipping pages it has already analyzed — the fix for the repeated
 // page accesses an index scan suffers from. For a 1 M-page (8 GB) table the
 // bitmap is 128 KB, matching the paper's "140 KB for LINEITEM" footprint.
+//
+// The bits are packed into atomic words, so one cache can be shared: by the
+// morsels of a parallel Smooth Scan (each owns a disjoint page range, so no
+// bit is contended and relaxed ordering suffices — which keeps the parallel
+// scan deterministic) and by the queries of a shared-SmoothScan group.
 
 #ifndef SMOOTHSCAN_ACCESS_PAGE_ID_CACHE_H_
 #define SMOOTHSCAN_ACCESS_PAGE_ID_CACHE_H_
@@ -18,42 +23,7 @@ namespace smoothscan {
 
 class PageIdCache {
  public:
-  explicit PageIdCache(size_t num_pages) : bits_(num_pages, false) {}
-
-  void Mark(PageId page) {
-    SMOOTHSCAN_CHECK(page < bits_.size());
-    if (!bits_[page]) {
-      bits_[page] = true;
-      ++count_;
-    }
-  }
-
-  bool IsMarked(PageId page) const {
-    SMOOTHSCAN_CHECK(page < bits_.size());
-    return bits_[page];
-  }
-
-  /// Number of marked pages.
-  uint64_t count() const { return count_; }
-  size_t num_pages() const { return bits_.size(); }
-
-  /// Bitmap footprint in bytes (reported by the memory-overhead analyses).
-  size_t SizeBytes() const { return (bits_.size() + 7) / 8; }
-
- private:
-  std::vector<bool> bits_;
-  uint64_t count_ = 0;
-};
-
-/// The Page ID Cache shared by the workers of a parallel Smooth Scan: the
-/// same one-bit-per-page bitmap, packed into atomic words so concurrent
-/// marking is race-free. Morsel workers own disjoint page ranges, so relaxed
-/// ordering suffices — the bitmap is shared state, but no bit is contended;
-/// this is what keeps the parallel scan's behaviour deterministic (see the
-/// README threading-model notes).
-class ConcurrentPageIdCache {
- public:
-  explicit ConcurrentPageIdCache(size_t num_pages)
+  explicit PageIdCache(size_t num_pages)
       : num_pages_(num_pages), words_((num_pages + 63) / 64) {}
 
   /// Sets the page's bit; returns true when this call newly marked it.
@@ -72,6 +42,8 @@ class ConcurrentPageIdCache {
   }
 
   size_t num_pages() const { return num_pages_; }
+
+  /// Bitmap footprint in bytes (reported by the memory-overhead analyses).
   size_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
 
  private:

@@ -5,18 +5,37 @@
 // key ranges, derived from the data alone, never from the worker count — plus
 // an optional serial prolog (index leaf walks, TID sorts, pre-switch index
 // phases). Workers pull morsels from a shared MorselSource and run each one
-// against a private MorselContext (its own simulated disk, buffer pool and
-// CPU meter: one logical access stream per morsel). Produced batches flow
-// through per-morsel output slots that the consumer drains in morsel order.
+// against a private morsel AccountingStack (its own simulated disk, buffer
+// pool and CPU meter: one logical access stream per morsel). Produced batches
+// flow through per-morsel output slots that the consumer drains in morsel
+// order.
+//
+// One implementation per access path: a kernel's per-morsel work is a drain
+// of the *serial* operator restricted to the morsel — FullScan over a page
+// range, IndexScan over a key range, SmoothScan over the morsel's bucket of
+// leaf entries with regions clipped at the range end, FullScan's page loop
+// for the post-switch phase of SwitchScan, and SortScan's sorted-TID fetch
+// over the morsel's slice. The prologs run the serial operators' own phase
+// functions too, so no kernel has a harvest loop of its own. A one-morsel
+// parallel scan therefore charges exactly what the serial operator charges,
+// with one difference: the index leaf walk of Sort, Switch and Smooth Scan
+// runs on the planning stream, before any heap I/O, instead of interleaved
+// with the heap accesses on the operator's one stream.
 //
 // Determinism: because the decomposition is DOP-independent and every
 // morsel's accounting is stream-local, the simulated cost of a parallel scan
-// is bit-identical at any degree of parallelism — contexts merge into the
-// engine in morsel order, fixing even the floating-point summation order.
-// For the page-range FullScan decomposition the per-morsel streams are seeded
-// at `page_begin - 1` (the position the serial scan would have), making the
-// parallel cost bit-identical to the *serial* scan as well. Wall-clock time
-// is the only thing the workers change.
+// is bit-identical at any degree of parallelism — stacks merge into the
+// scan's context in morsel order, fixing even the floating-point summation
+// order. For the page-range FullScan decomposition the per-morsel streams are
+// seeded at `page_begin - 1` (the position the serial scan would have),
+// making the parallel I/O bit-identical to the *serial* scan as well.
+// Wall-clock time is the only thing the workers change.
+//
+// Accounting and observability work as for every AccessPath: the settled
+// morsel streams merge into ctx().disk / ctx().cpu, every morsel stack
+// mirrors into ctx().pool's mirror, feeds its metrics sink and charges
+// ctx().mem, and worker spans, batch-pool counters and the serial operators'
+// own metrics come from the SetObs handle.
 //
 // Ordering: workers emit morsel-locally in scan order, and the consumer sees
 // morsels in index order, so a page-range decomposition yields heap order and
@@ -65,39 +84,9 @@ struct ParallelScanOptions {
   uint32_t max_key_morsels = 32;
   /// Optional shared worker pool; the scan owns a private one when null.
   TaskScheduler* scheduler = nullptr;
-  /// Where the settled per-morsel accounting merges (both set, or neither —
-  /// enforced). Null: the engine's shared stream, as before. The multi-query
-  /// engine points these at the query's private stack so that concurrent
-  /// queries never interleave their merges into one meter.
-  SimDisk* account_disk = nullptr;
-  CpuMeter* account_cpu = nullptr;
-  /// Optional shared pool mirrored by every morsel (and planning) pool, so a
-  /// parallel query's residency and pins land in it too (no accounting
-  /// there). See BufferPool::SetMirror.
-  BufferPool* mirror_pool = nullptr;
-  /// Recycled-batch pool the kernels draw output batches from. Null: the
-  /// scan owns a private pool that persists across Open cycles (steady-state
-  /// reuse). An external pool lets one query's operators share a free list.
-  BatchPool* batch_pool = nullptr;
-  /// Per-query execution-memory account charged for the owned pool's warm
-  /// batches (ignored when `batch_pool` is external — that pool already has
-  /// its own account). Accounting only; simulated cost never changes.
-  QueryMemoryScope* mem = nullptr;
-  /// Ablation knob for the owned pool: false reverts to allocate-per-batch
-  /// (bench_mem_governance's baseline). No effect on an external pool.
+  /// Ablation knob for the scan's batch pool: false reverts to
+  /// allocate-per-batch (bench_mem_governance's baseline).
   bool recycle_batches = true;
-  /// Trace collector for per-morsel worker spans ("morsel" B/E on each
-  /// worker's ring, stamped with `trace_query_id`). Null = no tracing.
-  /// Bookkeeping only — never touches morsel accounting.
-  obs::TraceCollector* trace = nullptr;
-  uint64_t trace_query_id = 0;
-  /// Registry counters for the owned batch pool (ignored for an external
-  /// pool, which carries its own sink in its own options).
-  BatchPoolMetricsSink batch_metrics;
-  /// Registry counters fed by every morsel (and planning) pool's hit/miss
-  /// bumps — the pools that actually do accounting; the mirror pool does
-  /// none. Relaxed counter adds only; simulated cost never changes.
-  BufferPoolMetricsSink pool_metrics;
 };
 
 /// The path-specific logic of a parallel scan. Plan() runs serially on the
@@ -112,12 +101,6 @@ class ParallelScanKernel {
 
   virtual ~ParallelScanKernel() = default;
   virtual const char* name() const = 0;
-
-  /// Observability bind, called once per Open cycle (before Plan) with the
-  /// owning path's registry — kernels resolve their live counters here, the
-  /// parallel analogue of the serial operators' resolve-at-Open. Bookkeeping
-  /// only; default no-op. `metrics` may be null.
-  virtual void BindObs(obs::MetricsRegistry* metrics) { (void)metrics; }
 
   /// The smooth kernel's operator counters, merged over all morsels in
   /// morsel order (valid once the cycle settled — after the consumer drained
@@ -137,7 +120,47 @@ class ParallelScanKernel {
   virtual AccessPathStats RunMorsel(const Morsel& morsel,
                                     const ExecContext& ctx,
                                     const EmitFn& emit) = 0;
+
+ protected:
+  /// The owning scan's observability handle for the current cycle (may be
+  /// null), for kernels whose serial operators emit metrics and traces.
+  const obs::ObsContext* obs() const { return obs_; }
+
+ private:
+  friend class ParallelScan;
+  const obs::ObsContext* obs_ = nullptr;
 };
+
+/// The kernel of the paths with no prolog beyond the decomposition: every
+/// morsel drains one serial operator built for it (Full, Index and
+/// Compressed Scan; the factories supply the two steps).
+class DrainKernel : public ParallelScanKernel {
+ public:
+  using PlanFn = std::function<std::vector<Morsel>()>;
+  using ScanFn = std::function<std::unique_ptr<AccessPath>(
+      const Morsel&, const ExecContext&)>;
+
+  DrainKernel(const char* name, PlanFn plan, ScanFn scan)
+      : name_(name), plan_(std::move(plan)), scan_(std::move(scan)) {}
+
+  const char* name() const override { return name_; }
+  std::vector<Morsel> Plan(const ExecContext&, const EmitFn&,
+                           AccessPathStats*) override {
+    return plan_();
+  }
+  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
+                            const EmitFn& emit) override;
+
+ private:
+  const char* name_;
+  PlanFn plan_;
+  ScanFn scan_;
+};
+
+/// Rounds a page-range morsel size down to a multiple of the read-ahead
+/// window (and up to at least one window), so parallel extent requests
+/// coincide with the serial scan's.
+uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
 
 /// AccessPath adapter running a kernel on a worker pool (see file comment).
 /// Also usable as the source below a Gather exchange operator.
@@ -152,8 +175,9 @@ class ParallelScan : public AccessPath {
   /// Valid after Open().
   size_t num_morsels() const { return source_ != nullptr ? source_->size() : 0; }
   const ParallelScanKernel* kernel() const { return kernel_.get(); }
-  /// The batch pool the kernels draw from (owned or external).
-  const BatchPool* batch_pool() const { return pool_; }
+  /// The batch pool the kernels draw from (built at the first Open, charged
+  /// to ctx().mem). Null before the first Open.
+  const BatchPool* batch_pool() const { return pool_.get(); }
   /// The morsel dispenser of the current/last Open cycle (fill-rate
   /// telemetry and SuggestMorselPages live here). Null before first Open.
   const MorselSource* morsel_source() const { return source_.get(); }
@@ -175,9 +199,15 @@ class ParallelScan : public AccessPath {
     bool done = false;
   };
 
-  TaskScheduler* scheduler();
+  /// The shared pool, or the owned one (built with `workers` threads).
+  TaskScheduler* scheduler(uint32_t workers);
+  /// (Re)builds the batch pool when this cycle's memory account or registry
+  /// differs from the one it was built for; otherwise keeps it warm.
+  void BindBatchPool();
+  /// A morsel (or planning) stack inheriting this cycle's context.
+  std::unique_ptr<AccountingStack> NewStack() const;
   void EmitTo(size_t slot, PooledBatch&& batch) EXCLUDES(mu_);
-  /// Waits for the workers and merges all stream accounting into the engine
+  /// Waits for the workers and merges all stream accounting into ctx()
   /// (planning first, then morsels in index order). Idempotent per cycle.
   void Finalize();
 
@@ -185,12 +215,14 @@ class ParallelScan : public AccessPath {
   std::unique_ptr<ParallelScanKernel> kernel_;
   ParallelScanOptions options_;
   std::unique_ptr<TaskScheduler> owned_scheduler_;
-  std::unique_ptr<BatchPool> owned_pool_;
-  BatchPool* pool_ = nullptr;
+  /// Outlives the Open cycles, so a re-Open starts with every batch of the
+  /// previous cycle warm.
+  std::unique_ptr<BatchPool> pool_;
+  const obs::MetricsRegistry* pool_registry_ = nullptr;
 
   std::unique_ptr<MorselSource> source_;
-  std::unique_ptr<MorselContext> planning_;
-  std::vector<std::unique_ptr<MorselContext>> contexts_;
+  std::unique_ptr<AccountingStack> planning_;
+  std::vector<std::unique_ptr<AccountingStack>> stacks_;
   std::vector<AccessPathStats> morsel_stats_;
   AccessPathStats prolog_stats_;
   std::shared_ptr<TaskScheduler::TaskGroup> group_;
@@ -210,8 +242,10 @@ class ParallelScan : public AccessPath {
 };
 
 /// Kernel factories. Each returns null for configurations whose semantics
-/// require a serial scan (order preservation, non-eager Smooth Scan
-/// triggers); callers fall back to the serial operator.
+/// require a serial scan (order preservation, non-eager or shared Smooth
+/// Scan); callers fall back to the serial operator. Like the serial
+/// constructors, the index-driven factories abort on a predicate that is not
+/// on the index key.
 std::unique_ptr<ParallelScan> MakeParallelFullScan(
     const HeapFile* heap, ScanPredicate predicate, FullScanOptions scan_options,
     ParallelScanOptions options);

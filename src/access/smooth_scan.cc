@@ -77,18 +77,34 @@ SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
   SMOOTHSCAN_CHECK(options_.max_region_pages >= 1);
 }
 
+SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
+                       SmoothScanOptions options, SmoothScanMorsel morsel)
+    : SmoothScan(index, std::move(predicate), std::move(options)) {
+  SMOOTHSCAN_CHECK(morsel.targets != nullptr && morsel.page_cache != nullptr);
+  SMOOTHSCAN_CHECK(options_.trigger == MorphTrigger::kEager &&
+                   !options_.preserve_order && !options_.shared_group);
+  morsel_ = morsel;
+}
+
 ExecContext SmoothScan::DefaultContext() const {
   return EngineContext(index_->heap()->engine());
 }
 
 Status SmoothScan::OpenImpl() {
   sstats_ = SmoothScanStats();
-  emit_.clear();
-  emit_pos_ = 0;
+  spill_next_ = spill_used_ = spill_pos_ = 0;
   region_pages_ = 1;
   tuple_cache_.reset();
   result_cache_.reset();
-  page_cache_ = std::make_unique<PageIdCache>(index_->heap()->num_pages());
+  page_end_ = static_cast<PageId>(index_->heap()->num_pages());
+  if (morsel_.targets != nullptr) {
+    page_end_ = std::min(page_end_, morsel_.page_end);
+    page_cache_ = morsel_.page_cache;
+    next_target_ = 0;
+  } else {
+    owned_page_cache_ = std::make_unique<PageIdCache>(page_end_);
+    page_cache_ = owned_page_cache_.get();
+  }
 
   cache_skip_run_ = 0;
   c_morph_triggers_ = nullptr;
@@ -97,7 +113,11 @@ Status SmoothScan::OpenImpl() {
   c_page_cache_hits_ = nullptr;
   if (obs() != nullptr && obs()->metrics != nullptr) {
     obs::MetricsRegistry* m = obs()->metrics;
-    c_morph_triggers_ = m->counter("smooth.morph_triggers");
+    // Registered only where a trigger can fire, so an eager scan's registry
+    // carries no (always-zero) trigger counter.
+    if (options_.trigger != MorphTrigger::kEager) {
+      c_morph_triggers_ = m->counter("smooth.morph_triggers");
+    }
     c_region_grows_ = m->counter("smooth.region_grows");
     c_region_shrinks_ = m->counter("smooth.region_shrinks");
     c_page_cache_hits_ = m->counter("smooth.page_cache_hits");
@@ -145,7 +165,7 @@ Status SmoothScan::OpenImpl() {
   obs::EmitInstant(obs(), "smooth_open", "max_region_pages",
                    options_.max_region_pages, nullptr, 0, nullptr, 0, "policy",
                    MorphPolicyToString(active_policy_));
-  it_ = index_->Seek(predicate_.lo, &ctx());
+  if (morsel_.targets == nullptr) it_ = index_->Seek(predicate_.lo, &ctx());
   // A zero pre-trigger bound (e.g. an optimizer estimate of 0 tuples) means
   // the very first tuple already violates it: morph immediately.
   MaybeTrigger();
@@ -158,7 +178,8 @@ void SmoothScan::CloseImpl() {
   // its spill file references, buffered tuples, the index iterator). The
   // next Open() rebuilds them from scratch.
   it_.reset();
-  page_cache_.reset();
+  owned_page_cache_.reset();
+  page_cache_ = nullptr;
   tuple_cache_.reset();
   if (result_cache_ != nullptr) {
     const ResultCacheStats& rc = result_cache_->spill_stats();
@@ -168,9 +189,8 @@ void SmoothScan::CloseImpl() {
     sstats_.rc_restored_tuples += rc.restored_tuples;
   }
   result_cache_.reset();
-  emit_.clear();
-  emit_.shrink_to_fit();
-  emit_pos_ = 0;
+  spill_.clear();
+  spill_next_ = spill_used_ = spill_pos_ = 0;
 }
 
 void SmoothScan::MaybeTrigger() {
@@ -259,10 +279,9 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
   const Schema& schema = heap->schema();
-  const PageId num_pages = static_cast<PageId>(heap->num_pages());
 
   const uint32_t want = options_.enable_flattening ? region_pages_ : 1;
-  const uint32_t count = std::min<uint32_t>(want, num_pages - target);
+  const uint32_t count = std::min<uint32_t>(want, page_end_ - target);
   // Fetch only the pages of the region that were not processed before
   // ("pages processed in Mode 1 are skipped in Mode 2"), coalescing
   // contiguous unprocessed pages into single extent requests. In the
@@ -336,22 +355,33 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       const int64_t key =
           schema.ReadInt64Column(data, size, predicate_.column);
       if (!predicate_.MatchesKey(key)) continue;
-      Tuple tuple = schema.Deserialize(data, size);
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
-      page_has_result = true;
+      // Decode in place into the caller's batch (a spill batch once it is
+      // full); the ordered scan decodes for the Result Cache instead.
+      TupleBatch* dest = out == nullptr ? nullptr
+                         : out->full()  ? SpillBatch(out->capacity())
+                                        : out;
+      Tuple ordered_tuple;
+      Tuple* tuple = dest != nullptr ? dest->AppendSlot() : &ordered_tuple;
+      schema.DeserializeInto(data, size, tuple);
+      bool keep = !predicate_.residual || predicate_.residual(*tuple);
       const Tid tid{pid, s};
-      // Under a non-eager trigger, tuples already produced in Mode 0 must
-      // not be produced again.
-      if (tuple_cache_ != nullptr) {
-        ++cache_ops;
-        if (tuple_cache_->Contains(tid)) continue;
-      } else if (options_.positional_dedup && m0_any_) {
-        // Mode 0 produced every qualifying tuple positioned at or before
-        // (m0_last_key_, m0_last_tid_) in the strict (key, Tid) order.
-        if (key < m0_last_key_ ||
-            (key == m0_last_key_ && !(m0_last_tid_ < tid))) {
-          continue;
+      if (keep) {
+        page_has_result = true;
+        // Under a non-eager trigger, tuples already produced in Mode 0 must
+        // not be produced again.
+        if (tuple_cache_ != nullptr) {
+          ++cache_ops;
+          keep = !tuple_cache_->Contains(tid);
+        } else if (options_.positional_dedup && m0_any_) {
+          // Mode 0 produced every qualifying tuple positioned at or before
+          // (m0_last_key_, m0_last_tid_) in the strict (key, Tid) order.
+          keep = key > m0_last_key_ ||
+                 (key == m0_last_key_ && m0_last_tid_ < tid);
         }
+      }
+      if (!keep) {
+        if (dest != nullptr) dest->PopLast();
+        continue;
       }
       if (count > 1) {
         ++sstats_.card_mode2;
@@ -359,18 +389,14 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
         ++sstats_.card_mode1;
       }
       ++produced;
-      if (options_.preserve_order) {
+      if (dest == nullptr) {
         ++cache_ops;
-        result_cache_->Insert(key, tid, std::move(tuple));
+        result_cache_->Insert(key, tid, std::move(ordered_tuple));
         ++sstats_.rc_inserts;
         sstats_.rc_max_size =
             std::max(sstats_.rc_max_size, result_cache_->max_size());
-      } else if (out != nullptr && !out->full()) {
-        // Emit straight into the caller's batch — the vectorized fast path.
-        out->Append(std::move(tuple));
+      } else if (dest == out) {
         ++stats_.tuples_produced;
-      } else {
-        emit_.push_back(std::move(tuple));
       }
     }
     if (page_has_result) ++region_result_pages;
@@ -390,37 +416,80 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   sstats_.pages_with_results += region_result_pages;
 }
 
+TupleBatch* SmoothScan::SpillBatch(size_t capacity) {
+  if (spill_used_ == 0 || spill_[spill_used_ - 1].full()) {
+    if (spill_used_ == spill_.size()) spill_.emplace_back(capacity);
+    TupleBatch& batch = spill_[spill_used_++];
+    if (batch.capacity() != capacity) batch = TupleBatch(capacity);
+    batch.Clear();
+  }
+  return &spill_[spill_used_ - 1];
+}
+
+void SmoothScan::TakeSpilled(TupleBatch* out) {
+  TupleBatch& spilled = spill_[spill_next_];
+  const size_t before = out->size();
+  if (out->empty() && spill_pos_ == 0 &&
+      spilled.capacity() == out->capacity()) {
+    // Swap buffers, not rows; the caller's old storage stays behind, warm.
+    std::swap(*out, spilled);
+    ++spill_next_;
+  } else {
+    while (spill_pos_ < spilled.size() && !out->full()) {
+      out->Append(spilled.Take(spill_pos_++));
+    }
+    if (spill_pos_ == spilled.size()) {
+      ++spill_next_;
+      spill_pos_ = 0;
+    }
+  }
+  stats_.tuples_produced += out->size() - before;
+  if (spill_next_ == spill_used_) spill_next_ = spill_used_ = 0;
+}
+
+bool SmoothScan::PeekEntry(Tid* tid) const {
+  if (morsel_.targets != nullptr) {
+    if (next_target_ >= morsel_.targets->size()) return false;
+    *tid = (*morsel_.targets)[next_target_];
+    return true;
+  }
+  if (!it_->Valid() || it_->key() >= predicate_.hi) return false;
+  *tid = it_->tid();
+  return true;
+}
+
+void SmoothScan::AdvanceEntry() {
+  if (morsel_.targets != nullptr) {
+    ++next_target_;
+  } else {
+    it_->Next();
+  }
+}
+
 void SmoothScan::NextUnordered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   while (!out->full()) {
-    if (emit_pos_ < emit_.size()) {
-      while (emit_pos_ < emit_.size() && !out->full()) {
-        out->Append(std::move(emit_[emit_pos_++]));
-        ++stats_.tuples_produced;
-      }
-      if (emit_pos_ >= emit_.size()) {
-        emit_.clear();
-        emit_pos_ = 0;
-      }
+    if (spill_next_ < spill_used_) {
+      TakeSpilled(out);
       continue;
     }
-    if (!it_->Valid() || it_->key() >= predicate_.hi) return;
+    Tid tid;
+    if (!PeekEntry(&tid)) return;
     if (!morphing_) {
       Mode0Step(out);
       continue;
     }
-    const Tid tid = it_->tid();
     ctx.cpu->ChargeCacheOp();  // Page ID Cache bit check.
     if (page_cache_->IsMarked(tid.page_id)) {
       ++sstats_.page_cache_hits;
       if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
       ++cache_skip_run_;
-      it_->Next();  // Skip the leaf pointer (the X marks in Fig. 3).
+      AdvanceEntry();  // Skip the leaf pointer (the X marks in Fig. 3).
       continue;
     }
     FlushCacheSkipRun();
     FetchRegionAndHarvest(tid.page_id, out);
-    it_->Next();
+    AdvanceEntry();
   }
 }
 

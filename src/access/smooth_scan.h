@@ -72,16 +72,15 @@ struct SharedSmoothGroup {
   SharedSmoothGroup(size_t num_pages, BufferPool* shared_pool, FileId file_id)
       : cache(num_pages), pool(shared_pool), file(file_id) {}
 
-  ConcurrentPageIdCache cache;  ///< Pages fully probed by any attached scan.
-  BufferPool* pool;             ///< The shared residency pool (the engine's).
+  PageIdCache cache;  ///< Pages fully probed by any attached scan.
+  BufferPool* pool;   ///< The shared residency pool (the engine's).
   FileId file;
 };
 
-/// One region-growth policy step (Section III-B), shared by the serial scan
-/// and the parallel morsel kernel. Compares the finished region's local
-/// selectivity (Eq. 1) against the global selectivity of the pages seen
-/// *before* it (Eq. 2) and returns the next region size, counting the
-/// expansion/shrink into the provided counters.
+/// One region-growth policy step (Section III-B). Compares the finished
+/// region's local selectivity (Eq. 1) against the global selectivity of the
+/// pages seen *before* it (Eq. 2) and returns the next region size, counting
+/// the expansion/shrink into the provided counters.
 uint32_t MorphRegionStep(MorphPolicy policy, uint32_t region_pages,
                          uint32_t max_region_pages, uint64_t pages_seen_before,
                          uint64_t pages_with_results_before,
@@ -161,6 +160,9 @@ struct SmoothScanStats {
   bool triggered = false;         ///< Non-eager trigger fired.
   uint64_t trigger_cardinality = 0;
 
+  friend bool operator==(const SmoothScanStats&,
+                         const SmoothScanStats&) = default;
+
   double MorphingAccuracy() const {
     return morph_checked_pages == 0
                ? 1.0
@@ -174,10 +176,25 @@ struct SmoothScanStats {
   }
 };
 
+/// One morsel of a parallel Smooth Scan (the ParallelSmoothScan kernel's
+/// input): the index entries the kernel's leaf walk bucketed to the morsel,
+/// the end of its page range (regions are clipped there), and the Page ID
+/// Cache every morsel of the scan shares.
+struct SmoothScanMorsel {
+  const std::vector<Tid>* targets = nullptr;
+  PageId page_end = 0;
+  PageIdCache* page_cache = nullptr;
+};
+
 class SmoothScan : public AccessPath {
  public:
   SmoothScan(const BPlusTree* index, ScanPredicate predicate,
              SmoothScanOptions options = SmoothScanOptions());
+  /// Internal: the scan over one parallel morsel (Eager, unordered and
+  /// unshared only). It follows `morsel.targets` instead of walking the
+  /// index, so the leaf walk is charged wherever the caller ran it.
+  SmoothScan(const BPlusTree* index, ScanPredicate predicate,
+             SmoothScanOptions options, SmoothScanMorsel morsel);
 
   const char* name() const override { return "SmoothScan"; }
 
@@ -192,6 +209,10 @@ class SmoothScan : public AccessPath {
   ExecContext DefaultContext() const override;
 
  private:
+  /// The next index entry to follow (from the iterator, or the morsel's
+  /// target list); false once the qualifying range is exhausted.
+  bool PeekEntry(Tid* tid) const;
+  void AdvanceEntry();
   void NextUnordered(TupleBatch* out);
   void NextOrdered(TupleBatch* out);
   /// Pre-trigger plain index-scan step; appends at most one tuple to `out`.
@@ -199,11 +220,16 @@ class SmoothScan : public AccessPath {
   /// Fires the trigger when the pre-trigger cardinality bound is exceeded.
   void MaybeTrigger();
   /// Fetches the morphing region anchored at `target` (one I/O request) and
-  /// harvests all qualifying tuples from unprocessed pages — into `out`
-  /// while it has room, spilling the remainder of the region to `emit_` —
-  /// then updates the policy state. `out` may be null (ordered mode inserts
-  /// into the Result Cache instead).
+  /// harvests all qualifying tuples from unprocessed pages — decoded into
+  /// `out` while it has room, then into spill batches — and updates the
+  /// policy state. `out` may be null (ordered mode inserts into the Result
+  /// Cache instead).
   void FetchRegionAndHarvest(PageId target, TupleBatch* out);
+  /// The spill batch with room for the next harvested row.
+  TupleBatch* SpillBatch(size_t capacity);
+  /// Hands the oldest spilled rows to `out`: the whole batch when `out` is
+  /// empty and of the same capacity (a buffer swap), else row by row.
+  void TakeSpilled(TupleBatch* out);
   void UpdatePolicy(uint64_t region_pages, uint64_t region_result_pages);
 
   /// Observed global selectivity so far (Eq. 2), in parts per million — the
@@ -217,6 +243,7 @@ class SmoothScan : public AccessPath {
   const BPlusTree* index_;
   ScanPredicate predicate_;
   SmoothScanOptions options_;
+  SmoothScanMorsel morsel_;  ///< targets == null: a whole-index scan.
   SmoothScanStats sstats_;
 
   MorphPolicy active_policy_;
@@ -228,15 +255,21 @@ class SmoothScan : public AccessPath {
   Tid m0_last_tid_{};
 
   std::optional<BPlusTree::Iterator> it_;
-  std::unique_ptr<PageIdCache> page_cache_;
+  size_t next_target_ = 0;  ///< Cursor into morsel_.targets.
+  PageId page_end_ = 0;     ///< Regions never reach this page.
+  std::unique_ptr<PageIdCache> owned_page_cache_;
+  PageIdCache* page_cache_ = nullptr;  ///< Owned, or the morsels' shared one.
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;
-  /// Overflow of harvested-but-not-yet-emitted tuples (a morphing region can
-  /// exceed one batch). `emit_pos_` is the consumption cursor — rows are
-  /// never erased from the front (that would be quadratic at small batch
-  /// sizes); the vector is cleared once fully drained.
-  std::vector<Tuple> emit_;
-  size_t emit_pos_ = 0;
+  /// Rows a region harvested beyond the caller's batch (a morphing region can
+  /// hold many batches' worth), decoded in place into recycled batches:
+  /// spill_[spill_next_, spill_used_) hold rows not yet handed over
+  /// (spill_pos_ = rows already taken from spill_[spill_next_]); the rest
+  /// keep their storage warm for the next region.
+  std::vector<TupleBatch> spill_;
+  size_t spill_next_ = 0;
+  size_t spill_used_ = 0;
+  size_t spill_pos_ = 0;
   uint32_t region_pages_ = 1;
 
   // Registry handles cached at Open (null when no registry is attached) and

@@ -4,9 +4,19 @@
 
 namespace smoothscan {
 
-SortScanExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids, size_t i,
-                                       size_t end) {
-  SortScanExtent extent;
+namespace {
+
+/// Coalesced extent starting at `tids[i]` within `tids[i, end)`: the entries
+/// sharing one physical request because each targets the same or the next
+/// page, capped at kSortScanChunkPages.
+struct SortedTidExtent {
+  size_t last_entry = 0;   ///< Last entry index covered (inclusive).
+  uint32_t num_pages = 0;  ///< Distinct pages spanned, from tids[i].page_id.
+};
+
+SortedTidExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids,
+                                        size_t i, size_t end) {
+  SortedTidExtent extent;
   size_t j = i;
   const PageId first_page = tids[i].page_id;
   PageId last_page = first_page;
@@ -25,6 +35,47 @@ SortScanExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids, size_t i,
   return extent;
 }
 
+}  // namespace
+
+std::vector<Tid> CollectSortedTids(const BPlusTree* index,
+                                   const ScanPredicate& predicate,
+                                   const ExecContext& ctx) {
+  std::vector<Tid> tids;
+  for (BPlusTree::Iterator it = index->Seek(predicate.lo, &ctx);
+       it.Valid() && it.key() < predicate.hi; it.Next()) {
+    tids.push_back(it.tid());
+  }
+  ctx.cpu->ChargeSort(tids.size());
+  std::sort(tids.begin(), tids.end());
+  return tids;
+}
+
+AccessPathStats FetchSortedTids(
+    const HeapFile* heap, const ScanPredicate& predicate,
+    const std::vector<Tid>& tids, size_t begin, size_t end,
+    const ExecContext& ctx,
+    const std::function<void(const Tid&, Tuple&&)>& sink) {
+  AccessPathStats stats;
+  size_t i = begin;
+  while (i < end) {
+    const SortedTidExtent extent = CoalesceSortedTidExtent(tids, i, end);
+    const size_t j = extent.last_entry;
+    ctx.pool->FetchExtent(heap->file_id(), tids[i].page_id, extent.num_pages);
+    stats.heap_pages_probed += extent.num_pages;
+    for (size_t k = i; k <= j; ++k) {
+      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
+      ++stats.tuples_inspected;
+      if (predicate.residual && !predicate.residual(tuple)) continue;
+      ++stats.tuples_produced;
+      sink(tids[k], std::move(tuple));
+    }
+    i = j + 1;
+  }
+  ctx.cpu->ChargeInspect(stats.tuples_inspected);
+  ctx.cpu->ChargeProduce(stats.tuples_produced);
+  return stats;
+}
+
 SortScan::SortScan(const BPlusTree* index, ScanPredicate predicate,
                    SortScanOptions options)
     : index_(index), predicate_(std::move(predicate)), options_(options) {
@@ -36,22 +87,14 @@ ExecContext SortScan::DefaultContext() const {
 }
 
 Status SortScan::OpenImpl() {
-  const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
   results_.clear();
   next_result_ = 0;
   pages_fetched_ = 0;
 
-  // Phase 1: harvest qualifying TIDs from the index leaves.
-  std::vector<Tid> tids;
-  for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &ctx);
-       it.Valid() && it.key() < predicate_.hi; it.Next()) {
-    tids.push_back(it.tid());
-  }
-
-  // Phase 2: sort TIDs in heap order — the blocking pre-sort.
-  ctx.cpu->ChargeSort(tids.size());
-  std::sort(tids.begin(), tids.end());
+  // Phases 1-2: harvest qualifying TIDs from the index leaves and sort them
+  // in heap order — the blocking pre-sort.
+  const std::vector<Tid> tids = CollectSortedTids(index_, predicate_, ctx);
 
   // Phase 3: fetch the result pages, coalescing consecutive page ids into
   // single extent requests ("easily detected by disk prefetchers").
@@ -61,30 +104,15 @@ Status SortScan::OpenImpl() {
     Tuple tuple;
   };
   std::vector<KeyedTuple> keyed;
-  uint64_t inspected = 0;
-  uint64_t produced = 0;
-  size_t i = 0;
-  while (i < tids.size()) {
-    // Extent of consecutive distinct pages starting at tids[i].
-    const SortScanExtent extent =
-        CoalesceSortedTidExtent(tids, i, tids.size());
-    const size_t j = extent.last_entry;
-    ctx.pool->FetchExtent(heap->file_id(), tids[i].page_id, extent.num_pages);
-    pages_fetched_ += extent.num_pages;
-    stats_.heap_pages_probed += extent.num_pages;
-    for (size_t k = i; k <= j; ++k) {
-      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
-      ++inspected;
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
-      ++produced;
-      keyed.push_back(
-          {tuple[predicate_.column].AsInt64(), tids[k], std::move(tuple)});
-    }
-    i = j + 1;
-  }
-  stats_.tuples_inspected += inspected;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeProduce(produced);
+  const AccessPathStats fetched = FetchSortedTids(
+      index_->heap(), predicate_, tids, 0, tids.size(), ctx,
+      [&](const Tid& tid, Tuple&& tuple) {
+        keyed.push_back(
+            {tuple[predicate_.column].AsInt64(), tid, std::move(tuple)});
+      });
+  pages_fetched_ = fetched.heap_pages_probed;
+  stats_.heap_pages_probed += fetched.heap_pages_probed;
+  stats_.tuples_inspected += fetched.tuples_inspected;
 
   // Phase 4 (optional): posterior sort restoring the interesting order.
   if (options_.preserve_order) {

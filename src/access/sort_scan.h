@@ -8,6 +8,7 @@
 #ifndef SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 
+#include <functional>
 #include <vector>
 
 #include "access/access_path.h"
@@ -24,19 +25,25 @@ struct SortScanOptions {
 
 /// Extent-coalescing cap of the sorted-TID heap phase: chunks stay well below
 /// the buffer-pool capacity so a long run of consecutive result pages is
-/// consumed before any of it is evicted. Shared by the serial phase 3 and the
-/// parallel SortScan kernel so the two cannot silently diverge.
+/// consumed before any of it is evicted.
 inline constexpr uint32_t kSortScanChunkPages = 64;
 
-/// Coalesced extent starting at `tids[i]` within `tids[i, end)` (page-sorted):
-/// entries sharing one physical request because each targets the same or the
-/// next page, capped at kSortScanChunkPages.
-struct SortScanExtent {
-  size_t last_entry = 0;    ///< Last entry index covered (inclusive).
-  uint32_t num_pages = 0;   ///< Distinct pages spanned, from tids[i].page_id.
-};
-SortScanExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids, size_t i,
-                                       size_t end);
+/// SortScan phases 1-2: the TIDs of the qualifying index entries, sorted in
+/// heap order. Charges the leaf walk and the sort to `ctx`.
+std::vector<Tid> CollectSortedTids(const BPlusTree* index,
+                                   const ScanPredicate& predicate,
+                                   const ExecContext& ctx);
+
+/// SortScan phase 3 over the sorted `tids[begin, end)`: fetches the result
+/// pages as coalesced extents (capped at kSortScanChunkPages), reads each
+/// entry's tuple and hands every one passing the residual predicate to
+/// `sink`, in TID order. Charges inspect and produce once, at the end.
+/// Returns the counters; tuples_produced counts the tuples handed to `sink`.
+AccessPathStats FetchSortedTids(
+    const HeapFile* heap, const ScanPredicate& predicate,
+    const std::vector<Tid>& tids, size_t begin, size_t end,
+    const ExecContext& ctx,
+    const std::function<void(const Tid&, Tuple&&)>& sink);
 
 class SortScan : public AccessPath {
  public:

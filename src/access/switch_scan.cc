@@ -1,7 +1,5 @@
 #include "access/switch_scan.h"
 
-#include <algorithm>
-
 namespace smoothscan {
 
 SwitchScan::SwitchScan(const BPlusTree* index, ScanPredicate predicate,
@@ -18,29 +16,25 @@ Status SwitchScan::OpenImpl() {
   it_ = index_->Seek(predicate_.lo, &ctx());
   produced_.Clear();
   switched_ = false;
-  cur_page_ = 0;
-  cur_slot_ = 0;
-  window_end_ = 0;
-  num_pages_ = static_cast<PageId>(index_->heap()->num_pages());
+  full_.reset();
   return Status::OK();
 }
 
 void SwitchScan::CloseImpl() {
   it_.reset();
   produced_.Clear();
+  full_.reset();
 }
 
-void SwitchScan::IndexPhase(TupleBatch* out) {
+bool SwitchScan::IndexPhase(TupleBatch* out, ScanWork* work) {
   const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
-  uint64_t inspected = 0;
-  uint64_t produced = 0;
-  uint64_t cache_ops = 0;
-  while (!out->full() && it_->Valid() && it_->key() < predicate_.hi) {
+  while (!out->full()) {
+    if (!it_->Valid() || it_->key() >= predicate_.hi) return false;
     const Tid tid = it_->tid();
     Tuple tuple = heap->Read(tid, ctx);
-    ++stats_.heap_pages_probed;
-    ++inspected;
+    ++work->pages;
+    ++work->inspected;
     if (predicate_.residual && !predicate_.residual(tuple)) {
       it_->Next();
       continue;
@@ -49,85 +43,42 @@ void SwitchScan::IndexPhase(TupleBatch* out) {
     // estimate is wrong: switch *before producing the next result tuple*
     // (Section VI-F). The tuple is not produced here — the full scan will
     // re-discover it, since its TID was never recorded.
-    if (stats_.tuples_produced + produced >= options_.estimated_cardinality) {
+    if (produced_.size() >= options_.estimated_cardinality) {
       switched_ = true;
-      break;
+      return false;
     }
     it_->Next();
     produced_.Insert(tid);
-    ++cache_ops;
-    ++produced;
+    ++work->cache_ops;
+    ++work->produced;
     out->Append(std::move(tuple));
   }
-  stats_.tuples_inspected += inspected;
-  stats_.tuples_produced += produced;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeCacheOp(cache_ops);
-  ctx.cpu->ChargeProduce(produced);
-}
-
-void SwitchScan::FullScanPhase(TupleBatch* out) {
-  const HeapFile* heap = index_->heap();
-  const ExecContext& ctx = this->ctx();
-  const Schema& schema = heap->schema();
-  uint64_t inspected = 0;
-  uint64_t produced = 0;
-  uint64_t cache_ops = 0;
-  while (!out->full() && cur_page_ < num_pages_) {
-    if (cur_page_ >= window_end_) {
-      const uint32_t window = std::min<uint32_t>(options_.read_ahead_pages,
-                                                 num_pages_ - window_end_);
-      ctx.pool->FetchExtent(heap->file_id(), window_end_, window);
-      window_end_ += window;
-    }
-    const PageGuard guard = ctx.pool->Pin(heap->file_id(), cur_page_);
-    const Page& page = *guard;
-    if (cur_slot_ == 0) ++stats_.heap_pages_probed;
-    const uint16_t num_slots = page.num_slots();
-    while (cur_slot_ < num_slots && !out->full()) {
-      const SlotId s = cur_slot_++;
-      uint32_t size = 0;
-      const uint8_t* data = page.GetTuple(s, &size);
-      if (data == nullptr) continue;  // Tombstoned slot.
-      ++inspected;
-      const int64_t key =
-          schema.ReadInt64Column(data, size, predicate_.column);
-      if (!predicate_.MatchesKey(key)) continue;
-      Tuple* slot = out->AppendSlot();
-      schema.DeserializeInto(data, size, slot);
-      if (predicate_.residual && !predicate_.residual(*slot)) {
-        out->PopLast();
-        continue;
-      }
-      // Suppress tuples already produced by the index phase.
-      ++cache_ops;
-      if (produced_.Contains(Tid{cur_page_, s})) {
-        out->PopLast();
-        continue;
-      }
-      ++produced;
-    }
-    if (cur_slot_ >= num_slots) {
-      ++cur_page_;
-      cur_slot_ = 0;
-    }
-  }
-  stats_.tuples_inspected += inspected;
-  stats_.tuples_produced += produced;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeCacheOp(cache_ops);
-  ctx.cpu->ChargeProduce(produced);
+  return true;
 }
 
 bool SwitchScan::NextBatchImpl(TupleBatch* out) {
+  ScanWork work;
   if (!switched_) {
-    IndexPhase(out);
+    IndexPhase(out, &work);
+    work.Charge(ctx().cpu);
+    work.AddTo(&stats_);
     // Keep the batch from the index phase even if the switch just fired; the
     // full scan continues in the next call.
     if (!out->empty()) return true;
     if (!switched_) return false;  // Index phase finished without violation.
+    work = ScanWork();
   }
-  FullScanPhase(out);
+  if (!full_) {
+    // Post-switch: a full scan that suppresses the tuples already produced.
+    FullScanOptions options;
+    options.read_ahead_pages = options_.read_ahead_pages;
+    full_.emplace(index_->heap(), predicate_, options);
+    full_->SetExecContext(&ctx());
+    SMOOTHSCAN_CHECK(full_->Open().ok());
+  }
+  full_->Fill(out, &produced_, &work);
+  work.Charge(ctx().cpu);
+  work.AddTo(&stats_);
   return !out->empty();
 }
 

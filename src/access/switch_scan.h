@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "access/access_path.h"
+#include "access/full_scan.h"
 #include "access/tuple_id_cache.h"
 #include "index/bplus_tree.h"
 
@@ -33,6 +34,15 @@ class SwitchScan : public AccessPath {
 
   bool switched() const { return switched_; }
 
+  /// The index phase behind NextBatch, minus its bookkeeping: appends until
+  /// `out` is full, the range ends, or the estimate is violated (which sets
+  /// switched()), adding the work done to `work` for the caller to charge.
+  /// Returns true when it stopped only because `out` filled up. The parallel
+  /// Switch kernel runs its prolog through it. Valid from Open() on.
+  bool IndexPhase(TupleBatch* out, ScanWork* work);
+  /// The TIDs the index phase produced: the post-switch scan's exclusion.
+  const TupleIdCache& produced() const { return produced_; }
+
  protected:
   Status OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
@@ -40,12 +50,6 @@ class SwitchScan : public AccessPath {
   ExecContext DefaultContext() const override;
 
  private:
-  /// Index phase: appends until the batch is full, the range ends, or the
-  /// estimate is violated (which flips `switched_`).
-  void IndexPhase(TupleBatch* out);
-  /// Post-switch full-scan phase.
-  void FullScanPhase(TupleBatch* out);
-
   const BPlusTree* index_;
   ScanPredicate predicate_;
   SwitchScanOptions options_;
@@ -53,12 +57,8 @@ class SwitchScan : public AccessPath {
   std::optional<BPlusTree::Iterator> it_;
   TupleIdCache produced_;
   bool switched_ = false;
-
-  // Full-scan cursor (see FullScan).
-  PageId cur_page_ = 0;
-  uint16_t cur_slot_ = 0;
-  PageId window_end_ = 0;
-  PageId num_pages_ = 0;
+  /// The post-switch full scan (opened when the switch fires).
+  std::optional<FullScan> full_;
 };
 
 }  // namespace smoothscan

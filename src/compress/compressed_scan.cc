@@ -280,82 +280,38 @@ uint64_t CompressedCountRange(const CompressedExtentRef& extent, int64_t lo,
   return count;
 }
 
-namespace {
-
-/// Rounds the morsel size down to a multiple of the read-ahead window (and up
-/// to at least one window) — same policy as the heap kernels, so extent
-/// requests coincide with the serial compressed scan's.
-uint32_t AlignToWindow(uint32_t morsel_pages, uint32_t read_ahead) {
-  if (morsel_pages <= read_ahead) return read_ahead;
-  return morsel_pages - morsel_pages % read_ahead;
-}
-
-class ParallelCompressedScanKernel : public ParallelScanKernel {
- public:
-  ParallelCompressedScanKernel(Engine* engine, CompressedExtentRef extent,
-                               ScanPredicate predicate,
-                               CompressedScanOptions scan_options,
-                               uint32_t morsel_pages)
-      : engine_(engine),
-        extent_(std::move(extent)),
-        predicate_(std::move(predicate)),
-        scan_options_(scan_options),
-        morsel_pages_(
-            AlignToWindow(morsel_pages, scan_options.read_ahead_pages)) {}
-
-  const char* name() const override { return "ParallelCompressedScan"; }
-
-  std::vector<Morsel> Plan(const ExecContext&, const EmitFn&,
-                           AccessPathStats*) override {
-    return MorselSource::PageRanges(extent_->num_pages(), morsel_pages_);
-  }
-
-  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
-                            const EmitFn& emit) override {
+std::unique_ptr<ParallelScan> MakeParallelCompressedScan(
+    Engine* engine, CompressedExtentRef extent, ScanPredicate predicate,
+    CompressedScanOptions scan_options, ParallelScanOptions options) {
+  if (extent == nullptr) return nullptr;
+  const uint32_t morsel_pages =
+      AlignMorselPages(options.morsel_pages, scan_options.read_ahead_pages);
+  auto plan = [extent, morsel_pages] {
+    return MorselSource::PageRanges(extent->num_pages(), morsel_pages);
+  };
+  auto scan = [engine, extent, predicate = std::move(predicate),
+               scan_options](const Morsel& m, const ExecContext& ctx) {
     // Seed the morsel's stream at the last compressed page the serial scan
     // would have transferred before this range — the last *needed* page, a
     // pure function of the zone map and the predicate — so summed parallel
     // charges stay bit-identical to the serial scan's.
     for (PageId p = m.page_begin; p > 0; --p) {
-      const CompressedBlockMeta& meta = extent_->blocks[p - 1];
-      if (meta.key_max >= predicate_.lo && meta.key_min < predicate_.hi) {
-        ctx.disk->SeedPosition(extent_->file, p - 1);
+      const CompressedBlockMeta& meta = extent->blocks[p - 1];
+      if (meta.key_max >= predicate.lo && meta.key_min < predicate.hi) {
+        ctx.disk->SeedPosition(extent->file, p - 1);
         break;
       }
     }
-    CompressedScanOptions opts = scan_options_;
-    opts.page_begin = m.page_begin;
-    opts.page_end = m.page_end;
-    CompressedScan scan(engine_, extent_, predicate_, opts);
-    scan.SetExecContext(&ctx);
-    SMOOTHSCAN_CHECK(scan.Open().ok());
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    while (scan.NextBatch(batch.get())) {
-      emit(std::move(batch));
-      batch = ctx.batch_pool->Acquire();
-    }
-    scan.Close();
-    return scan.stats();
-  }
-
- private:
-  Engine* engine_;
-  CompressedExtentRef extent_;
-  ScanPredicate predicate_;
-  CompressedScanOptions scan_options_;
-  uint32_t morsel_pages_;
-};
-
-}  // namespace
-
-std::unique_ptr<ParallelScan> MakeParallelCompressedScan(
-    Engine* engine, CompressedExtentRef extent, ScanPredicate predicate,
-    CompressedScanOptions scan_options, ParallelScanOptions options) {
-  if (extent == nullptr) return nullptr;
-  auto kernel = std::make_unique<ParallelCompressedScanKernel>(
-      engine, std::move(extent), std::move(predicate), scan_options,
-      options.morsel_pages);
-  return std::make_unique<ParallelScan>(engine, std::move(kernel), options);
+    CompressedScanOptions range = scan_options;
+    range.page_begin = m.page_begin;
+    range.page_end = m.page_end;
+    return std::make_unique<CompressedScan>(engine, extent, predicate, range);
+  };
+  return std::make_unique<ParallelScan>(
+      engine,
+      std::make_unique<DrainKernel>("ParallelCompressedScan", std::move(plan),
+                                    std::move(scan)),
+      options);
 }
 
 }  // namespace smoothscan

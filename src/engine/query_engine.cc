@@ -29,6 +29,41 @@ double MsBetween(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// The chooser's plan for `spec`, pricing `extent` when one is on offer.
+/// Shared by the share-aware batch pop and Execute, so both reach the same
+/// verdict from the same inputs.
+PlanChoice ChoosePlan(const QuerySpec& spec, const CompressedExtentRef& extent,
+                      bool sharing_available) {
+  ChooserOptions copts;
+  copts.need_order = spec.need_order;
+  copts.dop = std::max<uint32_t>(1, spec.dop);
+  copts.sharing_available = sharing_available;
+  CompressedPathInfo cinfo;
+  if (extent != nullptr) {
+    cinfo.pages = extent->num_pages();
+    cinfo.tuples = extent->num_tuples;
+    cinfo.avg_run_length = extent->avg_run_length();
+    copts.compressed = &cinfo;
+    copts.cpu = &kChooserCpuModel;
+  }
+  return AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
+                                   spec.predicate.lo, spec.predicate.hi,
+                                   copts);
+}
+
+/// Reports the charges of a query's private stack (also for a cancelled or
+/// failed query: the work done up to the break point was real).
+void RecordCost(AccountingStack& stack, QueryMetrics* m) {
+  const IoStats io = stack.disk().stats();
+  m->io_time = io.io_time;
+  m->cpu_time = stack.cpu().time();
+  m->sim_time = m->io_time + m->cpu_time;
+  m->io_requests = io.io_requests;
+  m->random_ios = io.random_ios;
+  m->seq_ios = io.seq_ios;
+  m->pages_read = io.pages_read;
+}
+
 }  // namespace
 
 const char* QueryLaneToString(QueryLane lane) {
@@ -92,10 +127,6 @@ QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
     h_queue_wait_us_ = r->histogram("engine.queue_wait_us");
     h_exec_us_ = r->histogram("engine.exec_us");
     h_latency_us_ = r->histogram("engine.latency_us");
-    c_bpool_acquires_ = r->counter("batchpool.acquires");
-    c_bpool_reuses_ = r->counter("batchpool.reuses");
-    c_bpool_releases_ = r->counter("batchpool.releases");
-    c_bpool_sheds_ = r->counter("batchpool.sheds");
     // Buffer-pool counters: per-query and per-morsel pools (the accounting
     // pools) get this sink at construction; the shared pool gets it here —
     // before the executors spawn, so no fetch can race the attach — for the
@@ -424,21 +455,8 @@ bool QueryEngine::ShareEligible(const QuerySpec& spec) const {
   // Chooser queries: ask the chooser itself (same inputs as Execute will
   // use, so the verdict matches) — a selective query headed for an index
   // path must not jump the batch FIFO for a lap it will never join.
-  ChooserOptions copts;
-  copts.need_order = spec.need_order;
-  copts.dop = std::max<uint32_t>(1, spec.dop);
-  copts.sharing_available = true;
-  CompressedPathInfo cinfo;
-  if (CompressedExtentRef extent = CompressedExtentFor(spec)) {
-    cinfo.pages = extent->num_pages();
-    cinfo.tuples = extent->num_tuples;
-    cinfo.avg_run_length = extent->avg_run_length();
-    copts.compressed = &cinfo;
-    copts.cpu = &kChooserCpuModel;
-  }
   const PathKind kind =
-      AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
-                                spec.predicate.lo, spec.predicate.hi, copts)
+      ChoosePlan(spec, CompressedExtentFor(spec), /*sharing_available=*/true)
           .kind;
   return kind == PathKind::kSharedScan ||
          (kind == PathKind::kCompressedScan && compressed_shared);
@@ -463,8 +481,8 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // target pages into the buffer are this query's cost, bit-identical at any
   // admission level. Write-back I/O is communal (charged on the engine
   // stream at flush; see write/table_writer.h).
-  QueryContext qctx(engine_,
-                    options_.mirror_pages ? &engine_->pool() : nullptr);
+  AccountingStack qctx(engine_,
+                       options_.mirror_pages ? &engine_->pool() : nullptr);
   qctx.pool().SetMetricsSink(bp_sink_);
   uint64_t applied = 0;
   {
@@ -477,14 +495,7 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // Metrics are captured even on a mid-batch failure: the ops before the
   // error were applied (and will publish), so their cost is real.
   m.tuples = applied;
-  const IoStats io = qctx.disk().stats();
-  m.io_time = io.io_time;
-  m.cpu_time = qctx.cpu().time();
-  m.sim_time = m.io_time + m.cpu_time;
-  m.io_requests = io.io_requests;
-  m.random_ios = io.random_ios;
-  m.seq_ios = io.seq_ios;
-  m.pages_read = io.pages_read;
+  RecordCost(qctx, &m);
   return res;
 }
 
@@ -534,21 +545,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   PathKind kind = spec.kind;
   uint64_t estimate = spec.estimate;
   if (spec.use_chooser) {
-    ChooserOptions copts;
-    copts.need_order = spec.need_order;
-    copts.dop = std::max<uint32_t>(1, spec.dop);
-    copts.sharing_available = sharing_on;
-    CompressedPathInfo cinfo;
-    if (extent != nullptr) {
-      cinfo.pages = extent->num_pages();
-      cinfo.tuples = extent->num_tuples;
-      cinfo.avg_run_length = extent->avg_run_length();
-      copts.compressed = &cinfo;
-      copts.cpu = &kChooserCpuModel;
-    }
-    const PlanChoice choice =
-        AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
-                                  spec.predicate.lo, spec.predicate.hi, copts);
+    const PlanChoice choice = ChoosePlan(spec, extent, sharing_on);
     kind = choice.kind;
     estimate = choice.estimated_cardinality;
   }
@@ -570,8 +567,8 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   // Per-query accounting stack; page pins mirror into the shared pool. The
   // private pool is where this query's hits and misses are counted, so it —
   // not the mirror — feeds the registry's bufferpool.* counters.
-  QueryContext qctx(engine_,
-                    options_.mirror_pages ? &engine_->pool() : nullptr);
+  AccountingStack qctx(engine_,
+                       options_.mirror_pages ? &engine_->pool() : nullptr);
   qctx.pool().SetMetricsSink(bp_sink_);
   // Per-query execution-memory account: batch pools charge it; a quota
   // breach or global broker pressure sheds their recycled storage. Pure
@@ -581,30 +578,20 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
 
   const FileId table = spec.index->heap()->file_id();
   bool shared_run = kind == PathKind::kSharedScan;
+  // Parallel paths merge their morsel streams into qctx and inherit its
+  // mirror, metrics sink and memory account (see parallel_scan.h).
+  ParallelScanOptions po;
+  po.dop = spec.dop;
+  po.scheduler = options_.scheduler;
   std::unique_ptr<AccessPath> path;
   if (shared_run) {
     path = std::make_unique<SharedScanPath>(
         options_.sharing, spec.index->heap(), spec.predicate);
-    path->SetExecContext(&qctx.ctx());
     // Visible to the share-aware batch pop while this scan is in flight.
     latch::LatchGuard lock(mu_);
     ++running_shared_[table];
   } else if (kind == PathKind::kCompressedScan) {
     if (spec.dop >= 1) {
-      ParallelScanOptions po;
-      po.dop = spec.dop;
-      po.scheduler = options_.scheduler;
-      po.account_disk = &qctx.disk();
-      po.account_cpu = &qctx.cpu();
-      po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
-      po.mem = &mem_scope;
-      po.trace = options_.tracing;
-      po.trace_query_id = id;
-      po.batch_metrics.acquires = c_bpool_acquires_;
-      po.batch_metrics.reuses = c_bpool_reuses_;
-      po.batch_metrics.releases = c_bpool_releases_;
-      po.batch_metrics.sheds = c_bpool_sheds_;
-      po.pool_metrics = bp_sink_;
       path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
                                         CompressedScanOptions(), po);
       m.parallel = path != nullptr;
@@ -614,7 +601,6 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
       // share-aware batch pop groups same-table arrivals onto the lap.
       path = std::make_unique<CompressedScan>(options_.sharing, extent,
                                               spec.predicate);
-      path->SetExecContext(&qctx.ctx());
       shared_run = true;
       latch::LatchGuard lock(mu_);
       ++running_shared_[table];
@@ -622,7 +608,6 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     if (path == nullptr) {
       path = std::make_unique<CompressedScan>(engine_, extent,
                                               spec.predicate);
-      path->SetExecContext(&qctx.ctx());
     }
   } else if (kind == PathKind::kSmoothScan && sharing_on && spec.dop == 0) {
     // Shared-SmoothScan mode: this query feeds (and profits from) the
@@ -633,23 +618,8 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     so.broker = options_.broker;
     so.shared_group = options_.sharing->SmoothSharingFor(spec.index->heap());
     path = std::make_unique<SmoothScan>(spec.index, spec.predicate, so);
-    path->SetExecContext(&qctx.ctx());
   }
   if (path == nullptr && spec.dop >= 1) {
-    ParallelScanOptions po;
-    po.dop = spec.dop;
-    po.scheduler = options_.scheduler;
-    po.account_disk = &qctx.disk();
-    po.account_cpu = &qctx.cpu();
-    po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
-    po.mem = &mem_scope;
-    po.trace = options_.tracing;
-    po.trace_query_id = id;
-    po.batch_metrics.acquires = c_bpool_acquires_;
-    po.batch_metrics.reuses = c_bpool_reuses_;
-    po.batch_metrics.releases = c_bpool_releases_;
-    po.batch_metrics.sheds = c_bpool_sheds_;
-    po.pool_metrics = bp_sink_;
     path = MakeParallelPath(kind, spec.index, spec.predicate, spec.need_order,
                             estimate, po);
     m.parallel = path != nullptr;
@@ -657,8 +627,8 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   if (path == nullptr) {
     path = MakePath(kind, spec.index, spec.predicate, spec.need_order,
                     estimate);
-    path->SetExecContext(&qctx.ctx());
   }
+  path->SetExecContext(&qctx.ctx());
   path->SetObs(obs_ctx);
 
   {
@@ -701,16 +671,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     if (--it->second == 0) running_shared_.erase(it);
   }
 
-  // Charges are reported even for a cancelled (or failed) query: the work
-  // done up to the break point was real.
-  const IoStats io = qctx.disk().stats();
-  m.io_time = io.io_time;
-  m.cpu_time = qctx.cpu().time();
-  m.sim_time = m.io_time + m.cpu_time;
-  m.io_requests = io.io_requests;
-  m.random_ios = io.random_ios;
-  m.seq_ios = io.seq_ios;
-  m.pages_read = io.pages_read;
+  RecordCost(qctx, &m);
   m.mem_peak_bytes = mem_scope.peak_bytes();
   m.mem_quota_breaches = mem_scope.quota_breaches();
   return res;

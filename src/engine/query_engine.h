@@ -3,7 +3,7 @@
 // many queries with mis-estimated selectivities must not cliff, so the engine
 // runs *streams* of queries, not one query, over the shared TaskScheduler
 // (intra-query morsel work) and the shared BufferPool (page residency and
-// pinning), while every query charges a private QueryContext accounting stack
+// pinning), while every query charges a private AccountingStack
 // (see exec_context.h) — which is what keeps each query's simulated cost
 // bit-identical to a solo cold run at any admission level.
 //
@@ -391,8 +391,7 @@ class QueryEngine {
   Engine* engine_;
   QueryEngineOptions options_;
   // Registry handles, resolved once in the constructor (all null without
-  // options_.metrics). Engine-level admission telemetry plus the batch-pool
-  // sink handed to every parallel leaf's owned pool.
+  // options_.metrics): engine-level admission telemetry.
   obs::Counter* c_submitted_ = nullptr;
   obs::Counter* c_completed_ = nullptr;
   obs::Counter* c_cancelled_ = nullptr;
@@ -402,10 +401,6 @@ class QueryEngine {
   obs::Histogram* h_queue_wait_us_ = nullptr;
   obs::Histogram* h_exec_us_ = nullptr;
   obs::Histogram* h_latency_us_ = nullptr;
-  obs::Counter* c_bpool_acquires_ = nullptr;
-  obs::Counter* c_bpool_reuses_ = nullptr;
-  obs::Counter* c_bpool_releases_ = nullptr;
-  obs::Counter* c_bpool_sheds_ = nullptr;
   /// Buffer-pool counters, attached to every pool that does hit/miss
   /// accounting on this engine's behalf: each query's private pool and every
   /// parallel morsel pool. The shared pool gets it too, but only communal

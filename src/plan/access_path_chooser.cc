@@ -228,17 +228,4 @@ std::unique_ptr<ParallelScan> MakeParallelPath(
   return nullptr;
 }
 
-std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
-                                     const ScanPredicate& predicate,
-                                     bool need_order, uint64_t estimate,
-                                     const ParallelScanOptions& parallel) {
-  if (parallel.dop > 1) {
-    std::unique_ptr<ParallelScan> par =
-        MakeParallelPath(kind, index, predicate, need_order, estimate,
-                         parallel);
-    if (par != nullptr) return par;
-  }
-  return MakePath(kind, index, predicate, need_order, estimate);
-}
-
 }  // namespace smoothscan

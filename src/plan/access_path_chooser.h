@@ -125,13 +125,6 @@ std::unique_ptr<ParallelScan> MakeParallelPath(
     PathKind kind, const BPlusTree* index, const ScanPredicate& predicate,
     bool need_order, uint64_t estimate, const ParallelScanOptions& parallel);
 
-/// MakePath with a parallelism knob: returns the parallel variant when
-/// `parallel.dop > 1` and the combination supports one, else the serial path.
-std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
-                                     const ScanPredicate& predicate,
-                                     bool need_order, uint64_t estimate,
-                                     const ParallelScanOptions& parallel);
-
 }  // namespace smoothscan
 
 #endif  // SMOOTHSCAN_PLAN_ACCESS_PATH_CHOOSER_H_

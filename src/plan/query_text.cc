@@ -165,6 +165,9 @@ Status ParseHints(Lexer& lex, ParsedStatement* stmt) {
     } else if (EqualsIgnoreCase(key, "DOP")) {
       uint64_t v = 0;
       s = ParseUInt64(val, &v);
+      if (s.ok() && v > std::numeric_limits<uint32_t>::max()) {
+        s = Status::InvalidArgument("DOP must fit in 32 bits");
+      }
       stmt->dop = static_cast<uint32_t>(v);
     } else if (EqualsIgnoreCase(key, "LANE")) {
       stmt->has_lane = true;
@@ -393,6 +396,32 @@ Result<QuerySpec> BindStatement(const QueryCatalog& catalog,
   if (binding->index == nullptr) {
     return Status::InvalidArgument("table '" + stmt.table +
                                    "' has no index bound");
+  }
+  // The range column must be one the paths can evaluate: an int64/date
+  // column of the table and, for any policy that may walk the index (the
+  // chooser included), the index key itself.
+  const Schema& schema = binding->index->heap()->schema();
+  std::string column = "C";
+  column += std::to_string(stmt.column);
+  if (stmt.column < 0 ||
+      static_cast<size_t>(stmt.column) >= schema.num_columns()) {
+    return Status::InvalidArgument("column " + column + " is not in table '" +
+                                   stmt.table + "'");
+  }
+  const ValueType type = schema.column(stmt.column).type;
+  if (type != ValueType::kInt64 && type != ValueType::kDate) {
+    return Status::InvalidArgument("range column " + column +
+                                   " must be INT64 or DATE");
+  }
+  const bool heap_only_policy =
+      !stmt.use_chooser && (stmt.policy == PathKind::kFullScan ||
+                            stmt.policy == PathKind::kSharedScan ||
+                            stmt.policy == PathKind::kCompressedScan);
+  if (!heap_only_policy && stmt.column != binding->index->key_column()) {
+    std::string msg = "this POLICY needs a range on the index key column C";
+    msg += std::to_string(binding->index->key_column());
+    msg += ", not " + column;
+    return Status::InvalidArgument(std::move(msg));
   }
   spec.index = binding->index;
   spec.predicate = ScanPredicate{};

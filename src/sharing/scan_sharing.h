@@ -22,7 +22,7 @@
 // Accounting: chunk fetches charge the engine's shared stream (they are paid
 // once, on behalf of everyone), while each consumer's tuple inspection and
 // production CPU flows through its own ExecContext — under the multi-query
-// engine that is the query's private QueryContext, so per-query CPU remains
+// engine that is the query's private AccountingStack, so per-query CPU remains
 // per-query while the I/O becomes communal. A shared-scan query's private
 // pages_read is ~0 by design: the whole point is that it did not pay the
 // pass.

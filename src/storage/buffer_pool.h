@@ -185,11 +185,13 @@ class BufferPool {
   /// nor charge a second write-back to any stream — write I/O for a page is
   /// charged exactly once, by the pool that owns the dirty bit.
   void SetMirror(BufferPool* mirror);
+  BufferPool* mirror() const { return mirror_; }
 
   /// Attaches registry counters that mirror this pool's stats bumps. Same
   /// contract as SetMirror: set before the first fetch (the sink is read
   /// without a latch); pass {} to detach — but only while no fetches run.
   void SetMetricsSink(BufferPoolMetricsSink sink) { obs_ = sink; }
+  const BufferPoolMetricsSink& metrics_sink() const { return obs_; }
 
   /// Aggregated over shards (copied under the shard latches).
   BufferPoolStats stats() const;

@@ -1,10 +1,11 @@
 // ExecContext: the accounting surface an operator executes against — which
 // buffer pool its page accesses go through, which CPU meter its work is
 // charged to, which simulated disk classifies its stream. Serial execution
-// uses the engine's shared instances; morsel-driven parallel execution hands
-// every morsel a private stack (MorselContext) so that simulated time is
-// charged per *logical access stream* and stays a pure function of the morsel
-// decomposition, independent of worker count and interleaving.
+// uses the engine's shared instances; the multi-query engine gives every
+// query, and morsel-driven parallel execution every morsel, a private
+// AccountingStack so that simulated time is charged per *logical access
+// stream*: a pure function of the query (or the morsel decomposition),
+// independent of concurrency, worker count and interleaving.
 
 #ifndef SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
 #define SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
@@ -30,8 +31,6 @@ struct ExecContext {
   /// Per-query execution-memory account (quota + broker charging). Null:
   /// ungoverned. Never affects simulated cost — accounting bytes, not time.
   QueryMemoryScope* mem = nullptr;
-
-  bool valid() const { return pool != nullptr; }
 };
 
 /// The engine's shared (serial) execution context.
@@ -40,22 +39,32 @@ inline ExecContext EngineContext(Engine* engine) {
                      &engine->disk()};
 }
 
-/// The per-morsel accounting stack: a private simulated disk (one logical
-/// access stream), a private single-shard buffer pool (morsel-local
-/// residency, exact LRU) and a private CPU meter. Page *data* still comes
-/// from the engine's StorageManager — pages are immutable at query time — so
-/// only accounting state is duplicated. When the parallel operator finishes
-/// it merges every context into the engine in morsel order, which keeps the
-/// accumulated doubles bit-identical across degrees of parallelism.
-class MorselContext {
+/// A private accounting stack: a simulated disk (one logical access stream),
+/// a buffer pool with the engine's capacity, and a CPU meter — all starting
+/// cold and zeroed. Page *data* still comes from the engine's StorageManager
+/// (pages are immutable at query time), so only accounting state is
+/// duplicated, and a stack's simulated cost is a pure function of the work
+/// run against it.
+///
+/// Two shapes, differing only in the pool's shard count:
+///   * a query stack (the multi-query engine; the engine's shard count), so a
+///     single query observes exactly the hit/miss sequence a solo cold run
+///     against the engine pool would — bit-identical no matter how many
+///     queries run beside it;
+///   * a morsel stack (num_shards = 1: morsel-local residency, exact LRU).
+///     The parallel scan merges its stacks into its own context in morsel
+///     order, which keeps the accumulated doubles bit-identical across
+///     degrees of parallelism.
+/// When `mirror` is given (the engine's shared pool) every fetch additionally
+/// pins its page there — see BufferPool::SetMirror — so concurrent streams
+/// contend for the one real pool without perturbing each other's accounting.
+class AccountingStack {
  public:
-  /// `mirror` (optional, typically the engine's shared pool) receives the
-  /// morsel's residency and pins — see BufferPool::SetMirror.
-  explicit MorselContext(Engine* engine, BufferPool* mirror = nullptr)
-      : engine_(engine),
-        disk_(engine->options().device, engine->options().page_size),
+  explicit AccountingStack(Engine* engine, BufferPool* mirror = nullptr,
+                           uint32_t num_shards = BufferPool::kDefaultShards)
+      : disk_(engine->options().device, engine->options().page_size),
         pool_(&engine->storage(), &disk_, engine->options().buffer_pool_pages,
-              /*num_shards=*/1),
+              num_shards),
         cpu_(engine->options().cpu_costs) {
     pool_.SetMirror(mirror);
     ctx_.storage = &engine->storage();
@@ -64,11 +73,12 @@ class MorselContext {
     ctx_.disk = &disk_;
   }
 
-  MorselContext(const MorselContext&) = delete;
-  MorselContext& operator=(const MorselContext&) = delete;
+  AccountingStack(const AccountingStack&) = delete;
+  AccountingStack& operator=(const AccountingStack&) = delete;
 
-  /// Hands the morsel's kernels a batch pool / memory account (set once by
-  /// the parallel scan driver before workers start).
+  /// Hands the stack's operators a batch pool (the parallel scan, for its
+  /// kernels) and the query's execution-memory account (see
+  /// QueryMemoryScope). Set before any operator runs against the stack.
   void SetBatchPool(BatchPool* pool) { ctx_.batch_pool = pool; }
   void SetMemScope(QueryMemoryScope* mem) { ctx_.mem = mem; }
 
@@ -77,61 +87,12 @@ class MorselContext {
   BufferPool& pool() { return pool_; }
   CpuMeter& cpu() { return cpu_; }
 
-  /// Folds this stream's accounting into an arbitrary sink (the engine's
-  /// shared stream, or a query's private stack under the multi-query engine).
-  /// Call exactly once per context, in morsel order.
-  void MergeInto(SimDisk* disk, CpuMeter* cpu) {
+  /// Folds this stream's accounting into `disk` and `cpu`. Call exactly once
+  /// per stack, in a deterministic (morsel) order.
+  void MergeInto(SimDisk* disk, CpuMeter* cpu) const {
     disk->Absorb(disk_.stats());
     cpu->Add(cpu_.time());
   }
-
-  /// MergeInto the engine the context was built from.
-  void MergeIntoEngine() { MergeInto(&engine_->disk(), &engine_->cpu()); }
-
- private:
-  Engine* engine_;
-  SimDisk disk_;
-  BufferPool pool_;
-  CpuMeter cpu_;
-  ExecContext ctx_;
-};
-
-/// The per-query accounting stack of the multi-query engine: a private
-/// simulated disk, a private buffer pool with the *engine's* capacity and
-/// shard count (so a single query observes exactly the hit/miss sequence a
-/// solo cold run against the engine pool would), and a private CPU meter —
-/// all starting cold and zeroed. Because the stack is private, a query's
-/// simulated cost is a pure function of the query and the data: bit-identical
-/// no matter how many queries run beside it. Page *data* still comes from the
-/// shared StorageManager, and when `mirror` is given (the engine's shared
-/// pool) every fetch additionally pins its page there, so concurrent queries
-/// contend for the one real pool without perturbing each other's accounting.
-class QueryContext {
- public:
-  explicit QueryContext(Engine* engine, BufferPool* mirror = nullptr)
-      : disk_(engine->options().device, engine->options().page_size),
-        pool_(&engine->storage(), &disk_, engine->options().buffer_pool_pages),
-        cpu_(engine->options().cpu_costs) {
-    pool_.SetMirror(mirror);
-    ctx_.storage = &engine->storage();
-    ctx_.pool = &pool_;
-    ctx_.cpu = &cpu_;
-    ctx_.disk = &disk_;
-  }
-
-  QueryContext(const QueryContext&) = delete;
-  QueryContext& operator=(const QueryContext&) = delete;
-
-  /// Attaches the query's execution-memory account (see QueryMemoryScope).
-  void SetMemScope(QueryMemoryScope* mem) { ctx_.mem = mem; }
-
-  const ExecContext& ctx() const { return ctx_; }
-  SimDisk& disk() { return disk_; }
-  BufferPool& pool() { return pool_; }
-  CpuMeter& cpu() { return cpu_; }
-
-  /// Total simulated time charged to this query so far (I/O + CPU).
-  double TotalTime() const { return disk_.stats().io_time + cpu_.time(); }
 
  private:
   SimDisk disk_;

@@ -5,7 +5,7 @@
 // Accounting: reading a target page into the buffer (the fetch a real system
 // performs before modifying a frame) is charged through the caller's
 // ExecContext — under the multi-query engine that is the write query's
-// private QueryContext, so write queries cost-isolate exactly like reads.
+// private AccountingStack, so write queries cost-isolate exactly like reads.
 // Per-tuple mutation work charges CpuMeter::ChargeWriteTuple. The *write*
 // I/O (dirty-page write-back) is communal: publish marks pages dirty in the
 // engine's shared pool and the charge lands on the engine stream at the next

@@ -283,11 +283,37 @@ TEST(NetServerTest, PayloadErrorsKeepTheConnection) {
       "SELECT * FROM t WHERE C1 >= 0 AND C1 < 10 WITH (POLICY=auto)"));
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
 
+  // Bind-time range-column checks (C1 is the index key): an index-driven
+  // policy on a non-key column, a column outside the schema, and a DOP that
+  // does not fit in 32 bits. Each used to abort the server or return wrong
+  // rows.
+  for (const char* hostile :
+       {"SELECT * FROM t WHERE C0 >= 0 AND C0 < 100 WITH (POLICY=index)",
+        "SELECT * FROM t WHERE C0 >= 0 AND C0 < 100 WITH (POLICY=sort, DOP=2)",
+        "SELECT * FROM t WHERE C0 >= 0 AND C0 < 100 WITH (POLICY=smooth)",
+        "SELECT * FROM t WHERE C99 >= 0 AND C99 < 100 WITH (POLICY=full)",
+        "SELECT * FROM t WHERE C1 >= 0 AND C1 < 100 "
+        "WITH (POLICY=full, DOP=4294967296)"}) {
+    r = client.Wait(client.Submit(hostile));
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << hostile;
+  }
+  // A heap-only policy may range over any int64 column.
+  r = client.Wait(client.Submit(
+      "SELECT * FROM t WHERE C2 >= 0 AND C2 < 100 WITH (POLICY=full)"));
+  EXPECT_TRUE(r.status.ok());
+  EXPECT_GT(r.metrics.tuples, 0u);
+  // The largest 32-bit DOP is legal and runs on one thread per morsel.
+  r = client.Wait(client.Submit(
+      "SELECT * FROM t WHERE C1 >= 0 AND C1 < 100 "
+      "WITH (POLICY=smooth, DOP=4294967295)"));
+  EXPECT_TRUE(r.status.ok());
+  EXPECT_GT(r.metrics.tuples, 0u);
+
   const ScanPredicate pred = world.db->PredicateForSelectivity(0.01);
   r = client.Wait(client.Submit(SelectText(pred, "index", 0)));
   EXPECT_TRUE(r.status.ok());
   EXPECT_GT(r.metrics.tuples, 0u);
-  EXPECT_EQ(world.server->stats().queries_error, 3u);
+  EXPECT_EQ(world.server->stats().queries_error, 8u);
   EXPECT_EQ(world.server->stats().frames_malformed, 0u);
 }
 

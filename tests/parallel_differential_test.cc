@@ -12,6 +12,8 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "access/full_scan.h"
 #include "access/page_id_cache.h"
@@ -175,6 +177,25 @@ TEST_F(ParallelDifferentialTest, SortScanDopInvariant) {
   }
 }
 
+// Sort Scan's morsels are the populated page-range buckets of its sorted TID
+// list, so a selective (or empty) range runs no empty morsels.
+TEST_F(ParallelDifferentialTest, SortScanRunsOnlyPopulatedBuckets) {
+  ScanPredicate empty = db_->PredicateForSelectivity(0.001);
+  empty.lo = empty.hi = 1 << 30;
+  for (const ScanPredicate& pred :
+       {db_->PredicateForSelectivity(0.001), empty}) {
+    std::set<PageId> buckets;
+    db_->heap().ForEachDirect([&](Tid tid, const Tuple& t) {
+      if (pred.Matches(t)) buckets.insert(tid.page_id / 64);
+    });
+    auto par = MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
+                                    Par(2));
+    ASSERT_TRUE(par->Open().ok());
+    EXPECT_EQ(par->num_morsels(), buckets.size());
+    par->Close();
+  }
+}
+
 TEST_F(ParallelDifferentialTest, SwitchScanDopInvariant) {
   for (const double sel : kSelectivities) {
     const ScanPredicate pred = db_->PredicateForSelectivity(sel);
@@ -283,6 +304,111 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   EXPECT_EQ(got, expected);
 }
 
+// ---------- One morsel == the serial operator ----------
+//
+// With one worker and one morsel covering the whole heap, a parallel scan is
+// the serial operator run inside the morsel machinery: same rows in the same
+// order, same counters. (Simulated cost differs only in where the leaf walk
+// is charged — the planning stream — so it is not compared here.)
+
+/// Drains `path`, returning the c0 (row id) sequence in emission order.
+std::vector<int64_t> DrainInOrder(Engine* engine, AccessPath* path) {
+  engine->ColdRestart();
+  EXPECT_TRUE(path->Open().ok());
+  std::vector<int64_t> ids;
+  TupleBatch batch;
+  while (path->NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ids.push_back(batch.row(i)[0].AsInt64());
+    }
+  }
+  path->Close();
+  return ids;
+}
+
+class SingleMorselTest : public ParallelDifferentialTest {
+ protected:
+  /// dop 1 and a morsel larger than the heap: exactly one morsel.
+  ParallelScanOptions OneMorsel() const {
+    ParallelScanOptions o;
+    o.dop = 1;
+    o.morsel_pages = 1u << 20;
+    EXPECT_GE(o.morsel_pages, db_->heap().num_pages());
+    return o;
+  }
+
+  /// Runs both; checks rows (in order) and counters.
+  void ExpectSameRun(AccessPath* serial, ParallelScan* par,
+                     const std::string& label) {
+    const std::vector<int64_t> want = DrainInOrder(engine_.get(), serial);
+    const std::vector<int64_t> got = DrainInOrder(engine_.get(), par);
+    EXPECT_FALSE(want.empty()) << label;
+    EXPECT_EQ(got, want) << label;
+    EXPECT_EQ(par->stats(), serial->stats()) << label;
+  }
+};
+
+TEST_F(SingleMorselTest, SortScanMatchesSerialOperator) {
+  for (const double sel : {0.01, 0.3}) {
+    const ScanPredicate pred = db_->PredicateForSelectivity(sel);
+    SortScan serial(&db_->index(), pred);
+    auto par = MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
+                                    OneMorsel());
+    ExpectSameRun(&serial, par.get(), "sort sel=" + std::to_string(sel));
+  }
+}
+
+TEST_F(SingleMorselTest, SwitchScanMatchesSerialOperator) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(0.05);
+  const uint64_t card = Oracle(pred).size();
+  // The switch fires halfway through, and never.
+  for (const uint64_t estimate : {card / 2, card + 10}) {
+    SwitchScanOptions so;
+    so.estimated_cardinality = estimate;
+    SwitchScan serial(&db_->index(), pred, so);
+    auto par = MakeParallelSwitchScan(&db_->index(), pred, so, OneMorsel());
+    const std::string label = "switch estimate=" + std::to_string(estimate);
+    ExpectSameRun(&serial, par.get(), label);
+    EXPECT_EQ(serial.switched(), estimate < card) << label;
+  }
+}
+
+TEST_F(SingleMorselTest, SmoothScanMatchesSerialOperatorAcrossPolicies) {
+  for (const MorphPolicy policy :
+       {MorphPolicy::kGreedy, MorphPolicy::kSelectivityIncrease,
+        MorphPolicy::kElastic}) {
+    for (const double sel : {0.01, 0.3}) {
+      const ScanPredicate pred = db_->PredicateForSelectivity(sel);
+      SmoothScanOptions so;
+      so.policy = policy;
+      SmoothScan serial(&db_->index(), pred, so);
+      auto par = MakeParallelSmoothScan(&db_->index(), pred, so, OneMorsel());
+      const std::string label = std::string(MorphPolicyToString(policy)) +
+                                " sel=" + std::to_string(sel);
+      ExpectSameRun(&serial, par.get(), label);
+      EXPECT_TRUE(par->kernel()->smooth_stats() == serial.smooth_stats())
+          << label;
+      EXPECT_GT(serial.smooth_stats().probes, 0u) << label;
+    }
+  }
+}
+
+// The serial index-driven constructors abort on a predicate that is not on
+// the index key; so do the parallel factories (they used to accept it and
+// return wrong rows).
+TEST_F(ParallelDifferentialTest, NonKeyPredicateIsRejectedLikeSerial) {
+  ScanPredicate pred = db_->PredicateForSelectivity(0.1);
+  pred.column = 0;  // Row id: not the index key.
+  EXPECT_DEATH(
+      MakeParallelSortScan(&db_->index(), pred, SortScanOptions(), Par(2)),
+      "");
+  EXPECT_DEATH(MakeParallelSmoothScan(&db_->index(), pred,
+                                      SmoothScanOptions(), Par(2)),
+               "");
+  EXPECT_DEATH({ SortScan serial(&db_->index(), pred); }, "");
+  EXPECT_DEATH({ SmoothScan serial(&db_->index(), pred); }, "");
+}
+
 // ---------- TaskScheduler ----------
 
 TEST(TaskSchedulerTest, RunsEveryTaskExactlyOnce) {
@@ -329,10 +455,10 @@ TEST(RngForkTest, DeterministicAndDecorrelated) {
   EXPECT_NE(Rng(42).Fork(0).Next(), Rng(43).Fork(0).Next());
 }
 
-// ---------- ConcurrentPageIdCache ----------
+// ---------- PageIdCache under concurrent marking ----------
 
 TEST(ConcurrentPageIdCacheTest, MarkReportsFirstMarkOnly) {
-  ConcurrentPageIdCache cache(200);
+  PageIdCache cache(200);
   EXPECT_FALSE(cache.IsMarked(63));
   EXPECT_TRUE(cache.Mark(63));
   EXPECT_FALSE(cache.Mark(63));
@@ -343,7 +469,7 @@ TEST(ConcurrentPageIdCacheTest, MarkReportsFirstMarkOnly) {
 }
 
 TEST(ConcurrentPageIdCacheTest, ConcurrentDisjointMarking) {
-  ConcurrentPageIdCache cache(1024);
+  PageIdCache cache(1024);
   TaskScheduler scheduler(8);
   std::vector<TaskScheduler::Task> tasks;
   for (uint32_t t = 0; t < 8; ++t) {

@@ -134,7 +134,7 @@ TEST_F(PlanTest, MakePathWithDopReturnsParallelVariant) {
        {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
         PathKind::kSwitchScan, PathKind::kSmoothScan}) {
     std::unique_ptr<AccessPath> path =
-        MakePath(kind, &db_->index(), pred, false, 100, parallel);
+        MakeParallelPath(kind, &db_->index(), pred, false, 100, parallel);
     ASSERT_NE(path, nullptr) << PathKindToString(kind);
     engine_->ColdRestart();
     ASSERT_TRUE(path->Open().ok());

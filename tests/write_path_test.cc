@@ -328,7 +328,7 @@ TEST(SnapshotIsolationTest, ScanUnchangedByConcurrentWrites) {
       w.registry->AcquireRead(w.db->heap().file_id());
   // The writer charges a private stack (as a write query would under the
   // engine), so the engine counters measure the scan alone.
-  QueryContext wctx(w.engine.get());
+  AccountingStack wctx(w.engine.get());
   const double before = w.engine->TotalTime();
   FullScan scan(&w.db->heap(), w.db->PredicateForSelectivity(1.0));
   ASSERT_TRUE(scan.Open().ok());
@@ -504,7 +504,7 @@ TEST(WriteBackTest, MirroredPoolsNeverDoubleChargeWrites) {
 
   // Engine pool holds a dirty page; a query-private pool mirrors into it.
   engine.pool().MarkDirty(file, 0);
-  QueryContext qctx(&engine, &engine.pool());
+  AccountingStack qctx(&engine, &engine.pool());
   // The mirrored fetch pins the dirty page in the engine pool — it must not
   // clear the dirty bit, and flushing the *private* pool must charge no
   // write anywhere (its frames are clean by construction).
