@@ -13,6 +13,12 @@ coverage); fresh rows without a baseline are reported but pass (new
 coverage). A fresh bench file with no committed baseline is skipped with a
 note — bless it by copying the JSON to the repo root.
 
+A second, within-file gate keeps the paper's bounded worst case under
+parallelism: in each fresh run, every parallel Smooth Scan row may cost at
+most PARALLEL_SMOOTH_MAX_RATIO times the serial Smooth Scan row it
+parallelizes (same series stem, same sel_pct). Simulated time is
+deterministic, so this ratio needs no allowance for jitter.
+
 Usage:
   check_bench_regression.py --baseline-dir . --fresh-dir bench-json \
       [--threshold 0.25] [bench names...]
@@ -24,6 +30,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import sys
 
 # Default gated benches when none are named: the per-PR trajectory files.
@@ -45,6 +52,14 @@ DEFAULT_THRESHOLD = 0.25
 MIN_BASELINE_SIM_TIME = 1.0
 # Absolute slack for fetch-ratio comparisons (pages_vs_solo is a ratio ~1-8).
 FETCH_RATIO_SLACK = 0.01
+# Parallel Smooth Scan vs its serial row, within one fresh file.
+PARALLEL_SMOOTH_MAX_RATIO = 1.35
+# Bench -> pattern of its parallel Smooth Scan series; group 1 names the
+# serial series the row is bounded against.
+PARALLEL_SMOOTH_SERIES = {
+    "fig05_selectivity": re.compile(r"^Par(SmoothScan) dop=\d+$"),
+    "fig04_tpch": re.compile(r"^(Q\d+ Smooth) dop=\d+$"),
+}
 
 
 def row_key(row):
@@ -131,6 +146,37 @@ def check_bench(name, baseline_path, fresh_path, threshold):
     return failures, notes
 
 
+def check_parallel_smooth_bound(name, fresh_path):
+    """Returns failures of the within-file parallel Smooth Scan bound."""
+    pattern = PARALLEL_SMOOTH_SERIES.get(name)
+    if pattern is None:
+        return []
+    with open(fresh_path) as f:
+        rows = json.load(f).get("rows", [])
+    serial = {(r.get("series"), round(float(r.get("sel_pct", 0.0)), 6)):
+              float(r.get("sim_time", 0.0)) for r in rows}
+    failures = []
+    for row in rows:
+        match = pattern.match(str(row.get("series")))
+        if match is None:
+            continue
+        sel = round(float(row.get("sel_pct", 0.0)), 6)
+        label = f"{name} {row['series']} sel_pct={sel}"
+        serial_sim = serial.get((match.group(1), sel))
+        if serial_sim is None:
+            failures.append(f"{label}: no serial '{match.group(1)}' row "
+                            "to bound it against")
+            continue
+        if serial_sim < MIN_BASELINE_SIM_TIME:
+            continue
+        ratio = float(row.get("sim_time", 0.0)) / serial_sim
+        if ratio > PARALLEL_SMOOTH_MAX_RATIO:
+            failures.append(
+                f"{label}: {ratio:.3f}x the serial '{match.group(1)}' row "
+                f"(bound {PARALLEL_SMOOTH_MAX_RATIO:.2f}x)")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default=".",
@@ -161,6 +207,7 @@ def main(argv=None):
         failures, notes = check_bench(
             name, os.path.join(args.baseline_dir, f"BENCH_{name}.json"),
             fresh_path, args.threshold)
+        failures += check_parallel_smooth_bound(name, fresh_path)
         for note in notes:
             print(f"note: {note}")
         if failures:

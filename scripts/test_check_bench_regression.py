@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Self-test of the CI perf-regression gate: proves, with doctored bench
 JSONs, that the gate passes on unchanged results and demonstrably fails on a
->25% simulated-cost regression, a shared-scan fetch-ratio regression, and a
-dropped row. Run directly (CI) or via ctest.
+>25% simulated-cost regression, a shared-scan fetch-ratio regression, a
+dropped row, and a parallel Smooth Scan row beyond its bound on the serial
+operator. Run directly (CI) or via ctest.
 """
 
 import copy
@@ -135,6 +136,65 @@ class GateTest(unittest.TestCase):
     def test_missing_fresh_file_fails(self):
         self.write(self.base_dir, BASELINE)
         self.assertEqual(self.run_gate(), 1)
+
+
+def smooth_rows(bench, serial, parallel, sel_pct, parallel_sim):
+    """A bench file with one serial Smooth Scan row (sim 1000) and its
+    parallel legs at `parallel_sim`."""
+    rows = [{"series": serial, "sel_pct": sel_pct, "sim_time": 1000.0,
+             "threads": 1}]
+    for dop in (1, 8):
+        rows.append({"series": f"{parallel} dop={dop}", "sel_pct": sel_pct,
+                     "sim_time": parallel_sim, "threads": dop})
+    return {"bench": bench, "rows": rows}
+
+
+class ParallelSmoothBoundTest(unittest.TestCase):
+    """The within-file bound: parallel Smooth Scan <= 1.35x serial."""
+
+    CASES = [("fig05_selectivity", "SmoothScan", "ParSmoothScan", 20.0),
+             ("fig04_tpch", "Q4 Smooth", "Q4 Smooth", 65.0)]
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def run_gate(self, payload):
+        bench = payload["bench"]
+        # The baseline equals the fresh run: only the ratio gate can fail.
+        for sub in ("base", "fresh"):
+            os.makedirs(os.path.join(self.tmp.name, sub), exist_ok=True)
+            with open(os.path.join(self.tmp.name, sub,
+                                   f"BENCH_{bench}.json"), "w") as f:
+                json.dump(payload, f)
+        return gate.main(["--baseline-dir", os.path.join(self.tmp.name, "base"),
+                          "--fresh-dir", os.path.join(self.tmp.name, "fresh"),
+                          bench])
+
+    def test_restarting_regions_ratio_fails(self):
+        # 1.79x: every morsel restarting its region at one page.
+        for bench, serial, parallel, sel in self.CASES:
+            with self.subTest(bench=bench):
+                self.assertEqual(self.run_gate(
+                    smooth_rows(bench, serial, parallel, sel, 1790.0)), 1)
+
+    def test_carried_morph_state_ratio_passes(self):
+        for bench, serial, parallel, sel in self.CASES:
+            with self.subTest(bench=bench):
+                self.assertEqual(self.run_gate(
+                    smooth_rows(bench, serial, parallel, sel, 1300.0)), 0)
+
+    def test_parallel_row_without_serial_row_fails(self):
+        payload = smooth_rows("fig05_selectivity", "SmoothScan",
+                              "ParSmoothScan", 20.0, 1000.0)
+        payload["rows"][0]["sel_pct"] = 100.0  # Serial row elsewhere.
+        self.assertEqual(self.run_gate(payload), 1)
+
+    def test_other_benches_are_not_bounded(self):
+        self.assertEqual(self.run_gate(
+            smooth_rows("concurrent", "smooth", "smooth", 1.0, 5000.0)), 0)
 
 
 if __name__ == "__main__":

@@ -442,10 +442,12 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
 // range once (charged like the serial operator's walk) and buckets the
 // entries by owning morsel. Each morsel runs SmoothScan over its bucket with
 // regions clipped at the morsel's end, all morsels sharing one Page ID Cache
-// (disjoint page ranges, so no bit is contended). Region-growth decisions use
-// each morsel's own selectivity counters, which is what keeps the policy
-// deterministic — a cross-worker counter read would make region sizes depend
-// on scheduling.
+// (disjoint page ranges, so no bit is contended). The morph state carries
+// across morsels without any cross-worker read: after the walk, the prolog
+// dry-runs the region policy over the bitmap of pages holding a qualifying
+// key, in morsel order, and hands each morsel the state the dry run reached
+// at the end of the morsels before it. The seeds are a pure function of the
+// index and the morsel plan, so region sizes never depend on scheduling.
 // ---------------------------------------------------------------------------
 
 class ParallelSmoothScanKernel : public ParallelScanKernel {
@@ -485,17 +487,24 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
         MorselSource::PageRanges(num_pages, morsel_pages_);
     page_cache_ = std::make_unique<PageIdCache>(num_pages);
     buckets_.assign(morsels.size(), {});
+    seeds_.assign(morsels.size(), SmoothScanMorsel());
     sstats_.assign(morsels.size(), SmoothScanStats());
+    PageIdCache result_pages(num_pages);
     for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &planning);
          it.Valid() && it.key() < predicate_.hi; it.Next()) {
       buckets_[it.tid().page_id / morsel_pages_].push_back(it.tid());
+      result_pages.Mark(it.tid().page_id);
+    }
+    // Without flattening the region never grows: there is no state to carry.
+    if (scan_options_.enable_flattening) {
+      SeedMorphState(morsels, result_pages, planning);
     }
     return morsels;
   }
 
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
-    SmoothScanMorsel morsel;
+    SmoothScanMorsel morsel = seeds_[m.index];
     morsel.targets = &buckets_[m.index];
     morsel.page_end = m.page_end;
     morsel.page_cache = page_cache_.get();
@@ -507,6 +516,46 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
   }
 
  private:
+  /// Dry run of SmoothScan's region loop (no heap I/O): follows every
+  /// morsel's bucket in morsel order, marks each region's unmarked pages,
+  /// clips regions at the morsel's end, counts a page as holding results when
+  /// it holds a qualifying key, and steps the policy as FetchRegionAndHarvest
+  /// does. Residual predicates are ignored, so with one the seeds are an
+  /// estimate; either way they are deterministic. Charges one cache op per
+  /// marked page on the planning stream.
+  void SeedMorphState(const std::vector<Morsel>& morsels,
+                      const PageIdCache& result_pages,
+                      const ExecContext& planning) {
+    PageIdCache marked(result_pages.num_pages());
+    SmoothScanMorsel state;
+    uint64_t expansions = 0;
+    uint64_t shrinks = 0;
+    for (size_t i = 0; i < morsels.size(); ++i) {
+      seeds_[i] = state;
+      for (const Tid& tid : buckets_[i]) {
+        const PageId target = tid.page_id;
+        if (marked.IsMarked(target)) continue;
+        const PageId end =
+            std::min<PageId>(target + state.region_pages, morsels[i].page_end);
+        uint64_t region_seen = 0;
+        uint64_t region_results = 0;
+        for (PageId pid = target; pid < end; ++pid) {
+          if (!marked.Mark(pid)) continue;
+          ++region_seen;
+          if (result_pages.IsMarked(pid)) ++region_results;
+        }
+        state.region_pages = MorphRegionStep(
+            scan_options_.policy, state.region_pages,
+            scan_options_.max_region_pages, state.pages_seen,
+            state.pages_with_results, region_seen, region_results, &expansions,
+            &shrinks);
+        state.pages_seen += region_seen;
+        state.pages_with_results += region_results;
+      }
+    }
+    planning.cpu->ChargeCacheOp(state.pages_seen);
+  }
+
   const BPlusTree* index_;
   ScanPredicate predicate_;
   SmoothScanOptions scan_options_;
@@ -514,6 +563,8 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
 
   std::unique_ptr<PageIdCache> page_cache_;
   std::vector<std::vector<Tid>> buckets_;
+  /// Per-morsel morph seeds; RunMorsel fills in the rest of each morsel.
+  std::vector<SmoothScanMorsel> seeds_;
   /// Per-morsel operator counters; slot i is written only by morsel i's
   /// worker.
   std::vector<SmoothScanStats> sstats_;

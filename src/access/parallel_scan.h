@@ -16,11 +16,15 @@
 // leaf entries with regions clipped at the range end, FullScan's page loop
 // for the post-switch phase of SwitchScan, and SortScan's sorted-TID fetch
 // over the morsel's slice. The prologs run the serial operators' own phase
-// functions too, so no kernel has a harvest loop of its own. A one-morsel
-// parallel scan therefore charges exactly what the serial operator charges,
-// with one difference: the index leaf walk of Sort, Switch and Smooth Scan
-// runs on the planning stream, before any heap I/O, instead of interleaved
-// with the heap accesses on the operator's one stream.
+// functions too, so no kernel has a harvest loop of its own. Smooth Scan's
+// morph state carries across morsels: its prolog dry-runs the region policy
+// over the leaf walk's pages in morsel order, and each morsel starts from the
+// region size and selectivity counters the dry run reached before it. A
+// one-morsel parallel scan therefore charges exactly what the serial operator
+// charges, with one difference: the index leaf walk of Sort, Switch and
+// Smooth Scan (and Smooth Scan's dry run) runs on the planning stream, before
+// any heap I/O, instead of interleaved with the heap accesses on the
+// operator's one stream.
 //
 // Determinism: because the decomposition is DOP-independent and every
 // morsel's accounting is stream-local, the simulated cost of a parallel scan

@@ -92,8 +92,9 @@ ExecContext SmoothScan::DefaultContext() const {
 
 Status SmoothScan::OpenImpl() {
   sstats_ = SmoothScanStats();
-  spill_next_ = spill_used_ = spill_pos_ = 0;
-  region_pages_ = 1;
+  spill_.clear();
+  spill_next_ = spill_pos_ = 0;
+  region_pages_ = morsel_.region_pages;
   tuple_cache_.reset();
   result_cache_.reset();
   page_end_ = static_cast<PageId>(index_->heap()->num_pages());
@@ -163,8 +164,8 @@ Status SmoothScan::OpenImpl() {
         index_->RootSeparators(), index_->heap()->engine(), rc_options);
   }
   obs::EmitInstant(obs(), "smooth_open", "max_region_pages",
-                   options_.max_region_pages, nullptr, 0, nullptr, 0, "policy",
-                   MorphPolicyToString(active_policy_));
+                   options_.max_region_pages, "region_pages", region_pages_,
+                   nullptr, 0, "policy", MorphPolicyToString(active_policy_));
   if (morsel_.targets == nullptr) it_ = index_->Seek(predicate_.lo, &ctx());
   // A zero pre-trigger bound (e.g. an optimizer estimate of 0 tuples) means
   // the very first tuple already violates it: morph immediately.
@@ -190,7 +191,7 @@ void SmoothScan::CloseImpl() {
   }
   result_cache_.reset();
   spill_.clear();
-  spill_next_ = spill_used_ = spill_pos_ = 0;
+  spill_next_ = spill_pos_ = 0;
 }
 
 void SmoothScan::MaybeTrigger() {
@@ -235,9 +236,11 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
 }
 
 int64_t SmoothScan::GlobalSelectivityPpm() const {
-  if (sstats_.pages_seen == 0) return 0;
-  return static_cast<int64_t>(sstats_.pages_with_results * 1000000 /
-                              sstats_.pages_seen);
+  const uint64_t seen = morsel_.pages_seen + sstats_.pages_seen;
+  if (seen == 0) return 0;
+  return static_cast<int64_t>(
+      (morsel_.pages_with_results + sstats_.pages_with_results) * 1000000 /
+      seen);
 }
 
 void SmoothScan::FlushCacheSkipRun() {
@@ -260,7 +263,8 @@ void SmoothScan::UpdatePolicy(uint64_t region_pages,
   const int64_t global_ppm = GlobalSelectivityPpm();
   region_pages_ = MorphRegionStep(
       active_policy_, region_pages_, options_.max_region_pages,
-      sstats_.pages_seen, sstats_.pages_with_results, region_pages,
+      morsel_.pages_seen + sstats_.pages_seen,
+      morsel_.pages_with_results + sstats_.pages_with_results, region_pages,
       region_result_pages, &sstats_.expansions, &sstats_.shrinks);
   if (region_pages_ > before) {
     if (c_region_grows_ != nullptr) c_region_grows_->Add();
@@ -417,34 +421,45 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
 }
 
 TupleBatch* SmoothScan::SpillBatch(size_t capacity) {
-  if (spill_used_ == 0 || spill_[spill_used_ - 1].full()) {
-    if (spill_used_ == spill_.size()) spill_.emplace_back(capacity);
-    TupleBatch& batch = spill_[spill_used_++];
-    if (batch.capacity() != capacity) batch = TupleBatch(capacity);
-    batch.Clear();
+  if (spill_.empty() || spill_.back()->full()) {
+    BatchPool* pool = ctx().batch_pool;
+    if (pool == nullptr) {
+      if (owned_batch_pool_ == nullptr) {
+        BatchPoolOptions pool_options;
+        pool_options.batch_capacity = capacity;
+        owned_batch_pool_ = std::make_unique<BatchPool>(pool_options);
+      }
+      pool = owned_batch_pool_.get();
+    }
+    spill_.push_back(pool->Acquire());
   }
-  return &spill_[spill_used_ - 1];
+  return spill_.back().get();
 }
 
 void SmoothScan::TakeSpilled(TupleBatch* out) {
-  TupleBatch& spilled = spill_[spill_next_];
+  PooledBatch& spilled = spill_[spill_next_];
   const size_t before = out->size();
   if (out->empty() && spill_pos_ == 0 &&
-      spilled.capacity() == out->capacity()) {
-    // Swap buffers, not rows; the caller's old storage stays behind, warm.
-    std::swap(*out, spilled);
+      spilled->capacity() == out->capacity()) {
+    // Swap buffers, not rows; the caller's old storage goes to the pool warm.
+    std::swap(*out, *spilled);
+    spilled.Release();
     ++spill_next_;
   } else {
-    while (spill_pos_ < spilled.size() && !out->full()) {
-      out->Append(spilled.Take(spill_pos_++));
+    while (spill_pos_ < spilled->size() && !out->full()) {
+      out->Append(spilled->Take(spill_pos_++));
     }
-    if (spill_pos_ == spilled.size()) {
+    if (spill_pos_ == spilled->size()) {
+      spilled.Release();
       ++spill_next_;
       spill_pos_ = 0;
     }
   }
   stats_.tuples_produced += out->size() - before;
-  if (spill_next_ == spill_used_) spill_next_ = spill_used_ = 0;
+  if (spill_next_ == spill_.size()) {
+    spill_.clear();
+    spill_next_ = 0;
+  }
 }
 
 bool SmoothScan::PeekEntry(Tid* tid) const {
@@ -469,7 +484,7 @@ void SmoothScan::AdvanceEntry() {
 void SmoothScan::NextUnordered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   while (!out->full()) {
-    if (spill_next_ < spill_used_) {
+    if (spill_next_ < spill_.size()) {
       TakeSpilled(out);
       continue;
     }

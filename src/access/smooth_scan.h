@@ -38,6 +38,7 @@
 #include "access/result_cache.h"
 #include "access/tuple_id_cache.h"
 #include "index/bplus_tree.h"
+#include "mem/batch_pool.h"
 
 namespace smoothscan {
 
@@ -178,12 +179,20 @@ struct SmoothScanStats {
 
 /// One morsel of a parallel Smooth Scan (the ParallelSmoothScan kernel's
 /// input): the index entries the kernel's leaf walk bucketed to the morsel,
-/// the end of its page range (regions are clipped there), and the Page ID
-/// Cache every morsel of the scan shares.
+/// the end of its page range (regions are clipped there), the Page ID Cache
+/// every morsel of the scan shares, and the morph state the morsel starts
+/// from. The kernel's dry run of the policy over the preceding morsels
+/// produces that seed: the region size and the Eq. 2 inputs (pages seen,
+/// pages with results) it reached. The policy compares against seed + own
+/// counts; SmoothScanStats still count only the morsel's own work. The
+/// defaults are the serial operator's start, which is morsel 0's seed.
 struct SmoothScanMorsel {
   const std::vector<Tid>* targets = nullptr;
   PageId page_end = 0;
   PageIdCache* page_cache = nullptr;
+  uint32_t region_pages = 1;
+  uint64_t pages_seen = 0;
+  uint64_t pages_with_results = 0;
 };
 
 class SmoothScan : public AccessPath {
@@ -225,10 +234,12 @@ class SmoothScan : public AccessPath {
   /// policy state. `out` may be null (ordered mode inserts into the Result
   /// Cache instead).
   void FetchRegionAndHarvest(PageId target, TupleBatch* out);
-  /// The spill batch with room for the next harvested row.
+  /// The spill batch with room for the next harvested row, acquired from
+  /// ctx().batch_pool (a morsel's scan) or the scan's own pool.
   TupleBatch* SpillBatch(size_t capacity);
   /// Hands the oldest spilled rows to `out`: the whole batch when `out` is
-  /// empty and of the same capacity (a buffer swap), else row by row.
+  /// empty and of the same capacity (a buffer swap that sends `out`'s old
+  /// storage back to the pool warm), else row by row.
   void TakeSpilled(TupleBatch* out);
   void UpdatePolicy(uint64_t region_pages, uint64_t region_result_pages);
 
@@ -261,14 +272,17 @@ class SmoothScan : public AccessPath {
   PageIdCache* page_cache_ = nullptr;  ///< Owned, or the morsels' shared one.
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;
+  /// Serial scans' spill pool (ctx().batch_pool is null for them); built at
+  /// the first spill and kept warm across Open cycles. Declared before
+  /// spill_ so the batches go home before the pool is destroyed.
+  std::unique_ptr<BatchPool> owned_batch_pool_;
   /// Rows a region harvested beyond the caller's batch (a morphing region can
-  /// hold many batches' worth), decoded in place into recycled batches:
-  /// spill_[spill_next_, spill_used_) hold rows not yet handed over
-  /// (spill_pos_ = rows already taken from spill_[spill_next_]); the rest
-  /// keep their storage warm for the next region.
-  std::vector<TupleBatch> spill_;
+  /// hold many batches' worth), decoded in place into pooled batches:
+  /// spill_[spill_next_, end) hold rows not yet handed over (spill_pos_ =
+  /// rows already taken from spill_[spill_next_]). Each batch returns to its
+  /// pool warm once handed over.
+  std::vector<PooledBatch> spill_;
   size_t spill_next_ = 0;
-  size_t spill_used_ = 0;
   size_t spill_pos_ = 0;
   uint32_t region_pages_ = 1;
 

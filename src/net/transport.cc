@@ -156,7 +156,7 @@ std::unique_ptr<TcpListener> TcpListener::Listen(uint16_t port) {
       new TcpListener(fd, ntohs(addr.sin_port)));
 }
 
-TcpListener::~TcpListener() { Close(); }
+TcpListener::~TcpListener() { ::close(fd_); }
 
 std::unique_ptr<Transport> TcpListener::Accept() {
   for (;;) {
@@ -167,13 +167,7 @@ std::unique_ptr<Transport> TcpListener::Accept() {
   }
 }
 
-void TcpListener::Close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
+void TcpListener::Close() { ::shutdown(fd_, SHUT_RDWR); }
 
 std::unique_ptr<Transport> TcpListener::Connect(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -41,6 +41,13 @@ MakePipePair();
 
 /// POSIX TCP listener. Accept() blocks until a connection arrives or Close()
 /// is called.
+///
+/// Thread model: one thread may block in Accept() while another calls
+/// Close(). The fd never changes while the listener lives: Close() only
+/// shuts the socket down, which fails the blocked (and every later) accept,
+/// and the destructor closes the fd — so an Accept() can never read an fd
+/// that was closed or reused. Destroy the listener only once no thread can
+/// still be in Accept().
 class TcpListener {
  public:
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()). Null on failure.
@@ -50,6 +57,7 @@ class TcpListener {
   uint16_t port() const { return port_; }
   /// Null once Close()d (or on accept failure).
   std::unique_ptr<Transport> Accept();
+  /// Stops accepting; idempotent, callable from any thread.
   void Close();
 
   /// Client side: connects to 127.0.0.1:`port`. Null on failure.
@@ -58,7 +66,7 @@ class TcpListener {
  private:
   TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
 
-  int fd_;
+  const int fd_;
   uint16_t port_;
 };
 

@@ -25,8 +25,9 @@ struct ExecContext {
   CpuMeter* cpu = nullptr;
   SimDisk* disk = nullptr;
   /// Recycled-batch pool for the operator's output batches (set by the
-  /// parallel scan driver for its kernels; null for serial operators, which
-  /// reuse the caller's carry batch and need no pool).
+  /// parallel scan driver for its kernels, whose morsel Smooth Scans also
+  /// spill into it; null for serial operators, which reuse the caller's
+  /// carry batch).
   BatchPool* batch_pool = nullptr;
   /// Per-query execution-memory account (quota + broker charging). Null:
   /// ungoverned. Never affects simulated cost — accounting bytes, not time.

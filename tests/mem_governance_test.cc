@@ -235,6 +235,48 @@ TEST_F(AllocationRegression, ParallelScanCyclesReachZeroColdAcquires) {
   EXPECT_LE(s.fresh_batches, s.acquires);
 }
 
+// The same steady state for the Smooth kernel, whose morsel scans spill the
+// rows of regions that overflow the caller's batch: at 100% selectivity the
+// seeded regions span whole morsels, so most rows go through spill batches.
+// Those come from the scan's batch pool and go home warm, so spilling adds
+// no cold acquire once the pool has grown to the cycle's high-water mark.
+TEST_F(AllocationRegression, ParallelSmoothScanCyclesReachZeroColdAcquires) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(1.0);
+  const std::multiset<int64_t> oracle = Oracle(pred);
+  auto par =
+      MakeParallelSmoothScan(&db_->index(), pred, SmoothScanOptions(), Par(2));
+  ASSERT_NE(par, nullptr);
+
+  uint64_t prev_cold = 0;
+  int warm_cycles = 0;
+  for (int cycle = 0; cycle < 25 && warm_cycles < 2; ++cycle) {
+    ASSERT_TRUE(par->Open().ok());
+    std::multiset<int64_t> got;
+    TupleBatch batch;
+    while (par->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        got.insert(batch.row(i)[0].AsInt64());
+      }
+    }
+    par->Close();
+    ASSERT_EQ(got, oracle) << "cycle " << cycle;
+    // Regions overflowed the batch: more mode-2 rows than one batch holds.
+    ASSERT_GT(par->kernel()->smooth_stats().card_mode2, kDefaultBatchSize);
+
+    const BatchPoolStats s = par->batch_pool()->stats();
+    EXPECT_EQ(s.releases, s.acquires) << "batches leaked in cycle " << cycle;
+    EXPECT_EQ(s.sheds, 0u) << "unquota'd pool shed storage";
+    if (cycle > 0 && s.cold_acquires() == prev_cold) {
+      ++warm_cycles;
+    } else {
+      warm_cycles = 0;
+    }
+    prev_cold = s.cold_acquires();
+  }
+  EXPECT_EQ(warm_cycles, 2) << "pool never reached all-warm steady state";
+  EXPECT_GT(par->batch_pool()->stats().reuses, 0u);
+}
+
 // Regression for the partial-consumer hand-off (`pending_`): a consumer
 // that stops mid-stream must not strand pooled batches — Close drains and
 // releases everything, so reopening stays warm. The old code path

@@ -483,6 +483,52 @@ TEST(MorphTimelineTest, TracedSmoothScanEmitsMorphInstants) {
   EXPECT_GE(snap.Value("smooth.region_grows"), 1.0);
 }
 
+// Every morsel scan of a parallel Smooth Scan opens with its seed: the
+// smooth_open instant carries the region size the morsel starts from. Morsel
+// 0 starts like the serial operator (one page); at 100% selectivity the
+// prolog's dry run has grown the region by the time later morsels start.
+TEST(MorphTimelineTest, ParallelSmoothOpenCarriesEachMorselsSeed) {
+  EngineOptions eo;
+  eo.buffer_pool_pages = 256;
+  Engine engine(eo);
+  MicroBenchSpec dbspec;
+  dbspec.num_tuples = 20000;
+  MicroBenchDb db(&engine, dbspec);
+
+  obs::TraceCollector collector;
+  obs::ObsContext obs;
+  obs.trace = &collector;
+  obs.query_id = 7;
+  ParallelScanOptions po;
+  po.dop = 2;
+  po.morsel_pages = 32;
+  std::unique_ptr<ParallelScan> path = MakeParallelSmoothScan(
+      &db.index(), db.PredicateForSelectivity(1.0), SmoothScanOptions(), po);
+  path->SetObs(&obs);
+  ASSERT_TRUE(path->Open().ok());
+  TupleBatch batch;
+  while (path->NextBatch(&batch)) {
+  }
+  const size_t morsels = path->num_morsels();
+  path->Close();
+
+  const std::string json = collector.ExportJson();
+  std::vector<int64_t> seeds;
+  const std::string kOpen = "\"name\":\"smooth_open\"";
+  const std::string kRegion = "\"region_pages\":";
+  for (size_t at = json.find(kOpen); at != std::string::npos;
+       at = json.find(kOpen, at + 1)) {
+    const size_t arg = json.find(kRegion, at);
+    ASSERT_NE(arg, std::string::npos);
+    ASSERT_LT(arg, json.find('}', at));  // Within this event's args.
+    seeds.push_back(std::atoll(json.c_str() + arg + kRegion.size()));
+  }
+  ASSERT_GE(morsels, 4u);
+  ASSERT_EQ(seeds.size(), morsels);
+  EXPECT_EQ(*std::min_element(seeds.begin(), seeds.end()), 1);
+  EXPECT_GT(*std::max_element(seeds.begin(), seeds.end()), 1);
+}
+
 TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
   EngineOptions eo;
   eo.buffer_pool_pages = 256;
@@ -523,8 +569,9 @@ TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
 
   // Parallel, at two DOPs: the kernel's morsel-merged stats reconcile with
   // the registry the same way — and, the determinism claim, each stream's
-  // growth decisions use only its own counters, so the totals are a function
-  // of the morsel partition, not of scheduling or worker count.
+  // growth decisions use only its prolog seed and its own counters, so the
+  // totals are a function of the morsel partition, not of scheduling or
+  // worker count.
   SmoothScanStats parallel_stats[2];
   const uint32_t kDops[2] = {2, 8};
   for (int i = 0; i < 2; ++i) {

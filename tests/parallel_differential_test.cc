@@ -260,6 +260,71 @@ TEST_F(ParallelDifferentialTest, ResidualPredicatesSurviveParallelism) {
   RunAndCheck(engine_.get(), smooth.get(), oracle, "smooth+residual");
 }
 
+// ---------- Morph state across morsels ----------
+//
+// Each morsel starts from the morph state (region size and Eq. 2 counters)
+// that the prolog's dry run of the policy reached at the end of the morsels
+// before it, so a morsel cut no longer resets the region to one page. The
+// paper's bounded worst case then survives parallelism: at 100% selectivity
+// over many morsels the parallel scan stays within 1.35x of the serial
+// operator, and the seeds keep its cost DOP-invariant.
+
+double SimTime(const CostSnapshot& c) { return c.io.io_time + c.cpu; }
+
+TEST_F(ParallelDifferentialTest, SmoothScanCarriesMorphStateAcrossMorsels) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(1.0);
+  const std::multiset<int64_t> oracle = Oracle(pred);
+  SmoothScan serial(&db_->index(), pred);
+  const double serial_sim =
+      SimTime(RunAndCheck(engine_.get(), &serial, oracle, "serial Smooth"));
+  constexpr uint32_t kMorselPages = 40;
+  ASSERT_GE(MorselSource::PageRanges(
+                static_cast<PageId>(db_->heap().num_pages()), kMorselPages)
+                .size(),
+            8u);
+  CostSnapshot dop1;
+  for (const uint32_t dop : kDops) {
+    ParallelScanOptions po = Par(dop);
+    po.morsel_pages = kMorselPages;
+    auto par = MakeParallelSmoothScan(&db_->index(), pred,
+                                      SmoothScanOptions(), po);
+    const CostSnapshot cost =
+        RunAndCheck(engine_.get(), par.get(), oracle, "ParallelSmoothScan");
+    EXPECT_LE(SimTime(cost), 1.35 * serial_sim) << "dop " << dop;
+    if (dop == 1) {
+      dop1 = cost;
+    } else {
+      cost.ExpectBitIdentical(dop1, "seeded Smooth DOP invariance");
+    }
+  }
+}
+
+// The seeds come from the index alone and ignore residual predicates, so
+// with one they only estimate the morsels' true selectivity — but they stay
+// a pure function of the index and the morsel plan: results and DOP
+// invariance hold at every selectivity.
+TEST_F(ParallelDifferentialTest, SmoothScanSeedsIgnoreResiduals) {
+  for (const double sel : kSelectivities) {
+    ScanPredicate pred = db_->PredicateForSelectivity(sel);
+    pred.residual = [](const Tuple& t) { return t[2].AsInt64() % 7 == 0; };
+    const std::multiset<int64_t> oracle = Oracle(pred);
+    CostSnapshot dop1;
+    for (const uint32_t dop : kDops) {
+      ParallelScanOptions po = Par(dop);
+      po.morsel_pages = 32;
+      auto par = MakeParallelSmoothScan(&db_->index(), pred,
+                                        SmoothScanOptions(), po);
+      const CostSnapshot cost = RunAndCheck(engine_.get(), par.get(), oracle,
+                                            "smooth+residual");
+      if (dop == 1) {
+        dop1 = cost;
+      } else {
+        cost.ExpectBitIdentical(dop1, "seeded Smooth+residual DOP invariance");
+      }
+    }
+  }
+}
+
 TEST_F(ParallelDifferentialTest, CloseAndReopenRestartsCleanly) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.5);
   const std::multiset<int64_t> oracle = Oracle(pred);
