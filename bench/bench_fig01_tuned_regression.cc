@@ -93,9 +93,11 @@ int main() {
     FullScan original(&lineitem, pred);
     const double t_original = MeasureCold(&engine, [&]() -> uint64_t {
                                 SMOOTHSCAN_CHECK(original.Open().ok());
-                                Tuple t;
                                 uint64_t n = 0;
-                                while (original.Next(&t)) ++n;
+                                TupleBatch batch;
+                                while (original.NextBatch(&batch)) {
+                                  n += batch.size();
+                                }
                                 return n;
                               }).total_time;
 
@@ -122,9 +124,11 @@ int main() {
         choice.kind, &index, pred, false, choice.estimated_cardinality);
     const double t_tuned = MeasureCold(&engine, [&]() -> uint64_t {
                              SMOOTHSCAN_CHECK(tuned->Open().ok());
-                             Tuple t;
                              uint64_t n = 0;
-                             while (tuned->Next(&t)) ++n;
+                             TupleBatch batch;
+                             while (tuned->NextBatch(&batch)) {
+                               n += batch.size();
+                             }
                              return n;
                            }).total_time;
 

@@ -28,11 +28,13 @@ void TraceRun(Engine* engine, const MicroBenchDb& db, MorphPolicy policy) {
 
   // Sample the region size every 256 produced tuples.
   std::vector<uint32_t> trace;
-  Tuple t;
   uint64_t produced = 0;
-  while (scan.Next(&t)) {
-    if (produced % 256 == 0) trace.push_back(scan.current_region_pages());
-    ++produced;
+  TupleBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (produced % 256 == 0) trace.push_back(scan.current_region_pages());
+      ++produced;
+    }
   }
   const IoStats d = engine->disk().stats() - before;
 

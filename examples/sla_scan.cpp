@@ -50,8 +50,8 @@ int main() {
     const IoStats before = engine.disk().stats();
     const double cpu_before = engine.cpu().time();
     SMOOTHSCAN_CHECK(scan.Open().ok());
-    Tuple t;
-    while (scan.Next(&t)) {
+    TupleBatch batch;
+    while (scan.NextBatch(&batch)) {
     }
     const double time = (engine.disk().stats() - before).io_time +
                         engine.cpu().time() - cpu_before;

@@ -4,23 +4,20 @@ namespace smoothscan {
 
 Status AccessPath::Open() {
   stats_ = AccessPathStats();
-  carry_.Reset();
+  exhausted_ = false;
   ctx_ = ctx_override_ != nullptr ? *ctx_override_ : DefaultContext();
   return OpenImpl();
 }
 
 bool AccessPath::NextBatch(TupleBatch* out) {
-  return carry_.NextBatch(out,
-                          [this](TupleBatch* b) { return NextBatchImpl(b); });
-}
-
-bool AccessPath::Next(Tuple* out) {
-  return carry_.Next(out,
-                     [this](TupleBatch* b) { return NextBatchImpl(b); });
+  out->Clear();
+  if (exhausted_) return false;
+  if (!NextBatchImpl(out)) exhausted_ = true;
+  return !out->empty();
 }
 
 void AccessPath::Close() {
-  carry_.MarkClosed();
+  exhausted_ = true;
   CloseImpl();
 }
 

@@ -1,11 +1,10 @@
 // AccessPath: the common interface of every access path operator (Full Scan,
 // Index Scan, Sort Scan, Switch Scan, Smooth Scan). The substrate is
-// *batch-first*: NextBatch() is the native producing call and fills up to a
-// TupleBatch of qualifying tuples per virtual dispatch; Next() remains as a
-// thin compatibility adapter that drains an internal batch one tuple at a
-// time. All I/O flows through the engine's buffer pool and all CPU work
-// through its meter (charged per batch, amortized), so a caller can diff
-// engine counters around a scan to obtain the paper's measurements.
+// *batch-first*: NextBatch() is the one pull call and fills up to a
+// TupleBatch of qualifying tuples per virtual dispatch. All I/O flows through
+// the engine's buffer pool and all CPU work through its meter (charged per
+// batch, amortized), so a caller can diff engine counters around a scan to
+// obtain the paper's measurements.
 //
 // Lifecycle contract:
 //   * Open() — prepares the scan and RESETS all iteration state and stats.
@@ -16,20 +15,16 @@
 //   * NextBatch(b) — clears `b`, then appends up to b->capacity() qualifying
 //     tuples. Returns true iff at least one tuple was appended; false means
 //     end of stream (and stays false until re-Open).
-//   * Next(t) — equivalent tuple-at-a-time view over the same batch stream.
-//     Mixing Next() and NextBatch() on one scan is supported; tuples buffered
-//     by the adapter are handed to NextBatch first so none is lost or
-//     duplicated.
-//   * Close() — releases scan state: drops PageGuard pins, index iterators,
-//     auxiliary caches and any buffered tuples. Idempotent, and safe to
-//     follow with a re-Open(). Page references obtained inside the scan are
-//     held as pinned PageGuards (never raw `const Page&`), so they stay valid
-//     against concurrent eviction until released here or at end of batch.
+//   * Close() — releases scan state: drops PageGuard pins, index iterators
+//     and auxiliary caches. Idempotent, and safe to follow with a re-Open().
+//     Page references obtained inside the scan are held as pinned PageGuards
+//     (never raw `const Page&`), so they stay valid against concurrent
+//     eviction until released here or at end of batch.
 //   * stats() — counters of the CURRENT Open() cycle (Open resets them).
 //     Read them before re-Open.
 //
 // Implementations override OpenImpl / NextBatchImpl / CloseImpl; the base
-// class owns the adapter buffering and the end-of-stream latch.
+// class owns the end-of-stream latch.
 
 #ifndef SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
 #define SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
@@ -37,7 +32,6 @@
 #include <cstdint>
 
 #include "access/predicate.h"
-#include "common/batch_carry.h"
 #include "common/status.h"
 #include "common/tuple_batch.h"
 #include "obs/obs_context.h"
@@ -92,9 +86,6 @@ class AccessPath {
   /// at end of stream (with `out` empty).
   bool NextBatch(TupleBatch* out);
 
-  /// Tuple-at-a-time adapter over NextBatch(). Returns false at end.
-  bool Next(Tuple* out);
-
   /// Releases scan state (see contract). Idempotent; re-Open is safe.
   void Close();
 
@@ -137,7 +128,7 @@ class AccessPath {
   AccessPathStats stats_;
 
  private:
-  BatchCarry carry_;  ///< Shared adapter buffering (see batch_carry.h).
+  bool exhausted_ = false;  ///< End of stream reached (until re-Open).
   const ExecContext* ctx_override_ = nullptr;
   const obs::ObsContext* obs_ = nullptr;
   ExecContext ctx_;

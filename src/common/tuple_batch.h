@@ -30,9 +30,8 @@ inline constexpr size_t kDefaultBatchSize = 1024;
 
 class TupleBatch {
  public:
-  /// Row slots are allocated lazily on first use: every AccessPath/Operator
-  /// owns a carry batch that a pure NextBatch pipeline never touches, and it
-  /// should cost nothing until it does.
+  /// Row slots are allocated lazily on first use, so a batch that is
+  /// constructed but never filled costs nothing.
   explicit TupleBatch(size_t capacity = kDefaultBatchSize)
       : capacity_(capacity) {
     SMOOTHSCAN_CHECK(capacity_ > 0);

@@ -193,7 +193,6 @@ QueryEngine::QueryId QueryEngine::SubmitSpec(QuerySpec spec) {
     id = next_id_++;
     p.id = id;
     records_[id];  // Reserve the completion slot.
-    ++outstanding_;
     std::deque<Pending>& q = lanes_[static_cast<int>(lane)];
     q.push_back(std::move(p));
     if (g_lane_depth_[static_cast<int>(lane)] != nullptr) {
@@ -226,12 +225,7 @@ QueryResult QueryEngine::WaitSpec(QueryId id) {
   return result;
 }
 
-void QueryEngine::DrainAll() {
-  latch::UniqueLatch lock(mu_);
-  while (outstanding_ != 0) cv_done_.wait(lock);
-}
-
-bool QueryEngine::Cancel(QueryId id) {
+void QueryEngine::Cancel(QueryId id) {
   ResultStream* stream = nullptr;
   std::function<void(uint64_t)> on_complete;
   {
@@ -240,7 +234,7 @@ bool QueryEngine::Cancel(QueryId id) {
     auto rit = running_cancel_.find(id);
     if (rit != running_cancel_.end()) {
       rit->second->store(true, std::memory_order_release);
-      return true;
+      return;
     }
     // Queued: remove unadmitted and complete the record here.
     bool found = false;
@@ -270,13 +264,12 @@ bool QueryEngine::Cancel(QueryId id) {
         if (g_lane_depth_[lane] != nullptr) {
           g_lane_depth_[lane]->Set(static_cast<int64_t>(q.size()));
         }
-        --outstanding_;
         ++completed_;
         found = true;
         break;
       }
     }
-    if (!found) return false;  // Already completed (or unknown id).
+    if (!found) return;  // Already completed (or unknown id).
   }
   cv_done_.notify_all();
   if (c_cancelled_ != nullptr) c_cancelled_->Add();
@@ -285,7 +278,6 @@ bool QueryEngine::Cancel(QueryId id) {
   }
   // Outside mu_: the window callback climbs to the Session latch (rank 740).
   if (on_complete) on_complete(id);
-  return true;
 }
 
 size_t QueryEngine::queue_depth() const {
@@ -410,7 +402,6 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
       running_cancel_.erase(p.id);
       --admitted_now_;
       ++completed_;
-      --outstanding_;
       if (g_running_ != nullptr) {
         g_running_->Set(static_cast<int64_t>(admitted_now_));
       }
@@ -481,8 +472,7 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // target pages into the buffer are this query's cost, bit-identical at any
   // admission level. Write-back I/O is communal (charged on the engine
   // stream at flush; see write/table_writer.h).
-  AccountingStack qctx(engine_,
-                       options_.mirror_pages ? &engine_->pool() : nullptr);
+  AccountingStack qctx(engine_, &engine_->pool());
   qctx.pool().SetMetricsSink(bp_sink_);
   uint64_t applied = 0;
   {
@@ -567,8 +557,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   // Per-query accounting stack; page pins mirror into the shared pool. The
   // private pool is where this query's hits and misses are counted, so it —
   // not the mirror — feeds the registry's bufferpool.* counters.
-  AccountingStack qctx(engine_,
-                       options_.mirror_pages ? &engine_->pool() : nullptr);
+  AccountingStack qctx(engine_, &engine_->pool());
   qctx.pool().SetMetricsSink(bp_sink_);
   // Per-query execution-memory account: batch pools charge it; a quota
   // breach or global broker pressure sheds their recycled storage. Pure

@@ -8,9 +8,10 @@
 // bit-identical to a solo cold run at any admission level.
 //
 // Control plane vs. data plane:
-//   * Submit() appends the query to a submission queue with two lanes —
-//     a FIFO batch lane and an SLA lane that jumps it (admission-level
-//     priority, the workload analogue of the paper's SLA-driven trigger).
+//   * A Session (engine/session.h, the one client surface) submits the
+//     query to a queue with two lanes — a FIFO batch lane and an SLA lane
+//     that jumps it (admission-level priority, the workload analogue of the
+//     paper's SLA-driven trigger).
 //   * Admission control caps the number of *concurrently admitted* queries:
 //     the engine owns `max_admitted` executor threads, each running at most
 //     one query end to end, so the cap holds by construction. Queued queries
@@ -83,8 +84,10 @@ const char* QueryLaneToString(QueryLane lane);
 /// the query is charged: the blocking adds wall time, not simulated cost.
 class ResultStream {
  public:
-  explicit ResultStream(size_t max_batches = 4)
-      : cap_(max_batches == 0 ? 1 : max_batches) {}
+  /// Undelivered batches the executor may run ahead of the consumer.
+  static constexpr size_t kWindowBatches = 4;
+
+  ResultStream() = default;
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
@@ -92,7 +95,7 @@ class ResultStream {
   /// is full and the consumer is still attached.
   void Push(TupleBatch batch) {
     latch::UniqueLatch lock(mu_);
-    while (!closed_ && q_.size() >= cap_) cv_.wait(lock);
+    while (!closed_ && q_.size() >= kWindowBatches) cv_.wait(lock);
     if (closed_) return;  // Consumer gone: drop, keep draining.
     q_.push_back(std::move(batch));
     cv_.notify_all();
@@ -130,7 +133,6 @@ class ResultStream {
                            "ResultStream::mu_"};
   std::condition_variable_any cv_;
   std::deque<TupleBatch> q_ GUARDED_BY(mu_);
-  const size_t cap_;
   bool finished_ GUARDED_BY(mu_) = false;
   bool closed_ GUARDED_BY(mu_) = false;
 };
@@ -232,10 +234,6 @@ struct QueryEngineOptions {
   /// Shared data-plane worker pool for intra-query morsels. Null: a query
   /// with dop >= 1 spins up a private pool (standalone use; prefer sharing).
   TaskScheduler* scheduler = nullptr;
-  /// Mirror every page a query touches into the engine's shared buffer pool
-  /// (pinned for the access's lifetime) — real residency contention without
-  /// perturbing per-query accounting. See BufferPool::SetMirror.
-  bool mirror_pages = true;
   /// Cross-query scan sharing (src/sharing/): kSharedScan plans attach to
   /// the coordinator's cooperative circular scans, the chooser may upgrade
   /// full scans to kSharedScan, Smooth Scan queries feed the per-table
@@ -295,12 +293,22 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  // Spec-level submission — the *internal* surface beneath the Session /
-  // QueryHandle client API (engine/session.h). In-tree subsystems (Session,
-  // the network server's sessions, differential tests) call these; client
-  // code opens a Session.
+  // Observability (values are instantaneous snapshots).
+  size_t queue_depth() const EXCLUDES(mu_);
+  uint32_t admitted() const EXCLUDES(mu_);  ///< Queries executing right now.
+  /// High-water mark; never exceeds the cap.
+  uint32_t peak_admitted() const EXCLUDES(mu_);
+  uint64_t completed() const EXCLUDES(mu_);
+  const QueryEngineOptions& options() const { return options_; }
 
-  /// Enqueues the query; returns immediately with its completion handle.
+ private:
+  // Spec-level submission: the surface beneath the client API. Only Session
+  // and QueryHandle (engine/session.h) reach it; every caller, in-tree or
+  // not, opens a Session.
+  friend class Session;
+  friend class QueryHandle;
+
+  /// Enqueues the query; returns immediately with its completion id.
   QueryId SubmitSpec(QuerySpec spec) EXCLUDES(mu_);
 
   /// Blocks until query `id` completes and takes its result (each id can be
@@ -314,42 +322,11 @@ class QueryEngine {
   /// consumer Detaches mid-lap (the existing cancelled-consumer path), any
   /// other read path closes early, and the record completes with kCancelled
   /// and the charges accrued so far. Write queries cancel in-queue only; a
-  /// batch mid-Apply runs to completion (its mutations are real). Returns
-  /// false when the query already completed (or the id is unknown) — the
-  /// result must still be WaitSpec()ed either way.
-  bool Cancel(QueryId id) EXCLUDES(mu_);
+  /// batch mid-Apply runs to completion (its mutations are real). A query
+  /// that already completed is left alone — its result must still be
+  /// WaitSpec()ed either way.
+  void Cancel(QueryId id) EXCLUDES(mu_);
 
-  /// Blocks until every query submitted so far has completed. Completion
-  /// records are reclaimed by WaitSpec() alone — a fire-and-forget caller
-  /// that only ever drains should still wait each id, or records accumulate.
-  void DrainAll() EXCLUDES(mu_);
-
-  // Deprecated shims for the pre-Session surface. Out-of-tree callers get a
-  // pointed compile-time message; in-tree code has been ported.
-  [[deprecated(
-      "raw QuerySpec submission is internal now: open a Session and use "
-      "Session::Query() (engine/session.h), or SubmitSpec if you really "
-      "need the spec surface")]]
-  QueryId Submit(QuerySpec spec) {
-    return SubmitSpec(std::move(spec));
-  }
-  [[deprecated("use QueryHandle::Wait() via Session (engine/session.h), or "
-               "WaitSpec")]]
-  QueryResult Wait(QueryId id) {
-    return WaitSpec(id);
-  }
-  [[deprecated("use DrainAll (or per-handle Wait via Session)")]]
-  void Drain() { DrainAll(); }
-
-  // Observability (values are instantaneous snapshots).
-  size_t queue_depth() const EXCLUDES(mu_);
-  uint32_t admitted() const EXCLUDES(mu_);  ///< Queries executing right now.
-  /// High-water mark; never exceeds the cap.
-  uint32_t peak_admitted() const EXCLUDES(mu_);
-  uint64_t completed() const EXCLUDES(mu_);
-  const QueryEngineOptions& options() const { return options_; }
-
- private:
   struct Pending {
     QueryId id = 0;
     QuerySpec spec;
@@ -419,7 +396,7 @@ class QueryEngine {
   mutable latch::Latch mu_{latch::LatchRank::kQueryEngine,
                            "QueryEngine::mu_"};
   std::condition_variable_any cv_submit_;  ///< Executors wait for work here.
-  std::condition_variable_any cv_done_;    ///< Wait()/Drain() wait here.
+  std::condition_variable_any cv_done_;    ///< WaitSpec() waits here.
   std::deque<Pending> lanes_[2] GUARDED_BY(mu_);  ///< Indexed by QueryLane.
   std::unordered_map<QueryId, Record> records_ GUARDED_BY(mu_);
   QueryId next_id_ GUARDED_BY(mu_) = 1;
@@ -435,8 +412,6 @@ class QueryEngine {
   bool shutdown_ GUARDED_BY(mu_) = false;
   uint32_t admitted_now_ GUARDED_BY(mu_) = 0;
   uint32_t peak_admitted_ GUARDED_BY(mu_) = 0;
-  /// Submitted, not yet completed.
-  uint64_t outstanding_ GUARDED_BY(mu_) = 0;
   uint64_t completed_ GUARDED_BY(mu_) = 0;
 
   std::vector<std::thread> executors_;

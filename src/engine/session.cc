@@ -120,7 +120,7 @@ QueryHandle Session::SubmitSpec(QuerySpec spec, bool stream) {
   }
   std::unique_ptr<ResultStream> rs;
   if (stream) {
-    rs = std::make_unique<ResultStream>(options_.stream_batches);
+    rs = std::make_unique<ResultStream>();
     spec.stream = rs.get();
   }
   spec.on_complete = [this](uint64_t) { OnComplete(); };

@@ -1,6 +1,9 @@
 // Session / QueryHandle: the client API over the QueryEngine — the one
-// submission surface shared by in-process callers (examples, WorkloadDriver)
-// and the network server's per-connection sessions (src/net/server.h).
+// submission surface shared by in-process callers (examples, tests,
+// WorkloadDriver) and the network server's per-connection sessions
+// (src/net/server.h). The engine's spec-level submit/wait/cancel are private
+// and befriend only these two classes; a caller holding a bound QuerySpec
+// submits it with Query().FromSpec(spec).
 //
 //   Session session(&qe);
 //   QueryHandle h = session.Query()
@@ -32,7 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,11 +55,6 @@ struct SessionOptions {
   /// session's queries are in flight. The network server shrinks it under
   /// overload (see net/server.h "backpressure").
   uint32_t max_outstanding = 8;
-  /// Per-query stream window in batches (Stream() queries): the executor
-  /// blocks after this many undelivered batches.
-  size_t stream_batches = 4;
-  /// Diagnostic name (trace spans, server logs).
-  std::string name = "session";
 };
 
 /// Completion handle of one submitted query. Move-only; reaping the result

@@ -14,6 +14,8 @@ MergeJoinOp::MergeJoinOp(Engine* engine, std::unique_ptr<Operator> left,
 Status MergeJoinOp::OpenImpl() {
   SMOOTHSCAN_RETURN_IF_ERROR(left_->Open());
   SMOOTHSCAN_RETURN_IF_ERROR(right_->Open());
+  left_in_.Reset();
+  right_in_.Reset();
   right_group_.clear();
   group_valid_ = false;
   group_idx_ = 0;
@@ -40,8 +42,8 @@ bool MergeJoinOp::NextBatchImpl(TupleBatch* out) {
 
 bool MergeJoinOp::AdvanceLeft() {
   const bool had = left_valid_;
-  if (!left_->Next(&left_row_)) return false;
-  const int64_t key = left_row_[left_key_col_].AsInt64();
+  if (!left_in_.Advance(left_.get())) return false;
+  const int64_t key = left_in_.row()[left_key_col_].AsInt64();
   if (had) SMOOTHSCAN_CHECK(key >= left_last_key_);  // Ordered input.
   left_last_key_ = key;
   return true;
@@ -49,8 +51,8 @@ bool MergeJoinOp::AdvanceLeft() {
 
 bool MergeJoinOp::AdvanceRight() {
   const bool had = right_valid_;
-  if (!right_->Next(&right_row_)) return false;
-  const int64_t key = right_row_[right_key_col_].AsInt64();
+  if (!right_in_.Advance(right_.get())) return false;
+  const int64_t key = right_in_.row()[right_key_col_].AsInt64();
   if (had) SMOOTHSCAN_CHECK(key >= right_last_key_);
   right_last_key_ = key;
   return true;
@@ -60,43 +62,34 @@ void MergeJoinOp::CollectRightGroup(int64_t key) {
   right_group_.clear();
   group_key_ = key;
   group_valid_ = true;
-  while (right_valid_ && right_row_[right_key_col_].AsInt64() == key) {
+  while (right_valid_ && right_in_.row()[right_key_col_].AsInt64() == key) {
     engine_->cpu().ChargeHashOp();
-    right_group_.push_back(std::move(right_row_));
+    right_group_.push_back(right_in_.Take());
     right_valid_ = AdvanceRight();
   }
 }
 
 bool MergeJoinOp::NextRow(Tuple* out) {
-  while (true) {
-    // Emit pending (left_row_, right_group_) pairs.
-    if (group_valid_ && left_valid_ &&
-        left_row_[left_key_col_].AsInt64() == group_key_ &&
-        group_idx_ < right_group_.size()) {
-      *out = left_row_;
-      const Tuple& r = right_group_[group_idx_++];
-      out->insert(out->end(), r.begin(), r.end());
-      return true;
-    }
-    if (group_valid_ && left_valid_ &&
-        left_row_[left_key_col_].AsInt64() == group_key_) {
+  while (left_valid_) {
+    const Tuple& left = left_in_.row();
+    const int64_t lkey = left[left_key_col_].AsInt64();
+    if (group_valid_ && lkey == group_key_) {
+      // Emit pending (left row, right_group_) pairs.
+      if (group_idx_ < right_group_.size()) {
+        *out = left;
+        const Tuple& r = right_group_[group_idx_++];
+        out->insert(out->end(), r.begin(), r.end());
+        return true;
+      }
       // Exhausted the group for this left row; next left row may reuse it.
       left_valid_ = AdvanceLeft();
       group_idx_ = 0;
       continue;
     }
-    if (!left_valid_) return false;
-    if (!right_valid_ && !group_valid_) return false;
-
-    const int64_t lkey = left_row_[left_key_col_].AsInt64();
-    if (group_valid_ && lkey == group_key_) continue;  // Handled above.
-    if (!right_valid_) {
-      // No more right rows and the current group doesn't match: done unless
-      // a later left row matches the group (impossible — keys ascend).
-      if (group_valid_ && lkey > group_key_) return false;
-      return false;
-    }
-    const int64_t rkey = right_row_[right_key_col_].AsInt64();
+    // No more right rows and the current group doesn't match: keys ascend,
+    // so no later left row can match either.
+    if (!right_valid_) return false;
+    const int64_t rkey = right_in_.row()[right_key_col_].AsInt64();
     engine_->cpu().ChargeHashOp();
     if (lkey < rkey) {
       left_valid_ = AdvanceLeft();
@@ -107,6 +100,7 @@ bool MergeJoinOp::NextRow(Tuple* out) {
       group_idx_ = 0;
     }
   }
+  return false;
 }
 
 }  // namespace smoothscan

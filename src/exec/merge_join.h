@@ -37,8 +37,8 @@ class MergeJoinOp : public Operator {
 
  private:
   /// One merge step: produces the next joined row, or false at end. The
-  /// sides are pulled through their Next() adapters (which are themselves
-  /// batch-backed); output is batched by NextBatchImpl.
+  /// sides are walked row by row through BatchCursors over their batches;
+  /// output is batched by NextBatchImpl.
   bool NextRow(Tuple* out);
   bool AdvanceLeft();
   bool AdvanceRight();
@@ -51,10 +51,12 @@ class MergeJoinOp : public Operator {
   int left_key_col_;
   int right_key_col_;
 
-  Tuple left_row_;
+  // Current row of each side: left_in_.row() / right_in_.row() while the
+  // matching *_valid_ flag is set.
+  BatchCursor left_in_;
   bool left_valid_ = false;
   int64_t left_last_key_ = 0;
-  Tuple right_row_;
+  BatchCursor right_in_;
   bool right_valid_ = false;
   int64_t right_last_key_ = 0;
 

@@ -3,22 +3,19 @@
 namespace smoothscan {
 
 Status Operator::Open() {
-  carry_.Reset();
+  exhausted_ = false;
   return OpenImpl();
 }
 
 bool Operator::NextBatch(TupleBatch* out) {
-  return carry_.NextBatch(out,
-                          [this](TupleBatch* b) { return NextBatchImpl(b); });
-}
-
-bool Operator::Next(Tuple* out) {
-  return carry_.Next(out,
-                     [this](TupleBatch* b) { return NextBatchImpl(b); });
+  out->Clear();
+  if (exhausted_) return false;
+  if (!NextBatchImpl(out)) exhausted_ = true;
+  return !out->empty();
 }
 
 void Operator::Close() {
-  carry_.MarkClosed();
+  exhausted_ = true;
   CloseImpl();
 }
 

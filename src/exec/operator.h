@@ -1,16 +1,16 @@
 // Volcano-style relational operators layered above access paths, vectorized:
-// like AccessPath, the native producing call is NextBatch() (up to one
-// TupleBatch of output rows per virtual dispatch) and Next() is a thin
-// tuple-at-a-time adapter kept for compatibility. The paper's TPC-H
+// like AccessPath, the one pull call is NextBatch() (up to one TupleBatch of
+// output rows per virtual dispatch); consumers that walk a child row by row
+// do so through a BatchCursor over its batches. The paper's TPC-H
 // experiments (Fig. 4, Table II) need selections, joins (hash, merge and
 // index-nested-loops), aggregation, sorting and projection; the concrete
 // operators provide exactly that, with all CPU work charged to the engine's
 // meter per batch, amortized.
 //
 // Lifecycle mirrors AccessPath: Open() resets, NextBatch(b) clears and fills
-// `b` returning false only at end of stream, Close() releases state and
-// permits re-Open. Implementations override OpenImpl / NextBatchImpl /
-// CloseImpl.
+// `b` returning false only at end of stream (and until re-Open), Close()
+// releases state and permits re-Open. Implementations override OpenImpl /
+// NextBatchImpl / CloseImpl; the base class owns the end-of-stream latch.
 
 #ifndef SMOOTHSCAN_EXEC_OPERATOR_H_
 #define SMOOTHSCAN_EXEC_OPERATOR_H_
@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/batch_carry.h"
 #include "common/status.h"
 #include "common/tuple_batch.h"
 #include "storage/schema.h"
@@ -32,7 +31,6 @@ class Operator {
 
   Status Open();
   bool NextBatch(TupleBatch* out);
-  bool Next(Tuple* out);
   void Close();
   virtual const char* name() const = 0;
 
@@ -42,7 +40,7 @@ class Operator {
   virtual void CloseImpl() {}
 
  private:
-  BatchCarry carry_;  ///< Shared adapter buffering (see batch_carry.h).
+  bool exhausted_ = false;  ///< End of stream reached (until re-Open).
 };
 
 /// Cursor over a child operator's batch stream, for probe-style consumers
@@ -73,6 +71,9 @@ class BatchCursor {
 
   /// The current row; valid only after Advance() returned true.
   const Tuple& row() const { return batch_.row(idx_); }
+
+  /// Moves the current row out (the caller Advances past it next).
+  Tuple Take() { return batch_.Take(idx_); }
 
  private:
   TupleBatch batch_;

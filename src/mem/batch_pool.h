@@ -96,10 +96,6 @@ struct BatchPoolOptions {
   /// When false, released batches drop their row storage instead of keeping
   /// it warm — the allocate-per-batch baseline, kept for ablation benches.
   bool recycle = true;
-  /// Bytes one warm batch is charged to the MemoryAccount. 0 derives a
-  /// conservative estimate from the capacity (row headers + a nominal Value
-  /// payload per row).
-  uint64_t batch_bytes_hint = 0;
   /// Registry counters mirroring this pool's stats bumps (all-null = off).
   BatchPoolMetricsSink metrics;
 };
@@ -133,7 +129,7 @@ class BatchPool {
   PooledBatch Acquire() EXCLUDES(mu_);
 
   size_t batch_capacity() const { return options_.batch_capacity; }
-  /// The per-warm-batch charge (resolved from the hint).
+  /// The per-warm-batch charge (estimated from the capacity).
   uint64_t batch_bytes() const { return batch_bytes_; }
   BatchPoolStats stats() const EXCLUDES(mu_);
   MemoryAccount* account() const { return account_; }

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -267,14 +268,26 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
   QueryHandle h =
       conn->session.Query().FromSpec(std::move(spec)).Stream().Submit();
   auto handle = std::make_shared<QueryHandle>(std::move(h));
-  latch::LatchGuard lock(conn->mu);
-  conn->active[tag] = handle;
-  conn->drainers.emplace_back(
-      [this, conn, tag, handle] { DrainQuery(conn, tag, handle); });
+  std::list<Drainer> finished;
+  {
+    latch::LatchGuard lock(conn->mu);
+    conn->active[tag] = handle;
+    // Reap drainers that finished: their threads are exiting, so the joins
+    // below return at once.
+    for (auto it = conn->drainers.begin(); it != conn->drainers.end();) {
+      auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), conn->drainers, it);
+      it = next;
+    }
+    Drainer* d = &conn->drainers.emplace_back();
+    d->thread = std::thread(
+        [this, conn, tag, handle, d] { DrainQuery(conn, tag, handle, d); });
+  }
+  for (Drainer& d : finished) d.thread.join();
 }
 
 void Server::DrainQuery(Conn* conn, uint64_t tag,
-                        std::shared_ptr<QueryHandle> handle) {
+                        std::shared_ptr<QueryHandle> handle, Drainer* self) {
   TupleBatch batch;
   while (handle->NextBatch(&batch)) {
     if (batch.size() != 0) {
@@ -292,6 +305,7 @@ void Server::DrainQuery(Conn* conn, uint64_t tag,
   WriteFrame(conn, FrameType::kDone, EncodeDonePayload(tag, result));
   latch::LatchGuard lock(conn->mu);
   conn->active.erase(tag);
+  self->done = true;
 }
 
 void Server::WriteFrame(Conn* conn, FrameType type, std::string payload) {
@@ -326,7 +340,7 @@ void Server::TeardownConn(Conn* conn) {
   // The reader spawned every drainer and has exited its loop, so `active`
   // and `drainers` only shrink from here on.
   std::vector<std::shared_ptr<QueryHandle>> live;
-  std::vector<std::thread> drainers;
+  std::list<Drainer> drainers;
   {
     latch::LatchGuard lock(conn->mu);
     live.reserve(conn->active.size());
@@ -337,9 +351,7 @@ void Server::TeardownConn(Conn* conn) {
   // queries never run; executing ones stop at the next batch boundary).
   for (auto& handle : live) handle->Cancel();
   live.clear();
-  for (std::thread& t : drainers) {
-    if (t.joinable()) t.join();
-  }
+  for (Drainer& d : drainers) d.thread.join();
   // Both directions down: the peer's next read sees EOF (the close a
   // framing error promised), and late writes fail instead of buffering.
   conn->transport->Shutdown();

@@ -11,7 +11,10 @@
 // window — the client-visible backpressure) and drained to the client by a
 // per-query drainer thread (BATCH frames as the executor produces batches,
 // one DONE frame with the full result). Frame writes from concurrent
-// drainers are serialized by a per-connection write latch.
+// drainers are serialized by a per-connection write latch. A drainer marks
+// itself done as its last step; the reader joins the done ones before it
+// spawns the next, so a long-lived connection holds one thread per query in
+// flight, not one per query it ever ran.
 //
 // Backpressure: before admitting a batch-lane query the server consults the
 // engine's queue depth and the memory broker's pressure flag; overloaded, it
@@ -47,8 +50,8 @@ namespace smoothscan {
 namespace net {
 
 struct ServerOptions {
-  /// Per-connection session defaults (lane, outstanding window, stream
-  /// window). HELLO may override lane and window per connection.
+  /// Per-connection session defaults (lane, outstanding window). HELLO may
+  /// override both per connection.
   SessionOptions session;
   /// Overload threshold: the engine's admission queue is "deep" beyond
   /// `backpressure_queue_factor * max_admitted` queued queries.
@@ -103,6 +106,13 @@ class Server {
   ServerStats stats() const;
 
  private:
+  /// A per-query drainer thread. `done` (guarded by the owning Conn::mu) is
+  /// set by the drainer as its last step; only the reader touches `thread`.
+  struct Drainer {
+    std::thread thread;
+    bool done = false;
+  };
+
   /// One connection: transport + session + active-query registry.
   struct Conn {
     explicit Conn(QueryEngine* engine, std::unique_ptr<Transport> t,
@@ -119,11 +129,12 @@ class Server {
     /// Serializes whole frames onto the transport (drainers interleave).
     latch::Latch write_mu{latch::LatchRank::kNetWrite,
                           "net::Conn::write_mu"};
-    /// Tag → live handle, plus the drainer threads to join at teardown.
+    /// Tag → live handle, plus the drainer threads not yet joined (a list:
+    /// each drainer holds its own node's address).
     latch::Latch mu{latch::LatchRank::kNetConn, "net::Conn::mu"};
     std::unordered_map<uint64_t, std::shared_ptr<QueryHandle>> active
         GUARDED_BY(mu);
-    std::vector<std::thread> drainers GUARDED_BY(mu);
+    std::list<Drainer> drainers GUARDED_BY(mu);
     std::thread reader;
     std::atomic<bool> done{false};  ///< Reader finished; conn reapable.
   };
@@ -132,7 +143,7 @@ class Server {
   void HandleFrame(Conn* conn, const Frame& frame);
   void HandleQuery(Conn* conn, uint64_t tag, std::string_view text);
   void DrainQuery(Conn* conn, uint64_t tag,
-                  std::shared_ptr<QueryHandle> handle);
+                  std::shared_ptr<QueryHandle> handle, Drainer* self);
   void WriteFrame(Conn* conn, FrameType type, std::string payload);
   /// Applies the overload policy to a batch-lane submit (see file comment).
   void ApplyBackpressure(Conn* conn, QueryLane lane);

@@ -365,9 +365,7 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
       // Each client is one tenant: a Session in-process, or a pipe
       // connection to the front-end in wire mode. Either way the closed
       // loop submits, waits, repeats — the engine sees the same stream.
-      SessionOptions session_options;
-      session_options.name = "driver-client";
-      Session session(qe_, session_options);
+      Session session(qe_);
       std::unique_ptr<net::WireClient> wire;
       if (options.server != nullptr) {
         wire = std::make_unique<net::WireClient>(

@@ -51,8 +51,13 @@ class AccessPathTest : public ::testing::Test {
     engine_->ColdRestart();
     SMOOTHSCAN_CHECK(path->Open().ok());
     std::multiset<int64_t> ids;
-    Tuple t;
-    while (path->Next(&t)) ids.insert(t[0].AsInt64());
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Tuple& t = batch.row(i);
+        ids.insert(t[0].AsInt64());
+      }
+    }
     path->Close();
     return ids;
   }
@@ -131,11 +136,14 @@ TEST_F(AccessPathTest, IndexScanEmitsKeyOrder) {
   IndexScan index(&db_->index(), pred);
   engine_->ColdRestart();
   ASSERT_TRUE(index.Open().ok());
-  Tuple t;
   int64_t prev = INT64_MIN;
-  while (index.Next(&t)) {
-    EXPECT_GE(t[kC2].AsInt64(), prev);
-    prev = t[kC2].AsInt64();
+  TupleBatch batch;
+  while (index.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GE(t[kC2].AsInt64(), prev);
+      prev = t[kC2].AsInt64();
+    }
   }
 }
 
@@ -146,11 +154,14 @@ TEST_F(AccessPathTest, OrderedSortScanEmitsKeyOrder) {
   SortScan sort(&db_->index(), pred, options);
   engine_->ColdRestart();
   ASSERT_TRUE(sort.Open().ok());
-  Tuple t;
   int64_t prev = INT64_MIN;
-  while (sort.Next(&t)) {
-    EXPECT_GE(t[kC2].AsInt64(), prev);
-    prev = t[kC2].AsInt64();
+  TupleBatch batch;
+  while (sort.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GE(t[kC2].AsInt64(), prev);
+      prev = t[kC2].AsInt64();
+    }
   }
 }
 
@@ -159,11 +170,14 @@ TEST_F(AccessPathTest, UnorderedSortScanEmitsHeapOrder) {
   SortScan sort(&db_->index(), pred);
   engine_->ColdRestart();
   ASSERT_TRUE(sort.Open().ok());
-  Tuple t;
   int64_t prev = INT64_MIN;  // c1 equals heap order.
-  while (sort.Next(&t)) {
-    EXPECT_GT(t[0].AsInt64(), prev);
-    prev = t[0].AsInt64();
+  TupleBatch batch;
+  while (sort.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GT(t[0].AsInt64(), prev);
+      prev = t[0].AsInt64();
+    }
   }
 }
 

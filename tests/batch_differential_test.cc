@@ -1,11 +1,11 @@
 // Differential testing of the vectorized substrate: for every access path
-// (and for Smooth Scan, every morphing policy), draining via NextBatch —
-// at several batch capacities, including the degenerate capacity 1 — must
+// (and for Smooth Scan, every morphing policy), draining via NextBatch at
+// several batch capacities, including the degenerate capacity 1, must
 // produce exactly the same tuple *sequence* and exactly the same
-// AccessPathStats as draining via the tuple-at-a-time Next() adapter.
-// The two drains run on the SAME operator instance through a Close()/
-// re-Open() cycle, which also exercises the documented lifecycle contract
-// (Close releases state; re-Open restarts the identical stream).
+// AccessPathStats as a drain at the default capacity (kDefaultBatchSize).
+// The drains run on the SAME operator instance through a Close()/re-Open()
+// cycle, which also exercises the documented lifecycle contract (Close
+// releases state; re-Open restarts the identical stream).
 
 #include <gtest/gtest.h>
 
@@ -27,18 +27,8 @@ struct Drained {
   AccessPathStats stats;
 };
 
-Drained DrainTuple(Engine* engine, AccessPath* path) {
-  engine->ColdRestart();
-  EXPECT_TRUE(path->Open().ok());
-  Drained d;
-  Tuple t;
-  while (path->Next(&t)) d.rows.push_back(t);
-  d.stats = path->stats();
-  path->Close();
-  return d;
-}
-
-Drained DrainBatch(Engine* engine, AccessPath* path, size_t batch_size) {
+Drained DrainBatch(Engine* engine, AccessPath* path,
+                   size_t batch_size = kDefaultBatchSize) {
   engine->ColdRestart();
   EXPECT_TRUE(path->Open().ok());
   Drained d;
@@ -61,10 +51,10 @@ void ExpectSame(const Drained& a, const Drained& b, const char* label) {
   EXPECT_EQ(a.stats.heap_pages_probed, b.stats.heap_pages_probed) << label;
 }
 
-/// Drains `path` tuple-at-a-time, then re-Opens and drains it batched at
+/// Drains `path` at the default capacity, then re-Opens and drains it at
 /// several capacities; every drain must agree with the first.
 void CheckPath(Engine* engine, AccessPath* path, const char* label) {
-  const Drained oracle = DrainTuple(engine, path);
+  const Drained oracle = DrainBatch(engine, path);
   EXPECT_GT(oracle.rows.size(), 0u) << label;
   for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     ExpectSame(oracle, DrainBatch(engine, path, batch_size), label);
@@ -152,35 +142,6 @@ TEST_F(BatchDifferentialTest, SmoothScanNonEagerTriggers) {
     CheckPath(engine_.get(), &path,
               trigger == MorphTrigger::kOptimizerDriven ? "SmoothScan/opt"
                                                         : "SmoothScan/sla");
-  }
-}
-
-// Mixing the two pull styles on one stream must neither drop nor duplicate
-// tuples: pull a few rows through Next(), then switch to NextBatch. At 60%
-// selectivity Smooth Scan's regions outgrow the 1024-row adapter batch, so
-// its spilled rows reach the 64-row batches row by row.
-TEST_F(BatchDifferentialTest, MixedPullStyles) {
-  const ScanPredicate pred = db_->PredicateForSelectivity(0.6);
-  FullScan full(&db_->heap(), pred);
-  SmoothScan smooth(&db_->index(), pred);
-  for (AccessPath* path : {static_cast<AccessPath*>(&full),
-                           static_cast<AccessPath*>(&smooth)}) {
-    const Drained oracle = DrainTuple(engine_.get(), path);
-
-    engine_->ColdRestart();
-    ASSERT_TRUE(path->Open().ok());
-    std::vector<Tuple> rows;
-    Tuple t;
-    for (int i = 0; i < 10 && path->Next(&t); ++i) rows.push_back(t);
-    TupleBatch batch(64);
-    while (path->NextBatch(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
-    }
-    path->Close();
-    ASSERT_EQ(rows.size(), oracle.rows.size()) << path->name();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i], oracle.rows[i]) << path->name();
-    }
   }
 }
 

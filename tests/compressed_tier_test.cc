@@ -16,7 +16,7 @@
 
 #include "access/full_scan.h"
 #include "compress/compressed_scan.h"
-#include "engine/query_engine.h"
+#include "engine/session.h"
 #include "sharing/scan_sharing.h"
 #include "workload/micro_bench.h"
 #include "write/table_writer.h"
@@ -297,6 +297,7 @@ TEST(CompressedPublishTest, PublishInvalidatesThenAutoRebuildServesNewData) {
   qeo.versions = &registry;
   qeo.compressed = &map;
   QueryEngine qe(&engine, qeo);
+  Session session(&qe);
 
   const TableStats stats =
       TableStats::Compute(db.heap(), MicroBenchDb::kIndexedColumn);
@@ -314,7 +315,7 @@ TEST(CompressedPublishTest, PublishInvalidatesThenAutoRebuildServesNewData) {
   read.collect_keys = true;
 
   // Scan-bound regime over a 2x-shrunk extent: the chooser must take it.
-  QueryResult before = qe.WaitSpec(qe.SubmitSpec(read));
+  QueryResult before = session.Query().FromSpec(read).Run();
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.metrics.kind, PathKind::kCompressedScan);
 
@@ -326,8 +327,7 @@ TEST(CompressedPublishTest, PublishInvalidatesThenAutoRebuildServesNewData) {
       WriteOp::MakeInsert(MakeRow(db.heap().schema(), 1000001, 10)));
   write.write_ops.push_back(
       WriteOp::MakeInsert(MakeRow(db.heap().schema(), 1000002, 11)));
-  ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(write)).status.ok());
-  qe.DrainAll();
+  ASSERT_TRUE(session.Query().FromSpec(write).Run().status.ok());
   // Publish at quiescence: force it by taking (and dropping) a read lease.
   registry.AcquireRead(db.heap().file_id()).Release();
   EXPECT_EQ(map.rebuilds(), 1u);
@@ -338,7 +338,7 @@ TEST(CompressedPublishTest, PublishInvalidatesThenAutoRebuildServesNewData) {
   db.heap().ForEachDirect([&](Tid, const Tuple& t) {
     if (read.predicate.Matches(t)) oracle.insert(t[0].AsInt64());
   });
-  QueryResult after = qe.WaitSpec(qe.SubmitSpec(read));
+  QueryResult after = session.Query().FromSpec(read).Run();
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.metrics.kind, PathKind::kCompressedScan);
   EXPECT_EQ(std::multiset<int64_t>(after.keys.begin(), after.keys.end()),
@@ -367,13 +367,14 @@ TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
   qeo.versions = &registry;
   qeo.compressed = &map;
   QueryEngine qe(&engine, qeo);
+  Session session(&qe);
 
   QuerySpec read;
   read.index = db.mutable_index();
   read.predicate = db.PredicateForSelectivity(0.5);
   read.kind = PathKind::kCompressedScan;  // Fixed-kind: asks for the tier.
   read.collect_keys = true;
-  QueryResult before = qe.WaitSpec(qe.SubmitSpec(read));
+  QueryResult before = session.Query().FromSpec(read).Run();
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.metrics.kind, PathKind::kCompressedScan);
 
@@ -381,8 +382,7 @@ TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
   write.writer = &writer;
   write.write_ops.push_back(
       WriteOp::MakeInsert(MakeRow(db.heap().schema(), 1000001, 10)));
-  ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(write)).status.ok());
-  qe.DrainAll();
+  ASSERT_TRUE(session.Query().FromSpec(write).Run().status.ok());
   registry.AcquireRead(db.heap().file_id()).Release();
   EXPECT_EQ(map.Lookup(db.heap().file_id()), nullptr);
 
@@ -392,7 +392,7 @@ TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
   db.heap().ForEachDirect([&](Tid, const Tuple& t) {
     if (read.predicate.Matches(t)) oracle.insert(t[0].AsInt64());
   });
-  QueryResult after = qe.WaitSpec(qe.SubmitSpec(read));
+  QueryResult after = session.Query().FromSpec(read).Run();
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.metrics.kind, PathKind::kFullScan);
   EXPECT_EQ(std::multiset<int64_t>(after.keys.begin(), after.keys.end()),
@@ -407,17 +407,19 @@ TEST_F(CompressedTierTest, MirroredRunsLeaveNoPinsBehind) {
   // EvictFile) CHECK-aborts on a pinned frame.
   QueryEngineOptions qeo;
   qeo.max_admitted = 4;
-  qeo.mirror_pages = true;
   qeo.compressed = map_.get();
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe);
   QuerySpec read;
   read.index = db_->mutable_index();
   read.predicate = db_->PredicateForSelectivity(0.3);
   read.kind = PathKind::kCompressedScan;
-  std::vector<QueryEngine::QueryId> ids;
-  for (int i = 0; i < 8; ++i) ids.push_back(qe.SubmitSpec(read));
-  for (const auto id : ids) {
-    EXPECT_EQ(qe.WaitSpec(id).metrics.kind, PathKind::kCompressedScan);
+  std::vector<QueryHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(session.Query().FromSpec(read).Submit());
+  }
+  for (QueryHandle& h : handles) {
+    EXPECT_EQ(h.Metrics().kind, PathKind::kCompressedScan);
   }
   // Every frame unpinned: a full rebuild evicts the sibling wholesale.
   EXPECT_NE(map_->Rebuild(db_->heap().file_id()), nullptr);

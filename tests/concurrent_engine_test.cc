@@ -123,12 +123,15 @@ TEST_F(ConcurrentEngineTest, ConcurrentCostsBitIdenticalToSoloRuns) {
     qeo.max_admitted = cap;
     qeo.scheduler = &scheduler;
     QueryEngine qe(engine_.get(), qeo);
+    Session session(&qe, {.max_outstanding = 32});
 
     // Everything in flight at once; admission interleaves the executions.
-    std::vector<QueryEngine::QueryId> ids;
-    for (const QuerySpec& spec : specs) ids.push_back(qe.SubmitSpec(spec));
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const QueryResult result = qe.WaitSpec(ids[i]);
+    std::vector<QueryHandle> handles;
+    for (const QuerySpec& spec : specs) {
+      handles.push_back(session.Query().FromSpec(spec).Submit());
+    }
+    for (size_t i = 0; i < handles.size(); ++i) {
+      const QueryResult& result = handles[i].Wait();
       ASSERT_TRUE(result.status.ok());
       const std::multiset<int64_t> got(result.keys.begin(),
                                        result.keys.end());
@@ -154,8 +157,9 @@ TEST_F(ConcurrentEngineTest, EightQueriesGenuinelyConcurrent) {
   QueryEngineOptions qeo;
   qeo.max_admitted = kN;
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe, {.max_outstanding = kN});
 
-  std::vector<QueryEngine::QueryId> ids;
+  std::vector<QueryHandle> handles;
   for (uint32_t q = 0; q < kN; ++q) {
     QuerySpec spec = Spec(PathKind::kFullScan, 0.05);
     spec.collect_keys = false;
@@ -172,11 +176,9 @@ TEST_F(ConcurrentEngineTest, EightQueriesGenuinelyConcurrent) {
       }
       return true;
     };
-    ids.push_back(qe.SubmitSpec(spec));
+    handles.push_back(session.Query().FromSpec(spec).Submit());
   }
-  for (const QueryEngine::QueryId id : ids) {
-    EXPECT_TRUE(qe.WaitSpec(id).status.ok());
-  }
+  for (QueryHandle& h : handles) EXPECT_TRUE(h.Wait().status.ok());
   EXPECT_EQ(qe.peak_admitted(), kN);
 }
 
@@ -184,6 +186,7 @@ TEST_F(ConcurrentEngineTest, SlaLaneJumpsTheBatchQueue) {
   QueryEngineOptions qeo;
   qeo.max_admitted = 1;  // Serialize execution so admission order is visible.
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe);
 
   std::mutex mu;
   std::vector<int> start_order;
@@ -211,18 +214,19 @@ TEST_F(ConcurrentEngineTest, SlaLaneJumpsTheBatchQueue) {
     return spec;
   };
 
-  std::vector<QueryEngine::QueryId> ids;
-  ids.push_back(qe.SubmitSpec(tagged(0, QueryLane::kBatch, /*hold=*/true)));
+  auto submit = [&](QuerySpec spec) {
+    return session.Query().FromSpec(std::move(spec)).Submit();
+  };
+  std::vector<QueryHandle> handles;
+  handles.push_back(submit(tagged(0, QueryLane::kBatch, /*hold=*/true)));
   // Only submit the contenders once query 0 is genuinely admitted and
   // running, so they demonstrably queue behind it.
   while (!first_started.load()) std::this_thread::yield();
-  ids.push_back(qe.SubmitSpec(tagged(1, QueryLane::kBatch, false)));
-  ids.push_back(qe.SubmitSpec(tagged(2, QueryLane::kBatch, false)));
-  ids.push_back(qe.SubmitSpec(tagged(3, QueryLane::kSla, false)));
+  handles.push_back(submit(tagged(1, QueryLane::kBatch, false)));
+  handles.push_back(submit(tagged(2, QueryLane::kBatch, false)));
+  handles.push_back(submit(tagged(3, QueryLane::kSla, false)));
   gate.store(true);
-  for (const QueryEngine::QueryId id : ids) {
-    EXPECT_TRUE(qe.WaitSpec(id).status.ok());
-  }
+  for (QueryHandle& h : handles) EXPECT_TRUE(h.Wait().status.ok());
   // Query 0 was running; the SLA query overtakes the two queued batch ones.
   ASSERT_EQ(start_order.size(), 4u);
   EXPECT_EQ(start_order[0], 0);
@@ -258,12 +262,15 @@ TEST_F(ConcurrentEngineTest, ParallelLeafMatchesSoloParallelRun) {
   qeo.max_admitted = 4;
   qeo.scheduler = &scheduler;
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe);
   QuerySpec spec = Spec(PathKind::kFullScan, 0.3);
   spec.dop = 2;
-  std::vector<QueryEngine::QueryId> ids;
-  for (int i = 0; i < 4; ++i) ids.push_back(qe.SubmitSpec(spec));
-  for (const QueryEngine::QueryId id : ids) {
-    const QueryResult result = qe.WaitSpec(id);
+  std::vector<QueryHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    handles.push_back(session.Query().FromSpec(spec).Submit());
+  }
+  for (QueryHandle& h : handles) {
+    const QueryResult& result = h.Wait();
     ASSERT_TRUE(result.status.ok());
     EXPECT_TRUE(result.metrics.parallel);
     const std::multiset<int64_t> got(result.keys.begin(), result.keys.end());
@@ -284,20 +291,21 @@ TEST_F(ConcurrentEngineTest, ChooserReusePerStreamQuery) {
   const CostModel model(params);
 
   QueryEngine qe(engine_.get(), QueryEngineOptions());
+  Session session(&qe);
   QuerySpec spec = Spec(PathKind::kFullScan, 0.9);
   spec.use_chooser = true;
   spec.cost_model = &model;
 
   // Honest statistics at 90% selectivity: the chooser picks the full scan.
   spec.stats = &honest;
-  QueryResult result = qe.WaitSpec(qe.SubmitSpec(spec));
+  QueryResult result = session.Query().FromSpec(spec).Run();
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.metrics.kind, PathKind::kFullScan);
 
   // Statistics lying 1000x low: an index-driven path looks cheap — the
   // mis-estimation trap the workload driver replays at stream scale.
   spec.stats = &lying;
-  result = qe.WaitSpec(qe.SubmitSpec(spec));
+  result = session.Query().FromSpec(spec).Run();
   ASSERT_TRUE(result.status.ok());
   EXPECT_NE(result.metrics.kind, PathKind::kFullScan);
   const std::multiset<int64_t> got(result.keys.begin(), result.keys.end());
@@ -308,9 +316,10 @@ TEST_F(ConcurrentEngineTest, MirrorPopulatesSharedPoolWithoutLeakingPins) {
   engine_->ColdRestart();
   ASSERT_EQ(engine_->pool().pinned_pages(), 0u);
   QueryEngine qe(engine_.get(), QueryEngineOptions());
+  Session session(&qe);
   QuerySpec spec = Spec(PathKind::kFullScan, 0.2);
   spec.collect_keys = false;
-  EXPECT_TRUE(qe.WaitSpec(qe.SubmitSpec(spec)).status.ok());
+  EXPECT_TRUE(session.Query().FromSpec(spec).Run().status.ok());
   // The query's pages landed in the shared pool (data-plane residency)...
   EXPECT_GT(engine_->pool().size(), 0u);
   // ...and every mirror pin was released with its guard.
@@ -323,7 +332,7 @@ TEST_F(ConcurrentEngineTest, MirrorPopulatesSharedPoolWithoutLeakingPins) {
   QuerySpec par = Spec(PathKind::kSmoothScan, 0.2);
   par.collect_keys = false;
   par.dop = 2;
-  const QueryResult result = qe.WaitSpec(qe.SubmitSpec(par));
+  const QueryResult result = session.Query().FromSpec(par).Run();
   EXPECT_TRUE(result.status.ok());
   EXPECT_TRUE(result.metrics.parallel);
   EXPECT_GT(engine_->pool().size(), 0u);

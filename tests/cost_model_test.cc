@@ -189,8 +189,8 @@ TEST(CostModelValidationTest, PredictionsTrackSimulatedCosts) {
     engine.ColdRestart();
     const IoStats before = engine.disk().stats();
     SMOOTHSCAN_CHECK(full.Open().ok());
-    Tuple t;
-    while (full.Next(&t)) {
+    TupleBatch batch;
+    while (full.NextBatch(&batch)) {
     }
     const double simulated = (engine.disk().stats() - before).io_time;
     EXPECT_NEAR(model.FullScanCost(), simulated, 0.35 * simulated);
@@ -203,9 +203,9 @@ TEST(CostModelValidationTest, PredictionsTrackSimulatedCosts) {
     engine.ColdRestart();
     const IoStats before = engine.disk().stats();
     SMOOTHSCAN_CHECK(index.Open().ok());
-    Tuple t;
     uint64_t card = 0;
-    while (index.Next(&t)) ++card;
+    TupleBatch batch;
+    while (index.NextBatch(&batch)) card += batch.size();
     const double simulated = (engine.disk().stats() - before).io_time;
     const double predicted = model.IndexScanCost(card);
     EXPECT_GT(predicted, simulated * 0.4);

@@ -81,15 +81,18 @@ TEST_P(DifferentialTest, AllPathsAgreeWithOracle) {
     engine.ColdRestart();
     ASSERT_TRUE(path->Open().ok());
     std::multiset<int64_t> got;
-    Tuple t;
     int64_t prev_key = INT64_MIN;
-    while (path->Next(&t)) {
-      if (ordered) {
-        const int64_t key = t[MicroBenchDb::kIndexedColumn].AsInt64();
-        EXPECT_GE(key, prev_key) << label;
-        prev_key = key;
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Tuple& t = batch.row(i);
+        if (ordered) {
+          const int64_t key = t[MicroBenchDb::kIndexedColumn].AsInt64();
+          EXPECT_GE(key, prev_key) << label;
+          prev_key = key;
+        }
+        got.insert(t[0].AsInt64());
       }
-      got.insert(t[0].AsInt64());
     }
     EXPECT_EQ(got, oracle) << label << " tuples=" << s.num_tuples
                            << " sel=" << s.selectivity

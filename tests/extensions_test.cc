@@ -65,9 +65,11 @@ class MorphingJoinTest : public ::testing::Test {
   static std::multiset<std::pair<int64_t, int64_t>> Pairs(Operator* op) {
     SMOOTHSCAN_CHECK(op->Open().ok());
     std::multiset<std::pair<int64_t, int64_t>> pairs;
-    Tuple t;
-    while (op->Next(&t)) {
-      pairs.emplace(t[0].AsInt64(), t[2].AsInt64());
+    TupleBatch batch;
+    while (op->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        pairs.emplace(batch.row(i)[0].AsInt64(), batch.row(i)[2].AsInt64());
+      }
     }
     return pairs;
   }
@@ -160,9 +162,9 @@ TEST_F(MorphingJoinTest, WorksInsideAPipeline) {
   aggs.push_back({AggFn::kCount, nullptr});
   HashAggregateOp agg(engine, std::move(join), {}, std::move(aggs));
   SMOOTHSCAN_CHECK(agg.Open().ok());
-  Tuple t;
-  ASSERT_TRUE(agg.Next(&t));
-  EXPECT_DOUBLE_EQ(t[0].AsDouble(), 9.0);  // 3 keys x 3 matches.
+  TupleBatch batch;
+  ASSERT_TRUE(agg.NextBatch(&batch));
+  EXPECT_DOUBLE_EQ(batch.row(0)[0].AsDouble(), 9.0);  // 3 keys x 3 matches.
 }
 
 // ---------- Result Cache spilling ----------
@@ -257,12 +259,15 @@ TEST_F(SpillTest, SmoothScanCorrectUnderTinyCacheBudget) {
   engine.ColdRestart();
   ASSERT_TRUE(scan.Open().ok());
   std::multiset<int64_t> got;
-  Tuple t;
   int64_t prev_key = INT64_MIN;
-  while (scan.Next(&t)) {
-    EXPECT_GE(t[MicroBenchDb::kIndexedColumn].AsInt64(), prev_key);
-    prev_key = t[MicroBenchDb::kIndexedColumn].AsInt64();
-    got.insert(t[0].AsInt64());
+  TupleBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GE(t[MicroBenchDb::kIndexedColumn].AsInt64(), prev_key);
+      prev_key = t[MicroBenchDb::kIndexedColumn].AsInt64();
+      got.insert(t[0].AsInt64());
+    }
   }
   EXPECT_EQ(got, expected);
 }
@@ -286,8 +291,12 @@ class PositionalDedupTest : public ::testing::Test {
     engine_->ColdRestart();
     SMOOTHSCAN_CHECK(scan.Open().ok());
     std::multiset<int64_t> ids;
-    Tuple t;
-    while (scan.Next(&t)) ids.insert(t[0].AsInt64());
+    TupleBatch batch;
+    while (scan.NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ids.insert(batch.row(i)[0].AsInt64());
+      }
+    }
     return ids;
   }
 

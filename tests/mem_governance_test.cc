@@ -28,7 +28,7 @@
 #include "access/full_scan.h"
 #include "access/parallel_scan.h"
 #include "access/result_cache.h"
-#include "engine/query_engine.h"
+#include "engine/session.h"
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
@@ -363,8 +363,9 @@ TEST_F(MemGovernanceTest, BrokerOnOffCostsBitIdenticalAcrossCaps) {
     qeo.max_admitted = 1;
     qeo.scheduler = &scheduler;
     QueryEngine qe(engine_.get(), qeo);
+    Session session(&qe);
     for (size_t i = 0; i < specs.size(); ++i) {
-      const QueryResult r = qe.WaitSpec(qe.SubmitSpec(specs[i]));
+      const QueryResult r = session.Query().FromSpec(specs[i]).Run();
       ASSERT_TRUE(r.status.ok());
       const std::multiset<int64_t> got(r.keys.begin(), r.keys.end());
       ASSERT_EQ(got, oracles[i]) << "reference spec " << i;
@@ -398,14 +399,17 @@ TEST_F(MemGovernanceTest, BrokerOnOffCostsBitIdenticalAcrossCaps) {
     qeo.broker = &broker;
     qeo.query_quota_bytes = 4 * 1024;  // Below one batch: every charge breaches.
     QueryEngine qe(engine_.get(), qeo);
+    Session session(&qe, {.max_outstanding = 32});
     ASSERT_FALSE(broker.UnderPressure());
 
-    std::vector<QueryEngine::QueryId> ids;
-    for (const QuerySpec& spec : specs) ids.push_back(qe.SubmitSpec(spec));
+    std::vector<QueryHandle> handles;
+    for (const QuerySpec& spec : specs) {
+      handles.push_back(session.Query().FromSpec(spec).Submit());
+    }
     uint64_t breaches = 0;
     uint64_t peak = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const QueryResult r = qe.WaitSpec(ids[i]);
+    for (size_t i = 0; i < handles.size(); ++i) {
+      const QueryResult& r = handles[i].Wait();
       ASSERT_TRUE(r.status.ok()) << "governance must never fail a query";
       const std::multiset<int64_t> got(r.keys.begin(), r.keys.end());
       EXPECT_EQ(got, oracles[i]) << "spec " << i << " cap " << cap;

@@ -71,67 +71,94 @@ TEST(MergeJoinTest, BasicEquiJoin) {
   MergeJoinOp join(&engine, SortedInts({1, 2, 3, 5}), SortedInts({2, 3, 4, 5}),
                    0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
   int rows = 0;
-  while (join.Next(&t)) {
-    EXPECT_EQ(t[0].AsInt64(), t[2].AsInt64());
-    ++rows;
+  TupleBatch batch;
+  while (join.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_EQ(t[0].AsInt64(), t[2].AsInt64());
+      ++rows;
+    }
   }
   EXPECT_EQ(rows, 3);  // Keys 2, 3, 5.
 }
 
 TEST(MergeJoinTest, EmptyInputs) {
   Engine engine;
+  TupleBatch batch;
   MergeJoinOp a(&engine, SortedInts({}), SortedInts({1, 2}), 0, 0);
   SMOOTHSCAN_CHECK(a.Open().ok());
-  Tuple t;
-  EXPECT_FALSE(a.Next(&t));
+  EXPECT_FALSE(a.NextBatch(&batch));
 
   MergeJoinOp b(&engine, SortedInts({1, 2}), SortedInts({}), 0, 0);
   SMOOTHSCAN_CHECK(b.Open().ok());
-  EXPECT_FALSE(b.Next(&t));
+  EXPECT_FALSE(b.NextBatch(&batch));
 }
 
 TEST(MergeJoinTest, NoOverlap) {
   Engine engine;
   MergeJoinOp join(&engine, SortedInts({1, 2, 3}), SortedInts({10, 11}), 0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
-  EXPECT_FALSE(join.Next(&t));
+  TupleBatch batch;
+  EXPECT_FALSE(join.NextBatch(&batch));
 }
 
 TEST(MergeJoinTest, DuplicatesProduceCrossProductPerKey) {
   Engine engine;
   MergeJoinOp join(&engine, SortedInts({7, 7, 7}), SortedInts({7, 7}), 0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
   int rows = 0;
-  while (join.Next(&t)) ++rows;
+  TupleBatch batch;
+  while (join.NextBatch(&batch)) rows += batch.size();
   EXPECT_EQ(rows, 6);  // 3 x 2.
 }
 
 TEST(MergeJoinTest, MatchesHashJoinOnRandomInputs) {
   Engine engine;
   Rng rng(31);
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 13; ++trial) {
+    // Trials 10+ give both sides more than two child batches over a few
+    // dozen keys, so duplicate-key groups straddle batch boundaries.
+    const bool large = trial >= 10;
+    const int64_t min_rows = large ? 2 * kDefaultBatchSize + 1 : 0;
+    const int64_t max_rows = large ? 3 * kDefaultBatchSize : 200;
+    const int64_t max_key = large ? 30 : 40;
     std::vector<int64_t> left, right;
-    const int n = static_cast<int>(rng.UniformInt(0, 200));
-    const int m = static_cast<int>(rng.UniformInt(0, 200));
-    for (int i = 0; i < n; ++i) left.push_back(rng.UniformInt(0, 40));
-    for (int i = 0; i < m; ++i) right.push_back(rng.UniformInt(0, 40));
+    const int n = static_cast<int>(rng.UniformInt(min_rows, max_rows));
+    const int m = static_cast<int>(rng.UniformInt(min_rows, max_rows));
+    for (int i = 0; i < n; ++i) left.push_back(rng.UniformInt(0, max_key));
+    for (int i = 0; i < m; ++i) right.push_back(rng.UniformInt(0, max_key));
 
     MergeJoinOp merge(&engine, SortedInts(left), SortedInts(right), 0, 0);
     HashJoinOp hash(&engine, SortedInts(left), SortedInts(right), 0, 0);
 
-    // Compare (left key, right key) multisets.
+    // Compare (left key, right key) multisets, and the (left row, right
+    // row) pairs behind them, as sorted vectors.
+    using Pairs = std::vector<std::pair<int64_t, int64_t>>;
     auto keys = [](Operator* op) {
       SMOOTHSCAN_CHECK(op->Open().ok());
-      std::multiset<std::pair<int64_t, int64_t>> out;
-      Tuple t;
-      while (op->Next(&t)) out.emplace(t[0].AsInt64(), t[2].AsInt64());
-      return out;
+      Pairs out;
+      Pairs rows;
+      TupleBatch batch;
+      while (op->NextBatch(&batch)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const Tuple& t = batch.row(i);
+          out.emplace_back(t[0].AsInt64(), t[2].AsInt64());
+          rows.emplace_back(t[1].AsInt64(), t[3].AsInt64());
+        }
+      }
+      std::sort(out.begin(), out.end());
+      std::sort(rows.begin(), rows.end());
+      return std::make_pair(out, rows);
     };
-    EXPECT_EQ(keys(&merge), keys(&hash)) << "trial " << trial;
+    const auto merged = keys(&merge);
+    const auto hashed = keys(&hash);
+    EXPECT_EQ(merged.first, hashed.first) << "trial " << trial;
+    EXPECT_EQ(merged.second, hashed.second) << "trial " << trial;
+    if (large) {
+      EXPECT_GT(merged.first.size(), 2 * kDefaultBatchSize)
+          << "trial " << trial;
+    }
   }
 }
 
@@ -170,9 +197,9 @@ TEST(MergeJoinTest, OrderedSmoothScanFeedsMergeJoinDirectly) {
   });
 
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
   uint64_t got = 0;
-  while (join.Next(&t)) ++got;
+  TupleBatch batch;
+  while (join.NextBatch(&batch)) got += batch.size();
   EXPECT_EQ(got, expected);
   EXPECT_GT(got, 0u);
 }
@@ -196,8 +223,8 @@ TEST(MergeJoinTest, SmoothFeedCheaperThanSortScanFeedAtHighSelectivity) {
     MergeJoinOp join(&engine, std::move(scan), SortedInts({1, 2, 3}),
                      MicroBenchDb::kIndexedColumn, 0);
     SMOOTHSCAN_CHECK(join.Open().ok());
-    Tuple t;
-    while (join.Next(&t)) {
+    TupleBatch batch;
+    while (join.NextBatch(&batch)) {
     }
     return (engine.disk().stats() - before).io_time + engine.cpu().time() -
            cpu_before;

@@ -351,6 +351,40 @@ TEST(NetServerTest, TcpTransportServesTheSameProtocol) {
   EXPECT_GT(r.rows.size(), 0u);
 }
 
+/// The process's virtual size from /proc/self/status, in KiB (0 if absent).
+uint64_t VmSizeKib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %llu kB", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+TEST(NetServerTest, FinishedDrainersAreReapedOnALiveConnection) {
+  // Every query gets a drainer thread that exits after its DONE frame. A
+  // long-lived connection must join those as it goes: held until teardown,
+  // each finished thread keeps its stack mapped (~8 MiB of virtual size),
+  // so 500 queries would grow the process by about 4 GiB.
+  ServedDb world(/*max_admitted=*/1);
+  WireClient client(world.server->ConnectPipe());
+  const std::string text =
+      SelectText(world.db->PredicateForSelectivity(0.001), "index", 0);
+  ASSERT_TRUE(client.Wait(client.Submit(text)).status.ok());  // Warm up.
+  const uint64_t before = VmSizeKib();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status VmSize";
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(client.Wait(client.Submit(text)).status.ok()) << i;
+  }
+  const uint64_t after = VmSizeKib();
+  const uint64_t growth = after > before ? after - before : 0;
+  EXPECT_LT(growth, uint64_t{1} << 20) << "KiB of VmSize growth";
+  EXPECT_EQ(world.server->stats().queries_ok, 501u);
+}
+
 // ----------------------------------------------------------- cancellation
 
 TEST(NetCancelTest, WireCancelDetachesConsumerPeersStayIntact) {
@@ -424,9 +458,10 @@ TEST(NetCancelTest, WireCancelDetachesConsumerPeersStayIntact) {
 // ----------------------------------------------------------- differential
 
 TEST(NetDifferentialTest, WireReadsBitIdenticalToDirectSpecs) {
-  // The direct baseline: every (path, selectivity) spec run through a
-  // plain QueryEngine, no sessions, no wire.
+  // The direct baseline: every (path, selectivity) spec run through an
+  // in-process Session on a plain QueryEngine, no wire.
   ServedDb direct(/*max_admitted=*/1);
+  Session direct_session(direct.qe.get());
   struct Case {
     PathKind kind;
     const char* policy;
@@ -451,7 +486,7 @@ TEST(NetDifferentialTest, WireReadsBitIdenticalToDirectSpecs) {
     spec.kind = c.kind;
     spec.estimate = 100;  // Underestimate: Switch Scan genuinely switches.
     spec.collect_keys = true;
-    const QueryResult r = direct.qe->WaitSpec(direct.qe->SubmitSpec(spec));
+    const QueryResult r = direct_session.Query().FromSpec(spec).Run();
     ASSERT_TRUE(r.status.ok());
     baseline.push_back(r.metrics);
     baseline_keys.emplace_back(r.keys.begin(), r.keys.end());
@@ -550,19 +585,20 @@ TEST(NetDifferentialTest, WireWritesBitIdenticalToDirectSpecs) {
   for (const uint32_t cap : {1u, 2u, 8u}) {
     // Direct world: the ops as one admission-controlled write spec.
     ServedDb direct(cap, {}, /*with_writes=*/true);
+    Session direct_session(direct.qe.get());
     QuerySpec wspec;
     wspec.writer = direct.writer.get();
     wspec.write_ops = make_ops(direct.db->heap().schema());
-    const QueryResult dw = direct.qe->WaitSpec(
-        direct.qe->SubmitSpec(std::move(wspec)));
+    const QueryResult dw =
+        direct_session.Query().FromSpec(std::move(wspec)).Run();
     ASSERT_TRUE(dw.status.ok());
     QuerySpec rspec;
     rspec.index = &direct.db->index();
     rspec.predicate = direct.db->PredicateForSelectivity(0.05);
     rspec.kind = PathKind::kSmoothScan;
     rspec.collect_keys = true;
-    const QueryResult dr = direct.qe->WaitSpec(
-        direct.qe->SubmitSpec(std::move(rspec)));
+    const QueryResult dr =
+        direct_session.Query().FromSpec(std::move(rspec)).Run();
     ASSERT_TRUE(dr.status.ok());
 
     // Wire world: the same ops as chained DML text, then the same read.

@@ -21,7 +21,7 @@
 
 #include "access/parallel_scan.h"
 #include "access/smooth_scan.h"
-#include "engine/query_engine.h"
+#include "engine/session.h"
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
@@ -327,20 +327,26 @@ TEST(ObsDifferentialTest, SimCostBitIdenticalWithObservabilityOnOrOff) {
     std::vector<QueryMetrics> baseline;
     {
       QueryEngine qe(&engine, off);
-      std::vector<QueryEngine::QueryId> ids;
-      for (const QuerySpec& spec : specs) ids.push_back(qe.SubmitSpec(spec));
-      for (const QueryEngine::QueryId id : ids) {
-        const QueryResult res = qe.WaitSpec(id);
+      Session session(&qe, {.max_outstanding = 32});
+      std::vector<QueryHandle> handles;
+      for (const QuerySpec& spec : specs) {
+        handles.push_back(session.Query().FromSpec(spec).Submit());
+      }
+      for (QueryHandle& h : handles) {
+        const QueryResult& res = h.Wait();
         ASSERT_TRUE(res.status.ok());
         baseline.push_back(res.metrics);
       }
     }
     {
       QueryEngine qe(&engine, on);
-      std::vector<QueryEngine::QueryId> ids;
-      for (const QuerySpec& spec : specs) ids.push_back(qe.SubmitSpec(spec));
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const QueryResult res = qe.WaitSpec(ids[i]);
+      Session session(&qe, {.max_outstanding = 32});
+      std::vector<QueryHandle> handles;
+      for (const QuerySpec& spec : specs) {
+        handles.push_back(session.Query().FromSpec(spec).Submit());
+      }
+      for (size_t i = 0; i < handles.size(); ++i) {
+        const QueryResult& res = handles[i].Wait();
         ASSERT_TRUE(res.status.ok());
         const QueryMetrics& a = baseline[i];
         const QueryMetrics& b = res.metrics;
@@ -413,11 +419,12 @@ TEST(ReconciliationTest, BufferPoolSinkMatchesPoolStats) {
   qeo.metrics = &engine_registry;
   {
     QueryEngine qe(&engine, qeo);
+    Session session(&qe);
     QuerySpec spec;
     spec.index = &db.index();
     spec.predicate = db.PredicateForSelectivity(0.3);
     spec.kind = PathKind::kFullScan;
-    ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(spec)).status.ok());
+    ASSERT_TRUE(session.Query().FromSpec(spec).Run().status.ok());
   }
   EXPECT_GT(engine_registry.Snapshot().Value("bufferpool.misses"), 0.0);
 }
@@ -461,11 +468,12 @@ TEST(MorphTimelineTest, TracedSmoothScanEmitsMorphInstants) {
   qeo.tracing = &collector;
   {
     QueryEngine qe(&engine, qeo);
+    Session session(&qe);
     QuerySpec spec;
     spec.index = &db.index();
     spec.predicate = db.PredicateForSelectivity(0.4);
     spec.kind = PathKind::kSmoothScan;
-    ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(spec)).status.ok());
+    ASSERT_TRUE(session.Query().FromSpec(spec).Run().status.ok());
   }
   const std::string json = collector.ExportJson();
   // The full query span tree plus the morph timeline, with policy payloads.

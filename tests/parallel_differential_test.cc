@@ -359,8 +359,12 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   });
   ASSERT_TRUE(filter.Open().ok());
   std::multiset<int64_t> got;
-  Tuple t;
-  while (filter.Next(&t)) got.insert(t[0].AsInt64());
+  TupleBatch batch;
+  while (filter.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got.insert(batch.row(i)[0].AsInt64());
+    }
+  }
   filter.Close();
   std::multiset<int64_t> expected;
   for (const int64_t v : oracle) {

@@ -138,9 +138,9 @@ TEST_F(PlanTest, MakePathWithDopReturnsParallelVariant) {
     ASSERT_NE(path, nullptr) << PathKindToString(kind);
     engine_->ColdRestart();
     ASSERT_TRUE(path->Open().ok());
-    Tuple t;
     uint64_t n = 0;
-    while (path->Next(&t)) ++n;
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) n += batch.size();
     EXPECT_GT(n, 0u) << PathKindToString(kind);
     path->Close();
   }
@@ -160,9 +160,9 @@ TEST_F(PlanTest, MakePathConstructsEveryKind) {
     ASSERT_NE(path, nullptr) << PathKindToString(kind);
     engine_->ColdRestart();
     ASSERT_TRUE(path->Open().ok());
-    Tuple t;
     uint64_t n = 0;
-    while (path->Next(&t)) ++n;
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) n += batch.size();
     EXPECT_GT(n, 0u) << PathKindToString(kind);
   }
 }

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "engine/query_engine.h"
+#include "engine/session.h"
 #include "exec/task_scheduler.h"
 #include "sharing/shared_scan_path.h"
 #include "workload/workload_driver.h"
@@ -145,20 +145,24 @@ TEST_F(SharedScanTest, AttachedResultsMatchSoloAcrossPathsAndSelectivities) {
   qeo.scheduler = &scheduler;
   qeo.sharing = &coordinator;
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe, {.max_outstanding = 64});  // Everything queued at once.
+  auto submit = [&](QuerySpec spec) {
+    return session.Query().FromSpec(std::move(spec)).Submit();
+  };
 
-  std::vector<QueryEngine::QueryId> shared_ids[3];
+  std::vector<QueryHandle> shared_handles[3];
   for (size_t s = 0; s < 3; ++s) {
     for (int i = 0; i < 8; ++i) {
-      shared_ids[s].push_back(
-          qe.SubmitSpec(Spec(PathKind::kSharedScan, kSelectivities[s])));
+      shared_handles[s].push_back(
+          submit(Spec(PathKind::kSharedScan, kSelectivities[s])));
     }
   }
-  std::vector<QueryEngine::QueryId> classic_ids;
-  for (const QuerySpec& spec : classic) classic_ids.push_back(qe.SubmitSpec(spec));
+  std::vector<QueryHandle> classic_handles;
+  for (const QuerySpec& spec : classic) classic_handles.push_back(submit(spec));
 
   for (size_t s = 0; s < 3; ++s) {
-    for (const QueryEngine::QueryId id : shared_ids[s]) {
-      const QueryResult result = qe.WaitSpec(id);
+    for (QueryHandle& h : shared_handles[s]) {
+      const QueryResult& result = h.Wait();
       ASSERT_TRUE(result.status.ok());
       EXPECT_EQ(result.metrics.kind, PathKind::kSharedScan);
       const std::multiset<int64_t> got(result.keys.begin(),
@@ -166,8 +170,8 @@ TEST_F(SharedScanTest, AttachedResultsMatchSoloAcrossPathsAndSelectivities) {
       EXPECT_EQ(got, shared_oracles[s]) << "shared, sel " << kSelectivities[s];
     }
   }
-  for (size_t i = 0; i < classic_ids.size(); ++i) {
-    const QueryResult result = qe.WaitSpec(classic_ids[i]);
+  for (size_t i = 0; i < classic_handles.size(); ++i) {
+    const QueryResult& result = classic_handles[i].Wait();
     ASSERT_TRUE(result.status.ok());
     const std::multiset<int64_t> got(result.keys.begin(), result.keys.end());
     EXPECT_EQ(got, classic_oracles[i]) << "classic spec " << i;
@@ -403,6 +407,10 @@ TEST_F(SharedScanTest, ShareAwareAdmissionGroupsSameTableArrivals) {
   qeo.max_admitted = 2;
   qeo.sharing = &coordinator;
   QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe);
+  auto submit = [&](QuerySpec spec) {
+    return session.Query().FromSpec(std::move(spec)).Submit();
+  };
 
   std::atomic<bool> gate0{false};
   std::atomic<bool> gate_b{false};
@@ -422,7 +430,7 @@ TEST_F(SharedScanTest, ShareAwareAdmissionGroupsSameTableArrivals) {
     }
     return true;
   };
-  const QueryEngine::QueryId id0 = qe.SubmitSpec(q0);
+  QueryHandle h0 = submit(q0);
   while (!started0.load()) std::this_thread::yield();
 
   // qb occupies the second executor until both contenders are queued.
@@ -438,16 +446,16 @@ TEST_F(SharedScanTest, ShareAwareAdmissionGroupsSameTableArrivals) {
     }
     return true;
   };
-  const QueryEngine::QueryId idb = qe.SubmitSpec(qb);
+  QueryHandle hb = submit(qb);
   while (!started_b.load()) std::this_thread::yield();
 
   // Contenders: q1 (older, not share-eligible) then q2 (share-eligible).
   QuerySpec q1 = Spec(PathKind::kFullScan, 0.01);
   q1.collect_keys = false;
-  const QueryEngine::QueryId id1 = qe.SubmitSpec(q1);
+  QueryHandle h1 = submit(q1);
   QuerySpec q2 = Spec(PathKind::kSharedScan, 0.5);
   q2.collect_keys = false;
-  const QueryEngine::QueryId id2 = qe.SubmitSpec(q2);
+  QueryHandle h2 = submit(q2);
   EXPECT_EQ(qe.queue_depth(), 2u);
 
   // Free one executor: the share-aware pop must admit q2, not q1.
@@ -455,10 +463,10 @@ TEST_F(SharedScanTest, ShareAwareAdmissionGroupsSameTableArrivals) {
   while (qe.queue_depth() != 1) std::this_thread::yield();
   gate0.store(true);
 
-  EXPECT_TRUE(qe.WaitSpec(idb).status.ok());
-  EXPECT_TRUE(qe.WaitSpec(id0).status.ok());
-  const QueryResult r1 = qe.WaitSpec(id1);
-  const QueryResult r2 = qe.WaitSpec(id2);
+  EXPECT_TRUE(hb.Wait().status.ok());
+  EXPECT_TRUE(h0.Wait().status.ok());
+  const QueryResult& r1 = h1.Wait();
+  const QueryResult& r2 = h2.Wait();
   EXPECT_TRUE(r1.status.ok());
   EXPECT_TRUE(r2.status.ok());
   // q2 was admitted while q1 still queued behind the parked shared scan.

@@ -51,8 +51,13 @@ class SmoothScanTest : public ::testing::Test {
     engine_->ColdRestart();
     SMOOTHSCAN_CHECK(path->Open().ok());
     std::multiset<int64_t> ids;
-    Tuple t;
-    while (path->Next(&t)) ids.insert(t[0].AsInt64());
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Tuple& t = batch.row(i);
+        ids.insert(t[0].AsInt64());
+      }
+    }
     path->Close();
     return ids;
   }
@@ -61,8 +66,8 @@ class SmoothScanTest : public ::testing::Test {
     engine_->ColdRestart();
     const IoStats before = engine_->disk().stats();
     SMOOTHSCAN_CHECK(path->Open().ok());
-    Tuple t;
-    while (path->Next(&t)) {
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
     }
     path->Close();
     return (engine_->disk().stats() - before).io_time;
@@ -155,13 +160,16 @@ TEST_F(SmoothScanTest, OrderedModeEmitsKeyOrder) {
     SmoothScan scan(&db_->index(), pred, options);
     engine_->ColdRestart();
     ASSERT_TRUE(scan.Open().ok());
-    Tuple t;
     int64_t prev = INT64_MIN;
     uint64_t n = 0;
-    while (scan.Next(&t)) {
-      EXPECT_GE(t[kC2].AsInt64(), prev) << "sel=" << sel;
-      prev = t[kC2].AsInt64();
-      ++n;
+    TupleBatch batch;
+    while (scan.NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Tuple& t = batch.row(i);
+        EXPECT_GE(t[kC2].AsInt64(), prev) << "sel=" << sel;
+        prev = t[kC2].AsInt64();
+        ++n;
+      }
     }
     EXPECT_EQ(n, Oracle(pred).size());
   }
@@ -492,9 +500,9 @@ TEST(SmoothScanSkewTest, ElasticReadsFarFewerPagesThanSiUnderSkew) {
     SmoothScan scan(&db.index(), pred, options);
     engine.ColdRestart();
     SMOOTHSCAN_CHECK(scan.Open().ok());
-    Tuple t;
     size_t n = 0;
-    while (scan.Next(&t)) ++n;
+    TupleBatch batch;
+    while (scan.NextBatch(&batch)) n += batch.size();
     return {scan.smooth_stats().pages_seen, n};
   };
 

@@ -14,7 +14,7 @@
 #include "access/full_scan.h"
 #include "access/index_scan.h"
 #include "common/rng.h"
-#include "engine/query_engine.h"
+#include "engine/session.h"
 #include "sharing/scan_sharing.h"
 #include "sharing/shared_scan_path.h"
 #include "storage/engine.h"
@@ -599,6 +599,7 @@ TEST(SharedScanWriteTest, PublishInvalidatesParkedGroupAndNewLapSeesWrites) {
   qeo.sharing = &sharing;
   qeo.versions = &registry;
   QueryEngine qe(&engine, qeo);
+  Session session(&qe);
 
   auto shared_count = [&](int64_t hi) {
     QuerySpec spec;
@@ -606,7 +607,7 @@ TEST(SharedScanWriteTest, PublishInvalidatesParkedGroupAndNewLapSeesWrites) {
     spec.predicate = db.PredicateForSelectivity(1.0);
     spec.predicate.hi = hi;
     spec.kind = PathKind::kSharedScan;
-    return qe.WaitSpec(qe.SubmitSpec(std::move(spec))).metrics.tuples;
+    return session.Query().FromSpec(std::move(spec)).Run().metrics.tuples;
   };
 
   const uint64_t before = shared_count(1);  // Tuples with c2 == 0.
@@ -620,7 +621,7 @@ TEST(SharedScanWriteTest, PublishInvalidatesParkedGroupAndNewLapSeesWrites) {
     wspec.write_ops.push_back(
         WriteOp::MakeInsert(MakeRow(db.heap().schema(), 7000000 + i, 0)));
   }
-  ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(std::move(wspec))).status.ok());
+  ASSERT_TRUE(session.Query().FromSpec(std::move(wspec)).Run().status.ok());
   // Quiescent engine → the era published and the hook retired the group.
   EXPECT_EQ(sharing.GroupFor(&db.heap()), nullptr);
   EXPECT_GT(db.heap().num_pages(), pages_before);
@@ -652,17 +653,20 @@ TEST(WriteConcurrencyTest, ScannersRaceWritersSafely) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] {
+      Session session(&qe);
       for (int q = 0; q < 6; ++q) {
         QuerySpec spec;
         spec.index = &db.index();
         spec.predicate = db.PredicateForSelectivity(0.5);
         spec.kind = q % 2 == 0 ? PathKind::kFullScan : PathKind::kSmoothScan;
-        const QueryResult res = qe.WaitSpec(qe.SubmitSpec(std::move(spec)));
+        const QueryResult res =
+            session.Query().FromSpec(std::move(spec)).Run();
         ASSERT_TRUE(res.status.ok());
       }
     });
   }
   threads.emplace_back([&] {
+    Session session(&qe);
     Rng rng(3);
     for (int b = 0; b < 10; ++b) {
       QuerySpec spec;
@@ -672,11 +676,10 @@ TEST(WriteConcurrencyTest, ScannersRaceWritersSafely) {
             db.heap().schema(), 9000000 + b * 20 + i,
             rng.UniformInt(0, 100000))));
       }
-      ASSERT_TRUE(qe.WaitSpec(qe.SubmitSpec(std::move(spec))).status.ok());
+      ASSERT_TRUE(session.Query().FromSpec(std::move(spec)).Run().status.ok());
     }
   });
   for (std::thread& t : threads) t.join();
-  qe.DrainAll();
 
   // All writes landed (publishes interleaved with scans at quiescent gaps).
   TableVersionRegistry::ReadLease lease =
