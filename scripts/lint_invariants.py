@@ -35,6 +35,12 @@ one of the engine's structural invariants:
                      kernel runs the serial operators (or their phase
                      functions) over its morsels and never grows a harvest
                      loop of its own, so the two cannot drift apart.
+  obs-handle         No obs::Counter / obs::Gauge / obs::Histogram outside
+                     src/obs/ and src/engine/: subsystems keep their own
+                     stats structs and add them to the registry once, through
+                     obs::AddCount, when their scan closes or query
+                     completes. A push handle next to a native counter would
+                     keep every count twice.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -122,6 +128,15 @@ RULES = [
                    "operator over the morsel instead)",
         "applies": lambda rel: rel == os.path.join("access",
                                                    "parallel_scan.cc"),
+    },
+    {
+        "name": "obs-handle",
+        "pattern": re.compile(r"\bobs::(?:Counter|Gauge|Histogram)\b"),
+        "message": "registry metric handle outside src/obs/ and src/engine/ "
+                   "(keep the native stats; fold them with obs::AddCount "
+                   "at Close)",
+        "applies": lambda rel: not rel.startswith(("obs" + os.sep,
+                                                   "engine" + os.sep)),
     },
 ]
 

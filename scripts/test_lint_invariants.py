@@ -106,6 +106,22 @@ class LintTest(unittest.TestCase):
         self.write("access/sort_scan.cc", "Tuple t = heap->Read(tid, ctx);\n")
         self.assertEqual(self.names(), ["kernel-harvest"] * 3)
 
+    def test_obs_handle_fires_outside_obs_and_engine(self):
+        self.write("storage/pool.h",
+                   "namespace obs { class Counter; }\n"
+                   "  obs::Counter* hits = nullptr;\n")
+        self.write("access/scan.cc",
+                   "obs::Gauge* g = r->gauge(\"x\");\n"
+                   "obs::Histogram* h = r->histogram(\"y\");\n"
+                   "// A comment may name obs::Counter.\n"
+                   "obs::AddCount(obs(), \"smooth.region_grows\", n);\n")
+        # The registry itself and the engine's admission telemetry may hold
+        # handles.
+        self.write("obs/metrics.h", "obs::Counter* c = nullptr;\n")
+        self.write("engine/query_engine.h",
+                   "  obs::Counter* c_submitted_ = nullptr;\n")
+        self.assertEqual(self.names(), ["obs-handle"] * 3)
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

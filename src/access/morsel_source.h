@@ -8,6 +8,8 @@
 // per-morsel accounting streams (AccountingStack) this makes simulated cost
 // DOP-invariant: running the same morsel list with 1, 2 or 8 workers charges
 // bit-identical simulated time.
+//
+// The dispenser's one shared write is the cursor's atomic add per morsel.
 
 #ifndef SMOOTHSCAN_ACCESS_MORSEL_SOURCE_H_
 #define SMOOTHSCAN_ACCESS_MORSEL_SOURCE_H_
@@ -31,28 +33,11 @@ struct Morsel {
   int64_t key_hi = 0;
 };
 
-/// Batch fill-rate telemetry aggregated across all workers of one scan cycle.
-/// Mostly-empty emitted batches mean the morsel size is too small for the
-/// selectivity (per-morsel flushes truncate every batch), wasting the
-/// amortization a batch exists for.
-struct MorselFillStats {
-  uint64_t batches = 0;         ///< Non-empty batches emitted.
-  uint64_t tuples = 0;          ///< Tuples across those batches.
-  uint64_t capacity = 0;        ///< Summed batch capacities.
-  double fill_rate() const {
-    return capacity == 0 ? 0.0 : static_cast<double>(tuples) / capacity;
-  }
-};
-
 /// Thread-safe morsel dispenser (an atomic cursor over the fixed list).
 class MorselSource {
  public:
   explicit MorselSource(std::vector<Morsel> morsels)
-      : morsels_(std::move(morsels)) {
-    for (const Morsel& m : morsels_) {
-      total_pages_ += m.page_end - m.page_begin;
-    }
-  }
+      : morsels_(std::move(morsels)) {}
 
   /// Hands out the next morsel; false once the list is exhausted.
   bool Next(Morsel* out) {
@@ -63,34 +48,6 @@ class MorselSource {
   }
 
   size_t size() const { return morsels_.size(); }
-  /// Total heap pages across page-range morsels (0 for key-range lists).
-  uint64_t total_pages() const { return total_pages_; }
-
-  /// Records one emitted batch (called by the parallel scan driver; any
-  /// thread). Telemetry only — never consulted by the scan itself.
-  void RecordBatchFill(size_t tuples, size_t capacity) {
-    fill_batches_.fetch_add(1, std::memory_order_relaxed);
-    fill_tuples_.fetch_add(tuples, std::memory_order_relaxed);
-    fill_capacity_.fetch_add(capacity, std::memory_order_relaxed);
-  }
-
-  MorselFillStats fill_stats() const {
-    MorselFillStats s;
-    s.batches = fill_batches_.load(std::memory_order_relaxed);
-    s.tuples = fill_tuples_.load(std::memory_order_relaxed);
-    s.capacity = fill_capacity_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Advisory morsel size for the *next* scan of this shape, from the
-  /// observed fill rate: pick the page count whose expected output fills
-  /// `target_batches_per_morsel` batches, aligned down to the read-ahead
-  /// window (never below one window). Returns `current_morsel_pages`
-  /// unchanged when there is no page/tuple telemetry to extrapolate from.
-  /// A hint for callers — nothing in the engine applies it automatically.
-  uint32_t SuggestMorselPages(uint32_t current_morsel_pages,
-                              uint32_t read_ahead_pages,
-                              uint32_t target_batches_per_morsel = 4) const;
 
   /// Fixed-size page-range decomposition of [0, num_pages). `morsel_pages`
   /// should be a multiple of the scan's read-ahead window so parallel extent
@@ -105,10 +62,6 @@ class MorselSource {
  private:
   std::vector<Morsel> morsels_;
   std::atomic<size_t> next_{0};
-  uint64_t total_pages_ = 0;
-  std::atomic<uint64_t> fill_batches_{0};
-  std::atomic<uint64_t> fill_tuples_{0};
-  std::atomic<uint64_t> fill_capacity_{0};
 };
 
 }  // namespace smoothscan

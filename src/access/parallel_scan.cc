@@ -6,7 +6,6 @@
 #include "access/index_scan.h"
 #include "access/page_id_cache.h"
 #include "index/bplus_tree.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace smoothscan {
@@ -102,27 +101,16 @@ TaskScheduler* ParallelScan::scheduler(uint32_t workers) {
 }
 
 void ParallelScan::BindBatchPool() {
-  obs::MetricsRegistry* registry = obs() != nullptr ? obs()->metrics : nullptr;
-  if (pool_ != nullptr && pool_->account() == ctx().mem &&
-      pool_registry_ == registry) {
-    return;
-  }
+  if (pool_ != nullptr && pool_->account() == ctx().mem) return;
   BatchPoolOptions pool_options;
   pool_options.recycle = options_.recycle_batches;
-  if (registry != nullptr) {
-    pool_options.metrics.acquires = registry->counter("batchpool.acquires");
-    pool_options.metrics.reuses = registry->counter("batchpool.reuses");
-    pool_options.metrics.releases = registry->counter("batchpool.releases");
-    pool_options.metrics.sheds = registry->counter("batchpool.sheds");
-  }
   pool_ = std::make_unique<BatchPool>(pool_options, ctx().mem);
-  pool_registry_ = registry;
+  pool_folded_ = BatchPoolStats();
 }
 
 std::unique_ptr<AccountingStack> ParallelScan::NewStack() const {
   auto stack = std::make_unique<AccountingStack>(
       engine_, ctx().pool->mirror(), /*num_shards=*/1);
-  stack->pool().SetMetricsSink(ctx().pool->metrics_sink());
   stack->SetBatchPool(pool_.get());
   stack->SetMemScope(ctx().mem);
   return stack;
@@ -131,7 +119,6 @@ std::unique_ptr<AccountingStack> ParallelScan::NewStack() const {
 void ParallelScan::EmitTo(size_t slot, PooledBatch&& batch) {
   // Empty batches go straight back to the pool (the handle's destructor).
   if (!batch || batch->empty()) return;
-  source_->RecordBatchFill(batch->size(), batch->capacity());
   {
     latch::LatchGuard lock(mu_);
     slots_[slot].batches.push_back(std::move(batch));
@@ -275,11 +262,14 @@ void ParallelScan::Finalize() {
   // simulated time is bit-identical at any DOP.
   stats_ = AccessPathStats();
   Accumulate(&stats_, prolog_stats_);
-  if (planning_ != nullptr) planning_->MergeInto(ctx().disk, ctx().cpu);
+  planning_->MergeInto(ctx().disk, ctx().cpu);
+  BufferPoolStats pools = planning_->pool().stats();
   for (size_t i = 0; i < stacks_.size(); ++i) {
     Accumulate(&stats_, morsel_stats_[i]);
     stacks_[i]->MergeInto(ctx().disk, ctx().cpu);
+    pools += stacks_[i]->pool().stats();
   }
+  AddPoolStats(obs(), pools);
   planning_.reset();
   stacks_.clear();
 }
@@ -299,6 +289,17 @@ void ParallelScan::CloseImpl() {
   pending_.Release();
   pending_pos_ = 0;
   source_.reset();
+  if (pool_ != nullptr) {
+    // Every batch of the cycle is home: add the pool's settled delta.
+    const BatchPoolStats now = pool_->stats();
+    obs::AddCount(obs(), "batchpool.acquires",
+                  now.acquires - pool_folded_.acquires);
+    obs::AddCount(obs(), "batchpool.reuses", now.reuses - pool_folded_.reuses);
+    obs::AddCount(obs(), "batchpool.releases",
+                  now.releases - pool_folded_.releases);
+    obs::AddCount(obs(), "batchpool.sheds", now.sheds - pool_folded_.sheds);
+    pool_folded_ = now;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -37,9 +37,10 @@
 //
 // Accounting and observability work as for every AccessPath: the settled
 // morsel streams merge into ctx().disk / ctx().cpu, every morsel stack
-// mirrors into ctx().pool's mirror, feeds its metrics sink and charges
-// ctx().mem, and worker spans, batch-pool counters and the serial operators'
-// own metrics come from the SetObs handle.
+// mirrors into ctx().pool's mirror and charges ctx().mem, and worker spans
+// go to the SetObs handle. Counts reach its registry once per cycle: the
+// planning and morsel pools' stats where the stacks merge, the BatchPool's
+// stats delta at Close, and each morsel operator's stats at its own Close.
 //
 // Ordering: workers emit morsel-locally in scan order, and the consumer sees
 // morsels in index order, so a page-range decomposition yields heap order and
@@ -109,8 +110,8 @@ class ParallelScanKernel {
   /// The smooth kernel's operator counters, merged over all morsels in
   /// morsel order (valid once the cycle settled — after the consumer drained
   /// the scan or Close). Empty for every other kernel. Lets tests reconcile
-  /// the registry's counter-backed smooth.* metrics against the operator's
-  /// own bookkeeping at any DOP.
+  /// the registry's smooth.* metrics, which each morsel's operator adds at
+  /// its Close, against the merged stats at any DOP.
   virtual SmoothScanStats smooth_stats() const { return SmoothScanStats(); }
 
   /// Serial prolog: builds the morsel list; may emit prolog tuples and
@@ -182,9 +183,6 @@ class ParallelScan : public AccessPath {
   /// The batch pool the kernels draw from (built at the first Open, charged
   /// to ctx().mem). Null before the first Open.
   const BatchPool* batch_pool() const { return pool_.get(); }
-  /// The morsel dispenser of the current/last Open cycle (fill-rate
-  /// telemetry and SuggestMorselPages live here). Null before first Open.
-  const MorselSource* morsel_source() const { return source_.get(); }
 
  protected:
   Status OpenImpl() override;
@@ -205,14 +203,15 @@ class ParallelScan : public AccessPath {
 
   /// The shared pool, or the owned one (built with `workers` threads).
   TaskScheduler* scheduler(uint32_t workers);
-  /// (Re)builds the batch pool when this cycle's memory account or registry
-  /// differs from the one it was built for; otherwise keeps it warm.
+  /// (Re)builds the batch pool when this cycle's memory account differs
+  /// from the one it was built for; otherwise keeps it warm.
   void BindBatchPool();
   /// A morsel (or planning) stack inheriting this cycle's context.
   std::unique_ptr<AccountingStack> NewStack() const;
   void EmitTo(size_t slot, PooledBatch&& batch) EXCLUDES(mu_);
   /// Waits for the workers and merges all stream accounting into ctx()
-  /// (planning first, then morsels in index order). Idempotent per cycle.
+  /// (planning first, then morsels in index order), adding the streams'
+  /// pool stats to the registry. Idempotent per cycle.
   void Finalize();
 
   Engine* engine_;
@@ -222,7 +221,9 @@ class ParallelScan : public AccessPath {
   /// Outlives the Open cycles, so a re-Open starts with every batch of the
   /// previous cycle warm.
   std::unique_ptr<BatchPool> pool_;
-  const obs::MetricsRegistry* pool_registry_ = nullptr;
+  /// pool_'s stats already added to the registry (the pool outlives cycles,
+  /// so each Close adds only the delta since the last one).
+  BatchPoolStats pool_folded_;
 
   std::unique_ptr<MorselSource> source_;
   std::unique_ptr<AccountingStack> planning_;

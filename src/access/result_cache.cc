@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "write/table_version.h"
 
 namespace smoothscan {
@@ -86,7 +85,6 @@ void ResultCache::SpillPartition(size_t p) {
   resident_size_ -= part.tuples.size();
   ++spill_stats_.spills;
   spill_stats_.spilled_tuples += part.tuples.size();
-  if (options_.spill_events != nullptr) options_.spill_events->Add();
 }
 
 void ResultCache::MaybeSpill(size_t keep) {
@@ -110,9 +108,6 @@ void ResultCache::SpillForPressure(size_t keep) {
     if (p == keep || part.spilled || part.tuples.empty()) continue;
     SpillPartition(p);
     ++spill_stats_.pressure_spills;
-    if (options_.pressure_spill_events != nullptr) {
-      options_.pressure_spill_events->Add();
-    }
     SyncBrokerCharge();  // Uncharge before re-checking global pressure.
     if (!options_.broker->UnderPressure()) break;
   }
@@ -129,7 +124,6 @@ void ResultCache::Restore(size_t p) {
   resident_size_ += part.tuples.size();
   ++spill_stats_.restores;
   spill_stats_.restored_tuples += part.tuples.size();
-  if (options_.restore_events != nullptr) options_.restore_events->Add();
   SyncBrokerCharge();
 }
 

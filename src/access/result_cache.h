@@ -16,6 +16,9 @@
 // engine attached, the cache spills its furthest partitions to a simulated
 // overflow file (write I/O charged) and restores them on demand (read I/O
 // charged).
+//
+// ResultCacheStats is the one copy of the spill counts: the owning
+// SmoothScan adds them to the registry's rc.* counters at Close.
 
 #ifndef SMOOTHSCAN_ACCESS_RESULT_CACHE_H_
 #define SMOOTHSCAN_ACCESS_RESULT_CACHE_H_
@@ -32,10 +35,6 @@
 
 namespace smoothscan {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 class TableVersionRegistry;
 
 struct ResultCacheOptions {
@@ -51,13 +50,6 @@ struct ResultCacheOptions {
   MemoryBroker* broker = nullptr;
   /// Resident-footprint estimate per cached tuple for broker accounting.
   uint32_t bytes_per_tuple = 128;
-  /// Live registry counters for spill/restore events (all-null = off). The
-  /// owning SmoothScan latches ResultCacheStats into SmoothScanStats only at
-  /// Close(); these fire at the event itself, so mid-query pressure response
-  /// is visible in a snapshot or trace taken while the scan is running.
-  obs::Counter* spill_events = nullptr;
-  obs::Counter* pressure_spill_events = nullptr;
-  obs::Counter* restore_events = nullptr;
 };
 
 struct ResultCacheStats {

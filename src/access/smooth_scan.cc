@@ -108,21 +108,6 @@ Status SmoothScan::OpenImpl() {
   }
 
   cache_skip_run_ = 0;
-  c_morph_triggers_ = nullptr;
-  c_region_grows_ = nullptr;
-  c_region_shrinks_ = nullptr;
-  c_page_cache_hits_ = nullptr;
-  if (obs() != nullptr && obs()->metrics != nullptr) {
-    obs::MetricsRegistry* m = obs()->metrics;
-    // Registered only where a trigger can fire, so an eager scan's registry
-    // carries no (always-zero) trigger counter.
-    if (options_.trigger != MorphTrigger::kEager) {
-      c_morph_triggers_ = m->counter("smooth.morph_triggers");
-    }
-    c_region_grows_ = m->counter("smooth.region_grows");
-    c_region_shrinks_ = m->counter("smooth.region_shrinks");
-    c_page_cache_hits_ = m->counter("smooth.page_cache_hits");
-  }
 
   switch (options_.trigger) {
     case MorphTrigger::kEager:
@@ -151,15 +136,6 @@ Status SmoothScan::OpenImpl() {
     ResultCacheOptions rc_options;
     rc_options.max_resident_tuples = options_.result_cache_budget;
     rc_options.broker = options_.broker;
-    if (obs() != nullptr && obs()->metrics != nullptr) {
-      // Live spill/restore counters: SmoothScanStats only latches the
-      // ResultCache spill numbers at Close(), but these fire at the event,
-      // making mid-query pressure response observable.
-      obs::MetricsRegistry* m = obs()->metrics;
-      rc_options.spill_events = m->counter("rc.spills");
-      rc_options.pressure_spill_events = m->counter("rc.pressure_spills");
-      rc_options.restore_events = m->counter("rc.restores");
-    }
     result_cache_ = std::make_unique<ResultCache>(
         index_->RootSeparators(), index_->heap()->engine(), rc_options);
   }
@@ -175,6 +151,16 @@ Status SmoothScan::OpenImpl() {
 
 void SmoothScan::CloseImpl() {
   FlushCacheSkipRun();
+  if (page_cache_ != nullptr) {
+    // Once per cycle (page_cache_ lives from Open to the first Close). Only
+    // a non-eager trigger can fire, so only it registers morph_triggers.
+    if (options_.trigger != MorphTrigger::kEager) {
+      obs::AddCount(obs(), "smooth.morph_triggers", sstats_.triggered);
+    }
+    obs::AddCount(obs(), "smooth.region_grows", sstats_.expansions);
+    obs::AddCount(obs(), "smooth.region_shrinks", sstats_.shrinks);
+    obs::AddCount(obs(), "smooth.page_cache_hits", sstats_.page_cache_hits);
+  }
   // Release every auxiliary structure (page/tuple caches, result cache and
   // its spill file references, buffered tuples, the index iterator). The
   // next Open() rebuilds them from scratch.
@@ -186,8 +172,12 @@ void SmoothScan::CloseImpl() {
     const ResultCacheStats& rc = result_cache_->spill_stats();
     sstats_.rc_spills += rc.spills;
     sstats_.rc_pressure_spills += rc.pressure_spills;
+    sstats_.rc_restores += rc.restores;
     sstats_.rc_spilled_tuples += rc.spilled_tuples;
     sstats_.rc_restored_tuples += rc.restored_tuples;
+    obs::AddCount(obs(), "rc.spills", rc.spills);
+    obs::AddCount(obs(), "rc.pressure_spills", rc.pressure_spills);
+    obs::AddCount(obs(), "rc.restores", rc.restores);
   }
   result_cache_.reset();
   spill_.clear();
@@ -200,7 +190,6 @@ void SmoothScan::MaybeTrigger() {
     morphing_ = true;
     sstats_.triggered = true;
     sstats_.trigger_cardinality = stats_.tuples_produced;
-    if (c_morph_triggers_ != nullptr) c_morph_triggers_->Add();
     obs::EmitInstant(obs(), "morph_trigger", "cardinality",
                      static_cast<int64_t>(stats_.tuples_produced),
                      "region_pages", region_pages_, nullptr, 0, "trigger",
@@ -267,12 +256,10 @@ void SmoothScan::UpdatePolicy(uint64_t region_pages,
       morsel_.pages_with_results + sstats_.pages_with_results, region_pages,
       region_result_pages, &sstats_.expansions, &sstats_.shrinks);
   if (region_pages_ > before) {
-    if (c_region_grows_ != nullptr) c_region_grows_->Add();
     obs::EmitInstant(obs(), "morph_grow", "region_pages", region_pages_,
                      "local_sel_ppm", local_ppm, "global_sel_ppm", global_ppm,
                      "policy", MorphPolicyToString(active_policy_));
   } else if (region_pages_ < before) {
-    if (c_region_shrinks_ != nullptr) c_region_shrinks_->Add();
     obs::EmitInstant(obs(), "morph_shrink", "region_pages", region_pages_,
                      "local_sel_ppm", local_ppm, "global_sel_ppm", global_ppm,
                      "policy", MorphPolicyToString(active_policy_));
@@ -497,7 +484,6 @@ void SmoothScan::NextUnordered(TupleBatch* out) {
     ctx.cpu->ChargeCacheOp();  // Page ID Cache bit check.
     if (page_cache_->IsMarked(tid.page_id)) {
       ++sstats_.page_cache_hits;
-      if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
       ++cache_skip_run_;
       AdvanceEntry();  // Skip the leaf pointer (the X marks in Fig. 3).
       continue;
@@ -534,7 +520,6 @@ void SmoothScan::NextOrdered(TupleBatch* out) {
         cached = result_cache_->Take(key, tid);
       } else {
         ++sstats_.page_cache_hits;
-        if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
         ++cache_skip_run_;
       }
     }

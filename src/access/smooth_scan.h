@@ -149,14 +149,15 @@ struct SmoothScanStats {
   /// Open-to-Close structure; these survive it for benches and tests).
   uint64_t rc_spills = 0;
   uint64_t rc_pressure_spills = 0;
+  uint64_t rc_restores = 0;
   uint64_t rc_spilled_tuples = 0;
   uint64_t rc_restored_tuples = 0;
   /// Shared-SmoothScan mode: pages taken for free because a peer query had
   /// already probed them and they were still resident in the shared pool.
   uint64_t shared_free_pages = 0;
   /// Index entries skipped because their target page was already harvested
-  /// (Page ID Cache bit set) — the operator-side twin of the registry's
-  /// smooth.page_cache_hits counter, serial and parallel.
+  /// (Page ID Cache bit set). Added to the registry's smooth.page_cache_hits
+  /// at Close, like the expansion, shrink and trigger counts.
   uint64_t page_cache_hits = 0;
   bool triggered = false;         ///< Non-eager trigger fired.
   uint64_t trigger_cardinality = 0;
@@ -286,12 +287,7 @@ class SmoothScan : public AccessPath {
   size_t spill_pos_ = 0;
   uint32_t region_pages_ = 1;
 
-  // Registry handles cached at Open (null when no registry is attached) and
-  // the pending coalesced Page-ID-Cache skip run (see FlushCacheSkipRun).
-  obs::Counter* c_morph_triggers_ = nullptr;
-  obs::Counter* c_region_grows_ = nullptr;
-  obs::Counter* c_region_shrinks_ = nullptr;
-  obs::Counter* c_page_cache_hits_ = nullptr;
+  /// The pending coalesced Page-ID-Cache skip run (see FlushCacheSkipRun).
   uint64_t cache_skip_run_ = 0;
 };
 

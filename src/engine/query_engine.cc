@@ -127,18 +127,12 @@ QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
     h_queue_wait_us_ = r->histogram("engine.queue_wait_us");
     h_exec_us_ = r->histogram("engine.exec_us");
     h_latency_us_ = r->histogram("engine.latency_us");
-    // Buffer-pool counters: per-query and per-morsel pools (the accounting
-    // pools) get this sink at construction; the shared pool gets it here —
-    // before the executors spawn, so no fetch can race the attach — for the
-    // communal write-back traffic that bypasses query streams.
-    bp_sink_.hits = r->counter("bufferpool.hits");
-    bp_sink_.misses = r->counter("bufferpool.misses");
-    bp_sink_.write_backs = r->counter("bufferpool.write_backs");
-    engine_->pool().SetMetricsSink(bp_sink_);
+    // The shared pool's traffic before this engine existed is not its own.
+    shared_pool_folded_ = engine_->pool().stats();
   }
   if (options_.versions != nullptr && options_.tracing != nullptr) {
     // Publish-at-quiescence instants land on whichever thread drops the last
-    // lease. Same set-before-first-lease contract as the sink above.
+    // lease. Set before the executors spawn, so before the first lease.
     options_.versions->SetTrace(options_.tracing);
   }
   executors_.reserve(options_.max_admitted);
@@ -155,11 +149,11 @@ QueryEngine::~QueryEngine() {
   }
   cv_submit_.notify_all();
   for (std::thread& t : executors_) t.join();
-  if (options_.metrics != nullptr) {
-    // Executors are joined: nothing fetches through the shared pool on this
-    // engine's behalf anymore, so the sink detaches under the same
-    // quiescence its attach relied on. The registry may outlive this engine.
-    engine_->pool().SetMetricsSink(BufferPoolMetricsSink{});
+  {
+    // Executors are joined: the shared pool's last communal traffic (e.g. a
+    // flush after the final query) is this engine's to count.
+    latch::LatchGuard lock(mu_);
+    FoldSharedPoolLocked();
   }
   if (options_.versions != nullptr && options_.tracing != nullptr) {
     // Like the publish hook below: a registry outliving this engine must not
@@ -264,7 +258,7 @@ void QueryEngine::Cancel(QueryId id) {
         if (g_lane_depth_[lane] != nullptr) {
           g_lane_depth_[lane]->Set(static_cast<int64_t>(q.size()));
         }
-        ++completed_;
+        CompleteLocked(/*cancelled=*/true);
         found = true;
         break;
       }
@@ -272,7 +266,6 @@ void QueryEngine::Cancel(QueryId id) {
     if (!found) return;  // Already completed (or unknown id).
   }
   cv_done_.notify_all();
-  if (c_cancelled_ != nullptr) c_cancelled_->Add();
   if (options_.tracing != nullptr) {
     options_.tracing->Instant(id, "cancel", "in_queue", 1);
   }
@@ -298,6 +291,23 @@ uint32_t QueryEngine::peak_admitted() const {
 uint64_t QueryEngine::completed() const {
   latch::LatchGuard lock(mu_);
   return completed_;
+}
+
+void QueryEngine::CompleteLocked(bool cancelled) {
+  ++completed_;
+  if (c_completed_ != nullptr) c_completed_->Add();
+  if (cancelled && c_cancelled_ != nullptr) c_cancelled_->Add();
+  FoldSharedPoolLocked();
+}
+
+void QueryEngine::FoldSharedPoolLocked() {
+  if (options_.metrics == nullptr) return;
+  const BufferPoolStats now = engine_->pool().stats();
+  const obs::ObsContext registry{options_.metrics};
+  AddPoolStats(&registry, {now.hits - shared_pool_folded_.hits,
+                           now.misses - shared_pool_folded_.misses,
+                           now.write_backs - shared_pool_folded_.write_backs});
+  shared_pool_folded_ = now;
 }
 
 void QueryEngine::ExecutorLoop(bool sla_only) {
@@ -392,16 +402,12 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
       h_latency_us_->Record(
           static_cast<uint64_t>(result.metrics.latency_ms * 1000.0));
     }
-    if (c_completed_ != nullptr) c_completed_->Add();
-    if (result.metrics.cancelled && c_cancelled_ != nullptr) {
-      c_cancelled_->Add();
-    }
 
     {
       latch::LatchGuard lock(mu_);
       running_cancel_.erase(p.id);
       --admitted_now_;
-      ++completed_;
+      CompleteLocked(result.metrics.cancelled);
       if (g_running_ != nullptr) {
         g_running_->Set(static_cast<int64_t>(admitted_now_));
       }
@@ -473,7 +479,6 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // admission level. Write-back I/O is communal (charged on the engine
   // stream at flush; see write/table_writer.h).
   AccountingStack qctx(engine_, &engine_->pool());
-  qctx.pool().SetMetricsSink(bp_sink_);
   uint64_t applied = 0;
   {
     // Covers the ticket wait inside Apply too — publish waits show up as
@@ -486,6 +491,8 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // error were applied (and will publish), so their cost is real.
   m.tuples = applied;
   RecordCost(qctx, &m);
+  const obs::ObsContext registry{options_.metrics};
+  AddPoolStats(&registry, qctx.pool().stats());
   return res;
 }
 
@@ -555,67 +562,78 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   m.kind = kind;
 
   // Per-query accounting stack; page pins mirror into the shared pool. The
-  // private pool is where this query's hits and misses are counted, so it —
-  // not the mirror — feeds the registry's bufferpool.* counters.
+  // private pool is where this query's hits and misses are counted, so its
+  // stats — not the mirror's — are added to the registry at completion.
   AccountingStack qctx(engine_, &engine_->pool());
-  qctx.pool().SetMetricsSink(bp_sink_);
   // Per-query execution-memory account: batch pools charge it; a quota
   // breach or global broker pressure sheds their recycled storage. Pure
   // governance — the accounting stack above is untouched.
   QueryMemoryScope mem_scope(options_.broker, options_.query_quota_bytes);
   qctx.SetMemScope(&mem_scope);
 
-  const FileId table = spec.index->heap()->file_id();
-  bool shared_run = kind == PathKind::kSharedScan;
-  // Parallel paths merge their morsel streams into qctx and inherit its
-  // mirror, metrics sink and memory account (see parallel_scan.h).
+  // One switch builds the serial, parallel or shared form of the resolved
+  // kind. Parallel paths merge their morsel streams into qctx and inherit its
+  // mirror and memory account (see parallel_scan.h); a kind with no parallel
+  // form for this spec (MakeParallelPath returns null) runs serially.
   ParallelScanOptions po;
   po.dop = spec.dop;
   po.scheduler = options_.scheduler;
   std::unique_ptr<AccessPath> path;
+  bool shared_run = false;
+  switch (kind) {
+    case PathKind::kSharedScan:
+      path = std::make_unique<SharedScanPath>(
+          options_.sharing, spec.index->heap(), spec.predicate);
+      shared_run = true;
+      break;
+    case PathKind::kCompressedScan:
+      if (spec.dop >= 1) {
+        path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
+                                          CompressedScanOptions(), po);
+        m.parallel = true;
+      } else if (sharing_on) {
+        // Shared-compressed: join (or start) the cooperative circular scan
+        // over the sibling extent, grouped under the *table* id below.
+        path = std::make_unique<CompressedScan>(options_.sharing, extent,
+                                                spec.predicate);
+        shared_run = true;
+      } else {
+        path = std::make_unique<CompressedScan>(engine_, extent,
+                                                spec.predicate);
+      }
+      break;
+    case PathKind::kSmoothScan:
+      if (sharing_on && spec.dop == 0) {
+        // Shared-SmoothScan mode: this query feeds (and profits from) the
+        // table's common Page ID Cache. Results are solo-identical; charged
+        // I/O is not — peer-probed resident pages come free, which is the
+        // point.
+        SmoothScanOptions so;
+        so.preserve_order = spec.need_order;
+        so.broker = options_.broker;
+        so.shared_group =
+            options_.sharing->SmoothSharingFor(spec.index->heap());
+        path = std::make_unique<SmoothScan>(spec.index, spec.predicate, so);
+        break;
+      }
+      [[fallthrough]];
+    default:  // Full, Index, Sort, Switch and solo Smooth Scan.
+      if (spec.dop >= 1) {
+        path = MakeParallelPath(kind, spec.index, spec.predicate,
+                                spec.need_order, estimate, po);
+        m.parallel = path != nullptr;
+      }
+      if (path == nullptr) {
+        path = MakePath(kind, spec.index, spec.predicate, spec.need_order,
+                        estimate);
+      }
+      break;
+  }
+  const FileId table = spec.index->heap()->file_id();
   if (shared_run) {
-    path = std::make_unique<SharedScanPath>(
-        options_.sharing, spec.index->heap(), spec.predicate);
     // Visible to the share-aware batch pop while this scan is in flight.
     latch::LatchGuard lock(mu_);
     ++running_shared_[table];
-  } else if (kind == PathKind::kCompressedScan) {
-    if (spec.dop >= 1) {
-      path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
-                                        CompressedScanOptions(), po);
-      m.parallel = path != nullptr;
-    } else if (sharing_on) {
-      // Shared-compressed: join (or start) the cooperative circular scan
-      // over the sibling extent. Registered under the *table* id so the
-      // share-aware batch pop groups same-table arrivals onto the lap.
-      path = std::make_unique<CompressedScan>(options_.sharing, extent,
-                                              spec.predicate);
-      shared_run = true;
-      latch::LatchGuard lock(mu_);
-      ++running_shared_[table];
-    }
-    if (path == nullptr) {
-      path = std::make_unique<CompressedScan>(engine_, extent,
-                                              spec.predicate);
-    }
-  } else if (kind == PathKind::kSmoothScan && sharing_on && spec.dop == 0) {
-    // Shared-SmoothScan mode: this query feeds (and profits from) the
-    // table's common Page ID Cache. Results are solo-identical; charged I/O
-    // is not — peer-probed resident pages come free, which is the point.
-    SmoothScanOptions so;
-    so.preserve_order = spec.need_order;
-    so.broker = options_.broker;
-    so.shared_group = options_.sharing->SmoothSharingFor(spec.index->heap());
-    path = std::make_unique<SmoothScan>(spec.index, spec.predicate, so);
-  }
-  if (path == nullptr && spec.dop >= 1) {
-    path = MakeParallelPath(kind, spec.index, spec.predicate, spec.need_order,
-                            estimate, po);
-    m.parallel = path != nullptr;
-  }
-  if (path == nullptr) {
-    path = MakePath(kind, spec.index, spec.predicate, spec.need_order,
-                    estimate);
   }
   path->SetExecContext(&qctx.ctx());
   path->SetObs(obs_ctx);
@@ -661,6 +679,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   }
 
   RecordCost(qctx, &m);
+  AddPoolStats(obs_ctx, qctx.pool().stats());
   m.mem_peak_bytes = mem_scope.peak_bytes();
   m.mem_quota_breaches = mem_scope.quota_breaches();
   return res;

@@ -267,11 +267,12 @@ struct QueryEngineOptions {
   /// default; meaningful with or without `broker`.
   uint64_t query_quota_bytes = UINT64_MAX;
   /// Unified metrics registry (src/obs/): the engine registers its admission
-  /// counters/gauges/latency histograms, attaches the shared buffer pool's
-  /// and each query's batch-pool sinks, and every access path registers its
-  /// own live counters (SmoothScan morph steps, ResultCache spills). Pure
-  /// bookkeeping — simulated per-query cost is bit-identical with and
-  /// without a registry. Null disables. Must outlive the engine.
+  /// counters/gauges/latency histograms and adds each query's buffer-pool
+  /// stats at completion (plus the shared pool's own traffic); every access
+  /// path adds its operator stats when it closes (parallel scans' pools,
+  /// SmoothScan morph steps, ResultCache spills). Pure bookkeeping —
+  /// simulated per-query cost is bit-identical with and without a registry.
+  /// Null disables. Must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-query trace spans + morph-event timeline (src/obs/), exported as
   /// Chrome trace-event JSON. Off (null) by default; when set, every query
@@ -364,6 +365,12 @@ class QueryEngine {
   /// otherwise — including right after a publish invalidated it, which is
   /// the graceful-staleness fallback to the heap paths.
   CompressedExtentRef CompressedExtentFor(const QuerySpec& spec) const;
+  /// Completion bookkeeping shared by the executor and the in-queue cancel:
+  /// the engine's count, the registry's engine.completed/engine.cancelled,
+  /// and the shared pool's registry fold.
+  void CompleteLocked(bool cancelled) REQUIRES(mu_);
+  /// Adds the shared pool's stats delta since the last fold to the registry.
+  void FoldSharedPoolLocked() REQUIRES(mu_);
 
   Engine* engine_;
   QueryEngineOptions options_;
@@ -378,12 +385,6 @@ class QueryEngine {
   obs::Histogram* h_queue_wait_us_ = nullptr;
   obs::Histogram* h_exec_us_ = nullptr;
   obs::Histogram* h_latency_us_ = nullptr;
-  /// Buffer-pool counters, attached to every pool that does hit/miss
-  /// accounting on this engine's behalf: each query's private pool and every
-  /// parallel morsel pool. The shared pool gets it too, but only communal
-  /// traffic (write-back flushes) moves its stats — mirror pins are
-  /// unaccounted by design. Empty (all null) without options_.metrics.
-  BufferPoolMetricsSink bp_sink_;
   /// Broker charge for the shared buffer pool's frame memory (capacity
   /// bytes, charged once for the engine's lifetime).
   MemoryBroker::Consumer pool_consumer_;
@@ -413,6 +414,11 @@ class QueryEngine {
   uint32_t admitted_now_ GUARDED_BY(mu_) = 0;
   uint32_t peak_admitted_ GUARDED_BY(mu_) = 0;
   uint64_t completed_ GUARDED_BY(mu_) = 0;
+  /// The shared pool's stats as of the last fold into the registry. Query
+  /// pools are folded whole at completion; the shared pool's own traffic
+  /// (shared-scan chunk production, flush write-backs — mirror pins are
+  /// unaccounted) is folded as a delta at each completion and at shutdown.
+  BufferPoolStats shared_pool_folded_ GUARDED_BY(mu_);
 
   std::vector<std::thread> executors_;
 };

@@ -4,10 +4,6 @@
 
 namespace smoothscan {
 
-namespace {
-thread_local int t_worker_id = -1;
-}  // namespace
-
 void TaskScheduler::TaskGroup::Wait() {
   latch::UniqueLatch lock(mu_);
   while (remaining_.load(std::memory_order_acquire) != 0) cv_.wait(lock);
@@ -60,19 +56,10 @@ std::shared_ptr<TaskScheduler::TaskGroup> TaskScheduler::Submit(
   return group;
 }
 
-size_t TaskScheduler::pending_tasks() const {
-  latch::LatchGuard lock(mu_);
-  size_t n = 0;
-  for (const auto& w : workers_) n += w->tasks.size();
-  return n;
-}
-
 Rng* TaskScheduler::worker_rng(uint32_t worker_id) {
   SMOOTHSCAN_CHECK(worker_id < workers_.size());
   return &workers_[worker_id]->rng;
 }
-
-int TaskScheduler::current_worker() { return t_worker_id; }
 
 bool TaskScheduler::TryTake(uint32_t id,
                             std::pair<std::shared_ptr<TaskGroup>, Task>* out) {
@@ -89,7 +76,6 @@ bool TaskScheduler::TryTake(uint32_t id,
     if (!victim.tasks.empty()) {
       *out = std::move(victim.tasks.back());
       victim.tasks.pop_back();
-      steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -97,7 +83,6 @@ bool TaskScheduler::TryTake(uint32_t id,
 }
 
 void TaskScheduler::WorkerLoop(uint32_t id) {
-  t_worker_id = static_cast<int>(id);
   while (true) {
     std::pair<std::shared_ptr<TaskGroup>, Task> item;
     {

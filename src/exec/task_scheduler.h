@@ -38,7 +38,6 @@ class TaskScheduler {
    public:
     /// Blocks until every task of the group has finished.
     void Wait() EXCLUDES(mu_);
-    bool Done() const { return remaining_.load(std::memory_order_acquire) == 0; }
 
    private:
     friend class TaskScheduler;
@@ -71,18 +70,6 @@ class TaskScheduler {
   /// that worker's tasks, or before/after the group runs).
   Rng* worker_rng(uint32_t worker_id);
 
-  /// Worker slot of the calling thread, or -1 off the pool.
-  static int current_worker();
-
-  /// Tasks obtained by stealing from another worker's deque (observability;
-  /// exact value depends on timing).
-  uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
-
-  /// Tasks currently queued across all deques, excluding those already
-  /// running (observability for admission-control and bench reporting; the
-  /// value is stale the moment it is read).
-  size_t pending_tasks() const EXCLUDES(mu_);
-
  private:
   struct Worker {
     std::deque<std::pair<std::shared_ptr<TaskGroup>, Task>> tasks;
@@ -107,7 +94,6 @@ class TaskScheduler {
   std::vector<std::unique_ptr<Worker>> workers_;
   size_t next_deal_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
-  std::atomic<uint64_t> steals_{0};
 };
 
 }  // namespace smoothscan

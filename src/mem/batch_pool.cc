@@ -1,6 +1,5 @@
 #include "mem/batch_pool.h"
 
-#include "obs/metrics.h"
 #include "storage/schema.h"
 
 namespace smoothscan {
@@ -39,15 +38,11 @@ BatchPool::~BatchPool() {
 PooledBatch BatchPool::Acquire() {
   latch::LatchGuard lock(mu_);
   ++stats_.acquires;
-  if (options_.metrics.acquires != nullptr) options_.metrics.acquires->Add();
   if (!free_.empty()) {
     const size_t index = free_.back();
     free_.pop_back();
     Slot& slot = slots_[index];
-    if (slot.warm) {
-      ++stats_.reuses;
-      if (options_.metrics.reuses != nullptr) options_.metrics.reuses->Add();
-    }
+    if (slot.warm) ++stats_.reuses;
     slot.warm = false;
     return PooledBatch(this, index, slot.batch);
   }
@@ -61,7 +56,6 @@ PooledBatch BatchPool::Acquire() {
 void BatchPool::Release(size_t slot_index) {
   latch::LatchGuard lock(mu_);
   ++stats_.releases;
-  if (options_.metrics.releases != nullptr) options_.metrics.releases->Add();
   Slot& slot = slots_[slot_index];
   slot.batch->Clear();
   const bool shed =
@@ -70,7 +64,6 @@ void BatchPool::Release(size_t slot_index) {
     slot.batch->ReleaseMemory();
     slot.warm = false;
     ++stats_.sheds;
-    if (options_.metrics.sheds != nullptr) options_.metrics.sheds->Add();
     if (slot.charged) {
       if (account_ != nullptr) account_->Uncharge(batch_bytes_);
       slot.charged = false;

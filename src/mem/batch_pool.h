@@ -17,6 +17,9 @@
 // keeping it warm: recycling degrades gracefully to the old allocate-per-
 // batch behavior, trading CPU for memory, never failing the query and never
 // touching its simulated cost.
+//
+// BatchPoolStats is the one copy of the pool's counts: the owning
+// ParallelScan adds each cycle's delta to the registry's batchpool.* at Close.
 
 #ifndef SMOOTHSCAN_MEM_BATCH_POOL_H_
 #define SMOOTHSCAN_MEM_BATCH_POOL_H_
@@ -33,21 +36,7 @@
 
 namespace smoothscan {
 
-namespace obs {
-class Counter;
-}  // namespace obs
-
 class BatchPool;
-
-/// Optional push-style observability sink (see BufferPoolMetricsSink): when
-/// attached via BatchPoolOptions::metrics, every stats bump also feeds the
-/// matching registry counter. Null members are not fed.
-struct BatchPoolMetricsSink {
-  obs::Counter* acquires = nullptr;
-  obs::Counter* reuses = nullptr;
-  obs::Counter* releases = nullptr;
-  obs::Counter* sheds = nullptr;
-};
 
 /// Move-only owning handle on a pooled batch; returns it to the pool on
 /// destruction (or explicit Release()). Default-constructed handles are
@@ -96,8 +85,6 @@ struct BatchPoolOptions {
   /// When false, released batches drop their row storage instead of keeping
   /// it warm — the allocate-per-batch baseline, kept for ablation benches.
   bool recycle = true;
-  /// Registry counters mirroring this pool's stats bumps (all-null = off).
-  BatchPoolMetricsSink metrics;
 };
 
 struct BatchPoolStats {

@@ -11,7 +11,9 @@
 // below the broker so registration is legal from under any engine latch) is
 // taken only at registration and snapshot time. Metric handles returned by
 // counter()/gauge()/histogram() are stable for the registry's lifetime, so
-// emission sites cache the pointer once and never look names up again.
+// the engine's admission telemetry caches them once. Subsystems hold no
+// handles: they keep their own stats structs and add them once per closed
+// scan or completed query through obs::AddCount (obs/obs_context.h).
 //
 // Accounting invariant (the same one every subsystem carries): metrics are
 // bookkeeping only. Nothing in src/obs/ touches a SimDisk or CpuMeter —

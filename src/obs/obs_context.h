@@ -37,6 +37,14 @@ inline void EmitInstant(const ObsContext* o, const char* name,
   o->trace->Instant(o->query_id, name, k0, v0, k1, v1, k2, v2, sk, sv);
 }
 
+/// Null-safe counter fold: adds an owner's settled count `n` to `name` once
+/// per closed scan or completed query (a name lookup, never per event).
+/// Registers the counter even when `n` is 0.
+inline void AddCount(const ObsContext* o, const char* name, uint64_t n) {
+  if (o == nullptr || o->metrics == nullptr) return;
+  o->metrics->counter(name)->Add(n);
+}
+
 }  // namespace obs
 }  // namespace smoothscan
 

@@ -68,7 +68,6 @@ void RegistrySampler::SampleOnce() {
                                                 s.chunks_produced);
     g_sharing_fanout_x1000_->Set(fanout);
   }
-  samples_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RegistrySampler::Start(std::chrono::milliseconds period) {

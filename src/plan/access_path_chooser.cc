@@ -160,6 +160,11 @@ std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      bool need_order, uint64_t estimate) {
   switch (kind) {
     case PathKind::kFullScan:
+    case PathKind::kSharedScan:
+    case PathKind::kCompressedScan:
+      // The shared and compressed forms need the engine's coordinator or
+      // extent map (QueryEngine builds them); without one, the heap full
+      // scan is the exact solo-equivalent plan with the identical multiset.
       return std::make_unique<FullScan>(index->heap(), predicate);
     case PathKind::kIndexScan:
       return std::make_unique<IndexScan>(index, predicate);
@@ -178,17 +183,6 @@ std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
       options.preserve_order = need_order;
       return std::make_unique<SmoothScan>(index, predicate, options);
     }
-    case PathKind::kSharedScan:
-      // A shared scan needs the engine's ScanSharingCoordinator (see
-      // sharing/shared_scan_path.h); without one, a plain full scan is the
-      // exact solo-equivalent plan.
-      return std::make_unique<FullScan>(index->heap(), predicate);
-    case PathKind::kCompressedScan:
-      // The compressed path needs the engine's CompressedExtentMap (see
-      // compress/compressed_scan.h); without one — or once the extent was
-      // invalidated by a publish — the heap full scan produces the identical
-      // multiset from the identical snapshot.
-      return std::make_unique<FullScan>(index->heap(), predicate);
   }
   return nullptr;
 }
@@ -217,12 +211,10 @@ std::unique_ptr<ParallelScan> MakeParallelPath(
       return MakeParallelSmoothScan(index, predicate, SmoothScanOptions(),
                                     parallel);
     case PathKind::kSharedScan:
-      // Sharing is inter-query parallelism already; the consumer itself
-      // stays a serial drain of the cooperative scan.
-      return nullptr;
     case PathKind::kCompressedScan:
-      // Needs the extent ref only the QueryEngine holds; it calls
-      // MakeParallelCompressedScan directly.
+      // Sharing is inter-query parallelism already (the consumer stays a
+      // serial drain), and the compressed kernel needs the extent ref only
+      // the QueryEngine holds.
       return nullptr;
   }
   return nullptr;

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/obs_context.h"
 
 namespace smoothscan {
 
-void BufferPool::ObsHits(uint64_t n) {
-  if (obs_.hits != nullptr && n > 0) obs_.hits->Add(n);
-}
-void BufferPool::ObsMisses(uint64_t n) {
-  if (obs_.misses != nullptr && n > 0) obs_.misses->Add(n);
-}
-void BufferPool::ObsWriteBacks(uint64_t n) {
-  if (obs_.write_backs != nullptr && n > 0) obs_.write_backs->Add(n);
+void AddPoolStats(const obs::ObsContext* o, const BufferPoolStats& stats) {
+  obs::AddCount(o, "bufferpool.hits", stats.hits);
+  obs::AddCount(o, "bufferpool.misses", stats.misses);
+  obs::AddCount(o, "bufferpool.write_backs", stats.write_backs);
 }
 
 void PageGuard::Release() {
@@ -110,7 +106,6 @@ size_t BufferPool::EvictFile(FileId file) {
       if (it->second.dirty) {
         write_back.push_back(it->first);
         ++shard->stats.write_backs;
-        ObsWriteBacks(1);
       }
       shard->lru.erase(it->second.lru_it);
       it = shard->map.erase(it);
@@ -138,7 +133,6 @@ uint64_t BufferPool::InsertLocked(Shard* shard, uint64_t key) {
       if (victim->second.dirty) {
         write_back = *it;
         ++shard->stats.write_backs;
-        ObsWriteBacks(1);
       }
       shard->lru.erase(std::next(it).base());
       shard->map.erase(victim);
@@ -160,12 +154,10 @@ PageGuard BufferPool::Fetch(FileId file, PageId page) {
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       ++shard.stats.hits;
-      ObsHits(1);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
       ++it->second.pins;
     } else {
       ++shard.stats.misses;
-      ObsMisses(1);
       miss = true;
       evicted = InsertLocked(&shard, key);
       ++shard.map[key].pins;
@@ -236,7 +228,6 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
     auto it = shard.map.find(key);
     if (it == shard.map.end()) return false;
     ++shard.stats.hits;
-    ObsHits(1);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     return true;
   };
@@ -262,7 +253,6 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
       } else {
         ++shard.stats.misses;
-        ObsMisses(1);
         evicted = InsertLocked(&shard, key);
       }
     }
@@ -297,7 +287,6 @@ bool BufferPool::FlushPage(FileId file, PageId page) {
     if (it == shard.map.end() || !it->second.dirty) return false;
     it->second.dirty = false;
     ++shard.stats.write_backs;
-    ObsWriteBacks(1);
   }
   // Charge outside the shard latch; SimDisk serializes internally.
   disk_->WritePage(file, page);
@@ -324,7 +313,6 @@ size_t BufferPool::FlushAll() {
       }
     }
     shard->stats.write_backs += write_back.size() - before;
-    ObsWriteBacks(write_back.size() - before);
   }
   // Charge the write-backs as extent writes over sorted (file, page) runs —
   // deterministic in the dirty *set*, independent of shard layout and

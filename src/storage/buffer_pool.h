@@ -10,6 +10,9 @@
 // obtained from Fetch() stays valid for the guard's lifetime even while other
 // threads churn the pool. Construct with `num_shards = 1` to pin the exact
 // global-LRU eviction order (tests; morsel-local pools).
+//
+// BufferPoolStats is the one copy of the pool's counts: the pool's owner
+// adds them to the registry through AddPoolStats once they settle.
 
 #ifndef SMOOTHSCAN_STORAGE_BUFFER_POOL_H_
 #define SMOOTHSCAN_STORAGE_BUFFER_POOL_H_
@@ -29,7 +32,7 @@
 namespace smoothscan {
 
 namespace obs {
-class Counter;
+struct ObsContext;
 }  // namespace obs
 
 class BufferPool;
@@ -39,17 +42,17 @@ struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t write_backs = 0;  ///< Dirty pages written back (flush + eviction).
+
+  BufferPoolStats& operator+=(const BufferPoolStats& o) {
+    hits += o.hits;
+    misses += o.misses;
+    write_backs += o.write_backs;
+    return *this;
+  }
 };
 
-/// Optional push-style observability sink: when attached (SetMetricsSink),
-/// every BufferPoolStats bump also increments the matching registry counter
-/// — one relaxed atomic add, already under the shard latch. Null members are
-/// simply not fed.
-struct BufferPoolMetricsSink {
-  obs::Counter* hits = nullptr;
-  obs::Counter* misses = nullptr;
-  obs::Counter* write_backs = nullptr;
-};
+/// Adds `stats` to the registry's bufferpool.* counters (obs::AddCount).
+void AddPoolStats(const obs::ObsContext* o, const BufferPoolStats& stats);
 
 /// A pinned reference to a buffer-pool page. While the guard lives, the page
 /// cannot be evicted or flushed, so the `Page&` it exposes cannot dangle.
@@ -187,12 +190,6 @@ class BufferPool {
   void SetMirror(BufferPool* mirror);
   BufferPool* mirror() const { return mirror_; }
 
-  /// Attaches registry counters that mirror this pool's stats bumps. Same
-  /// contract as SetMirror: set before the first fetch (the sink is read
-  /// without a latch); pass {} to detach — but only while no fetches run.
-  void SetMetricsSink(BufferPoolMetricsSink sink) { obs_ = sink; }
-  const BufferPoolMetricsSink& metrics_sink() const { return obs_; }
-
   /// Aggregated over shards (copied under the shard latches).
   BufferPoolStats stats() const;
 
@@ -263,16 +260,10 @@ class BufferPool {
   void UnpinKey(uint64_t key);
   void TouchKey(uint64_t key);
 
-  /// Bumps the sink counters (if attached) alongside a shard-stats bump.
-  void ObsHits(uint64_t n);
-  void ObsMisses(uint64_t n);
-  void ObsWriteBacks(uint64_t n);
-
   StorageManager* storage_;
   SimDisk* disk_;
   size_t capacity_;
   BufferPool* mirror_ = nullptr;
-  BufferPoolMetricsSink obs_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

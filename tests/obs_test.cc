@@ -2,10 +2,12 @@
 // trace subsystem, and — the PR's hard invariant — the differential proof
 // that simulated per-query cost is *bit-identical* with observability on or
 // off, across all five access paths, DOPs 0/2/8 and admission caps 1/2/8.
-// Also reconciles registry counters against the subsystems' own stats
-// structs (buffer pool, batch pool), pins the ring's drop-oldest overflow
-// semantics, and gates the enabled emission hot path (and every disabled
-// helper) on zero heap allocations with a counting global allocator.
+// Also checks that each owner adds its own stats to the registry exactly
+// once (query and morsel buffer pools, the shared pool's communal traffic,
+// batch pools, SmoothScan and its Result Cache, engine completions), pins
+// the ring's drop-oldest overflow semantics, and gates the enabled emission
+// hot path (and every disabled helper) on zero heap allocations with a
+// counting global allocator.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +31,10 @@
 #include "obs/obs_context.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "sharing/scan_sharing.h"
 #include "workload/workload_driver.h"
+#include "write/table_version.h"
+#include "write/table_writer.h"
 
 namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
@@ -372,83 +377,195 @@ TEST(ObsDifferentialTest, SimCostBitIdenticalWithObservabilityOnOrOff) {
 
 // ----------------------------------------------------- reconciliation
 
-TEST(ReconciliationTest, BufferPoolSinkMatchesPoolStats) {
-  EngineOptions eo;
-  eo.buffer_pool_pages = 256;
-  Engine engine(eo);
-  MicroBenchSpec dbspec;
-  dbspec.num_tuples = 20000;
-  MicroBenchDb db(&engine, dbspec);
-
-  // Unit-level reconciliation: drive one pool directly. Two passes over 32
-  // pages of a cold pool big enough to hold them — pass 1 is all misses,
-  // pass 2 all hits — and the sink counters must equal the pool's own stat
-  // deltas exactly.
-  engine.pool().FlushAll();
-  const BufferPoolStats before = engine.pool().stats();
-  obs::MetricsRegistry registry;
-  BufferPoolMetricsSink sink;
-  sink.hits = registry.counter("bufferpool.hits");
-  sink.misses = registry.counter("bufferpool.misses");
-  sink.write_backs = registry.counter("bufferpool.write_backs");
-  engine.pool().SetMetricsSink(sink);
-  const FileId file = db.heap().file_id();
-  const PageId pages =
-      static_cast<PageId>(std::min<size_t>(db.heap().num_pages(), 32));
-  ASSERT_GT(pages, 0u);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (PageId p = 0; p < pages; ++p) engine.pool().Fetch(file, p);
+/// Each owner adds its own stats to the registry once — these run the real
+/// owners (queries, parallel scans, SmoothScan) against one registry.
+class FoldTest : public ::testing::Test {
+ protected:
+  FoldTest() : engine_(PoolOptions()), db_(&engine_, DbSpec()) {
+    obs_.metrics = &registry_;
   }
-  engine.pool().SetMetricsSink(BufferPoolMetricsSink{});
-  const BufferPoolStats after = engine.pool().stats();
-  const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(static_cast<uint64_t>(snap.Value("bufferpool.hits")),
-            after.hits - before.hits);
-  EXPECT_EQ(static_cast<uint64_t>(snap.Value("bufferpool.misses")),
-            after.misses - before.misses);
-  EXPECT_EQ(static_cast<uint64_t>(snap.Value("bufferpool.write_backs")),
-            after.write_backs - before.write_backs);
-  EXPECT_EQ(static_cast<uint64_t>(snap.Value("bufferpool.misses")), pages);
-  EXPECT_EQ(static_cast<uint64_t>(snap.Value("bufferpool.hits")), pages);
 
-  // Engine-level wiring: queries charge their private pools, and those pools
-  // carry the same sink, so an engine run moves the registry counters even
-  // though the shared pool only sees unaccounted mirror pins.
-  obs::MetricsRegistry engine_registry;
-  QueryEngineOptions qeo;
-  qeo.metrics = &engine_registry;
-  {
-    QueryEngine qe(&engine, qeo);
-    Session session(&qe);
+  static EngineOptions PoolOptions() {
+    EngineOptions eo;
+    eo.buffer_pool_pages = 256;
+    return eo;
+  }
+  static MicroBenchSpec DbSpec() {
+    MicroBenchSpec spec;
+    spec.num_tuples = 20000;
+    spec.value_max = 4000;
+    return spec;
+  }
+  uint64_t Count(const char* name) const {
+    return static_cast<uint64_t>(registry_.Snapshot().Value(name));
+  }
+  QuerySpec Read(PathKind kind, double selectivity) const {
     QuerySpec spec;
-    spec.index = &db.index();
-    spec.predicate = db.PredicateForSelectivity(0.3);
-    spec.kind = PathKind::kFullScan;
-    ASSERT_TRUE(session.Query().FromSpec(spec).Run().status.ok());
+    spec.index = &db_.index();
+    spec.predicate = db_.PredicateForSelectivity(selectivity);
+    spec.kind = kind;
+    return spec;
   }
-  EXPECT_GT(engine_registry.Snapshot().Value("bufferpool.misses"), 0.0);
+
+  Engine engine_;
+  MicroBenchDb db_;
+  obs::MetricsRegistry registry_;
+  obs::ObsContext obs_;
+};
+
+TEST_F(FoldTest, QueryPoolsAddEveryColdMissOnceSerialAndParallel) {
+  // A cold FullScan misses every heap page exactly once, in the query's
+  // private pool (serial) or across the planning and morsel pools (dop 2);
+  // the shared pool only sees unaccounted mirror pins. Each completed query
+  // therefore adds exactly the heap's page count to bufferpool.misses.
+  TaskScheduler scheduler(2);
+  QueryEngineOptions qeo;
+  qeo.metrics = &registry_;
+  qeo.scheduler = &scheduler;
+  QueryEngine qe(&engine_, qeo);
+  Session session(&qe);
+  uint64_t expected = 0;
+  for (const uint32_t dop : {0u, 2u}) {
+    engine_.ColdRestart();
+    QuerySpec spec = Read(PathKind::kFullScan, 0.3);
+    spec.dop = dop;
+    const QueryResult res = session.Query().FromSpec(spec).Run();
+    ASSERT_TRUE(res.status.ok());
+    EXPECT_EQ(res.metrics.parallel, dop > 0);
+    expected += db_.heap().num_pages();
+    EXPECT_EQ(Count("bufferpool.misses"), expected) << "dop " << dop;
+  }
 }
 
-TEST(ReconciliationTest, BatchPoolSinkMatchesPoolStats) {
-  obs::MetricsRegistry registry;
-  BatchPoolOptions options;
-  options.metrics.acquires = registry.counter("batchpool.acquires");
-  options.metrics.reuses = registry.counter("batchpool.reuses");
-  options.metrics.releases = registry.counter("batchpool.releases");
-  options.metrics.sheds = registry.counter("batchpool.sheds");
-  BatchPool pool(options);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<PooledBatch> held;
-    for (int i = 0; i < 4; ++i) held.push_back(pool.Acquire());
-    held.clear();  // Releases back to the free list.
+TEST_F(FoldTest, SharedScanAddsCommunalTraffic) {
+  // A shared scan's chunks are fetched through the engine's shared pool,
+  // not the consumer's private one: the engine adds that communal traffic
+  // at each completion.
+  ScanSharingCoordinator sharing(&engine_);
+  engine_.ColdRestart();
+  const BufferPoolStats before = engine_.pool().stats();
+  {
+    QueryEngineOptions qeo;
+    qeo.metrics = &registry_;
+    qeo.sharing = &sharing;
+    QueryEngine qe(&engine_, qeo);
+    Session session(&qe);
+    const QueryResult res =
+        session.Query().FromSpec(Read(PathKind::kSharedScan, 0.3)).Run();
+    ASSERT_TRUE(res.status.ok());
+    ASSERT_EQ(res.metrics.kind, PathKind::kSharedScan);
+    EXPECT_GT(Count("bufferpool.misses"), 0u);
   }
-  const BatchPoolStats stats = pool.stats();
-  EXPECT_EQ(registry.counter("batchpool.acquires")->value(), stats.acquires);
-  EXPECT_EQ(registry.counter("batchpool.reuses")->value(), stats.reuses);
-  EXPECT_EQ(registry.counter("batchpool.releases")->value(), stats.releases);
-  EXPECT_EQ(registry.counter("batchpool.sheds")->value(), stats.sheds);
-  EXPECT_EQ(stats.acquires, 12u);
-  EXPECT_EQ(stats.reuses, 8u);  // Rounds 2 and 3 run fully warm.
+  const BufferPoolStats after = engine_.pool().stats();
+  EXPECT_EQ(Count("bufferpool.misses"), after.misses - before.misses);
+  EXPECT_EQ(Count("bufferpool.hits"), after.hits - before.hits);
+}
+
+TEST_F(FoldTest, FlushWriteBacksAddUpOnceTheEngineIsDestroyed) {
+  TableVersionRegistry versions(&engine_);
+  TableWriter writer(db_.mutable_heap(),
+                     std::vector<BPlusTree*>{db_.mutable_index()}, &versions);
+  const BufferPoolStats before = engine_.pool().stats();
+  {
+    QueryEngineOptions qeo;
+    qeo.metrics = &registry_;
+    qeo.versions = &versions;
+    QueryEngine qe(&engine_, qeo);
+    Session session(&qe);
+    QuerySpec spec;
+    spec.writer = &writer;
+    const size_t columns = db_.heap().schema().num_columns();
+    for (int i = 0; i < 200; ++i) {
+      Tuple t(columns);
+      for (size_t c = 0; c < columns; ++c) t[c] = Value::Int64(9000000 + i);
+      spec.write_ops.push_back(WriteOp::MakeInsert(std::move(t)));
+    }
+    ASSERT_TRUE(session.Query().FromSpec(std::move(spec)).Run().status.ok());
+    // The publish left dirty pages in the shared pool; flushing them is
+    // communal traffic that no query completion covers.
+    engine_.pool().FlushAll();
+  }
+  const uint64_t write_backs =
+      engine_.pool().stats().write_backs - before.write_backs;
+  EXPECT_GT(write_backs, 0u);
+  EXPECT_EQ(Count("bufferpool.write_backs"), write_backs);
+}
+
+TEST_F(FoldTest, ParallelScanAddsBatchPoolStatsAtClose) {
+  TaskScheduler scheduler(2);
+  ParallelScanOptions po;
+  po.dop = 2;
+  po.scheduler = &scheduler;
+  std::unique_ptr<ParallelScan> path = MakeParallelFullScan(
+      &db_.heap(), db_.PredicateForSelectivity(0.5), FullScanOptions(), po);
+  path->SetObs(&obs_);
+  // Two cycles over one pool: the second runs warm, and each Close adds
+  // only its own delta, so the registry tracks the pool's cumulative stats.
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(path->Open().ok());
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
+    }
+    path->Close();
+    const BatchPoolStats stats = path->batch_pool()->stats();
+    EXPECT_GT(stats.acquires, 0u);
+    EXPECT_EQ(Count("batchpool.acquires"), stats.acquires);
+    EXPECT_EQ(Count("batchpool.reuses"), stats.reuses);
+    EXPECT_EQ(Count("batchpool.releases"), stats.releases);
+    EXPECT_EQ(Count("batchpool.sheds"), stats.sheds);
+  }
+  EXPECT_GT(path->batch_pool()->stats().reuses, 0u);
+}
+
+TEST_F(FoldTest, OrderedSmoothScanAddsResultCacheStats) {
+  SmoothScanOptions so;
+  so.preserve_order = true;
+  so.result_cache_budget = 64;  // Small enough to spill and restore.
+  SmoothScan path(&db_.index(), db_.PredicateForSelectivity(0.3), so);
+  path.SetObs(&obs_);
+  ASSERT_TRUE(path.Open().ok());
+  TupleBatch batch;
+  while (path.NextBatch(&batch)) {
+  }
+  path.Close();
+  path.Close();  // Idempotent: the cycle is added once.
+  const SmoothScanStats& ss = path.smooth_stats();
+  EXPECT_GT(ss.rc_spills, 0u);
+  EXPECT_GT(ss.rc_restores, 0u);
+  EXPECT_EQ(Count("rc.spills"), ss.rc_spills);
+  EXPECT_EQ(Count("rc.pressure_spills"), ss.rc_pressure_spills);
+  EXPECT_EQ(Count("rc.restores"), ss.rc_restores);
+  EXPECT_EQ(Count("smooth.region_grows"), ss.expansions);
+}
+
+TEST_F(FoldTest, InQueueCancelCountsAsCompleted) {
+  QueryEngineOptions qeo;
+  qeo.max_admitted = 1;  // One executor: the gated query blocks the lane.
+  qeo.metrics = &registry_;
+  QueryEngine qe(&engine_, qeo);
+  Session session(&qe);
+
+  std::atomic<bool> gate{false};
+  std::atomic<bool> started{false};
+  QuerySpec holder = Read(PathKind::kFullScan, 0.01);
+  holder.predicate.residual = [&](const Tuple&) {
+    started.store(true);
+    while (!gate.load()) std::this_thread::yield();
+    return true;
+  };
+  QueryHandle blocking = session.Query().FromSpec(std::move(holder)).Submit();
+  while (!started.load()) std::this_thread::yield();
+
+  QueryHandle victim =
+      session.Query().FromSpec(Read(PathKind::kFullScan, 0.5)).Submit();
+  victim.Cancel();
+  EXPECT_EQ(victim.Wait().status.code(), StatusCode::kCancelled);
+  gate.store(true);
+  EXPECT_TRUE(blocking.Wait().status.ok());
+
+  EXPECT_EQ(qe.completed(), 2u);
+  EXPECT_EQ(Count("engine.completed"), qe.completed());
+  EXPECT_EQ(Count("engine.cancelled"), 1u);
 }
 
 // ------------------------------------------------- end-to-end timeline
@@ -649,7 +766,7 @@ TEST(WorkloadReportTest, CarriesRegistrySnapshotAndBrokerState) {
   EXPECT_EQ(static_cast<uint64_t>(report.metrics.Value("engine.completed")),
             report.queries);
   EXPECT_TRUE(report.metrics.Has("engine.latency_us.p95"));
-  // Queries charge their private pools, which carry the engine's sink.
+  // Each query's private pool is added to the registry at completion.
   EXPECT_GT(report.metrics.Value("bufferpool.misses"), 0.0);
   // ...including the sampler's broker gauges, which agree with the direct
   // broker fields (the sampler's final tick runs after the last query).
