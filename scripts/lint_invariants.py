@@ -41,6 +41,11 @@ one of the engine's structural invariants:
                      obs::AddCount, when their scan closes or query
                      completes. A push handle next to a native counter would
                      keep every count twice.
+  row-read           No tuple-returning HeapFile::Read( in src/access/ or
+                     src/exec/: an operator's per-row look-up decodes into
+                     the caller's warm batch slot (or a warm scratch tuple)
+                     with HeapFile::ReadInto, so its steady state allocates
+                     nothing.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -137,6 +142,14 @@ RULES = [
                    "at Close)",
         "applies": lambda rel: not rel.startswith(("obs" + os.sep,
                                                    "engine" + os.sep)),
+    },
+    {
+        "name": "row-read",
+        "pattern": re.compile(r"(?:->|\.)Read\("),
+        "message": "tuple-returning HeapFile::Read in an operator "
+                   "(decode into a slot with ReadInto)",
+        "applies": lambda rel: rel.startswith(("access" + os.sep,
+                                               "exec" + os.sep)),
     },
 ]
 

@@ -104,7 +104,9 @@ class LintTest(unittest.TestCase):
         self.write("access/full_scan.cc",
                    "const uint8_t* d = page.GetTuple(s, &size);\n")
         self.write("access/sort_scan.cc", "Tuple t = heap->Read(tid, ctx);\n")
-        self.assertEqual(self.names(), ["kernel-harvest"] * 3)
+        # (row-read flags the Read lines too; this case checks scope only.)
+        self.assertEqual(self.names(["kernel-harvest"]),
+                         ["kernel-harvest"] * 3)
 
     def test_obs_handle_fires_outside_obs_and_engine(self):
         self.write("storage/pool.h",
@@ -121,6 +123,22 @@ class LintTest(unittest.TestCase):
         self.write("engine/query_engine.h",
                    "  obs::Counter* c_submitted_ = nullptr;\n")
         self.assertEqual(self.names(), ["obs-handle"] * 3)
+
+    def test_row_read_fires_in_access_and_exec_only(self):
+        self.write("access/index_scan.cc",
+                   "Tuple tuple = heap->Read(tid, ctx);\n"
+                   "heap->ReadInto(tid, ctx, out->AppendSlot());\n"
+                   "// A comment may say heap->Read(tid).\n")
+        self.write("exec/join.cc",
+                   "Tuple inner = inner_heap->Read(it.tid());\n"
+                   "const Tuple t = heap.Read(tid);\n"
+                   "inner_heap->ReadInto(it.tid(), ctx, &inner_);\n")
+        # Tests, loaders and the heap file itself may read whole tuples.
+        self.write("storage/heap_file.cc",
+                   "Tuple HeapFile::Read(Tid tid) const {\n"
+                   "  return heap.Read(tid);\n")
+        self.write("net/server.cc", "const int n = transport->Read(buf, 4);\n")
+        self.assertEqual(self.names(["row-read"]), ["row-read"] * 3)
 
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",

@@ -26,12 +26,15 @@ bool IndexScan::NextBatchImpl(TupleBatch* out) {
     it_->Next();
     // One heap look-up per entry: random I/O unless the page happens to be
     // resident — exactly the pattern of Eq. (11).
-    Tuple tuple = heap->Read(tid, ctx);
+    Tuple* slot = out->AppendSlot();
+    heap->ReadInto(tid, ctx, slot);
     ++stats_.heap_pages_probed;
     ++inspected;
-    if (predicate_.residual && !predicate_.residual(tuple)) continue;
+    if (predicate_.residual && !predicate_.residual(*slot)) {
+      out->PopLast();
+      continue;
+    }
     ++produced;
-    out->Append(std::move(tuple));
   }
   stats_.tuples_inspected += inspected;
   stats_.tuples_produced += produced;

@@ -218,8 +218,9 @@ bool ParallelScan::NextBatchImpl(TupleBatch* out) {
         return !out->empty();
       }
       const size_t n = pb.size();
+      // Row by row, swap rather than move: both batches keep warm slots.
       while (pending_pos_ < n && !out->full()) {
-        out->Append(pb.Take(pending_pos_++));
+        std::swap(*out->AppendSlot(), pb.row(pending_pos_++));
       }
       if (pending_pos_ >= n) {
         pending_.Release();
@@ -357,8 +358,8 @@ class ParallelSortScanKernel : public ParallelScanKernel {
     PooledBatch batch = ctx.batch_pool->Acquire();
     const AccessPathStats stats = FetchSortedTids(
         index_->heap(), predicate_, tids_, begin, end, ctx,
-        [&](const Tid&, Tuple&& tuple) {
-          batch->Append(std::move(tuple));
+        [&](const Tid&, const Tuple& tuple) {
+          *batch->AppendSlot() = tuple;  // Copy-assign: the slot stays warm.
           if (batch->full()) {
             emit(std::move(batch));
             batch = ctx.batch_pool->Acquire();

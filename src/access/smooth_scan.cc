@@ -202,11 +202,15 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   const Tid tid = it_->tid();
   it_->Next();
-  Tuple tuple = heap->Read(tid, ctx);  // Single-tuple look-up: random I/O.
+  Tuple* slot = out->AppendSlot();
+  heap->ReadInto(tid, ctx, slot);  // Single-tuple look-up: random I/O.
   ++stats_.heap_pages_probed;
   ++stats_.tuples_inspected;
   ctx.cpu->ChargeInspect();
-  if (predicate_.residual && !predicate_.residual(tuple)) return;
+  if (predicate_.residual && !predicate_.residual(*slot)) {
+    out->PopLast();
+    return;
+  }
   if (tuple_cache_ != nullptr) {
     tuple_cache_->Insert(tid);
     ctx.cpu->ChargeCacheOp();
@@ -214,13 +218,12 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
     // Positional dedup: the index is strictly (key, Tid)-ordered, so the
     // last produced position identifies everything produced so far.
     m0_any_ = true;
-    m0_last_key_ = tuple[predicate_.column].AsInt64();
+    m0_last_key_ = (*slot)[predicate_.column].AsInt64();
     m0_last_tid_ = tid;
   }
   ctx.cpu->ChargeProduce();
   ++stats_.tuples_produced;
   ++sstats_.card_mode0;
-  out->Append(std::move(tuple));
   MaybeTrigger();
 }
 
@@ -434,7 +437,7 @@ void SmoothScan::TakeSpilled(TupleBatch* out) {
     ++spill_next_;
   } else {
     while (spill_pos_ < spilled->size() && !out->full()) {
-      out->Append(spilled->Take(spill_pos_++));
+      std::swap(*out->AppendSlot(), spilled->row(spill_pos_++));
     }
     if (spill_pos_ == spilled->size()) {
       spilled.Release();

@@ -54,8 +54,9 @@ AccessPathStats FetchSortedTids(
     const HeapFile* heap, const ScanPredicate& predicate,
     const std::vector<Tid>& tids, size_t begin, size_t end,
     const ExecContext& ctx,
-    const std::function<void(const Tid&, Tuple&&)>& sink) {
+    const std::function<void(const Tid&, const Tuple&)>& sink) {
   AccessPathStats stats;
+  Tuple tuple;  // Warm scratch: every look-up decodes into its storage.
   size_t i = begin;
   while (i < end) {
     const SortedTidExtent extent = CoalesceSortedTidExtent(tids, i, end);
@@ -63,11 +64,11 @@ AccessPathStats FetchSortedTids(
     ctx.pool->FetchExtent(heap->file_id(), tids[i].page_id, extent.num_pages);
     stats.heap_pages_probed += extent.num_pages;
     for (size_t k = i; k <= j; ++k) {
-      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
+      heap->ReadInto(tids[k], ctx, &tuple);  // Resident: buffer-pool hit.
       ++stats.tuples_inspected;
       if (predicate.residual && !predicate.residual(tuple)) continue;
       ++stats.tuples_produced;
-      sink(tids[k], std::move(tuple));
+      sink(tids[k], tuple);
     }
     i = j + 1;
   }
@@ -106,9 +107,8 @@ Status SortScan::OpenImpl() {
   std::vector<KeyedTuple> keyed;
   const AccessPathStats fetched = FetchSortedTids(
       index_->heap(), predicate_, tids, 0, tids.size(), ctx,
-      [&](const Tid& tid, Tuple&& tuple) {
-        keyed.push_back(
-            {tuple[predicate_.column].AsInt64(), tid, std::move(tuple)});
+      [&](const Tid& tid, const Tuple& tuple) {
+        keyed.push_back({tuple[predicate_.column].AsInt64(), tid, tuple});
       });
   pages_fetched_ = fetched.heap_pages_probed;
   stats_.heap_pages_probed += fetched.heap_pages_probed;

@@ -36,14 +36,15 @@ std::vector<Tid> CollectSortedTids(const BPlusTree* index,
 
 /// SortScan phase 3 over the sorted `tids[begin, end)`: fetches the result
 /// pages as coalesced extents (capped at kSortScanChunkPages), reads each
-/// entry's tuple and hands every one passing the residual predicate to
-/// `sink`, in TID order. Charges inspect and produce once, at the end.
+/// entry's tuple into one reused scratch tuple and hands every one passing
+/// the residual predicate to `sink` (valid only for the call), in TID order.
+/// Charges inspect and produce once, at the end.
 /// Returns the counters; tuples_produced counts the tuples handed to `sink`.
 AccessPathStats FetchSortedTids(
     const HeapFile* heap, const ScanPredicate& predicate,
     const std::vector<Tid>& tids, size_t begin, size_t end,
     const ExecContext& ctx,
-    const std::function<void(const Tid&, Tuple&&)>& sink);
+    const std::function<void(const Tid&, const Tuple&)>& sink);
 
 class SortScan : public AccessPath {
  public:

@@ -32,18 +32,21 @@ bool SwitchScan::IndexPhase(TupleBatch* out, ScanWork* work) {
   while (!out->full()) {
     if (!it_->Valid() || it_->key() >= predicate_.hi) return false;
     const Tid tid = it_->tid();
-    Tuple tuple = heap->Read(tid, ctx);
+    Tuple* slot = out->AppendSlot();
+    heap->ReadInto(tid, ctx, slot);
     ++work->pages;
     ++work->inspected;
-    if (predicate_.residual && !predicate_.residual(tuple)) {
+    if (predicate_.residual && !predicate_.residual(*slot)) {
+      out->PopLast();
       it_->Next();
       continue;
     }
     // A qualifying tuple. If producing it would exceed the estimate, the
     // estimate is wrong: switch *before producing the next result tuple*
-    // (Section VI-F). The tuple is not produced here — the full scan will
+    // (Section VI-F). The tuple is popped, not produced — the full scan will
     // re-discover it, since its TID was never recorded.
     if (produced_.size() >= options_.estimated_cardinality) {
+      out->PopLast();
       switched_ = true;
       return false;
     }
@@ -51,7 +54,6 @@ bool SwitchScan::IndexPhase(TupleBatch* out, ScanWork* work) {
     produced_.Insert(tid);
     ++work->cache_ops;
     ++work->produced;
-    out->Append(std::move(tuple));
   }
   return true;
 }

@@ -139,6 +139,17 @@ class Value {
     type_ = ValueType::kDouble;
     rep_.d = v;
   }
+  /// Reuses the slot's string storage when it already holds a string, so
+  /// var-width decode into warm slots allocates only when a string outgrows
+  /// its buffer.
+  void SetString(const char* data, size_t len) {
+    if (type_ == ValueType::kString) {
+      rep_.s->assign(data, len);
+      return;
+    }
+    rep_.s = new std::string(data, len);
+    type_ = ValueType::kString;
+  }
 
   int64_t AsInt64() const {
     SMOOTHSCAN_CHECK(type_ == ValueType::kInt64 || type_ == ValueType::kDate);

@@ -31,10 +31,12 @@ Status MergeJoinOp::OpenImpl() {
 
 bool MergeJoinOp::NextBatchImpl(TupleBatch* out) {
   uint64_t produced = 0;
-  Tuple row;
-  while (!out->full() && NextRow(&row)) {
+  while (!out->full()) {
+    if (!NextRow(out->AppendSlot())) {
+      out->PopLast();
+      break;
+    }
     ++produced;
-    out->Append(std::move(row));
   }
   engine_->cpu().ChargeProduce(produced);
   return !out->empty();
@@ -76,9 +78,7 @@ bool MergeJoinOp::NextRow(Tuple* out) {
     if (group_valid_ && lkey == group_key_) {
       // Emit pending (left row, right_group_) pairs.
       if (group_idx_ < right_group_.size()) {
-        *out = left;
-        const Tuple& r = right_group_[group_idx_++];
-        out->insert(out->end(), r.begin(), r.end());
+        ConcatInto(left, right_group_[group_idx_++], out);
         return true;
       }
       // Exhausted the group for this left row; next left row may reuse it.

@@ -19,6 +19,7 @@ Status MorphingIndexJoinOp::OpenImpl() {
       std::make_unique<PageIdCache>(inner_index_->heap()->num_pages());
   matches_ = nullptr;
   match_idx_ = 0;
+  match_end_ = 0;
   outer_.Reset();
   return outer_op_->Open();
 }
@@ -74,11 +75,8 @@ bool MorphingIndexJoinOp::NextBatchImpl(TupleBatch* out) {
   Engine* engine = heap->engine();
   uint64_t produced = 0;
   while (!out->full()) {
-    if (matches_ != nullptr && match_idx_ < matches_->size()) {
-      Tuple joined = outer_.row();
-      const Tuple& inner = (*matches_)[match_idx_++];
-      joined.insert(joined.end(), inner.begin(), inner.end());
-      out->Append(std::move(joined));
+    if (matches_ != nullptr && match_idx_ < match_end_) {
+      ConcatInto(outer_.row(), (*matches_)[match_idx_++], out->AppendSlot());
       ++produced;
       continue;
     }
@@ -92,22 +90,25 @@ bool MorphingIndexJoinOp::NextBatchImpl(TupleBatch* out) {
       if (m.empty()) continue;
       matches_ = &m;
       match_idx_ = 0;
+      match_end_ = m.size();
       continue;
     }
 
     // Plain INLJ baseline: one heap look-up per matching entry, no caching.
+    // Matches decode into the warm slots of plain_matches_, which only grows.
     ++mstats_.index_descents;
-    plain_matches_.clear();
-    uint64_t inspected = 0;
+    const ExecContext ctx = EngineContext(engine);
+    size_t n = 0;
     for (BPlusTree::Iterator it = inner_index_->Seek(key);
          it.Valid() && it.key() == key; it.Next()) {
-      plain_matches_.push_back(heap->Read(it.tid()));
-      ++inspected;
+      if (n == plain_matches_.size()) plain_matches_.emplace_back();
+      heap->ReadInto(it.tid(), ctx, &plain_matches_[n++]);
     }
-    engine->cpu().ChargeInspect(inspected);
-    if (plain_matches_.empty()) continue;
+    engine->cpu().ChargeInspect(n);
+    if (n == 0) continue;
     matches_ = &plain_matches_;
     match_idx_ = 0;
+    match_end_ = n;
   }
   engine->cpu().ChargeProduce(produced);
   return !out->empty();

@@ -89,8 +89,9 @@ class MorphingIndexJoinOp : public Operator {
   std::unique_ptr<PageIdCache> harvested_;
   const std::vector<Tuple>* matches_ = nullptr;
   size_t match_idx_ = 0;
+  size_t match_end_ = 0;  ///< Live prefix of *matches_.
   BatchCursor outer_;  ///< Probe-side batch cursor.
-  std::vector<Tuple> plain_matches_;  // INLJ mode scratch.
+  std::vector<Tuple> plain_matches_;  // INLJ mode scratch (warm slots).
 };
 
 }  // namespace smoothscan

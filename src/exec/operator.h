@@ -15,6 +15,7 @@
 #ifndef SMOOTHSCAN_EXEC_OPERATOR_H_
 #define SMOOTHSCAN_EXEC_OPERATOR_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -80,6 +81,15 @@ class BatchCursor {
   size_t idx_ = 0;
   bool valid_ = false;
 };
+
+/// Writes `left ++ right` into `out` by element-wise assignment: a warm
+/// batch slot keeps its Value and string storage, so a join fills it without
+/// allocating.
+inline void ConcatInto(const Tuple& left, const Tuple& right, Tuple* out) {
+  out->resize(left.size() + right.size());
+  std::copy(left.begin(), left.end(), out->begin());
+  std::copy(right.begin(), right.end(), out->begin() + left.size());
+}
 
 /// Runs `op` to completion with batch pulls, appending produced tuples to
 /// `out` (which may be null to discard them). Returns the tuple count.

@@ -1,6 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 
 namespace smoothscan {
 
@@ -76,10 +78,7 @@ bool HashJoinOp::NextBatchImpl(TupleBatch* out) {
   uint64_t hash_ops = 0;
   while (!out->full()) {
     if (matches_ != nullptr && match_idx_ < matches_->size()) {
-      Tuple joined = probe_.row();
-      const Tuple& right = (*matches_)[match_idx_++];
-      joined.insert(joined.end(), right.begin(), right.end());
-      out->Append(std::move(joined));
+      ConcatInto(probe_.row(), (*matches_)[match_idx_++], out->AppendSlot());
       continue;
     }
     matches_ = nullptr;
@@ -96,7 +95,7 @@ bool HashJoinOp::NextBatchImpl(TupleBatch* out) {
 
 bool IndexNestedLoopJoinOp::NextBatchImpl(TupleBatch* out) {
   const HeapFile* inner_heap = inner_index_->heap();
-  Engine* engine = inner_heap->engine();
+  const ExecContext ctx = EngineContext(inner_heap->engine());
   uint64_t inspected = 0;
   while (!out->full()) {
     if (pending_idx_ < pending_.size()) {
@@ -108,29 +107,68 @@ bool IndexNestedLoopJoinOp::NextBatchImpl(TupleBatch* out) {
     if (!outer_.Advance(outer_op_.get())) break;
     const Tuple& outer = outer_.row();
     const int64_t key = outer[outer_key_col_].AsInt64();
-    // Probe the inner index; each match costs one heap look-up.
+    // Probe the inner index; each match costs one heap look-up. Matches fill
+    // the output batch in place; only a run that overflows it is buffered.
     for (BPlusTree::Iterator it = inner_index_->Seek(key);
          it.Valid() && it.key() == key; it.Next()) {
-      Tuple inner = inner_heap->Read(it.tid());
+      inner_heap->ReadInto(it.tid(), ctx, &inner_);
       ++inspected;
-      Tuple joined = outer;
-      joined.insert(joined.end(), inner.begin(), inner.end());
-      pending_.push_back(std::move(joined));
+      ConcatInto(outer, inner_,
+                 out->full() ? &pending_.emplace_back() : out->AppendSlot());
     }
   }
-  engine->cpu().ChargeInspect(inspected);
+  ctx.cpu->ChargeInspect(inspected);
   return !out->empty();
 }
 
-void HashAggregateOp::Accumulate(
-    const Tuple& t, std::unordered_map<std::string, size_t>* index) {
-  std::string key;
-  for (const int c : group_by_) {
-    key += t[c].ToString();
-    key += '\x1f';
+namespace {
+
+// Hash of one group-by value, consistent with Value::operator==: equal
+// values hash alike (0.0 and -0.0 included), and values of different types
+// never compare equal, so the type tag is mixed in.
+uint64_t HashValue(const Value& v) {
+  uint64_t bits = 0;
+  switch (v.type()) {
+    case ValueType::kInt64:
+    case ValueType::kDate:
+      bits = static_cast<uint64_t>(v.AsInt64());
+      break;
+    case ValueType::kDouble: {
+      const double d = v.AsDouble() == 0.0 ? 0.0 : v.AsDouble();
+      std::memcpy(&bits, &d, sizeof(bits));
+      break;
+    }
+    case ValueType::kString:
+      bits = std::hash<std::string>{}(v.AsString());
+      break;
   }
-  auto [it, inserted] = index->emplace(key, groups_.size());
-  if (inserted) {
+  // splitmix64 finalizer.
+  bits ^= static_cast<uint64_t>(v.type()) << 56;
+  bits = (bits ^ (bits >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  bits = (bits ^ (bits >> 27)) * 0x94d049bb133111ebULL;
+  return bits ^ (bits >> 31);
+}
+
+}  // namespace
+
+void HashAggregateOp::Accumulate(const Tuple& t, GroupIndex* index) {
+  uint64_t hash = 0;
+  for (const int c : group_by_) {
+    hash = (hash ^ HashValue(t[c])) * 0x9e3779b97f4a7c15ULL;
+  }
+  size_t g = groups_.size();
+  const auto [lo, hi] = index->equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    const Tuple& key = groups_[it->second].key_values;
+    size_t k = 0;
+    while (k < group_by_.size() && key[k] == t[group_by_[k]]) ++k;
+    if (k == group_by_.size()) {
+      g = it->second;
+      break;
+    }
+  }
+  if (g == groups_.size()) {
+    index->emplace(hash, g);
     GroupState gs;
     for (const int c : group_by_) gs.key_values.push_back(t[c]);
     gs.acc.resize(aggs_.size(), 0.0);
@@ -141,7 +179,7 @@ void HashAggregateOp::Accumulate(
     }
     groups_.push_back(std::move(gs));
   }
-  GroupState& gs = groups_[it->second];
+  GroupState& gs = groups_[g];
   for (size_t a = 0; a < aggs_.size(); ++a) {
     const AggSpec& spec = aggs_[a];
     ++gs.counts[a];
@@ -167,7 +205,7 @@ Status HashAggregateOp::OpenImpl() {
   groups_.clear();
   next_ = 0;
 
-  std::unordered_map<std::string, size_t> index;
+  GroupIndex index;
   TupleBatch batch;
   while (child_->NextBatch(&batch)) {
     engine_->cpu().ChargeHashOp(batch.size());
@@ -186,7 +224,10 @@ Status HashAggregateOp::OpenImpl() {
 bool HashAggregateOp::NextBatchImpl(TupleBatch* out) {
   while (next_ < groups_.size() && !out->full()) {
     const GroupState& gs = groups_[next_++];
-    Tuple row = gs.key_values;
+    const size_t k = gs.key_values.size();
+    Tuple& row = *out->AppendSlot();
+    row.resize(k + aggs_.size());
+    std::copy(gs.key_values.begin(), gs.key_values.end(), row.begin());
     for (size_t a = 0; a < aggs_.size(); ++a) {
       double v = 0.0;
       switch (aggs_[a].fn) {
@@ -206,9 +247,8 @@ bool HashAggregateOp::NextBatchImpl(TupleBatch* out) {
           v = gs.acc[a];
           break;
       }
-      row.push_back(Value::Double(v));
+      row[k + a].SetDouble(v);
     }
-    out->Append(std::move(row));
   }
   return !out->empty();
 }

@@ -2,14 +2,16 @@
 // hash join, index-nested-loops join and hash aggregation — all batch-first.
 // FilterOp uses the batch's selection vector (no row is copied to drop a
 // row); pipeline-breaking operators (sort, aggregate, hash-join build)
-// consume their children batch-at-a-time.
+// consume their children batch-at-a-time. Joins build each output row in a
+// warm batch slot (ConcatInto, inner look-ups via HeapFile::ReadInto), so
+// their steady state allocates nothing; the aggregate groups on a hash of
+// the typed group-by Values, compared with Value::operator==.
 
 #ifndef SMOOTHSCAN_EXEC_OPERATORS_H_
 #define SMOOTHSCAN_EXEC_OPERATORS_H_
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -205,8 +207,9 @@ class IndexNestedLoopJoinOp : public Operator {
   const BPlusTree* inner_index_;
   int outer_key_col_;
   BatchCursor outer_;
-  std::vector<Tuple> pending_;
+  std::vector<Tuple> pending_;  ///< Overflow of a match run past the batch.
   size_t pending_idx_ = 0;
+  Tuple inner_;  ///< Warm scratch: each inner look-up decodes into it.
 };
 
 /// Aggregate function kinds.
@@ -245,7 +248,11 @@ class HashAggregateOp : public Operator {
     std::vector<uint64_t> counts;
   };
 
-  void Accumulate(const Tuple& t, std::unordered_map<std::string, size_t>* index);
+  /// Typed group-by key hash -> index into groups_ (hash collisions are
+  /// resolved by comparing the key Values).
+  using GroupIndex = std::unordered_multimap<uint64_t, size_t>;
+
+  void Accumulate(const Tuple& t, GroupIndex* index);
 
   Engine* engine_;
   std::unique_ptr<Operator> child_;

@@ -23,18 +23,20 @@ Result<Tid> HeapFile::Append(const Tuple& tuple) {
   return Tid{tail_page_, slot.value()};
 }
 
-Tuple HeapFile::Read(Tid tid) const {
-  return Read(tid, EngineContext(engine_));
-}
-
-Tuple HeapFile::Read(Tid tid, const ExecContext& ctx) const {
+void HeapFile::ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const {
   const PageGuard page = ctx.pool->Fetch(file_id_, tid.page_id);
   uint32_t size = 0;
   const uint8_t* data = page->GetTuple(tid.slot, &size);
   // Reading a tombstoned Tid is a bug: index maintenance removes an entry in
   // the same publish that kills its slot.
   SMOOTHSCAN_CHECK(data != nullptr);
-  return schema_.Deserialize(data, size);
+  schema_.DeserializeInto(data, size, out);
+}
+
+Tuple HeapFile::Read(Tid tid) const {
+  Tuple tuple;
+  ReadInto(tid, EngineContext(engine_), &tuple);
+  return tuple;
 }
 
 void HeapFile::ForEachDirect(

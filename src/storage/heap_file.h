@@ -29,12 +29,14 @@ class HeapFile {
   /// Appends `tuple`, returning its TID. Build-time: not I/O-accounted.
   Result<Tid> Append(const Tuple& tuple);
 
-  /// Reads the tuple at `tid` through the engine's buffer pool
-  /// (I/O-accounted).
-  Tuple Read(Tid tid) const;
+  /// Decodes the tuple at `tid` into `out`, reusing its storage (a warm
+  /// batch slot), through `ctx`'s buffer pool (I/O-accounted). The per-row
+  /// look-up of every operator.
+  void ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const;
 
-  /// Same, charging `ctx` instead (morsel-driven execution).
-  Tuple Read(Tid tid, const ExecContext& ctx) const;
+  /// Same through the engine's own pool, returning a fresh tuple (tests and
+  /// build-time code).
+  Tuple Read(Tid tid) const;
 
   /// Build-time full iteration without I/O accounting (loaders, oracles and
   /// test baselines). `fn` receives (tid, tuple).

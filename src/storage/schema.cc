@@ -92,58 +92,50 @@ void Schema::DeserializeVarWidthInto(const uint8_t* data, uint32_t size,
   size_t i = 0;
   for (const Column& col : columns_) {
     Value& slot = (*out)[i++];
-    switch (col.type) {
-      case ValueType::kInt64:
-        SMOOTHSCAN_CHECK(off + 8 <= size);
-        slot = Value::Int64(static_cast<int64_t>(GetU64(data + off)));
-        off += 8;
-        break;
-      case ValueType::kDate:
-        SMOOTHSCAN_CHECK(off + 8 <= size);
-        slot = Value::Date(static_cast<int64_t>(GetU64(data + off)));
-        off += 8;
-        break;
-      case ValueType::kDouble: {
-        SMOOTHSCAN_CHECK(off + 8 <= size);
-        const uint64_t bits = GetU64(data + off);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        slot = Value::Double(d);
-        off += 8;
-        break;
-      }
-      case ValueType::kString: {
-        SMOOTHSCAN_CHECK(off + 4 <= size);
-        const uint32_t len = GetU32(data + off);
-        off += 4;
-        SMOOTHSCAN_CHECK(off + len <= size);
-        slot = Value::String(
-            std::string(reinterpret_cast<const char*>(data + off), len));
-        off += len;
-        break;
-      }
+    if (col.type == ValueType::kString) {
+      SMOOTHSCAN_CHECK(off + 4 <= size);
+      const uint32_t len = GetU32(data + off);
+      off += 4;
+      SMOOTHSCAN_CHECK(off + len <= size);
+      slot.SetString(reinterpret_cast<const char*>(data + off), len);
+      off += len;
+      continue;
+    }
+    SMOOTHSCAN_CHECK(off + 8 <= size);
+    const uint64_t bits = GetU64(data + off);
+    off += 8;
+    if (col.type == ValueType::kDouble) {
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      slot.SetDouble(d);
+    } else if (col.type == ValueType::kDate) {
+      slot.SetDate(static_cast<int64_t>(bits));
+    } else {
+      slot.SetInt64(static_cast<int64_t>(bits));
     }
   }
+}
+
+uint32_t Schema::VarWidthOffset(const uint8_t* data, uint32_t size,
+                                size_t col) const {
+  uint32_t off = 0;
+  for (size_t i = 0; i < col; ++i) {
+    if (smoothscan::IsFixedWidth(columns_[i].type)) {
+      off += 8;
+    } else {
+      SMOOTHSCAN_CHECK(off + 4 <= size);
+      off += 4 + GetU32(data + off);
+    }
+  }
+  return off;
 }
 
 Value Schema::DeserializeColumn(const uint8_t* data, uint32_t size,
                                 size_t col) const {
   SMOOTHSCAN_CHECK(col < columns_.size());
-  uint32_t off = 0;
-  if (fixed_width_) {
-    // Fast path: every column is 8 bytes, so the offset is direct — this is
-    // the per-tuple key check of every scan's hot loop.
-    off = static_cast<uint32_t>(col) * 8;
-  } else {
-    for (size_t i = 0; i < col; ++i) {
-      if (smoothscan::IsFixedWidth(columns_[i].type)) {
-        off += 8;
-      } else {
-        SMOOTHSCAN_CHECK(off + 4 <= size);
-        off += 4 + GetU32(data + off);
-      }
-    }
-  }
+  // Every column of a fixed-width schema is 8 bytes: the offset is direct.
+  const uint32_t off = fixed_width_ ? static_cast<uint32_t>(col) * 8
+                                    : VarWidthOffset(data, size, col);
   switch (columns_[col].type) {
     case ValueType::kInt64:
       SMOOTHSCAN_CHECK(off + 8 <= size);

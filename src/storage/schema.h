@@ -69,8 +69,10 @@ class Schema {
 
   /// Parses one tuple from `data` into `out`, reusing `out`'s storage. The
   /// vectorized scan hot path decodes into recycled TupleBatch slots with
-  /// this: for fixed-width schemas the steady state performs no allocation
-  /// and the decode inlines into the caller's loop.
+  /// this, and the steady state performs no allocation: fixed-width schemas
+  /// decode inline in the caller's loop; var-width schemas assign each
+  /// string into the slot's existing buffer (Value::SetString), which
+  /// allocates only when a string outgrows it.
   void DeserializeInto(const uint8_t* data, uint32_t size, Tuple* out) const {
     if (fixed_width_) {
       // Scan hot path: direct 8-byte loads into recycled slots, bounds
@@ -114,17 +116,16 @@ class Schema {
 
   /// Reads INT64/DATE column `col` without materializing a Value — the
   /// per-tuple key check of every scan's hot loop. Inline; takes the direct
-  /// 8-byte load for fixed-width schemas.
+  /// 8-byte load for fixed-width schemas and walks the string lengths before
+  /// `col` for var-width ones.
   int64_t ReadInt64Column(const uint8_t* data, uint32_t size,
                           size_t col) const {
-    if (fixed_width_) {
-      SMOOTHSCAN_CHECK(columns_[col].type == ValueType::kInt64 ||
-                       columns_[col].type == ValueType::kDate);
-      const uint32_t off = static_cast<uint32_t>(col) * 8;
-      SMOOTHSCAN_CHECK(off + 8 <= size);
-      return static_cast<int64_t>(LoadU64LE(data + off));
-    }
-    return DeserializeColumn(data, size, col).AsInt64();
+    SMOOTHSCAN_CHECK(columns_[col].type == ValueType::kInt64 ||
+                     columns_[col].type == ValueType::kDate);
+    const uint32_t off = fixed_width_ ? static_cast<uint32_t>(col) * 8
+                                      : VarWidthOffset(data, size, col);
+    SMOOTHSCAN_CHECK(off + 8 <= size);
+    return static_cast<int64_t>(LoadU64LE(data + off));
   }
 
   /// Serialized size in bytes of `tuple` under this schema.
@@ -134,6 +135,10 @@ class Schema {
   bool IsFixedWidth() const { return fixed_width_; }
 
  private:
+  /// Byte offset of column `col` in a var-width tuple.
+  uint32_t VarWidthOffset(const uint8_t* data, uint32_t size,
+                          size_t col) const;
+
   /// Out-of-line decode for schemas with variable-width (string) columns.
   void DeserializeVarWidthInto(const uint8_t* data, uint32_t size,
                                Tuple* out) const;

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "access/full_scan.h"
@@ -17,6 +20,7 @@
 #include "access/smooth_scan.h"
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
+#include "exec/operators.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -143,6 +147,177 @@ TEST_F(BatchDifferentialTest, SmoothScanNonEagerTriggers) {
               trigger == MorphTrigger::kOptimizerDriven ? "SmoothScan/opt"
                                                         : "SmoothScan/sla");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Look-up sites that decode into the output slot (HeapFile::ReadInto) and pop
+// it when the residual rejects the row: results against the oracle, and
+// the same simulated cost at batch capacity 1 and 1024.
+// ---------------------------------------------------------------------------
+
+/// One cold drain: the produced rows and the engine's simulated charges.
+struct Measured {
+  std::vector<Tuple> rows;
+  IoStats io;
+  double cpu = 0.0;
+};
+
+template <typename Source>
+Measured MeasureCold(Engine* engine, Source* source, size_t batch_size) {
+  engine->ColdRestart();
+  engine->disk().ResetAll();
+  engine->cpu().Reset();
+  EXPECT_TRUE(source->Open().ok());
+  Measured m;
+  TupleBatch batch(batch_size);
+  while (source->NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) m.rows.push_back(batch.row(i));
+  }
+  source->Close();
+  m.io = engine->disk().stats();
+  m.cpu = engine->cpu().time();
+  return m;
+}
+
+/// Drains `source` at capacity 1 and 1024: both must produce exactly
+/// `oracle` (as a multiset) and charge the same simulated cost. I/O is
+/// compared bit for bit. CPU is charged once per batch, so the running
+/// double sum rounds differently at different capacities; it is compared to
+/// 1e-12 relative.
+template <typename Source>
+void CheckLookups(Engine* engine, Source* source,
+                  const std::multiset<Tuple>& oracle, const char* label) {
+  const Measured one = MeasureCold(engine, source, 1);
+  const Measured full = MeasureCold(engine, source, 1024);
+  ASSERT_FALSE(oracle.empty()) << label;
+  EXPECT_EQ(std::multiset<Tuple>(one.rows.begin(), one.rows.end()), oracle)
+      << label << " @1";
+  EXPECT_EQ(std::multiset<Tuple>(full.rows.begin(), full.rows.end()), oracle)
+      << label << " @1024";
+  EXPECT_EQ(one.io.io_requests, full.io.io_requests) << label;
+  EXPECT_EQ(one.io.random_ios, full.io.random_ios) << label;
+  EXPECT_EQ(one.io.seq_ios, full.io.seq_ios) << label;
+  EXPECT_EQ(one.io.pages_read, full.io.pages_read) << label;
+  EXPECT_EQ(one.io.io_time, full.io.io_time) << label;  // Exact, not NEAR.
+  EXPECT_NEAR(one.cpu, full.cpu, 1e-12 * full.cpu) << label;
+}
+
+/// A residual that rejects about a third of the key-range matches, so the
+/// look-up sites pop slots they already decoded into.
+ScanPredicate WithRejectingResidual(ScanPredicate pred) {
+  pred.residual = [](const Tuple& t) { return t[2].AsInt64() % 3 != 0; };
+  return pred;
+}
+
+class LookupSiteTest : public BatchDifferentialTest {
+ protected:
+  std::multiset<Tuple> Oracle(const ScanPredicate& pred) const {
+    std::multiset<Tuple> oracle;
+    db_->heap().ForEachDirect([&](Tid, const Tuple& t) {
+      if (pred.Matches(t)) oracle.insert(t);
+    });
+    return oracle;
+  }
+};
+
+TEST_F(LookupSiteTest, IndexScanResidualRejects) {
+  const ScanPredicate pred =
+      WithRejectingResidual(db_->PredicateForSelectivity(0.05));
+  IndexScan path(&db_->index(), pred);
+  CheckLookups(engine_.get(), &path, Oracle(pred), "IndexScan+residual");
+}
+
+TEST_F(LookupSiteTest, SwitchScanResidualRejects) {
+  const ScanPredicate pred =
+      WithRejectingResidual(db_->PredicateForSelectivity(0.05));
+  for (const uint64_t estimate : {uint64_t{1} << 40, uint64_t{300}}) {
+    SwitchScanOptions so;
+    so.estimated_cardinality = estimate;  // Never fires / fires mid-stream.
+    SwitchScan path(&db_->index(), pred, so);
+    CheckLookups(engine_.get(), &path, Oracle(pred),
+                 estimate == 300 ? "SwitchScan+residual/switched"
+                                 : "SwitchScan+residual");
+  }
+}
+
+TEST_F(LookupSiteTest, SmoothScanMode0ResidualRejects) {
+  const ScanPredicate pred =
+      WithRejectingResidual(db_->PredicateForSelectivity(0.1));
+  for (const bool ordered : {false, true}) {
+    SmoothScanOptions so;
+    so.trigger = MorphTrigger::kOptimizerDriven;  // Mode 0 first.
+    so.optimizer_estimate = 250;
+    so.preserve_order = ordered;
+    SmoothScan path(&db_->index(), pred, so);
+    CheckLookups(engine_.get(), &path, Oracle(pred),
+                 ordered ? "SmoothScan/mode0/ordered" : "SmoothScan/mode0");
+  }
+}
+
+// The switch fires on the 501st qualifying entry, half-way through a
+// 1024-row batch: that row is popped from the batch, re-discovered by the
+// full scan, and appears exactly once.
+TEST_F(LookupSiteTest, SwitchFiringMidBatchProducesTriggerRowOnce) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(0.3);
+  constexpr uint64_t kEstimate = 500;
+  // Qualifying entries in index (key, Tid) order; the trigger row is the
+  // first one past the estimate.
+  std::vector<std::tuple<int64_t, Tid, Tuple>> entries;
+  db_->heap().ForEachDirect([&](Tid tid, const Tuple& t) {
+    if (pred.Matches(t)) entries.emplace_back(t[pred.column].AsInt64(), tid, t);
+  });
+  ASSERT_GT(entries.size(), 2 * kEstimate);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) {
+              return std::tie(std::get<0>(a), std::get<1>(a)) <
+                     std::tie(std::get<0>(b), std::get<1>(b));
+            });
+  const Tuple& trigger = std::get<2>(entries[kEstimate]);
+
+  SwitchScanOptions so;
+  so.estimated_cardinality = kEstimate;
+  SwitchScan path(&db_->index(), pred, so);
+  for (const size_t cap : {size_t{1}, size_t{1024}}) {
+    const Measured m = MeasureCold(engine_.get(), &path, cap);
+    EXPECT_TRUE(path.switched()) << cap;
+    EXPECT_EQ(std::count(m.rows.begin(), m.rows.end(), trigger), 1) << cap;
+  }
+  CheckLookups(engine_.get(), &path, Oracle(pred), "SwitchScan/mid-batch");
+}
+
+// One outer key matches 1500 inner rows: the run overflows a 1024-row batch
+// (and every batch at capacity 1) into the INLJ's pending_ buffer.
+TEST(IndexNLJoinLookupTest, MatchRunLongerThanBatch) {
+  EngineOptions eo;
+  eo.buffer_pool_pages = 64;
+  Engine engine(eo);
+  HeapFile inner(&engine, "inner", MakeIntSchema(2));
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(inner.Append({Value::Int64(i % 2), Value::Int64(i)}).ok());
+  }
+  BPlusTree index(&engine, "inner_idx", &inner, 0);
+  index.BulkBuild();
+  HeapFile outer(&engine, "outer", MakeIntSchema(2));
+  for (const int64_t key : {1, 5, 0, 1}) {
+    ASSERT_TRUE(outer.Append({Value::Int64(key), Value::Int64(-key)}).ok());
+  }
+
+  std::multiset<Tuple> oracle;
+  outer.ForEachDirect([&](Tid, const Tuple& o) {
+    inner.ForEachDirect([&](Tid, const Tuple& in) {
+      if (in[0] == o[0]) {
+        Tuple joined = o;
+        joined.insert(joined.end(), in.begin(), in.end());
+        oracle.insert(std::move(joined));
+      }
+    });
+  });
+  ASSERT_EQ(oracle.size(), 4500u);
+  IndexNestedLoopJoinOp join(
+      std::make_unique<ScanOp>(
+          std::make_unique<FullScan>(&outer, ScanPredicate{})),
+      &index, 0);
+  CheckLookups(&engine, &join, oracle, "IndexNLJoin/long-run");
 }
 
 }  // namespace

@@ -68,6 +68,22 @@ TEST(ValueTest, StringRoundTrip) {
   EXPECT_EQ(v.AsString(), "hello");
 }
 
+TEST(ValueTest, SetStringReusesBufferAcrossTypeChanges) {
+  Value v = Value::Int64(3);
+  const std::string long_text(40, 'x');
+  v.SetString(long_text.data(), long_text.size());
+  EXPECT_EQ(v.type(), ValueType::kString);
+  EXPECT_EQ(v.AsString(), long_text);
+  const char* buffer = v.AsString().data();
+  v.SetString("short", 5);  // Fits: the same buffer is reused.
+  EXPECT_EQ(v.AsString(), "short");
+  EXPECT_EQ(v.AsString().data(), buffer);
+  v.SetDouble(2.5);  // Releases the string.
+  EXPECT_EQ(v.type(), ValueType::kDouble);
+  v.SetString("", 0);
+  EXPECT_EQ(v, Value::String(""));
+}
+
 TEST(ValueTest, DateComparesAsInt) {
   const Value a = Value::Date(100);
   const Value b = Value::Date(200);

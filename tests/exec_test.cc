@@ -198,6 +198,60 @@ TEST(HashAggregateOpTest, GroupByOnlyProducesDistinct) {
   EXPECT_EQ(RunAll(&op).size(), 3u);
 }
 
+// Groups are keyed on the typed Values: two doubles that print alike under
+// a "%.6g" rendering are still two groups.
+TEST(HashAggregateOpTest, NearbyDoublesAreDistinctGroups) {
+  Engine engine;
+  std::vector<Tuple> rows = {{Value::Double(1.0)},
+                             {Value::Double(1.0000001)},
+                             {Value::Double(1.0)}};
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kCount, nullptr});
+  HashAggregateOp op(&engine, std::make_unique<VectorSource>(rows), {0},
+                     std::move(aggs));
+  const auto out = RunAll(&op);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0][0].AsDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(out[0][1].AsDouble(), 2.0);
+  EXPECT_EQ(out[1][0].AsDouble(), 1.0000001);
+  EXPECT_DOUBLE_EQ(out[1][1].AsDouble(), 1.0);
+}
+
+// A multi-column string key is not a joined string: ("a\x1fb", "c") and
+// ("a", "b\x1fc") concatenate alike around a '\x1f' separator.
+TEST(HashAggregateOpTest, SeparatorInStringKeysDoesNotMergeGroups) {
+  Engine engine;
+  std::vector<Tuple> rows = {{Value::String("a\x1f" "b"), Value::String("c")},
+                             {Value::String("a"), Value::String("b\x1f" "c")}};
+  HashAggregateOp op(&engine, std::make_unique<VectorSource>(rows), {0, 1},
+                     {});
+  const auto out = RunAll(&op);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0][0].AsString(), "a\x1f" "b");
+  EXPECT_EQ(out[1][1].AsString(), "b\x1f" "c");
+}
+
+TEST(HashAggregateOpTest, GroupsAreEmittedInFirstSeenOrder) {
+  Engine engine;
+  std::vector<Tuple> rows;
+  const std::vector<int64_t> keys = {7, 3, 7, 9, 1, 3, 9, 5, 1};
+  for (const int64_t k : keys) {
+    rows.push_back({Value::String("k" + std::to_string(k)), Value::Int64(k)});
+  }
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggFn::kCount, nullptr});
+  HashAggregateOp op(&engine, std::make_unique<VectorSource>(rows), {1, 0},
+                     std::move(aggs));
+  const auto out = RunAll(&op);
+  const std::vector<int64_t> first_seen = {7, 3, 9, 1, 5};
+  ASSERT_EQ(out.size(), first_seen.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i][0].AsInt64(), first_seen[i]);
+    EXPECT_EQ(out[i][1].AsString(), "k" + std::to_string(first_seen[i]));
+    EXPECT_DOUBLE_EQ(out[i][2].AsDouble(), first_seen[i] == 5 ? 1.0 : 2.0);
+  }
+}
+
 TEST(IndexNLJoinTest, JoinsViaIndexLookups) {
   Engine engine;
   // Inner: keyed heap with an index; outer: a vector of keys.
