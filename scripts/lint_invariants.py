@@ -47,6 +47,14 @@ one of the engine's structural invariants:
                      with HeapFile::ReadInto, so its steady state allocates
                      nothing.
 
+One rule looks at the tree rather than at single lines:
+
+  orphan-unit        Every header under --root is included by some file
+                     in src/, bench/ or perfbench/ other than its own .cc
+                     (bench/ and perfbench/ are the siblings of --root).
+                     Includes from tests and examples do not count: a unit
+                     only they reach is an island no workload runs.
+
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
 and visible in review.
@@ -153,7 +161,11 @@ RULES = [
     },
 ]
 
+ORPHAN_UNIT = "orphan-unit"
+RULE_NAMES = {r["name"] for r in RULES} | {ORPHAN_UNIT}
+
 ALLOW_RE = re.compile(r"lint:allow\(([a-z-]+)\)")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 
 def strip_comment(line):
@@ -198,12 +210,42 @@ def iter_source_files(root):
                 yield path, os.path.relpath(path, root)
 
 
+def orphan_units(root):
+    """Headers under `root` that no file in root, ../bench or ../perfbench
+    includes, apart from the header's own .cc. Includes are root-relative
+    ("exec/operator.h"), the form every file in those trees uses."""
+    parent = os.path.dirname(os.path.abspath(root))
+    includers = {}  # Root-relative header -> rels of the files including it.
+    for tree in (root, os.path.join(parent, "bench"),
+                 os.path.join(parent, "perfbench")):
+        for path, rel in iter_source_files(tree):
+            with open(path, encoding="utf-8") as f:
+                for line in f:
+                    m = INCLUDE_RE.match(line)
+                    if m:
+                        includers.setdefault(m.group(1), set()).add(
+                            os.path.join(tree, rel))
+    violations = []
+    for path, rel in iter_source_files(root):
+        if not rel.endswith(HEADER_EXTS):
+            continue
+        own_cc = path[:-len(".h")] + ".cc"
+        users = includers.get(rel.replace(os.sep, "/"), set()) - {own_cc}
+        if not users:
+            violations.append((rel, 1, ORPHAN_UNIT,
+                               "header no src/, bench/ or perfbench/ file "
+                               "includes (delete the unit or wire it in)"))
+    return violations
+
+
 def run(root, rule_names):
     rules = [r for r in RULES if not rule_names or r["name"] in rule_names]
     violations = []
     for path, rel in iter_source_files(root):
         with open(path, encoding="utf-8") as f:
             violations.extend(lint_file(rel, f.read().splitlines(), rules))
+    if not rule_names or ORPHAN_UNIT in rule_names:
+        violations.extend(orphan_units(root))
     return violations
 
 
@@ -216,9 +258,8 @@ def main(argv=None):
                         help="rules to run (default: all)")
     args = parser.parse_args(argv)
 
-    known = {r["name"] for r in RULES}
     for name in args.rules:
-        if name not in known:
+        if name not in RULE_NAMES:
             parser.error(f"unknown rule: {name}")
 
     violations = run(args.root, set(args.rules))

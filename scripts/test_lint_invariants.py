@@ -2,7 +2,9 @@
 """Self-test of the project-invariant linter: proves, with doctored source
 trees, that every rule fires on its violation shape, stays quiet on clean
 code, honors lint:allow suppressions (same-line and comment-block), and
-scopes rules to the right subtrees. Run directly (CI) or via ctest.
+scopes rules to the right subtrees. The doctored trees put the linted root at
+src/ with bench/, perfbench/, tests/ and examples/ beside it, the layout the
+tree-level orphan-unit rule reads. Run directly (CI) or via ctest.
 """
 
 import os
@@ -13,23 +15,28 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import lint_invariants as lint  # noqa: E402
 
+LINE_RULES = {r["name"] for r in lint.RULES}
+
 
 class LintTest(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
-        self.root = self.tmp.name
+        self.root = os.path.join(self.tmp.name, "src")
+        os.makedirs(self.root)
 
     def tearDown(self):
         self.tmp.cleanup()
 
-    def write(self, rel, text):
-        path = os.path.join(self.root, rel)
+    def write(self, rel, text, tree="src"):
+        path = os.path.join(self.tmp.name, tree, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
     def lint(self, rules=()):
-        return lint.run(self.root, set(rules))
+        """Runs `rules`, or every line rule: the line-rule fixtures are
+        single files nothing includes, which orphan-unit would also flag."""
+        return lint.run(self.root, set(rules) or LINE_RULES)
 
     def names(self, rules=()):
         return [name for (_, _, name, _) in self.lint(rules)]
@@ -169,6 +176,41 @@ class LintTest(unittest.TestCase):
         self.write("access/scan.h", "  std::mutex mu_;\n")
         self.write("access/scan.cc", "engine_->disk().Access(r);\n")
         self.assertEqual(self.names(["raw-mutex"]), ["raw-mutex"])
+
+    def test_orphan_unit_fires_when_only_own_cc_tests_or_examples_include(self):
+        self.write("exec/island.h", "class Island {};\n")
+        self.write("exec/island.cc", '#include "exec/island.h"\n')
+        self.write("island_test.cc", '#include "exec/island.h"\n',
+                   tree="tests")
+        self.write("island.cpp", '#include "exec/island.h"\n',
+                   tree="examples")
+        violations = self.lint(["orphan-unit"])
+        self.assertEqual([(rel, name) for (rel, _, name, _) in violations],
+                         [(os.path.join("exec", "island.h"), "orphan-unit")])
+
+    def test_orphan_unit_quiet_when_src_bench_or_perfbench_includes(self):
+        self.write("exec/used.h", "class Used {};\n")
+        self.write("exec/used.cc", '#include "exec/used.h"\n')
+        self.write("engine/engine.cc", '#include "exec/used.h"\n')
+        self.write("access/benched.h", "class Benched {};\n")
+        self.write("bench_x.cc", '#include "access/benched.h"\n',
+                   tree="bench")
+        self.write("mem/perf.h", "class Perf {};\n")
+        self.write("runner/main.cc", '#include "mem/perf.h"\n',
+                   tree="perfbench")
+        # A header-only unit included by another header counts as used.
+        self.write("common/types.h", "struct T {};\n")
+        self.write("access/benched2.h", '#include "common/types.h"\n')
+        self.write("bench_y.cc", '#include "access/benched2.h"\n',
+                   tree="bench")
+        self.assertEqual(self.lint(["orphan-unit"]), [])
+
+    def test_orphan_unit_runs_by_default(self):
+        self.write("exec/island.h", "class Island {};\n")
+        self.assertEqual([name for (_, _, name, _) in lint.run(self.root,
+                                                               set())],
+                         ["orphan-unit"])
+        self.assertEqual(lint.main(["--root", self.root]), 1)
 
     def test_cli_exit_codes(self):
         self.write("access/scan.cc", "int x = 0;\n")

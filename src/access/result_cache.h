@@ -1,7 +1,7 @@
 // Result Cache (Section IV-A): holds qualifying tuples that Smooth Scan
 // harvested ahead of their position in the index order, so that a plan
-// relying on the index's interesting order (e.g. ORDER BY, Merge Join input)
-// still receives tuples in key order.
+// relying on the index's interesting order (e.g. ORDER BY) still receives
+// tuples in key order.
 //
 // The cache is partitioned by index-key range, with partition boundaries
 // taken from the separators in the B+-tree root ("the root page is a good

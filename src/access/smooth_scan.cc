@@ -118,20 +118,15 @@ Status SmoothScan::OpenImpl() {
       morphing_ = false;
       pretrigger_bound_ = options_.optimizer_estimate;
       active_policy_ = options_.post_trigger_policy;
-      if (!options_.positional_dedup) {
-        tuple_cache_ = std::make_unique<TupleIdCache>();
-      }
+      tuple_cache_ = std::make_unique<TupleIdCache>();
       break;
     case MorphTrigger::kSlaDriven:
       morphing_ = false;
       pretrigger_bound_ = options_.sla_trigger_cardinality;
       active_policy_ = options_.post_trigger_policy;
-      if (!options_.positional_dedup) {
-        tuple_cache_ = std::make_unique<TupleIdCache>();
-      }
+      tuple_cache_ = std::make_unique<TupleIdCache>();
       break;
   }
-  m0_any_ = false;
   if (options_.preserve_order) {
     ResultCacheOptions rc_options;
     rc_options.max_resident_tuples = options_.result_cache_budget;
@@ -211,16 +206,8 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
     out->PopLast();
     return;
   }
-  if (tuple_cache_ != nullptr) {
-    tuple_cache_->Insert(tid);
-    ctx.cpu->ChargeCacheOp();
-  } else {
-    // Positional dedup: the index is strictly (key, Tid)-ordered, so the
-    // last produced position identifies everything produced so far.
-    m0_any_ = true;
-    m0_last_key_ = (*slot)[predicate_.column].AsInt64();
-    m0_last_tid_ = tid;
-  }
+  tuple_cache_->Insert(tid);
+  ctx.cpu->ChargeCacheOp();
   ctx.cpu->ChargeProduce();
   ++stats_.tuples_produced;
   ++sstats_.card_mode0;
@@ -366,11 +353,6 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
         if (tuple_cache_ != nullptr) {
           ++cache_ops;
           keep = !tuple_cache_->Contains(tid);
-        } else if (options_.positional_dedup && m0_any_) {
-          // Mode 0 produced every qualifying tuple positioned at or before
-          // (m0_last_key_, m0_last_tid_) in the strict (key, Tid) order.
-          keep = key > m0_last_key_ ||
-                 (key == m0_last_key_ && m0_last_tid_ < tid);
         }
       }
       if (!keep) {

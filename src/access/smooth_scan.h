@@ -106,7 +106,7 @@ struct SmoothScanOptions {
   /// "Entire Page Probe" curve).
   bool enable_flattening = true;
   /// Maintain the index's interesting order via the Result Cache (needed for
-  /// ORDER BY / Merge Join consumers).
+  /// ORDER BY consumers).
   bool preserve_order = false;
   /// Resident-tuple budget of the Result Cache before its furthest key-range
   /// partitions spill to a simulated overflow file (Section IV-A).
@@ -114,12 +114,6 @@ struct SmoothScanOptions {
   /// Memory broker the Result Cache registers with (null = ungoverned):
   /// under global pressure the cache spills early instead of growing.
   MemoryBroker* broker = nullptr;
-  /// Deduplicate pre-trigger results positionally instead of with the Tuple
-  /// ID Cache: the paper notes that with a strict (indexkey, TID) ordering in
-  /// the secondary index "it is sufficient to remember the last tuple we
-  /// reached with the traditional index". Requires a bulk-built (globally
-  /// (key, TID)-ordered) index; only meaningful for non-eager triggers.
-  bool positional_dedup = false;
   /// Shared-SmoothScan mode: attach this scan to the table's common Page ID
   /// Cache (see SharedSmoothGroup). Null = solo behaviour, bit-identical
   /// accounting to a cold run.
@@ -261,10 +255,6 @@ class SmoothScan : public AccessPath {
   MorphPolicy active_policy_;
   bool morphing_ = false;  ///< False while Mode 0 (pre-trigger) is running.
   uint64_t pretrigger_bound_ = 0;
-  // Positional dedup state: last (key, Tid) produced by Mode 0.
-  bool m0_any_ = false;
-  int64_t m0_last_key_ = 0;
-  Tid m0_last_tid_{};
 
   std::optional<BPlusTree::Iterator> it_;
   size_t next_target_ = 0;  ///< Cursor into morsel_.targets.

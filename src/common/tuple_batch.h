@@ -109,8 +109,6 @@ class TupleBatch {
   /// Moves visible row `i` out of the batch.
   Tuple Take(size_t i) { return std::move(rows_[Physical(i)]); }
 
-  bool HasSelection() const { return sel_active_; }
-
   /// Keeps only the visible rows satisfying `pred`, recording survivors in
   /// the selection vector (no row is moved or copied).
   template <typename Pred>

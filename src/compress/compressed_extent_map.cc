@@ -11,8 +11,7 @@ constexpr uint32_t kPageOverheadReserve = 64;
 }  // namespace
 
 CompressedExtentRef CompressedExtentMap::Enable(const HeapFile* heap,
-                                               int key_column,
-                                               bool auto_rebuild) {
+                                               int key_column) {
   if (!heap->schema().IsFixedWidth()) return nullptr;
   if (key_column < 0 ||
       static_cast<size_t>(key_column) >= heap->schema().num_columns()) {
@@ -29,12 +28,10 @@ CompressedExtentRef CompressedExtentMap::Enable(const HeapFile* heap,
   if (inserted) {
     entry.heap = heap;
     entry.key_column = key_column;
-    entry.auto_rebuild = auto_rebuild;
     entry.file = engine_->storage().CreateFile(
         engine_->storage().FileName(heap->file_id()) + ".cmp");
   } else {
     entry.key_column = key_column;
-    entry.auto_rebuild = auto_rebuild;
     engine_->pool().EvictFile(entry.file);
     engine_->storage().TruncateFile(entry.file);
   }
@@ -48,25 +45,6 @@ CompressedExtentRef CompressedExtentMap::Lookup(FileId table) const {
   latch::LatchGuard lock(mu_);
   auto it = tables_.find(table);
   return it == tables_.end() ? nullptr : it->second.current;
-}
-
-void CompressedExtentMap::Invalidate(FileId table) {
-  latch::LatchGuard lock(mu_);
-  auto it = tables_.find(table);
-  if (it != tables_.end()) it->second.current = nullptr;
-}
-
-void CompressedExtentMap::OnPublish(FileId table) {
-  latch::LatchGuard lock(mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return;
-  TableEntry& entry = it->second;
-  entry.current = nullptr;
-  if (!entry.auto_rebuild) return;
-  engine_->pool().EvictFile(entry.file);
-  engine_->storage().TruncateFile(entry.file);
-  entry.current = BuildLocked(&entry, /*charge_write=*/true);
-  ++rebuilds_;
 }
 
 CompressedExtentRef CompressedExtentMap::Rebuild(FileId table) {

@@ -13,10 +13,9 @@
 //
 // Lifecycle mirrors the parked shared-scan groups: the extent built against
 // published epoch N serves readers until the *next* publish, at which point
-// the QueryEngine's publish hook invalidates it (scans already holding a
-// CompressedExtentRef keep their snapshot — shared_ptr — but the chooser
-// stops offering the path) and, when auto-rebuild is on, folds the new heap
-// content into a fresh sibling. Rebuild hygiene: the old frames are evicted
+// the QueryEngine's publish hook replaces it by folding the new heap content
+// into a fresh sibling (scans already holding a CompressedExtentRef keep
+// their snapshot — shared_ptr). Rebuild hygiene: the old frames are evicted
 // from the engine pool (write-backs charged) before the sibling file is
 // truncated, which aborts if any consumer still pins a compressed page —
 // publish quiescence guarantees none does.
@@ -93,24 +92,17 @@ class CompressedExtentMap {
   /// Registers `heap` for compression on `key_column` and builds the initial
   /// extent (load-time: no I/O charged). Returns null — without registering —
   /// when the schema is not fixed-width or the key column is not INT64/DATE.
-  /// `auto_rebuild` controls whether OnPublish() folds a fresh extent or
-  /// leaves the table invalidated until the next explicit Rebuild().
-  CompressedExtentRef Enable(const HeapFile* heap, int key_column,
-                             bool auto_rebuild = true) EXCLUDES(mu_);
+  CompressedExtentRef Enable(const HeapFile* heap, int key_column)
+      EXCLUDES(mu_);
 
-  /// Current extent of `table`, or null (not enabled / invalidated).
+  /// Current extent of `table`, or null (not enabled).
   CompressedExtentRef Lookup(FileId table) const EXCLUDES(mu_);
 
-  /// Drops `table`'s current extent; Lookup returns null until a rebuild.
-  void Invalidate(FileId table) EXCLUDES(mu_);
-
-  /// Publish notification for `table`: invalidates, then (when auto_rebuild)
-  /// folds the heap's published content into a fresh sibling extent, charging
-  /// the engine stream one extent write over the new pages. Evicts the old
-  /// sibling frames from the engine pool first — aborts if any is pinned.
-  void OnPublish(FileId table) EXCLUDES(mu_);
-
-  /// Explicit rebuild (same as the auto path, without requiring a publish).
+  /// Folds the heap's published content into a fresh sibling extent,
+  /// charging the engine stream one extent write over the new pages; the
+  /// QueryEngine's publish hook calls it. Evicts the old sibling frames from
+  /// the engine pool first — aborts if any is pinned. Returns null when
+  /// `table` was never enabled.
   CompressedExtentRef Rebuild(FileId table) EXCLUDES(mu_);
 
   /// Rebuilds performed (tests / diagnostics).
@@ -123,10 +115,9 @@ class CompressedExtentMap {
   struct TableEntry {
     const HeapFile* heap = nullptr;
     int key_column = 0;
-    bool auto_rebuild = true;
     FileId file = 0;          ///< Sibling file id (created once, reused).
     uint64_t version = 0;
-    CompressedExtentRef current;  ///< Null while invalidated.
+    CompressedExtentRef current;  ///< Null only while rebuilding.
   };
 
   /// Folds the heap into the (already truncated) sibling file. Storage walk

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "storage/sim_disk.h"
-
 namespace smoothscan {
 
 /// The inputs of Table I.
@@ -20,18 +18,6 @@ struct CostModelParams {
   uint32_t key_size = 8;             ///< KS, bytes.
   double rand_cost = 10.0;           ///< randcost (per page).
   double seq_cost = 1.0;             ///< seqcost (per page).
-
-  static CostModelParams ForDevice(const DeviceProfile& device,
-                                   uint64_t num_tuples, uint64_t tuple_size,
-                                   uint32_t page_size = 8192) {
-    CostModelParams p;
-    p.tuple_size = tuple_size;
-    p.num_tuples = num_tuples;
-    p.page_size = page_size;
-    p.rand_cost = device.rand_cost;
-    p.seq_cost = device.seq_cost;
-    return p;
-  }
 };
 
 /// Per-path CPU cost constants in simulated-time units (seq page read =

@@ -95,7 +95,7 @@ QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
     // decomposition was sized to the old page count) and any compressed
     // sibling built from the pre-publish snapshot. Order matters: the
     // sibling's own shared-scan group must retire (dropping its window pins)
-    // *before* OnPublish evicts and rebuilds the sibling file. Captures the
+    // *before* Rebuild evicts and rebuilds the sibling file. Captures the
     // collaborators, not `this` — they must outlive the registry's last
     // publish.
     ScanSharingCoordinator* sharing = options_.sharing;
@@ -109,7 +109,7 @@ QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
                 sharing->InvalidateFile(extent->file);
               }
             }
-            compressed->OnPublish(file);
+            compressed->Rebuild(file);
           }
         });
   }
@@ -550,10 +550,9 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     kind = PathKind::kFullScan;  // The exact solo-equivalent plan.
   }
   if (kind == PathKind::kCompressedScan && extent == nullptr) {
-    // Graceful staleness: the extent a fixed-kind spec (or an earlier plan)
-    // counted on is gone — invalidated by a publish, never built, or not
-    // keyed on this predicate's column. The heap full scan produces the
-    // identical multiset from the identical snapshot.
+    // Graceful fallback: the extent a fixed-kind spec counted on is absent —
+    // never built, or not keyed on this predicate's column. The heap full
+    // scan produces the identical multiset from the identical snapshot.
     kind = PathKind::kFullScan;
     if (c_compressed_fallbacks_ != nullptr) c_compressed_fallbacks_->Add();
     obs::EmitInstant(obs_ctx, "compressed_fallback", "file",

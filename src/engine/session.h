@@ -151,20 +151,12 @@ class QueryBuilder {
     spec_.need_order = need_order;
     return *this;
   }
-  QueryBuilder& Dop(uint32_t dop) {
-    spec_.dop = dop;
-    return *this;
-  }
   QueryBuilder& Lane(QueryLane lane) {
     spec_.lane = lane;
     return *this;
   }
   QueryBuilder& CollectKeys(bool collect = true) {
     spec_.collect_keys = collect;
-    return *this;
-  }
-  QueryBuilder& AllowSharing(bool allow) {
-    spec_.allow_sharing = allow;
     return *this;
   }
   /// Deliver result batches through QueryHandle::NextBatch as they are

@@ -2,7 +2,7 @@
 // like AccessPath, the one pull call is NextBatch() (up to one TupleBatch of
 // output rows per virtual dispatch); consumers that walk a child row by row
 // do so through a BatchCursor over its batches. The paper's TPC-H
-// experiments (Fig. 4, Table II) need selections, joins (hash, merge and
+// experiments (Fig. 4, Table II) need selections, joins (hash and
 // index-nested-loops), aggregation, sorting and projection; the concrete
 // operators provide exactly that, with all CPU work charged to the engine's
 // meter per batch, amortized.
@@ -72,9 +72,6 @@ class BatchCursor {
 
   /// The current row; valid only after Advance() returned true.
   const Tuple& row() const { return batch_.row(idx_); }
-
-  /// Moves the current row out (the caller Advances past it next).
-  Tuple Take() { return batch_.Take(idx_); }
 
  private:
   TupleBatch batch_;

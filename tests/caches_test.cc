@@ -1,11 +1,16 @@
 // Unit tests for Smooth Scan's auxiliary structures: Page ID Cache, Tuple ID
-// Cache and the key-range-partitioned Result Cache.
+// Cache and the key-range-partitioned Result Cache, including its spilling to
+// overflow files (Section IV-A).
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "access/page_id_cache.h"
 #include "access/result_cache.h"
+#include "access/smooth_scan.h"
 #include "access/tuple_id_cache.h"
+#include "workload/micro_bench.h"
 #include "write/table_version.h"
 
 namespace smoothscan {
@@ -176,6 +181,111 @@ TEST(ResultCacheTest, PublishInvalidationClearsAttachedTableOnly) {
   }
   registry.BeginWrite(heap.file_id(), &heap).Release();
   EXPECT_EQ(cache.invalidations(), 2u);  // Survivor still wired.
+}
+
+// ---------- Result Cache spilling ----------
+
+class SpillTest : public ::testing::Test {
+ protected:
+  Engine engine_;
+};
+
+TEST_F(SpillTest, NoSpillUnderBudget) {
+  ResultCacheOptions o;
+  o.max_resident_tuples = 100;
+  ResultCache cache({10, 20}, &engine_, o);
+  for (int i = 0; i < 50; ++i) {
+    cache.Insert(i % 30, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(i)});
+  }
+  EXPECT_EQ(cache.spill_stats().spills, 0u);
+  EXPECT_EQ(cache.resident_size(), cache.size());
+}
+
+TEST_F(SpillTest, SpillsFurthestPartitionOverBudget) {
+  ResultCacheOptions o;
+  o.max_resident_tuples = 10;
+  ResultCache cache({100, 200}, &engine_, o);
+  // Fill the far partition (keys >= 200) first, then exceed the budget from
+  // the near partition: the far one must spill.
+  for (int i = 0; i < 8; ++i) {
+    cache.Insert(300 + i, Tid{1, static_cast<SlotId>(i)}, {Value::Int64(i)});
+  }
+  const double io_before = engine_.disk().stats().io_time;
+  for (int i = 0; i < 8; ++i) {
+    cache.Insert(i, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(i)});
+  }
+  EXPECT_GE(cache.spill_stats().spills, 1u);
+  EXPECT_EQ(cache.spill_stats().spilled_tuples, 8u);
+  EXPECT_LE(cache.resident_size(), 10u);
+  EXPECT_EQ(cache.size(), 16u);  // Nothing lost.
+  EXPECT_GT(engine_.disk().stats().io_time, io_before);  // Write charged.
+  EXPECT_GT(engine_.disk().stats().pages_written, 0u);
+}
+
+TEST_F(SpillTest, TakeRestoresSpilledPartition) {
+  ResultCacheOptions o;
+  o.max_resident_tuples = 4;
+  ResultCache cache({100}, &engine_, o);
+  for (int i = 0; i < 5; ++i) {
+    cache.Insert(200 + i, Tid{1, static_cast<SlotId>(i)}, {Value::Int64(i)});
+  }
+  for (int i = 0; i < 5; ++i) {
+    cache.Insert(i, Tid{0, static_cast<SlotId>(i)}, {Value::Int64(100 + i)});
+  }
+  ASSERT_GE(cache.spill_stats().spills, 1u);
+  // Reaching the spilled range reads the overflow file back.
+  const uint64_t reads_before = engine_.disk().stats().pages_read;
+  std::optional<Tuple> t = cache.Take(203, Tid{1, 3});
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ((*t)[0].AsInt64(), 3);
+  EXPECT_GE(cache.spill_stats().restores, 1u);
+  EXPECT_GT(engine_.disk().stats().pages_read, reads_before);
+}
+
+TEST_F(SpillTest, EvictBelowDropsSpilledPartitions) {
+  ResultCacheOptions o;
+  o.max_resident_tuples = 2;
+  ResultCache cache({10, 20}, &engine_, o);
+  cache.Insert(25, Tid{0, 0}, {Value::Int64(1)});
+  cache.Insert(26, Tid{0, 1}, {Value::Int64(2)});
+  cache.Insert(5, Tid{0, 2}, {Value::Int64(3)});
+  cache.Insert(6, Tid{0, 3}, {Value::Int64(4)});
+  EXPECT_EQ(cache.EvictBelow(30), 2u);  // Keys 5, 6 are dead.
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST_F(SpillTest, SmoothScanCorrectUnderTinyCacheBudget) {
+  EngineOptions eo;
+  eo.buffer_pool_pages = 64;
+  Engine engine(eo);
+  MicroBenchSpec spec;
+  spec.num_tuples = 20000;
+  MicroBenchDb db(&engine, spec);
+  const ScanPredicate pred = db.PredicateForSelectivity(0.1);
+
+  std::multiset<int64_t> expected;
+  db.heap().ForEachDirect([&](Tid, const Tuple& t) {
+    if (pred.Matches(t)) expected.insert(t[0].AsInt64());
+  });
+
+  SmoothScanOptions so;
+  so.preserve_order = true;
+  so.result_cache_budget = 64;  // Far below the ~2000 cached results.
+  SmoothScan scan(&db.index(), pred, so);
+  engine.ColdRestart();
+  ASSERT_TRUE(scan.Open().ok());
+  std::multiset<int64_t> got;
+  int64_t prev_key = INT64_MIN;
+  TupleBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GE(t[MicroBenchDb::kIndexedColumn].AsInt64(), prev_key);
+      prev_key = t[MicroBenchDb::kIndexedColumn].AsInt64();
+      got.insert(t[0].AsInt64());
+    }
+  }
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // multiset a heap FullScan produces, for strictly fewer simulated page
 // fetches. Covers: the serial / shared / morsel-parallel compressed policies
 // across a selectivity sweep, zone-map block skipping on a clustered key,
-// index-only emission and CompressedCountRange, staleness fallback after a
-// publish (auto-rebuild on and off), pin/eviction hygiene under the shared
-// buffer-pool mirror, and DOP 1/2/8 bit-identical parallel accounting.
+// index-only emission and CompressedCountRange, rebuild after a publish, the
+// heap fallback for a table with no extent, pin/eviction hygiene under the
+// shared buffer-pool mirror, and DOP 1/2/8 bit-identical parallel accounting.
 
 #include <gtest/gtest.h>
 
@@ -347,7 +347,7 @@ TEST(CompressedPublishTest, PublishInvalidatesThenAutoRebuildServesNewData) {
             oracle);
 }
 
-TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
+TEST(CompressedFallbackTest, NeverEnabledTableFallsBackToHeap) {
   EngineOptions eo;
   eo.buffer_pool_pages = 1024;
   Engine engine(eo);
@@ -355,16 +355,9 @@ TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
   spec.num_tuples = 20000;
   spec.value_max = 4000;
   MicroBenchDb db(&engine, spec);
-  TableVersionRegistry registry(&engine);
-  TableWriter writer(db.mutable_heap(),
-                     std::vector<BPlusTree*>{db.mutable_index()}, &registry);
-  CompressedExtentMap map(&engine);
-  ASSERT_NE(map.Enable(db.mutable_heap(), MicroBenchDb::kIndexedColumn,
-                       /*auto_rebuild=*/false),
-            nullptr);
+  CompressedExtentMap map(&engine);  // The table is never enabled.
   QueryEngineOptions qeo;
   qeo.max_admitted = 2;
-  qeo.versions = &registry;
   qeo.compressed = &map;
   QueryEngine qe(&engine, qeo);
   Session session(&qe);
@@ -374,28 +367,17 @@ TEST(CompressedPublishTest, WithoutAutoRebuildQueriesFallBackToHeap) {
   read.predicate = db.PredicateForSelectivity(0.5);
   read.kind = PathKind::kCompressedScan;  // Fixed-kind: asks for the tier.
   read.collect_keys = true;
-  QueryResult before = session.Query().FromSpec(read).Run();
-  ASSERT_TRUE(before.status.ok());
-  EXPECT_EQ(before.metrics.kind, PathKind::kCompressedScan);
 
-  QuerySpec write;
-  write.writer = &writer;
-  write.write_ops.push_back(
-      WriteOp::MakeInsert(MakeRow(db.heap().schema(), 1000001, 10)));
-  ASSERT_TRUE(session.Query().FromSpec(write).Run().status.ok());
-  registry.AcquireRead(db.heap().file_id()).Release();
-  EXPECT_EQ(map.Lookup(db.heap().file_id()), nullptr);
-
-  // Graceful staleness: the same spec now runs the heap full scan and sees
-  // the published write.
+  // Graceful fallback: with no extent to read, the spec runs the heap full
+  // scan over the same snapshot.
   std::multiset<int64_t> oracle;
   db.heap().ForEachDirect([&](Tid, const Tuple& t) {
     if (read.predicate.Matches(t)) oracle.insert(t[0].AsInt64());
   });
-  QueryResult after = session.Query().FromSpec(read).Run();
-  ASSERT_TRUE(after.status.ok());
-  EXPECT_EQ(after.metrics.kind, PathKind::kFullScan);
-  EXPECT_EQ(std::multiset<int64_t>(after.keys.begin(), after.keys.end()),
+  QueryResult result = session.Query().FromSpec(read).Run();
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_EQ(result.metrics.kind, PathKind::kFullScan);
+  EXPECT_EQ(std::multiset<int64_t>(result.keys.begin(), result.keys.end()),
             oracle);
 }
 

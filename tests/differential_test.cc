@@ -126,9 +126,6 @@ TEST_P(DifferentialTest, AllPathsAgreeWithOracle) {
   if (so.preserve_order && rng.Bernoulli(0.5)) {
     so.result_cache_budget = static_cast<uint64_t>(rng.UniformInt(8, 4096));
   }
-  if (so.trigger != MorphTrigger::kEager) {
-    so.positional_dedup = rng.Bernoulli(0.5);
-  }
   SmoothScan smooth(&db.index(), pred, so);
   check(&smooth, so.preserve_order, "SmoothScan");
 

@@ -13,6 +13,7 @@
 #include "access/full_scan.h"
 #include "access/index_scan.h"
 #include "access/smooth_scan.h"
+#include "access/sort_scan.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -173,6 +174,87 @@ TEST_F(SmoothScanTest, OrderedModeEmitsKeyOrder) {
     }
     EXPECT_EQ(n, Oracle(pred).size());
   }
+}
+
+TEST(SmoothScanOrderTest, OrderedModeEmitsKeyOrderWithManyDuplicateKeys) {
+  // A narrow key domain puts ~40 rows on every key, so the Result Cache holds
+  // many tuples per key and releases them across region boundaries.
+  EngineOptions eo;
+  eo.buffer_pool_pages = 128;
+  Engine engine(eo);
+  MicroBenchSpec spec;
+  spec.num_tuples = 20000;
+  spec.value_max = 500;
+  MicroBenchDb db(&engine, spec);
+  const ScanPredicate pred = db.PredicateForSelectivity(0.3);
+
+  std::multiset<int64_t> expected;
+  std::set<int64_t> distinct_keys;
+  db.heap().ForEachDirect([&](Tid, const Tuple& t) {
+    if (!pred.Matches(t)) return;
+    expected.insert(t[0].AsInt64());
+    distinct_keys.insert(t[kC2].AsInt64());
+  });
+  ASSERT_GT(expected.size(), 10 * distinct_keys.size());
+
+  SmoothScanOptions options;
+  options.preserve_order = true;
+  SmoothScan scan(&db.index(), pred, options);
+  engine.ColdRestart();
+  ASSERT_TRUE(scan.Open().ok());
+  std::multiset<int64_t> got;
+  int64_t prev = INT64_MIN;
+  TupleBatch batch;
+  while (scan.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_GE(t[kC2].AsInt64(), prev);
+      prev = t[kC2].AsInt64();
+      got.insert(t[0].AsInt64());
+    }
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(SmoothScanOrderTest, OrderedSmoothFirstKeysCheaperThanOrderedSortScan) {
+  // An ordered consumer that stops after the first keys (a merge join whose
+  // other input ends, a LIMIT) pays an ordered Smooth Scan only for the
+  // regions it reached, while an ordered Sort Scan reads and sorts the whole
+  // 50% result before its first row.
+  EngineOptions eo;
+  eo.buffer_pool_pages = 128;
+  Engine engine(eo);
+  MicroBenchSpec spec;
+  spec.num_tuples = 50000;
+  MicroBenchDb db(&engine, spec);
+  const ScanPredicate pred = db.PredicateForSelectivity(0.5);
+  constexpr int64_t kLastKey = 3;
+
+  auto sim_cost = [&](AccessPath* path) {
+    engine.ColdRestart();
+    const IoStats before = engine.disk().stats();
+    const double cpu_before = engine.cpu().time();
+    SMOOTHSCAN_CHECK(path->Open().ok());
+    bool past_last_key = false;
+    TupleBatch batch;
+    while (!past_last_key && path->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        past_last_key |= batch.row(i)[kC2].AsInt64() > kLastKey;
+      }
+    }
+    EXPECT_TRUE(past_last_key);
+    path->Close();
+    return (engine.disk().stats() - before).io_time + engine.cpu().time() -
+           cpu_before;
+  };
+
+  SmoothScanOptions so;
+  so.preserve_order = true;
+  SmoothScan smooth(&db.index(), pred, so);
+  SortScanOptions sorted;
+  sorted.preserve_order = true;
+  SortScan sort(&db.index(), pred, sorted);
+  EXPECT_LT(sim_cost(&smooth), sim_cost(&sort));
 }
 
 // ---------- Worst-case bound (Section III-C, Eager) ----------
