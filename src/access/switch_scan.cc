@@ -22,7 +22,9 @@ Status SwitchScan::OpenImpl() {
 
 void SwitchScan::CloseImpl() {
   it_.reset();
-  produced_.Clear();
+  // Release the slot array, not just empty it: a closed scan holds no
+  // memory sized by the rows it produced.
+  produced_ = TupleIdCache();
   full_.reset();
 }
 

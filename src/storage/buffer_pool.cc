@@ -15,7 +15,7 @@ void AddPoolStats(const obs::ObsContext* o, const BufferPoolStats& stats) {
 
 void PageGuard::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(key_);
+    pool_->Unpin(key_, frame_, mirror_frame_);
     pool_ = nullptr;
   }
   page_ = nullptr;
@@ -43,29 +43,191 @@ void BufferPool::SetMirror(BufferPool* mirror) {
   mirror_ = mirror;
 }
 
-void BufferPool::PinKey(uint64_t key) {
-  Shard& shard = ShardFor(key);
-  uint64_t evicted = kNoWriteBack;
-  {
-    latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      ++it->second.pins;
-    } else {
-      evicted = InsertLocked(&shard, key);
-      ++shard.map[key].pins;
-    }
-  }
-  ChargeWriteBack(evicted);
+namespace {
+
+/// Home slot of `key` in a table of 2^(64 - shift) slots (Fibonacci hashing:
+/// the high bits of the product mix every key bit, so the page-strided keys
+/// of one shard spread evenly).
+size_t HomeSlot(uint64_t key, uint32_t shift) {
+  return shift >= 64 ? 0
+                     : static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                           shift);
 }
 
-void BufferPool::UnpinKey(uint64_t key) {
+}  // namespace
+
+uint32_t BufferPool::FindLocked(const Shard& shard, uint64_t key) {
+  if (shard.table.empty()) return kNil;
+  const size_t mask = shard.table.size() - 1;
+  for (size_t i = HomeSlot(key, shard.table_shift);; i = (i + 1) & mask) {
+    const Slot& slot = shard.table[i];
+    if (slot.frame == kNil || slot.key == key) return slot.frame;
+  }
+}
+
+void BufferPool::TableInsertLocked(Shard* shard, uint64_t key,
+                                   uint32_t frame) {
+  if ((shard->resident + 1) * 2 > shard->table.size()) {
+    // Rehash into twice the slots (16 at first): the load stays <= 1/2.
+    std::vector<Slot> old = std::move(shard->table);
+    const size_t slots = std::max<size_t>(16, old.size() * 2);
+    shard->table.assign(slots, Slot{});
+    shard->table_shift = 64;
+    for (size_t n = slots; n > 1; n >>= 1) --shard->table_shift;
+    const size_t mask = slots - 1;
+    for (const Slot& slot : old) {
+      if (slot.frame == kNil) continue;
+      size_t i = HomeSlot(slot.key, shard->table_shift);
+      while (shard->table[i].frame != kNil) i = (i + 1) & mask;
+      shard->table[i] = slot;
+    }
+  }
+  const size_t mask = shard->table.size() - 1;
+  size_t i = HomeSlot(key, shard->table_shift);
+  while (shard->table[i].frame != kNil) i = (i + 1) & mask;
+  shard->table[i] = Slot{key, frame};
+}
+
+void BufferPool::TableEraseLocked(Shard* shard, uint64_t key) {
+  std::vector<Slot>& table = shard->table;
+  const size_t mask = table.size() - 1;
+  size_t hole = HomeSlot(key, shard->table_shift);
+  while (table[hole].key != key || table[hole].frame == kNil) {
+    SMOOTHSCAN_CHECK(table[hole].frame != kNil);
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift delete: pull each later entry of the probe run into the
+  // hole unless its home lies cyclically in (hole, j] — then it must stay.
+  for (size_t j = (hole + 1) & mask; table[j].frame != kNil;
+       j = (j + 1) & mask) {
+    const size_t home = HomeSlot(table[j].key, shard->table_shift);
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (stays) continue;
+    table[hole] = table[j];
+    hole = j;
+  }
+  table[hole].frame = kNil;
+}
+
+void BufferPool::UnlinkLocked(Shard* shard, uint32_t frame) {
+  Frame& f = shard->frames[frame];
+  if (f.prev != kNil) {
+    shard->frames[f.prev].next = f.next;
+  } else {
+    shard->head = f.next;
+  }
+  if (f.next != kNil) {
+    shard->frames[f.next].prev = f.prev;
+  } else {
+    shard->tail = f.prev;
+  }
+  f.prev = kNil;
+  f.next = kNil;
+}
+
+void BufferPool::PushFrontLocked(Shard* shard, uint32_t frame) {
+  Frame& f = shard->frames[frame];
+  f.prev = kNil;
+  f.next = shard->head;
+  if (shard->head != kNil) {
+    shard->frames[shard->head].prev = frame;
+  } else {
+    shard->tail = frame;
+  }
+  shard->head = frame;
+}
+
+void BufferPool::TouchLocked(Shard* shard, uint32_t frame) {
+  if (shard->head == frame) return;
+  UnlinkLocked(shard, frame);
+  PushFrontLocked(shard, frame);
+}
+
+void BufferPool::DropLocked(Shard* shard, uint32_t frame) {
+  UnlinkLocked(shard, frame);
+  TableEraseLocked(shard, shard->frames[frame].key);
+  shard->free_frames.push_back(frame);
+  --shard->resident;
+}
+
+uint64_t BufferPool::InsertLocked(Shard* shard, uint64_t key,
+                                  uint32_t* frame) {
+  uint64_t write_back = kNoWriteBack;
+  if (shard->resident >= shard->capacity) {
+    // Evict the least recently used unpinned page; its frame takes the new
+    // page. When everything is pinned the shard transiently overflows its
+    // capacity share — pins win. A dirty victim is written back before it is
+    // dropped (the caller charges it after unlocking): eviction must never
+    // lose a mutation.
+    for (uint32_t v = shard->tail; v != kNil; v = shard->frames[v].prev) {
+      const Frame& victim = shard->frames[v];
+      if (victim.pins > 0) continue;
+      if (victim.dirty) {
+        write_back = victim.key;
+        ++shard->stats.write_backs;
+      }
+      DropLocked(shard, v);
+      break;
+    }
+  }
+  uint32_t f;
+  if (!shard->free_frames.empty()) {
+    f = shard->free_frames.back();
+    shard->free_frames.pop_back();
+  } else {
+    f = static_cast<uint32_t>(shard->frames.size());
+    shard->frames.emplace_back();
+  }
+  shard->frames[f] = Frame{key, kNil, kNil, 0, false};
+  PushFrontLocked(shard, f);
+  TableInsertLocked(shard, key, f);
+  ++shard->resident;
+  *frame = f;
+  return write_back;
+}
+
+uint32_t BufferPool::PinLocked(Shard* shard, uint64_t key, bool* miss,
+                               uint64_t* evicted) {
+  uint32_t frame = FindLocked(*shard, key);
+  *miss = frame == kNil;
+  if (*miss) {
+    *evicted = InsertLocked(shard, key, &frame);
+  } else {
+    TouchLocked(shard, frame);
+  }
+  ++shard->frames[frame].pins;
+  return frame;
+}
+
+PageGuard BufferPool::MakeGuard(FileId file, PageId page, uint32_t frame) {
+  const uint64_t key = Key(file, page);
+  const uint32_t mirror_frame =
+      mirror_ != nullptr ? mirror_->PinKey(key) : kNil;
+  return PageGuard(this, key, frame, mirror_frame,
+                   &storage_->GetPage(file, page));
+}
+
+uint32_t BufferPool::PinKey(uint64_t key) {
+  Shard& shard = ShardFor(key);
+  uint64_t evicted = kNoWriteBack;
+  uint32_t frame;
+  {
+    latch::LatchGuard lock(shard.mu);
+    bool miss;
+    frame = PinLocked(&shard, key, &miss, &evicted);
+  }
+  ChargeWriteBack(evicted);
+  return frame;
+}
+
+void BufferPool::UnpinFrame(uint64_t key, uint32_t frame) {
   Shard& shard = ShardFor(key);
   latch::LatchGuard lock(shard.mu);
-  auto it = shard.map.find(key);
-  SMOOTHSCAN_CHECK(it != shard.map.end() && it->second.pins > 0);
-  --it->second.pins;
+  SMOOTHSCAN_CHECK(frame < shard.frames.size());
+  Frame& f = shard.frames[frame];
+  SMOOTHSCAN_CHECK(f.key == key && f.pins > 0);
+  --f.pins;
 }
 
 void BufferPool::TouchKey(uint64_t key) {
@@ -73,11 +235,11 @@ void BufferPool::TouchKey(uint64_t key) {
   uint64_t evicted = kNoWriteBack;
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    uint32_t frame = FindLocked(shard, key);
+    if (frame != kNil) {
+      TouchLocked(&shard, frame);
     } else {
-      evicted = InsertLocked(&shard, key);
+      evicted = InsertLocked(&shard, key, &frame);
     }
   }
   ChargeWriteBack(evicted);
@@ -87,29 +249,30 @@ bool BufferPool::Contains(FileId file, PageId page) const {
   const uint64_t key = Key(file, page);
   const Shard& shard = ShardFor(key);
   latch::LatchGuard lock(shard.mu);
-  return shard.map.count(key) > 0;
+  return FindLocked(shard, key) != kNil;
 }
 
 size_t BufferPool::EvictFile(FileId file) {
   size_t dropped = 0;
   std::vector<uint64_t> write_back;
-  for (auto& shard : shards_) {
-    latch::LatchGuard lock(shard->mu);
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
-      if (FileOf(it->first) != file) {
-        ++it;
-        continue;
+  for (auto& owned : shards_) {
+    Shard& shard = *owned;
+    latch::LatchGuard lock(shard.mu);
+    for (uint32_t f = shard.head; f != kNil;) {
+      const Frame& frame = shard.frames[f];
+      const uint32_t next = frame.next;
+      if (FileOf(frame.key) == file) {
+        // A pinned frame here means a consumer outlived the invalidation
+        // point — truncating the backing file would dangle its reference.
+        SMOOTHSCAN_CHECK(frame.pins == 0);
+        if (frame.dirty) {
+          write_back.push_back(frame.key);
+          ++shard.stats.write_backs;
+        }
+        DropLocked(&shard, f);
+        ++dropped;
       }
-      // A pinned frame here means a consumer outlived the invalidation
-      // point — truncating the backing file would dangle its reference.
-      SMOOTHSCAN_CHECK(it->second.pins == 0);
-      if (it->second.dirty) {
-        write_back.push_back(it->first);
-        ++shard->stats.write_backs;
-      }
-      shard->lru.erase(it->second.lru_it);
-      it = shard->map.erase(it);
-      ++dropped;
+      f = next;
     }
   }
   // Charge outside the shard latches, in (file, page) order like FlushAll.
@@ -120,94 +283,59 @@ size_t BufferPool::EvictFile(FileId file) {
   return dropped;
 }
 
-uint64_t BufferPool::InsertLocked(Shard* shard, uint64_t key) {
-  uint64_t write_back = kNoWriteBack;
-  if (shard->map.size() >= shard->capacity) {
-    // Evict the least recently used unpinned page. When everything is pinned
-    // the shard transiently overflows its capacity share — pins win. A dirty
-    // victim is written back before it is dropped (the caller charges it
-    // after unlocking): eviction must never lose a mutation.
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-      auto victim = shard->map.find(*it);
-      if (victim->second.pins > 0) continue;
-      if (victim->second.dirty) {
-        write_back = *it;
-        ++shard->stats.write_backs;
-      }
-      shard->lru.erase(std::next(it).base());
-      shard->map.erase(victim);
-      break;
-    }
-  }
-  shard->lru.push_front(key);
-  shard->map[key] = Entry{shard->lru.begin(), 0, false};
-  return write_back;
-}
-
 PageGuard BufferPool::Fetch(FileId file, PageId page) {
   const uint64_t key = Key(file, page);
   Shard& shard = ShardFor(key);
-  bool miss = false;
+  bool miss;
   uint64_t evicted = kNoWriteBack;
+  uint32_t frame;
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      ++shard.stats.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      ++it->second.pins;
-    } else {
+    frame = PinLocked(&shard, key, &miss, &evicted);
+    if (miss) {
       ++shard.stats.misses;
-      miss = true;
-      evicted = InsertLocked(&shard, key);
-      ++shard.map[key].pins;
+    } else {
+      ++shard.stats.hits;
     }
   }
   // Charge outside the shard latch; SimDisk serializes internally.
   ChargeWriteBack(evicted);
   if (miss) disk_->ReadPage(file, page);
-  if (mirror_ != nullptr) mirror_->PinKey(key);
-  return PageGuard(this, key, &storage_->GetPage(file, page));
+  return MakeGuard(file, page, frame);
 }
 
 PageGuard BufferPool::PinIfResident(FileId file, PageId page) {
   const uint64_t key = Key(file, page);
   Shard& shard = ShardFor(key);
+  uint32_t frame;
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return PageGuard();
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    ++it->second.pins;
+    frame = FindLocked(shard, key);
+    if (frame == kNil) return PageGuard();
+    TouchLocked(&shard, frame);
+    ++shard.frames[frame].pins;
   }
-  if (mirror_ != nullptr) mirror_->PinKey(key);
-  return PageGuard(this, key, &storage_->GetPage(file, page));
+  return MakeGuard(file, page, frame);
 }
 
 PageGuard BufferPool::Pin(FileId file, PageId page) {
   const uint64_t key = Key(file, page);
   Shard& shard = ShardFor(key);
   uint64_t evicted = kNoWriteBack;
+  uint32_t frame;
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      ++it->second.pins;
-    } else {
-      evicted = InsertLocked(&shard, key);
-      ++shard.map[key].pins;
-    }
+    bool miss;
+    frame = PinLocked(&shard, key, &miss, &evicted);
   }
   ChargeWriteBack(evicted);
-  if (mirror_ != nullptr) mirror_->PinKey(key);
-  return PageGuard(this, key, &storage_->GetPage(file, page));
+  return MakeGuard(file, page, frame);
 }
 
-void BufferPool::Unpin(uint64_t key) {
-  UnpinKey(key);
+void BufferPool::Unpin(uint64_t key, uint32_t frame, uint32_t mirror_frame) {
+  UnpinFrame(key, frame);
   // One mirror pin was taken per local pin, so the release is symmetric.
-  if (mirror_ != nullptr) mirror_->UnpinKey(key);
+  if (mirror_ != nullptr) mirror_->UnpinFrame(key, mirror_frame);
 }
 
 void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
@@ -225,10 +353,10 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
     const uint64_t key = Key(file, p);
     Shard& shard = ShardFor(key);
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return false;
+    const uint32_t frame = FindLocked(shard, key);
+    if (frame == kNil) return false;
     ++shard.stats.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    TouchLocked(&shard, frame);
     return true;
   };
   // Trim resident pages at both ends; the physical read must still cover any
@@ -248,12 +376,12 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
     uint64_t evicted = kNoWriteBack;
     {
       latch::LatchGuard lock(shard.mu);
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+      uint32_t frame = FindLocked(shard, key);
+      if (frame != kNil) {
+        TouchLocked(&shard, frame);
       } else {
         ++shard.stats.misses;
-        evicted = InsertLocked(&shard, key);
+        evicted = InsertLocked(&shard, key, &frame);
       }
     }
     ChargeWriteBack(evicted);
@@ -266,14 +394,13 @@ void BufferPool::MarkDirty(FileId file, PageId page) {
   uint64_t evicted = kNoWriteBack;
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      it->second.dirty = true;
+    uint32_t frame = FindLocked(shard, key);
+    if (frame != kNil) {
+      TouchLocked(&shard, frame);
     } else {
-      evicted = InsertLocked(&shard, key);
-      shard.map[key].dirty = true;
+      evicted = InsertLocked(&shard, key, &frame);
     }
+    shard.frames[frame].dirty = true;
   }
   ChargeWriteBack(evicted);
 }
@@ -283,9 +410,9 @@ bool BufferPool::FlushPage(FileId file, PageId page) {
   Shard& shard = ShardFor(key);
   {
     latch::LatchGuard lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end() || !it->second.dirty) return false;
-    it->second.dirty = false;
+    const uint32_t frame = FindLocked(shard, key);
+    if (frame == kNil || !shard.frames[frame].dirty) return false;
+    shard.frames[frame].dirty = false;
     ++shard.stats.write_backs;
   }
   // Charge outside the shard latch; SimDisk serializes internally.
@@ -296,23 +423,25 @@ bool BufferPool::FlushPage(FileId file, PageId page) {
 size_t BufferPool::FlushAll() {
   size_t pinned = 0;
   std::vector<uint64_t> write_back;
-  for (auto& shard : shards_) {
-    latch::LatchGuard lock(shard->mu);
+  for (auto& owned : shards_) {
+    Shard& shard = *owned;
+    latch::LatchGuard lock(shard.mu);
     const size_t before = write_back.size();
-    for (auto it = shard->map.begin(); it != shard->map.end();) {
-      if (it->second.pins > 0) {
+    for (uint32_t f = shard.head; f != kNil;) {
+      const Frame& frame = shard.frames[f];
+      const uint32_t next = frame.next;
+      if (frame.pins > 0) {
         // Skip + report: a pinned page is never invalidated. A pinned dirty
         // page keeps its dirty bit — the write-back is queued for the next
         // flush (or the eviction after the unpin), never dropped.
         ++pinned;
-        ++it;
       } else {
-        if (it->second.dirty) write_back.push_back(it->first);
-        shard->lru.erase(it->second.lru_it);
-        it = shard->map.erase(it);
+        if (frame.dirty) write_back.push_back(frame.key);
+        DropLocked(&shard, f);
       }
+      f = next;
     }
-    shard->stats.write_backs += write_back.size() - before;
+    shard.stats.write_backs += write_back.size() - before;
   }
   // Charge the write-backs as extent writes over sorted (file, page) runs —
   // deterministic in the dirty *set*, independent of shard layout and
@@ -336,9 +465,7 @@ BufferPoolStats BufferPool::stats() const {
   BufferPoolStats total;
   for (const auto& shard : shards_) {
     latch::LatchGuard lock(shard->mu);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.write_backs += shard->stats.write_backs;
+    total += shard->stats;
   }
   return total;
 }
@@ -347,7 +474,7 @@ size_t BufferPool::size() const {
   size_t n = 0;
   for (const auto& shard : shards_) {
     latch::LatchGuard lock(shard->mu);
-    n += shard->map.size();
+    n += shard->resident;
   }
   return n;
 }
@@ -356,8 +483,8 @@ uint64_t BufferPool::pinned_pages() const {
   uint64_t n = 0;
   for (const auto& shard : shards_) {
     latch::LatchGuard lock(shard->mu);
-    for (const auto& [key, entry] : shard->map) {
-      if (entry.pins > 0) ++n;
+    for (uint32_t f = shard->head; f != kNil; f = shard->frames[f].next) {
+      if (shard->frames[f].pins > 0) ++n;
     }
   }
   return n;
@@ -367,8 +494,8 @@ uint64_t BufferPool::dirty_pages() const {
   uint64_t n = 0;
   for (const auto& shard : shards_) {
     latch::LatchGuard lock(shard->mu);
-    for (const auto& [key, entry] : shard->map) {
-      if (entry.dirty) ++n;
+    for (uint32_t f = shard->head; f != kNil; f = shard->frames[f].next) {
+      if (shard->frames[f].dirty) ++n;
     }
   }
   return n;

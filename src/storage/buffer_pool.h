@@ -4,12 +4,24 @@
 // clearing of database and OS caches before every execution.
 //
 // Concurrency: the pool is sharded — each shard owns a slice of the capacity
-// with its own latch, LRU list and map, so concurrent fetches on different
-// shards never contend. Pages are handed out as pinned PageGuards: a pinned
-// page is never evicted and FlushAll() skips (and reports) it, so a reference
-// obtained from Fetch() stays valid for the guard's lifetime even while other
-// threads churn the pool. Construct with `num_shards = 1` to pin the exact
-// global-LRU eviction order (tests; morsel-local pools).
+// with its own latch, frame array and page table, so concurrent fetches on
+// different shards never contend. Pages are handed out as pinned PageGuards:
+// a pinned page is never evicted and FlushAll() skips (and reports) it, so a
+// reference obtained from Fetch() stays valid for the guard's lifetime even
+// while other threads churn the pool. Construct with `num_shards = 1` to pin
+// the exact global-LRU eviction order (tests; morsel-local pools).
+//
+// Layout: a shard keeps its resident pages in a frame array. The frames form
+// an intrusive doubly linked LRU list through uint32_t indices (no node per
+// page), and an open-addressing page table (linear probing, backward-shift
+// delete) maps a (file, page) key to its frame. A dropped page's frame
+// (evicted, flushed or invalidated) goes on a free-frame list, which the next
+// insert takes from before it grows the array. The array grows on demand up
+// to the shard's capacity share (further only while every frame is pinned),
+// so a pool that touches few pages allocates few frames, and a full pool
+// fetches, evicts and pins without touching the heap. A pinned frame never
+// moves or changes index, so a PageGuard records its frame index (and the
+// mirror's) and releases its pin without a table look-up.
 //
 // BufferPoolStats is the one copy of the pool's counts: the pool's owner
 // adds them to the registry through AddPoolStats once they settle.
@@ -18,9 +30,8 @@
 #define SMOOTHSCAN_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/latch_rank.h"
 #include "common/thread_annotations.h"
@@ -82,11 +93,18 @@ class PageGuard {
 
  private:
   friend class BufferPool;
-  PageGuard(BufferPool* pool, uint64_t key, const Page* page)
-      : pool_(pool), key_(key), page_(page) {}
+  PageGuard(BufferPool* pool, uint64_t key, uint32_t frame,
+            uint32_t mirror_frame, const Page* page)
+      : pool_(pool),
+        key_(key),
+        frame_(frame),
+        mirror_frame_(mirror_frame),
+        page_(page) {}
   void MoveFrom(PageGuard* other) {
     pool_ = other->pool_;
     key_ = other->key_;
+    frame_ = other->frame_;
+    mirror_frame_ = other->mirror_frame_;
     page_ = other->page_;
     other->pool_ = nullptr;
     other->page_ = nullptr;
@@ -94,6 +112,8 @@ class PageGuard {
 
   BufferPool* pool_ = nullptr;
   uint64_t key_ = 0;
+  uint32_t frame_ = 0;         ///< The pinned frame in pool_'s shard.
+  uint32_t mirror_frame_ = 0;  ///< Its mirror pin's frame (if mirrored).
   // lint:allow(raw-page-member) — PageGuard IS the pin-aware wrapper the
   // rule tells everyone else to hold pages through.
   const Page* page_ = nullptr;
@@ -204,10 +224,23 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  struct Entry {
-    std::list<uint64_t>::iterator lru_it;
+  /// "No frame": an empty page-table slot, or either end of the LRU list.
+  static constexpr uint32_t kNil = ~0u;
+
+  /// One resident page. `prev`/`next` link the shard's LRU list (prev is
+  /// toward the most recently used end); a free frame's links are unused.
+  struct Frame {
+    uint64_t key = 0;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
     uint32_t pins = 0;
     bool dirty = false;  ///< Content newer than "disk"; write back to drop.
+  };
+  /// Page-table slot: the key is kept beside the frame index so a probe
+  /// compares keys without touching the frame array.
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t frame = kNil;
   };
   struct Shard {
     mutable latch::Latch mu{latch::LatchRank::kPoolShard,
@@ -215,9 +248,15 @@ class BufferPool {
     /// Set once at pool construction, before the pool is shared; read-only
     /// afterwards, hence not guarded.
     size_t capacity = 0;
-    // LRU list: front = most recently used. Map values point into the list.
-    std::list<uint64_t> lru GUARDED_BY(mu);
-    std::unordered_map<uint64_t, Entry> map GUARDED_BY(mu);
+    std::vector<Frame> frames GUARDED_BY(mu);
+    std::vector<uint32_t> free_frames GUARDED_BY(mu);
+    /// Open-addressing page table, a power of two long (or empty), kept at
+    /// most half full.
+    std::vector<Slot> table GUARDED_BY(mu);
+    uint32_t table_shift GUARDED_BY(mu) = 64;  ///< 64 - log2(table.size()).
+    uint32_t head GUARDED_BY(mu) = kNil;       ///< Most recently used.
+    uint32_t tail GUARDED_BY(mu) = kNil;       ///< Least recently used.
+    size_t resident GUARDED_BY(mu) = 0;
     BufferPoolStats stats GUARDED_BY(mu);
   };
 
@@ -239,26 +278,50 @@ class BufferPool {
   /// Sentinel return of InsertLocked: no dirty page was evicted.
   static constexpr uint64_t kNoWriteBack = ~0ull;
 
+  /// The frame holding `key`, or kNil.
+  static uint32_t FindLocked(const Shard& shard, uint64_t key)
+      REQUIRES(shard.mu);
+  /// Page-table maintenance; TableInsertLocked grows the table as needed.
+  static void TableInsertLocked(Shard* shard, uint64_t key, uint32_t frame)
+      REQUIRES(shard->mu);
+  static void TableEraseLocked(Shard* shard, uint64_t key) REQUIRES(shard->mu);
+  /// LRU list maintenance.
+  static void UnlinkLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
+  static void PushFrontLocked(Shard* shard, uint32_t frame)
+      REQUIRES(shard->mu);
+  static void TouchLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
+  /// Unlinks `frame` from the list and the table and frees it.
+  static void DropLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
+
   /// Inserts `key` as most-recently-used in its shard (which must be locked),
-  /// evicting the least recently used *unpinned* page if the shard is full.
-  /// A dirty victim's write-back is counted here but *charged by the caller*
-  /// (after releasing the shard latch — SimDisk has its own latch and the
-  /// fetch hot path must not nest them): returns the evicted dirty key, or
-  /// kNoWriteBack.
-  uint64_t InsertLocked(Shard* shard, uint64_t key) REQUIRES(shard->mu);
+  /// evicting the least recently used *unpinned* page if the shard is full,
+  /// and returns the new frame in `*frame`. A dirty victim's write-back is
+  /// counted here but *charged by the caller* (after releasing the shard
+  /// latch — SimDisk has its own latch and the fetch hot path must not nest
+  /// them): returns the evicted dirty key, or kNoWriteBack.
+  uint64_t InsertLocked(Shard* shard, uint64_t key, uint32_t* frame)
+      REQUIRES(shard->mu);
   /// Charges the write-back InsertLocked reported, outside the shard latch.
   void ChargeWriteBack(uint64_t evicted) {
     if (evicted != kNoWriteBack) {
       disk_->WritePage(FileOf(evicted), PageOf(evicted));
     }
   }
-  void Unpin(uint64_t key);
+  /// Finds or inserts `key`, marks it most recently used and takes a pin on
+  /// it (no accounting); returns its frame. `*miss` reports an insert.
+  uint32_t PinLocked(Shard* shard, uint64_t key, bool* miss,
+                     uint64_t* evicted) REQUIRES(shard->mu);
+  /// Wraps a pinned local frame in a guard, pinning the mirror alongside.
+  PageGuard MakeGuard(FileId file, PageId page, uint32_t frame);
+  /// Releases a guard's pins: the local frame's, then the mirror's.
+  void Unpin(uint64_t key, uint32_t frame, uint32_t mirror_frame);
 
-  /// Mirror-side primitives: insert-or-touch `key` (optionally taking a pin),
-  /// with no disk charge and no hit/miss accounting.
-  void PinKey(uint64_t key);
-  void UnpinKey(uint64_t key);
+  /// Mirror-side primitives: insert-or-touch `key` (PinKey also takes a pin
+  /// and returns its frame), with no disk charge and no hit/miss accounting.
+  uint32_t PinKey(uint64_t key);
   void TouchKey(uint64_t key);
+  /// Drops one pin of `frame`, which must hold `key` (either side).
+  void UnpinFrame(uint64_t key, uint32_t frame);
 
   StorageManager* storage_;
   SimDisk* disk_;

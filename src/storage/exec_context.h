@@ -59,6 +59,9 @@ inline ExecContext EngineContext(Engine* engine) {
 /// When `mirror` is given (the engine's shared pool) every fetch additionally
 /// pins its page there — see BufferPool::SetMirror — so concurrent streams
 /// contend for the one real pool without perturbing each other's accounting.
+/// The stack's pool has the engine's capacity but grows its frames lazily,
+/// one per page it actually holds: a morsel stack that touches 128 pages
+/// allocates 128 frames, not a capacity's worth.
 class AccountingStack {
  public:
   explicit AccountingStack(Engine* engine, BufferPool* mirror = nullptr,

@@ -260,6 +260,26 @@ TEST_F(AccessPathTest, SwitchScanSwitchesAboveEstimate) {
   EXPECT_EQ(got, Oracle(pred));  // No duplicates, no losses across the seam.
 }
 
+// The Tuple ID Cache across the seam: switching before the first result
+// (estimate 0), after a few, and never (the exact estimate) all produce the
+// oracle multiset. A closed scan drops its cache, and a reopened one starts
+// from an empty cache.
+TEST_F(AccessPathTest, SwitchScanSeamAtEveryEstimateMatchesOracle) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(0.02);
+  const std::multiset<int64_t> oracle = Oracle(pred);
+  ASSERT_GT(oracle.size(), 100u);
+  for (const uint64_t estimate : {uint64_t{0}, uint64_t{7}, oracle.size()}) {
+    SwitchScanOptions options;
+    options.estimated_cardinality = estimate;
+    SwitchScan scan(&db_->index(), pred, options);
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(Collect(&scan), oracle) << "estimate " << estimate;
+      EXPECT_EQ(scan.switched(), estimate < oracle.size());
+      EXPECT_EQ(scan.produced().size(), 0u);  // Released on Close.
+    }
+  }
+}
+
 TEST_F(AccessPathTest, SwitchScanCliffCostJump) {
   // One extra qualifying tuple beyond the estimate triggers a full-scan-sized
   // cost jump — the performance cliff of Fig. 11.

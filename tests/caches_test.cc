@@ -65,6 +65,81 @@ TEST(TupleIdCacheTest, DistinguishesPagesAndSlots) {
   EXPECT_TRUE(cache.Contains(Tid{1, 2}));
 }
 
+TEST(TupleIdCacheTest, EmptyCacheContainsNothing) {
+  TupleIdCache cache;
+  EXPECT_FALSE(cache.Contains(Tid{0, 0}));
+  EXPECT_FALSE(cache.Contains(Tid{7, 9}));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(TupleIdCacheTest, DuplicateInsertsCountOnce) {
+  TupleIdCache cache;
+  for (int i = 0; i < 5; ++i) cache.Insert(Tid{3, 1});
+  cache.Insert(Tid{3, 2});
+  cache.Insert(Tid{3, 1});
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(cache.Contains(Tid{3, 1}));
+  EXPECT_TRUE(cache.Contains(Tid{3, 2}));
+}
+
+TEST(TupleIdCacheTest, TidsDifferingOnlyInPageOrOnlyInSlot) {
+  TupleIdCache cache;
+  // Same slot on many pages, and many slots on one page, including the
+  // extremes of both fields.
+  for (PageId p = 0; p < 300; ++p) cache.Insert(Tid{p, 5});
+  for (uint16_t s = 0; s < 300; ++s) cache.Insert(Tid{1000, s});
+  cache.Insert(Tid{0xFFFFFFFFu, 0xFFFF});
+  cache.Insert(Tid{0, 0xFFFF});
+  EXPECT_EQ(cache.size(), 602u);
+  for (PageId p = 0; p < 300; ++p) {
+    EXPECT_TRUE(cache.Contains(Tid{p, 5}));
+    EXPECT_FALSE(cache.Contains(Tid{p, 6}));
+  }
+  for (uint16_t s = 0; s < 300; ++s) {
+    EXPECT_TRUE(cache.Contains(Tid{1000, s}));
+    EXPECT_FALSE(cache.Contains(Tid{1001, s}));
+  }
+  EXPECT_TRUE(cache.Contains(Tid{0xFFFFFFFFu, 0xFFFF}));
+  EXPECT_FALSE(cache.Contains(Tid{0xFFFFFFFFu, 0xFFFE}));
+  EXPECT_TRUE(cache.Contains(Tid{0, 0xFFFF}));
+  EXPECT_FALSE(cache.Contains(Tid{1, 0xFFFF}));
+}
+
+TEST(TupleIdCacheTest, GrowsThroughManyResizes) {
+  // 300k TIDs in the index order of a 60-tuple-per-page heap: the slot
+  // array doubles a dozen times on the way and keeps every member.
+  TupleIdCache cache;
+  constexpr uint32_t kTids = 300000;
+  for (uint32_t i = 0; i < kTids; ++i) {
+    cache.Insert(Tid{i / 60, static_cast<uint16_t>(i % 60)});
+  }
+  EXPECT_EQ(cache.size(), kTids);
+  for (uint32_t i = 0; i < kTids; ++i) {
+    ASSERT_TRUE(cache.Contains(Tid{i / 60, static_cast<uint16_t>(i % 60)}))
+        << i;
+  }
+  // Just past the inserted range: absent.
+  for (uint16_t s = 0; s < 60; ++s) {
+    EXPECT_FALSE(cache.Contains(Tid{kTids / 60, s}));
+  }
+  EXPECT_FALSE(cache.Contains(Tid{0, 60}));
+}
+
+TEST(TupleIdCacheTest, ReusableAfterClear) {
+  TupleIdCache cache;
+  for (uint16_t s = 0; s < 1000; ++s) cache.Insert(Tid{1, s});
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  for (uint16_t s = 0; s < 1000; ++s) {
+    ASSERT_FALSE(cache.Contains(Tid{1, s}));
+  }
+  for (uint16_t s = 0; s < 500; ++s) cache.Insert(Tid{2, s});
+  EXPECT_EQ(cache.size(), 500u);
+  EXPECT_TRUE(cache.Contains(Tid{2, 499}));
+  EXPECT_FALSE(cache.Contains(Tid{1, 0}));
+  EXPECT_FALSE(cache.Contains(Tid{2, 500}));
+}
+
 TEST(ResultCacheTest, InsertTakeRoundTrip) {
   ResultCache cache({});
   cache.Insert(5, Tid{1, 0}, {Value::Int64(42)});

@@ -1,8 +1,17 @@
 // Unit tests for the storage substrate: slotted pages, schemas/tuples, the
-// simulated disk's sequential/random classification, the LRU buffer pool and
-// heap files.
+// simulated disk's sequential/random classification, the LRU buffer pool
+// (including a seeded differential run against a reference exact-LRU model)
+// and heap files.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
@@ -416,6 +425,467 @@ TEST_F(BufferPoolTest, MirrorSeesExtentResidency) {
   for (PageId p = 2; p < 6; ++p) EXPECT_TRUE(shared.Contains(file_, p));
   EXPECT_EQ(shared.pinned_pages(), 0u);  // Extents take no pins anywhere.
   EXPECT_EQ(shared_disk.stats().io_requests, 0u);
+}
+
+// ---------- BufferPool vs. a reference exact-LRU model ----------
+
+/// The pool's contract restated the plain way: per shard a std::list in LRU
+/// order (front = most recent) and a std::map from key to entry. Every I/O
+/// the pool must charge is replayed in the same order on the model's own
+/// SimDisk, so the two disks' stats must agree exactly.
+class RefPool {
+ public:
+  RefPool(size_t capacity, uint32_t num_shards)
+      : disk_(DeviceProfile::Hdd(), 8192) {
+    const size_t shards = std::min<size_t>(num_shards, capacity);
+    for (size_t i = 0; i < shards; ++i) {
+      shards_.emplace_back();
+      shards_.back().capacity =
+          capacity / shards + (i < capacity % shards ? 1 : 0);
+    }
+  }
+
+  void SetMirror(RefPool* mirror) { mirror_ = mirror; }
+  SimDisk& disk() { return disk_; }
+
+  void Fetch(uint64_t key) {
+    Shard& s = ShardFor(key);
+    const bool miss = s.map.count(key) == 0;
+    ++(miss ? stats_.misses : stats_.hits);
+    TakePin(key);
+    if (miss) disk_.ReadPage(FileOf(key), PageOf(key));
+    if (mirror_ != nullptr) mirror_->TakePin(key);
+  }
+  void Pin(uint64_t key) {
+    TakePin(key);
+    if (mirror_ != nullptr) mirror_->TakePin(key);
+  }
+  bool PinIfResident(uint64_t key) {
+    Shard& s = ShardFor(key);
+    auto it = s.map.find(key);
+    if (it == s.map.end()) return false;
+    s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+    ++it->second.pins;
+    if (mirror_ != nullptr) mirror_->TakePin(key);
+    return true;
+  }
+  void Unpin(uint64_t key) {
+    --ShardFor(key).map.at(key).pins;
+    if (mirror_ != nullptr) --mirror_->ShardFor(key).map.at(key).pins;
+  }
+  void FetchExtent(FileId file, PageId first, uint32_t n) {
+    if (n == 0) return;
+    if (mirror_ != nullptr) {
+      for (uint32_t i = 0; i < n; ++i) mirror_->Touch(Key(file, first + i));
+    }
+    auto touch_if_resident = [&](PageId p) {
+      Shard& s = ShardFor(Key(file, p));
+      auto it = s.map.find(Key(file, p));
+      if (it == s.map.end()) return false;
+      ++stats_.hits;
+      s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+      return true;
+    };
+    PageId lo = first;
+    PageId hi = first + n - 1;
+    while (lo <= hi && touch_if_resident(lo)) ++lo;
+    while (hi >= lo && touch_if_resident(hi)) {
+      if (hi == 0) break;
+      --hi;
+    }
+    if (lo > hi) return;
+    disk_.ReadExtent(file, lo, hi - lo + 1);
+    for (PageId p = lo; p <= hi; ++p) {
+      const uint64_t key = Key(file, p);
+      if (ShardFor(key).map.count(key) == 0) ++stats_.misses;
+      Touch(key);
+    }
+  }
+  void MarkDirty(uint64_t key) {
+    Touch(key);
+    ShardFor(key).map.at(key).dirty = true;
+  }
+  bool FlushPage(uint64_t key) {
+    Shard& s = ShardFor(key);
+    auto it = s.map.find(key);
+    if (it == s.map.end() || !it->second.dirty) return false;
+    it->second.dirty = false;
+    ++stats_.write_backs;
+    disk_.WritePage(FileOf(key), PageOf(key));
+    return true;
+  }
+  size_t FlushAll() {
+    size_t pinned = 0;
+    std::vector<uint64_t> write_back;
+    for (Shard& s : shards_) {
+      for (auto it = s.map.begin(); it != s.map.end();) {
+        if (it->second.pins > 0) {
+          ++pinned;
+          ++it;
+          continue;
+        }
+        if (it->second.dirty) write_back.push_back(it->first);
+        s.lru.erase(it->second.lru_it);
+        it = s.map.erase(it);
+      }
+    }
+    stats_.write_backs += write_back.size();
+    std::sort(write_back.begin(), write_back.end());
+    for (size_t i = 0; i < write_back.size();) {
+      size_t j = i + 1;
+      while (j < write_back.size() && write_back[j] == write_back[j - 1] + 1 &&
+             FileOf(write_back[j]) == FileOf(write_back[i])) {
+        ++j;
+      }
+      disk_.WriteExtent(FileOf(write_back[i]), PageOf(write_back[i]),
+                        static_cast<uint32_t>(j - i));
+      i = j;
+    }
+    return pinned;
+  }
+  bool FileHasPins(FileId file) const {
+    for (const Shard& s : shards_) {
+      for (const auto& [key, e] : s.map) {
+        if (FileOf(key) == file && e.pins > 0) return true;
+      }
+    }
+    return false;
+  }
+  size_t EvictFile(FileId file) {
+    size_t dropped = 0;
+    std::vector<uint64_t> write_back;
+    for (Shard& s : shards_) {
+      for (auto it = s.map.begin(); it != s.map.end();) {
+        if (FileOf(it->first) != file) {
+          ++it;
+          continue;
+        }
+        if (it->second.dirty) write_back.push_back(it->first);
+        s.lru.erase(it->second.lru_it);
+        it = s.map.erase(it);
+        ++dropped;
+      }
+    }
+    stats_.write_backs += write_back.size();
+    std::sort(write_back.begin(), write_back.end());
+    for (const uint64_t key : write_back) {
+      disk_.WritePage(FileOf(key), PageOf(key));
+    }
+    return dropped;
+  }
+
+  bool Contains(uint64_t key) const { return ShardFor(key).map.count(key); }
+  size_t size() const {
+    size_t n = 0;
+    for (const Shard& s : shards_) n += s.map.size();
+    return n;
+  }
+  uint64_t pinned_pages() const { return CountIf(true); }
+  uint64_t dirty_pages() const { return CountIf(false); }
+  const BufferPoolStats& stats() const { return stats_; }
+
+  static uint64_t Key(FileId file, PageId page) {
+    return (static_cast<uint64_t>(file) << 32) | page;
+  }
+  static FileId FileOf(uint64_t key) { return static_cast<FileId>(key >> 32); }
+  static PageId PageOf(uint64_t key) { return static_cast<PageId>(key); }
+
+ private:
+  struct Entry {
+    std::list<uint64_t>::iterator lru_it;
+    uint32_t pins = 0;
+    bool dirty = false;
+  };
+  struct Shard {
+    size_t capacity = 0;
+    std::list<uint64_t> lru;
+    std::map<uint64_t, Entry> map;
+  };
+
+  Shard& ShardFor(uint64_t key) {
+    return shards_[PageOf(key) % shards_.size()];
+  }
+  const Shard& ShardFor(uint64_t key) const {
+    return shards_[PageOf(key) % shards_.size()];
+  }
+  uint64_t CountIf(bool pinned) const {
+    uint64_t n = 0;
+    for (const Shard& s : shards_) {
+      for (const auto& [key, e] : s.map) n += pinned ? e.pins > 0 : e.dirty;
+    }
+    return n;
+  }
+
+  /// Insert-or-touch `key` as most recently used; on insert into a full
+  /// shard, evicts the least recently used unpinned entry (at most one;
+  /// none when every entry is pinned), writing a dirty victim back.
+  void Touch(uint64_t key) {
+    Shard& s = ShardFor(key);
+    auto it = s.map.find(key);
+    if (it != s.map.end()) {
+      s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+      return;
+    }
+    uint64_t write_back = 0;
+    bool wrote = false;
+    if (s.map.size() >= s.capacity) {
+      for (auto v = s.lru.rbegin(); v != s.lru.rend(); ++v) {
+        auto victim = s.map.find(*v);
+        if (victim->second.pins > 0) continue;
+        if (victim->second.dirty) {
+          write_back = *v;
+          wrote = true;
+          ++stats_.write_backs;
+        }
+        s.lru.erase(std::next(v).base());
+        s.map.erase(victim);
+        break;
+      }
+    }
+    s.lru.push_front(key);
+    s.map[key] = Entry{s.lru.begin(), 0, false};
+    if (wrote) disk_.WritePage(FileOf(write_back), PageOf(write_back));
+  }
+  void TakePin(uint64_t key) {
+    Touch(key);
+    ++ShardFor(key).map.at(key).pins;
+  }
+
+  SimDisk disk_;
+  std::vector<Shard> shards_;
+  RefPool* mirror_ = nullptr;
+  BufferPoolStats stats_;
+};
+
+/// Runs one seeded operation sequence against a BufferPool and the
+/// reference model. Returns "" when they agree at every step, else a
+/// one-line repro naming the seed, configuration, step and mismatch.
+/// `*overflowed` reports whether the pool ever held more pages than its
+/// capacity (every frame pinned).
+std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
+  Rng rng(seed);
+  constexpr FileId kFiles = 3;
+  constexpr PageId kPages = 12;
+  StorageManager storage(8192);
+  for (FileId f = 0; f < kFiles; ++f) {
+    const FileId id = storage.CreateFile("f" + std::to_string(f));
+    for (PageId p = 0; p < kPages; ++p) storage.AppendPage(id);
+  }
+  const size_t capacity = static_cast<size_t>(rng.UniformInt(1, 9));
+  const uint32_t shards = rng.Bernoulli(0.5) ? 1 : 8;
+  const bool mirrored = seed % 2 == 1;
+  const size_t mirror_capacity = static_cast<size_t>(rng.UniformInt(1, 9));
+  const uint32_t mirror_shards = rng.Bernoulli(0.5) ? 1 : 8;
+  // Pin-heavy runs hold many guards and rarely release them, so every frame
+  // ends up pinned and the shard overflows its capacity ("pins win").
+  const bool pin_heavy = seed % 3 == 0;
+
+  SimDisk disk(DeviceProfile::Hdd(), 8192);
+  SimDisk mirror_disk(DeviceProfile::Hdd(), 8192);
+  BufferPool pool(&storage, &disk, capacity, shards);
+  BufferPool mirror_pool(&storage, &mirror_disk, mirror_capacity,
+                         mirror_shards);
+  RefPool ref(capacity, shards);
+  RefPool ref_mirror(mirror_capacity, mirror_shards);
+  if (mirrored) {
+    pool.SetMirror(&mirror_pool);
+    ref.SetMirror(&ref_mirror);
+  }
+
+  struct Held {
+    bool on_mirror;
+    uint64_t key;
+    PageGuard guard;
+  };
+  std::vector<Held> held;
+  std::set<uint64_t> touched;
+
+  std::ostringstream config;
+  config << "seed=" << seed << " capacity=" << capacity << " shards=" << shards
+         << " mirror=" << (mirrored ? 1 : 0) << " mirror_capacity="
+         << mirror_capacity << " mirror_shards=" << mirror_shards
+         << " pin_heavy=" << (pin_heavy ? 1 : 0);
+
+  auto same_stats = [](const BufferPoolStats& a, const BufferPoolStats& b) {
+    return a.hits == b.hits && a.misses == b.misses &&
+           a.write_backs == b.write_backs;
+  };
+  auto same_io = [](const IoStats& a, const IoStats& b) {
+    return a.random_ios == b.random_ios && a.seq_ios == b.seq_ios &&
+           a.io_requests == b.io_requests && a.pages_read == b.pages_read &&
+           a.pages_written == b.pages_written && a.io_time == b.io_time;
+  };
+  // First mismatch between a pool and its model, or "".
+  auto compare = [&](const BufferPool& p, RefPool& r,
+                     const char* which) -> std::string {
+    std::ostringstream why;
+    for (const uint64_t key : touched) {
+      const bool has = p.Contains(RefPool::FileOf(key), RefPool::PageOf(key));
+      if (has != r.Contains(key)) {
+        why << which << " Contains(" << RefPool::FileOf(key) << ","
+            << RefPool::PageOf(key) << ")=" << has;
+        return why.str();
+      }
+    }
+    if (p.size() != r.size()) {
+      why << which << " size " << p.size() << " vs " << r.size();
+    } else if (p.pinned_pages() != r.pinned_pages()) {
+      why << which << " pinned " << p.pinned_pages() << " vs "
+          << r.pinned_pages();
+    } else if (p.dirty_pages() != r.dirty_pages()) {
+      why << which << " dirty " << p.dirty_pages() << " vs "
+          << r.dirty_pages();
+    } else if (!same_stats(p.stats(), r.stats())) {
+      why << which << " stats hits/misses/write_backs " << p.stats().hits
+          << "/" << p.stats().misses << "/" << p.stats().write_backs << " vs "
+          << r.stats().hits << "/" << r.stats().misses << "/"
+          << r.stats().write_backs;
+    }
+    return why.str();
+  };
+
+  constexpr int kSteps = 400;
+  for (int step = 0; step < kSteps; ++step) {
+    const FileId file = static_cast<FileId>(rng.UniformInt(0, kFiles - 1));
+    const PageId page = static_cast<PageId>(rng.UniformInt(0, kPages - 1));
+    const uint64_t key = RefPool::Key(file, page);
+    // Unmirrored runs still drive the second pool on its own, so dirty
+    // eviction write-backs show up on both shapes.
+    const bool on_mirror = rng.Bernoulli(0.15);
+    BufferPool& target = on_mirror ? mirror_pool : pool;
+    RefPool& model = on_mirror ? ref_mirror : ref;
+    std::ostringstream op;
+    std::string mismatch;
+    const int64_t kind = rng.UniformInt(0, 9);
+    const double keep = pin_heavy ? 0.9 : 0.4;
+    switch (kind) {
+      case 0:
+      case 1: {
+        op << "Fetch(" << file << "," << page << ")";
+        PageGuard g = target.Fetch(file, page);
+        model.Fetch(key);
+        if (rng.Bernoulli(keep)) {
+          held.push_back({on_mirror, key, std::move(g)});
+        } else {
+          model.Unpin(key);
+        }
+        break;
+      }
+      case 2: {
+        op << "Pin(" << file << "," << page << ")";
+        PageGuard g = target.Pin(file, page);
+        model.Pin(key);
+        if (rng.Bernoulli(keep)) {
+          held.push_back({on_mirror, key, std::move(g)});
+        } else {
+          model.Unpin(key);
+        }
+        break;
+      }
+      case 3: {
+        op << "PinIfResident(" << file << "," << page << ")";
+        PageGuard g = target.PinIfResident(file, page);
+        const bool pinned = model.PinIfResident(key);
+        if (static_cast<bool>(g) != pinned) {
+          mismatch = "PinIfResident returned " + std::to_string(bool(g));
+        } else if (pinned) {
+          if (rng.Bernoulli(keep)) {
+            held.push_back({on_mirror, key, std::move(g)});
+          } else {
+            model.Unpin(key);
+          }
+        }
+        break;
+      }
+      case 4: {
+        const uint32_t n =
+            static_cast<uint32_t>(rng.UniformInt(0, kPages - page));
+        op << "FetchExtent(" << file << "," << page << "," << n << ")";
+        target.FetchExtent(file, page, n);
+        model.FetchExtent(file, page, n);
+        for (uint32_t i = 0; i < n; ++i) {
+          touched.insert(RefPool::Key(file, page + i));
+        }
+        break;
+      }
+      case 5:
+        op << "MarkDirty(" << file << "," << page << ")";
+        target.MarkDirty(file, page);
+        model.MarkDirty(key);
+        break;
+      case 6: {
+        op << "FlushPage(" << file << "," << page << ")";
+        const bool a = target.FlushPage(file, page);
+        if (a != model.FlushPage(key)) {
+          mismatch = "FlushPage returned " + std::to_string(a);
+        }
+        break;
+      }
+      case 7: {
+        if (rng.Bernoulli(0.7)) {
+          op << "FlushAll";
+          const size_t a = target.FlushAll();
+          const size_t b = model.FlushAll();
+          if (a != b) {
+            mismatch = "FlushAll returned " + std::to_string(a) + " vs " +
+                       std::to_string(b);
+          }
+        } else {
+          op << "EvictFile(" << file << ")";
+          if (model.FileHasPins(file)) break;  // Callers quiesce first.
+          const size_t a = target.EvictFile(file);
+          const size_t b = model.EvictFile(file);
+          if (a != b) {
+            mismatch = "EvictFile returned " + std::to_string(a) + " vs " +
+                       std::to_string(b);
+          }
+        }
+        break;
+      }
+      default: {
+        op << "Release";
+        if (held.empty() || rng.Bernoulli(pin_heavy ? 0.8 : 0.0)) break;
+        const size_t i =
+            static_cast<size_t>(rng.UniformInt(0, held.size() - 1));
+        (held[i].on_mirror ? ref_mirror : ref).Unpin(held[i].key);
+        held[i].guard.Release();
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+    touched.insert(key);
+    if (pool.size() > capacity) *overflowed = true;
+    if (mismatch.empty()) mismatch = compare(pool, ref, "pool");
+    if (mismatch.empty()) mismatch = compare(mirror_pool, ref_mirror, "mirror");
+    if (mismatch.empty() && !same_io(disk.stats(), ref.disk().stats())) {
+      mismatch = "pool SimDisk stats differ";
+    }
+    if (mismatch.empty() &&
+        !same_io(mirror_disk.stats(), ref_mirror.disk().stats())) {
+      mismatch = "mirror SimDisk stats differ";
+    }
+    if (!mismatch.empty()) {
+      std::ostringstream repro;
+      repro << "repro: " << config.str() << " step=" << step << " op="
+            << (on_mirror ? "mirror." : "") << op.str() << ": " << mismatch;
+      return repro.str();
+    }
+  }
+  // Release in both before the pools go away.
+  for (Held& h : held) h.guard.Release();
+  return "";
+}
+
+TEST(BufferPoolDifferentialTest, MatchesReferenceLruOverSeededRuns) {
+  int overflow_runs = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    bool overflowed = false;
+    const std::string failure = RunPoolDifferential(seed, &overflowed);
+    ASSERT_EQ(failure, "");
+    overflow_runs += overflowed;
+  }
+  // The pin-heavy seeds really drove shards past capacity.
+  EXPECT_GT(overflow_runs, 20);
 }
 
 // ---------- HeapFile ----------
