@@ -1,13 +1,14 @@
-// Memory-governance bench: what the arena-backed batch pool buys and what
-// the unified broker costs.
+// Memory-governance bench: what the batch pool buys and what the unified
+// broker costs.
 //
-// Part 1 (series "pooled dop=N" / "ablation dop=N"): repeated parallel full
-// scans at DOP 1/2/8, recycled batches vs the allocate-per-batch ablation.
-// Reported per cell: simulated cost (must be BIT-IDENTICAL between the two
-// series — the bench aborts if pooling changes any simulated counter), wall
-// milliseconds, and real heap allocations per emitted batch measured with a
-// counting global allocator. Steady state must hold allocations/batch near
-// zero for the pooled series while the ablation pays ~a Tuple vector per row.
+// Part 1 (series "pooled dop=N"): repeated parallel full scans at DOP 1/2/8,
+// drawing recycled batches from the engine's batch pool. Reported per cell:
+// simulated cost (must be BIT-IDENTICAL across every cycle, cold or warm —
+// the bench aborts if recycling changes any simulated counter), wall
+// milliseconds, real heap allocations per emitted batch measured with a
+// counting global allocator, and the engine pool's cold acquires and sheds
+// over the cell. Steady state must hold allocations/batch near zero; a cold
+// batch pays ~a Tuple vector per row.
 //
 // Part 2 (series "governed ..."): the closed-loop workload under the broker
 // — clients x per-query quota sweep at a global budget that keeps the broker
@@ -67,15 +68,15 @@ struct CellResult {
   uint64_t sheds = 0;
 };
 
-CellResult RunScanCell(Engine* engine, const MicroBenchDb& db, uint32_t dop,
-                       bool recycle) {
+CellResult RunScanCell(Engine* engine, const MicroBenchDb& db,
+                       uint32_t dop) {
   ParallelScanOptions po;
   po.dop = dop;
   po.morsel_pages = 64;
-  po.recycle_batches = recycle;
   const ScanPredicate pred = db.PredicateForSelectivity(0.5);
   auto scan =
       MakeParallelFullScan(&db.heap(), pred, FullScanOptions(), po);
+  const BatchPoolStats base = engine->batch_pool().stats();
 
   CellResult cell;
   uint64_t allocs = 0;
@@ -113,16 +114,16 @@ CellResult RunScanCell(Engine* engine, const MicroBenchDb& db, uint32_t dop,
         m.pages_read != cell.m.pages_read || m.tuples != cell.m.tuples) {
       std::fprintf(stderr,
                    "FATAL: simulated cost drifted across cycles "
-                   "(dop=%u recycle=%d cycle=%d)\n",
-                   dop, recycle ? 1 : 0, cycle);
+                   "(dop=%u cycle=%d)\n",
+                   dop, cycle);
       std::exit(1);
     }
   }
   cell.allocs_per_batch =
       cell.batches > 0 ? static_cast<double>(allocs) / cell.batches : 0.0;
-  const BatchPoolStats s = scan->batch_pool()->stats();
-  cell.cold_acquires = s.cold_acquires();
-  cell.sheds = s.sheds;
+  const BatchPoolStats s = engine->batch_pool().stats();
+  cell.cold_acquires = s.cold_acquires() - base.cold_acquires();
+  cell.sheds = s.sheds - base.sheds;
   return cell;
 }
 
@@ -200,46 +201,30 @@ int main() {
   std::printf("# memory governance — %llu tuples, %zu pages\n",
               static_cast<unsigned long long>(db.heap().num_tuples()),
               db.heap().num_pages());
-  std::printf("# part 1: pooled vs allocate-per-batch, sel=50%%, %d steady "
-              "cycles, sim cost must match bit for bit\n\n",
+  std::printf("# part 1: engine batch pool, sel=50%%, %d steady cycles, "
+              "sim cost must match the cold cycle bit for bit\n\n",
               kCycles - 1);
 
   for (const uint32_t dop : kDops) {
-    const CellResult pooled = RunScanCell(&engine, db, dop, /*recycle=*/true);
-    const CellResult ablated =
-        RunScanCell(&engine, db, dop, /*recycle=*/false);
-    if (pooled.m.io_time != ablated.m.io_time ||
-        pooled.m.cpu_time != ablated.m.cpu_time ||
-        pooled.m.io_requests != ablated.m.io_requests ||
-        pooled.m.pages_read != ablated.m.pages_read ||
-        pooled.m.tuples != ablated.m.tuples) {
-      std::fprintf(stderr,
-                   "FATAL: pooling changed the simulated cost at dop=%u\n",
-                   dop);
-      return 1;
-    }
-    for (const auto* cell : {&pooled, &ablated}) {
-      const bool is_pooled = cell == &pooled;
-      char series[32];
-      std::snprintf(series, sizeof(series), "%s dop=%u",
-                    is_pooled ? "pooled" : "ablation", dop);
-      std::printf("%-16s sim=%10.1f  wall=%8.2fms  allocs/batch=%8.2f  "
-                  "batches=%5llu  cold_acquires=%4llu  sheds=%5llu\n",
-                  series, cell->m.total_time, cell->m.wall_ms,
-                  cell->allocs_per_batch,
-                  static_cast<unsigned long long>(cell->batches),
-                  static_cast<unsigned long long>(cell->cold_acquires),
-                  static_cast<unsigned long long>(cell->sheds));
-      bench::RecordRowExtra(
-          series, /*x=*/static_cast<double>(dop), cell->m,
-          {{"dop", static_cast<double>(dop)},
-           {"allocs_per_batch", cell->allocs_per_batch},
-           {"batches", static_cast<double>(cell->batches)},
-           {"cold_acquires", static_cast<double>(cell->cold_acquires)},
-           {"sheds", static_cast<double>(cell->sheds)}});
-    }
-    std::printf("\n");
+    const CellResult cell = RunScanCell(&engine, db, dop);
+    char series[32];
+    std::snprintf(series, sizeof(series), "pooled dop=%u", dop);
+    std::printf("%-16s sim=%10.1f  wall=%8.2fms  allocs/batch=%8.2f  "
+                "batches=%5llu  cold_acquires=%4llu  sheds=%5llu\n",
+                series, cell.m.total_time, cell.m.wall_ms,
+                cell.allocs_per_batch,
+                static_cast<unsigned long long>(cell.batches),
+                static_cast<unsigned long long>(cell.cold_acquires),
+                static_cast<unsigned long long>(cell.sheds));
+    bench::RecordRowExtra(
+        series, /*x=*/static_cast<double>(dop), cell.m,
+        {{"dop", static_cast<double>(dop)},
+         {"allocs_per_batch", cell.allocs_per_batch},
+         {"batches", static_cast<double>(cell.batches)},
+         {"cold_acquires", static_cast<double>(cell.cold_acquires)},
+         {"sheds", static_cast<double>(cell.sheds)}});
   }
+  std::printf("\n");
 
   std::printf("# part 2: governed closed-loop workload, 3-phase drift, "
               "dop=2, Smooth Scan policy\n\n");

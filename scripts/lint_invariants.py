@@ -46,6 +46,13 @@ one of the engine's structural invariants:
                      the caller's warm batch slot (or a warm scratch tuple)
                      with HeapFile::ReadInto, so its steady state allocates
                      nothing.
+  pool-owner         No BatchPool construction (BatchPool(, make_unique /
+                     unique_ptr of BatchPool, a BatchPool local or member)
+                     in src/access/, src/exec/, src/compress/ or
+                     src/sharing/: operators borrow ctx().batch_pool. The
+                     Engine owns one pool and each read query one, so a
+                     fresh scan draws warm batches and every batch is
+                     charged to its query's memory account.
 
 One rule looks at the tree rather than at single lines:
 
@@ -158,6 +165,21 @@ RULES = [
                    "(decode into a slot with ReadInto)",
         "applies": lambda rel: rel.startswith(("access" + os.sep,
                                                "exec" + os.sep)),
+    },
+    {
+        "name": "pool-owner",
+        "pattern": re.compile(
+            r"\bBatchPool\s*[({]"
+            r"|\b(?:make_(?:unique|shared)|unique_ptr|shared_ptr)\s*<\s*"
+            r"BatchPool\s*>"
+            r"|\bBatchPool\s+\w+\s*[;({=]"
+        ),
+        "message": "batch pool owned by an operator (borrow "
+                   "ctx().batch_pool; the engine and the query own pools)",
+        "applies": lambda rel: rel.startswith(("access" + os.sep,
+                                               "exec" + os.sep,
+                                               "compress" + os.sep,
+                                               "sharing" + os.sep)),
     },
 ]
 

@@ -147,6 +147,34 @@ class LintTest(unittest.TestCase):
         self.write("net/server.cc", "const int n = transport->Read(buf, 4);\n")
         self.assertEqual(self.names(["row-read"]), ["row-read"] * 3)
 
+    def test_pool_owner_fires_in_operator_layers_only(self):
+        self.write("access/smooth_scan.cc",
+                   "owned_ = std::make_unique<BatchPool>(options);\n"
+                   "spill_.push_back(ctx().batch_pool->Acquire());\n"
+                   "// A comment may say BatchPool pool(options).\n")
+        self.write("access/smooth_scan.h",
+                   "class BatchPool;\n"
+                   "  std::unique_ptr<BatchPool> owned_;\n"
+                   "  const BatchPool* batch_pool() const;\n")
+        self.write("exec/op.cc", "  BatchPool pool(BatchPoolOptions(), acct);\n")
+        self.write("compress/scan.h", "  BatchPool pool_;\n")
+        self.write("sharing/group.cc",
+                   "auto p = BatchPool(BatchPoolOptions());\n"
+                   "AddBatchPoolStats(obs(), stats);\n")
+        # The pool's own unit, the engine and the query engine own pools.
+        self.write("mem/batch_pool.cc",
+                   "BatchPool::BatchPool(BatchPoolOptions o) {}\n")
+        self.write("storage/engine.h", "  BatchPool batch_pool_;\n")
+        self.write("engine/query_engine.cc",
+                   "  BatchPool batch_pool(BatchPoolOptions(), &scope);\n")
+        self.assertEqual(self.names(["pool-owner"]), ["pool-owner"] * 5)
+
+    def test_pool_owner_allow_suppresses(self):
+        self.write("access/scan.cc",
+                   "// lint:allow(pool-owner) — a private scratch pool.\n"
+                   "BatchPool scratch(options);\n")
+        self.assertEqual(self.lint(["pool-owner"]), [])
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

@@ -83,6 +83,7 @@ ParallelScan::ParallelScan(Engine* engine,
 
 ParallelScan::~ParallelScan() {
   // Make sure no worker outlives the slots it emits into.
+  Unthrottle();
   if (group_ != nullptr) group_->Wait();
 }
 
@@ -100,19 +101,10 @@ TaskScheduler* ParallelScan::scheduler(uint32_t workers) {
   return owned_scheduler_.get();
 }
 
-void ParallelScan::BindBatchPool() {
-  if (pool_ != nullptr && pool_->account() == ctx().mem) return;
-  BatchPoolOptions pool_options;
-  pool_options.recycle = options_.recycle_batches;
-  pool_ = std::make_unique<BatchPool>(pool_options, ctx().mem);
-  pool_folded_ = BatchPoolStats();
-}
-
 std::unique_ptr<AccountingStack> ParallelScan::NewStack() const {
   auto stack = std::make_unique<AccountingStack>(
       engine_, ctx().pool->mirror(), /*num_shards=*/1);
-  stack->SetBatchPool(pool_.get());
-  stack->SetMemScope(ctx().mem);
+  stack->SetBatchPool(ctx().batch_pool);
   return stack;
 }
 
@@ -120,10 +112,22 @@ void ParallelScan::EmitTo(size_t slot, PooledBatch&& batch) {
   // Empty batches go straight back to the pool (the handle's destructor).
   if (!batch || batch->empty()) return;
   {
-    latch::LatchGuard lock(mu_);
+    latch::UniqueLatch lock(mu_);
+    while (window_ != 0 && slot > emit_slot_ && queued_ >= window_) {
+      space_cv_.wait(lock);
+    }
     slots_[slot].batches.push_back(std::move(batch));
+    ++queued_;
   }
   cv_.notify_one();
+}
+
+void ParallelScan::Unthrottle() {
+  {
+    latch::LatchGuard lock(mu_);
+    window_ = 0;
+  }
+  space_cv_.notify_all();
 }
 
 Status ParallelScan::OpenImpl() {
@@ -145,7 +149,6 @@ Status ParallelScan::OpenImpl() {
   pending_.Release();
   pending_pos_ = 0;
   finalized_ = false;
-  BindBatchPool();
   kernel_->obs_ = obs();
 
   // Serial prolog on the planning stream. Workers are not running yet, so the
@@ -164,6 +167,10 @@ Status ParallelScan::OpenImpl() {
     slots_.resize(1 + morsels.size());
     for (PooledBatch& b : prolog) slots_[0].batches.push_back(std::move(b));
     slots_[0].done = true;
+    queued_ = 0;  // The consumer drains slot 0 first; it never counts.
+    window_ = options_.scheduler == nullptr
+                  ? kQueuedBatchesPerWorker * options_.dop
+                  : 0;
   }
 
   morsel_stats_.resize(morsels.size());
@@ -240,12 +247,18 @@ bool ParallelScan::NextBatchImpl(TupleBatch* out) {
       if (slot.head < slot.batches.size()) {
         pending_ = std::move(slot.batches[slot.head++]);
         pending_pos_ = 0;
+        // Slot 0 (the prolog) is never counted in queued_.
+        if (emit_slot_ > 0 && --queued_ == window_ / 2 && window_ != 0) {
+          space_cv_.notify_all();
+        }
         break;
       }
       if (slot.done) {
         slot.batches.clear();
         slot.head = 0;
         ++emit_slot_;
+        // The next morsel's worker may be waiting; it no longer has to.
+        if (window_ != 0) space_cv_.notify_all();
         continue;
       }
       cv_.wait(lock);
@@ -257,6 +270,7 @@ bool ParallelScan::NextBatchImpl(TupleBatch* out) {
 void ParallelScan::Finalize() {
   if (finalized_) return;
   finalized_ = true;
+  Unthrottle();
   if (group_ != nullptr) group_->Wait();
   // Merge in deterministic order: prolog stream first, then morsel streams by
   // index. This fixes the floating-point accumulation order, so the merged
@@ -278,9 +292,8 @@ void ParallelScan::Finalize() {
 void ParallelScan::CloseImpl() {
   Finalize();
   group_.reset();
-  // Undrained batches (a consumer that Closed mid-stream) return to the pool
-  // warm with the slots; the pool itself outlives the cycle, so a re-Open
-  // starts with recycled storage instead of a cold heap.
+  // Undrained batches (a consumer that Closed mid-stream) return to the
+  // borrowed pool warm with the slots.
   {
     latch::LatchGuard lock(mu_);
     slots_.clear();
@@ -290,17 +303,6 @@ void ParallelScan::CloseImpl() {
   pending_.Release();
   pending_pos_ = 0;
   source_.reset();
-  if (pool_ != nullptr) {
-    // Every batch of the cycle is home: add the pool's settled delta.
-    const BatchPoolStats now = pool_->stats();
-    obs::AddCount(obs(), "batchpool.acquires",
-                  now.acquires - pool_folded_.acquires);
-    obs::AddCount(obs(), "batchpool.reuses", now.reuses - pool_folded_.reuses);
-    obs::AddCount(obs(), "batchpool.releases",
-                  now.releases - pool_folded_.releases);
-    obs::AddCount(obs(), "batchpool.sheds", now.sheds - pool_folded_.sheds);
-    pool_folded_ = now;
-  }
 }
 
 // ---------------------------------------------------------------------------

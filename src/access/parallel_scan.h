@@ -37,10 +37,12 @@
 //
 // Accounting and observability work as for every AccessPath: the settled
 // morsel streams merge into ctx().disk / ctx().cpu, every morsel stack
-// mirrors into ctx().pool's mirror and charges ctx().mem, and worker spans
-// go to the SetObs handle. Counts reach its registry once per cycle: the
-// planning and morsel pools' stats where the stacks merge, the BatchPool's
-// stats delta at Close, and each morsel operator's stats at its own Close.
+// mirrors into ctx().pool's mirror and borrows ctx().batch_pool (the engine's
+// pool, or the query's, which charges the query's memory account), and worker
+// spans go to the SetObs handle. Counts reach its registry once per cycle:
+// the planning and morsel pools' stats where the stacks merge, and each
+// morsel operator's stats at its own Close. The batch pool's counts are its
+// owner's to add.
 //
 // Ordering: workers emit morsel-locally in scan order, and the consumer sees
 // morsels in index order, so a page-range decomposition yields heap order and
@@ -49,13 +51,23 @@
 // preserve_order) are serial-only and rejected by the factories.
 //
 // Run-to-completion: a started scan always executes every morsel, even when
-// the consumer falls behind or Closes mid-stream, and the per-morsel output
-// queues are unbounded — peak buffering is bounded by the result set, not by
-// a backpressure window. This is deliberate: cancelling or throttling workers
-// would make the charges of an abandoned run depend on scheduling, and the
-// whole design exists to keep simulated cost schedule-independent. Consumers
-// that need only a prefix of a huge result should bound the scan itself
-// (predicate or page range), not rely on early Close to shed work.
+// the consumer falls behind or Closes mid-stream. This is deliberate:
+// cancelling workers would make the charges of an abandoned run depend on
+// scheduling, and the whole design exists to keep simulated cost
+// schedule-independent. Consumers that need only a prefix of a huge result
+// should bound the scan itself (predicate or page range), not rely on early
+// Close to shed work.
+//
+// Backpressure: a scan that owns its workers keeps at most
+// kQueuedBatchesPerWorker x dop batches queued ahead of the consumer; a
+// worker emitting into a later morsel than the one the consumer drains waits
+// for room, while the worker of the consumer's morsel never waits, so the
+// consumer always makes progress. Waiting changes when a morsel runs, never
+// what it charges. Close lifts the window, so an abandoned run still
+// completes. Without it a slow consumer lets the whole result pile up in
+// pooled batches, and the engine's pool would keep that storage for good. A
+// scan on a shared scheduler queues without bound: a waiting task would hold
+// a worker that another scan's consumer may be waiting on.
 
 #ifndef SMOOTHSCAN_ACCESS_PARALLEL_SCAN_H_
 #define SMOOTHSCAN_ACCESS_PARALLEL_SCAN_H_
@@ -89,9 +101,6 @@ struct ParallelScanOptions {
   uint32_t max_key_morsels = 32;
   /// Optional shared worker pool; the scan owns a private one when null.
   TaskScheduler* scheduler = nullptr;
-  /// Ablation knob for the scan's batch pool: false reverts to
-  /// allocate-per-batch (bench_mem_governance's baseline).
-  bool recycle_batches = true;
 };
 
 /// The path-specific logic of a parallel scan. Plan() runs serially on the
@@ -171,6 +180,12 @@ uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
 /// Also usable as the source below a Gather exchange operator.
 class ParallelScan : public AccessPath {
  public:
+  /// Backpressure window per worker of a scan that owns its workers (see
+  /// the file comment). Measured with perfbench tpch_parallel (dop 2) on a
+  /// 4-core host: 4 or 8 batches per worker hold the engine's batch pool at
+  /// about 30 batches instead of about 100, with no loss of throughput.
+  static constexpr size_t kQueuedBatchesPerWorker = 8;
+
   ParallelScan(Engine* engine, std::unique_ptr<ParallelScanKernel> kernel,
                ParallelScanOptions options);
   ~ParallelScan() override;
@@ -180,9 +195,6 @@ class ParallelScan : public AccessPath {
   /// Valid after Open().
   size_t num_morsels() const { return source_ != nullptr ? source_->size() : 0; }
   const ParallelScanKernel* kernel() const { return kernel_.get(); }
-  /// The batch pool the kernels draw from (built at the first Open, charged
-  /// to ctx().mem). Null before the first Open.
-  const BatchPool* batch_pool() const { return pool_.get(); }
 
  protected:
   Status OpenImpl() override;
@@ -203,12 +215,12 @@ class ParallelScan : public AccessPath {
 
   /// The shared pool, or the owned one (built with `workers` threads).
   TaskScheduler* scheduler(uint32_t workers);
-  /// (Re)builds the batch pool when this cycle's memory account differs
-  /// from the one it was built for; otherwise keeps it warm.
-  void BindBatchPool();
   /// A morsel (or planning) stack inheriting this cycle's context.
   std::unique_ptr<AccountingStack> NewStack() const;
+  /// Queues `batch` on `slot`, first waiting for room (see Backpressure).
   void EmitTo(size_t slot, PooledBatch&& batch) EXCLUDES(mu_);
+  /// Lifts the backpressure window, so every waiting worker proceeds.
+  void Unthrottle() EXCLUDES(mu_);
   /// Waits for the workers and merges all stream accounting into ctx()
   /// (planning first, then morsels in index order), adding the streams'
   /// pool stats to the registry. Idempotent per cycle.
@@ -218,12 +230,6 @@ class ParallelScan : public AccessPath {
   std::unique_ptr<ParallelScanKernel> kernel_;
   ParallelScanOptions options_;
   std::unique_ptr<TaskScheduler> owned_scheduler_;
-  /// Outlives the Open cycles, so a re-Open starts with every batch of the
-  /// previous cycle warm.
-  std::unique_ptr<BatchPool> pool_;
-  /// pool_'s stats already added to the registry (the pool outlives cycles,
-  /// so each Close adds only the delta since the last one).
-  BatchPoolStats pool_folded_;
 
   std::unique_ptr<MorselSource> source_;
   std::unique_ptr<AccountingStack> planning_;
@@ -237,9 +243,12 @@ class ParallelScan : public AccessPath {
   /// which release into the BatchPool (and possibly the broker) — hence its
   /// rank above both.
   latch::Latch mu_{latch::LatchRank::kParallelScan, "ParallelScan::mu_"};
-  std::condition_variable_any cv_;
+  std::condition_variable_any cv_;        ///< Producers -> consumer.
+  std::condition_variable_any space_cv_;  ///< Consumer -> waiting producers.
   std::vector<Slot> slots_ GUARDED_BY(mu_);
   size_t emit_slot_ GUARDED_BY(mu_) = 0;
+  size_t queued_ GUARDED_BY(mu_) = 0;  ///< Batches in slots, not yet taken.
+  size_t window_ GUARDED_BY(mu_) = 0;  ///< Backpressure bound; 0: none.
   // Consumer-thread-only staging of the batch being drained; never touched by
   // workers, so deliberately outside the latch.
   PooledBatch pending_;

@@ -339,7 +339,7 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       // Decode in place into the caller's batch (a spill batch once it is
       // full); the ordered scan decodes for the Result Cache instead.
       TupleBatch* dest = out == nullptr ? nullptr
-                         : out->full()  ? SpillBatch(out->capacity())
+                         : out->full()  ? SpillBatch()
                                         : out;
       Tuple ordered_tuple;
       Tuple* tuple = dest != nullptr ? dest->AppendSlot() : &ordered_tuple;
@@ -392,18 +392,9 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   sstats_.pages_with_results += region_result_pages;
 }
 
-TupleBatch* SmoothScan::SpillBatch(size_t capacity) {
+TupleBatch* SmoothScan::SpillBatch() {
   if (spill_.empty() || spill_.back()->full()) {
-    BatchPool* pool = ctx().batch_pool;
-    if (pool == nullptr) {
-      if (owned_batch_pool_ == nullptr) {
-        BatchPoolOptions pool_options;
-        pool_options.batch_capacity = capacity;
-        owned_batch_pool_ = std::make_unique<BatchPool>(pool_options);
-      }
-      pool = owned_batch_pool_.get();
-    }
-    spill_.push_back(pool->Acquire());
+    spill_.push_back(ctx().batch_pool->Acquire());
   }
   return spill_.back().get();
 }

@@ -229,9 +229,9 @@ class SmoothScan : public AccessPath {
   /// policy state. `out` may be null (ordered mode inserts into the Result
   /// Cache instead).
   void FetchRegionAndHarvest(PageId target, TupleBatch* out);
-  /// The spill batch with room for the next harvested row, acquired from
-  /// ctx().batch_pool (a morsel's scan) or the scan's own pool.
-  TupleBatch* SpillBatch(size_t capacity);
+  /// The spill batch with room for the next harvested row, borrowed from
+  /// ctx().batch_pool.
+  TupleBatch* SpillBatch();
   /// Hands the oldest spilled rows to `out`: the whole batch when `out` is
   /// empty and of the same capacity (a buffer swap that sends `out`'s old
   /// storage back to the pool warm), else row by row.
@@ -263,10 +263,6 @@ class SmoothScan : public AccessPath {
   PageIdCache* page_cache_ = nullptr;  ///< Owned, or the morsels' shared one.
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;
-  /// Serial scans' spill pool (ctx().batch_pool is null for them); built at
-  /// the first spill and kept warm across Open cycles. Declared before
-  /// spill_ so the batches go home before the pool is destroyed.
-  std::unique_ptr<BatchPool> owned_batch_pool_;
   /// Rows a region harvested beyond the caller's batch (a morphing region can
   /// hold many batches' worth), decoded in place into pooled batches:
   /// spill_[spill_next_, end) hold rows not yet handed over (spill_pos_ =

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "compress/compressed_scan.h"
+#include "mem/batch_pool.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
@@ -564,15 +565,17 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   // private pool is where this query's hits and misses are counted, so its
   // stats — not the mirror's — are added to the registry at completion.
   AccountingStack qctx(engine_, &engine_->pool());
-  // Per-query execution-memory account: batch pools charge it; a quota
-  // breach or global broker pressure sheds their recycled storage. Pure
-  // governance — the accounting stack above is untouched.
+  // Per-query execution-memory account, charged by the query's batch pool;
+  // a quota breach or global broker pressure sheds its recycled storage.
+  // Pure governance — the accounting stack above is untouched. The pool is
+  // declared before the path, so every batch the path holds goes home first.
   QueryMemoryScope mem_scope(options_.broker, options_.query_quota_bytes);
-  qctx.SetMemScope(&mem_scope);
+  BatchPool batch_pool(BatchPoolOptions(), &mem_scope);
+  qctx.SetBatchPool(&batch_pool);
 
   // One switch builds the serial, parallel or shared form of the resolved
   // kind. Parallel paths merge their morsel streams into qctx and inherit its
-  // mirror and memory account (see parallel_scan.h); a kind with no parallel
+  // mirror and batch pool (see parallel_scan.h); a kind with no parallel
   // form for this spec (MakeParallelPath returns null) runs serially.
   ParallelScanOptions po;
   po.dop = spec.dop;
@@ -679,6 +682,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
 
   RecordCost(qctx, &m);
   AddPoolStats(obs_ctx, qctx.pool().stats());
+  AddBatchPoolStats(obs_ctx, batch_pool.stats());
   m.mem_peak_bytes = mem_scope.peak_bytes();
   m.mem_quota_breaches = mem_scope.quota_breaches();
   return res;

@@ -268,10 +268,11 @@ struct QueryEngineOptions {
   uint64_t query_quota_bytes = UINT64_MAX;
   /// Unified metrics registry (src/obs/): the engine registers its admission
   /// counters/gauges/latency histograms and adds each query's buffer-pool
-  /// stats at completion (plus the shared pool's own traffic); every access
-  /// path adds its operator stats when it closes (parallel scans' pools,
-  /// SmoothScan morph steps, ResultCache spills). Pure bookkeeping —
-  /// simulated per-query cost is bit-identical with and without a registry.
+  /// and batch-pool stats at completion (plus the shared pool's own
+  /// traffic); every access path adds its operator stats when it closes
+  /// (parallel scans' morsel pools, SmoothScan morph steps, ResultCache
+  /// spills). Pure bookkeeping — simulated per-query cost is bit-identical
+  /// with and without a registry.
   /// Null disables. Must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-query trace spans + morph-event timeline (src/obs/), exported as

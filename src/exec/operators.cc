@@ -17,18 +17,6 @@ bool FilterOp::NextBatchImpl(TupleBatch* out) {
   return false;
 }
 
-bool ProjectOp::NextBatchImpl(TupleBatch* out) {
-  if (!child_->NextBatch(out)) return false;
-  for (size_t i = 0; i < out->size(); ++i) {
-    Tuple& row = out->row(i);
-    Tuple projected;
-    projected.reserve(columns_.size());
-    for (const int c : columns_) projected.push_back(std::move(row[c]));
-    row = std::move(projected);
-  }
-  return true;
-}
-
 Status SortOp::OpenImpl() {
   SMOOTHSCAN_RETURN_IF_ERROR(child_->Open());
   rows_.clear();

@@ -18,14 +18,11 @@ void TaskScheduler::TaskGroup::Finish() {
   }
 }
 
-TaskScheduler::TaskScheduler(uint32_t num_workers, uint64_t rng_seed) {
+TaskScheduler::TaskScheduler(uint32_t num_workers) {
   SMOOTHSCAN_CHECK(num_workers > 0);
-  const Rng root(rng_seed);
   workers_.reserve(num_workers);
   for (uint32_t i = 0; i < num_workers; ++i) {
-    auto w = std::make_unique<Worker>();
-    w->rng = root.Fork(i);
-    workers_.push_back(std::move(w));
+    workers_.push_back(std::make_unique<Worker>());
   }
   for (uint32_t i = 0; i < num_workers; ++i) {
     workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
@@ -54,11 +51,6 @@ std::shared_ptr<TaskScheduler::TaskGroup> TaskScheduler::Submit(
   }
   cv_.notify_all();
   return group;
-}
-
-Rng* TaskScheduler::worker_rng(uint32_t worker_id) {
-  SMOOTHSCAN_CHECK(worker_id < workers_.size());
-  return &workers_[worker_id]->rng;
 }
 
 bool TaskScheduler::TryTake(uint32_t id,

@@ -8,8 +8,7 @@
 // never *what they compute*. Parallel operators keep their results and their
 // simulated-time accounting a pure function of the task (morsel) list — see
 // parallel_scan.h — so any interleaving the scheduler produces yields the
-// same answer. Randomized tasks draw from per-worker Rng streams forked from
-// one root seed (keyed by worker slot, not thread identity).
+// same answer.
 
 #ifndef SMOOTHSCAN_EXEC_TASK_SCHEDULER_H_
 #define SMOOTHSCAN_EXEC_TASK_SCHEDULER_H_
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "common/latch_rank.h"
-#include "common/rng.h"
 #include "common/thread_annotations.h"
 
 namespace smoothscan {
@@ -51,10 +49,8 @@ class TaskScheduler {
     std::condition_variable_any cv_;
   };
 
-  /// Spawns `num_workers` threads (at least 1). `rng_seed` roots the
-  /// per-worker random streams.
-  explicit TaskScheduler(uint32_t num_workers,
-                         uint64_t rng_seed = 0x5eedc0ffee123457ULL);
+  /// Spawns `num_workers` threads (at least 1).
+  explicit TaskScheduler(uint32_t num_workers);
   ~TaskScheduler();
 
   TaskScheduler(const TaskScheduler&) = delete;
@@ -66,14 +62,9 @@ class TaskScheduler {
   /// Returns immediately; wait on the group for completion.
   std::shared_ptr<TaskGroup> Submit(std::vector<Task> tasks) EXCLUDES(mu_);
 
-  /// The deterministic random stream of worker `worker_id` (call only from
-  /// that worker's tasks, or before/after the group runs).
-  Rng* worker_rng(uint32_t worker_id);
-
  private:
   struct Worker {
     std::deque<std::pair<std::shared_ptr<TaskGroup>, Task>> tasks;
-    Rng rng;
     std::thread thread;
   };
 
@@ -88,9 +79,8 @@ class TaskScheduler {
   mutable latch::Latch mu_{latch::LatchRank::kScheduler,
                            "TaskScheduler::mu_"};
   std::condition_variable_any cv_;
-  /// The vector itself is fixed after construction (worker_rng reads it
-  /// latch-free under the "only that worker's tasks" contract); the `tasks`
-  /// deques inside are guarded by `mu_` — accessed only via TryTake/Submit.
+  /// The vector itself is fixed after construction; the `tasks` deques
+  /// inside are guarded by `mu_` — accessed only via TryTake/Submit.
   std::vector<std::unique_ptr<Worker>> workers_;
   size_t next_deal_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;

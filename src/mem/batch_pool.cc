@@ -1,5 +1,6 @@
 #include "mem/batch_pool.h"
 
+#include "obs/obs_context.h"
 #include "storage/schema.h"
 
 namespace smoothscan {
@@ -29,9 +30,8 @@ BatchPool::~BatchPool() {
   // Every batch must be back home; a PooledBatch outliving its pool would
   // release into freed state.
   SMOOTHSCAN_CHECK(free_.size() == slots_.size());
-  for (Slot& slot : slots_) {
-    if (slot.charged && account_ != nullptr) account_->Uncharge(batch_bytes_);
-    slot.batch->~TupleBatch();  // Header memory goes with the arena.
+  for (const Slot& slot : slots_) {
+    if (slot.charged) account_->Uncharge(batch_bytes_);
   }
 }
 
@@ -44,34 +44,28 @@ PooledBatch BatchPool::Acquire() {
     Slot& slot = slots_[index];
     if (slot.warm) ++stats_.reuses;
     slot.warm = false;
-    return PooledBatch(this, index, slot.batch);
+    return PooledBatch(this, index, &slot.batch);
   }
-  Slot slot;
-  slot.batch = arena_.New<TupleBatch>(options_.batch_capacity);
-  slots_.push_back(slot);
+  slots_.emplace_back(options_.batch_capacity);
   ++stats_.fresh_batches;
-  return PooledBatch(this, slots_.size() - 1, slots_.back().batch);
+  return PooledBatch(this, slots_.size() - 1, &slots_.back().batch);
 }
 
 void BatchPool::Release(size_t slot_index) {
   latch::LatchGuard lock(mu_);
   ++stats_.releases;
   Slot& slot = slots_[slot_index];
-  slot.batch->Clear();
-  const bool shed =
-      !options_.recycle || (account_ != nullptr && account_->OverQuota());
-  if (shed) {
-    slot.batch->ReleaseMemory();
+  slot.batch.Clear();
+  if (account_ != nullptr && account_->OverQuota()) {
+    slot.batch.ReleaseMemory();
     slot.warm = false;
     ++stats_.sheds;
-    if (slot.charged) {
-      if (account_ != nullptr) account_->Uncharge(batch_bytes_);
-      slot.charged = false;
-    }
+    if (slot.charged) account_->Uncharge(batch_bytes_);
+    slot.charged = false;
   } else {
     slot.warm = true;
-    if (!slot.charged) {
-      if (account_ != nullptr) account_->Charge(batch_bytes_);
+    if (account_ != nullptr && !slot.charged) {
+      account_->Charge(batch_bytes_);
       slot.charged = true;
     }
   }
@@ -81,6 +75,13 @@ void BatchPool::Release(size_t slot_index) {
 BatchPoolStats BatchPool::stats() const {
   latch::LatchGuard lock(mu_);
   return stats_;
+}
+
+void AddBatchPoolStats(const obs::ObsContext* o, const BatchPoolStats& stats) {
+  obs::AddCount(o, "batchpool.acquires", stats.acquires);
+  obs::AddCount(o, "batchpool.reuses", stats.reuses);
+  obs::AddCount(o, "batchpool.releases", stats.releases);
+  obs::AddCount(o, "batchpool.sheds", stats.sheds);
 }
 
 void PooledBatch::Release() {

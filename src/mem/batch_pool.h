@@ -1,40 +1,48 @@
-// BatchPool: a free-list of recycled TupleBatches whose headers live in a
-// bump Arena and whose row `Value` storage survives recycling — the morsel
-// engine's answer to per-batch heap allocation (Leis et al., SIGMOD 2014
-// design away exactly this steady-state tax). Producers Acquire() a batch,
-// fill it, and move it downstream as a PooledBatch; whoever drains it last
-// releases it (possibly on a different thread), putting the fully-allocated
-// row storage back on the free list for the next fill cycle. In steady state
-// a scan therefore performs zero heap allocations per batch: the header is
-// arena-resident, the row vectors and their Value payloads are the ones the
-// previous cycle populated.
+// BatchPool: a free-list of recycled TupleBatches whose row `Value` storage
+// survives recycling — the morsel engine's answer to per-batch heap
+// allocation (Leis et al., SIGMOD 2014 design away exactly this steady-state
+// tax). Producers Acquire() a batch, fill it, and move it downstream as a
+// PooledBatch; whoever drains it last releases it (possibly on a different
+// thread), putting the fully-allocated row storage back on the free list for
+// the next fill cycle. In steady state a scan therefore performs zero heap
+// allocations per batch: the batch and its row vectors and Value payloads
+// are the ones the previous cycle populated.
 //
-// Memory governance: an optional MemoryAccount (the query's
-// QueryMemoryScope) is charged a fixed per-batch estimate when a batch's
-// storage goes warm and uncharged when it is shed. When the account reports
-// OverQuota() — the query breached its quota, or the global MemoryBroker is
-// under pressure — Release() drops the batch's row storage instead of
-// keeping it warm: recycling degrades gracefully to the old allocate-per-
-// batch behavior, trading CPU for memory, never failing the query and never
-// touching its simulated cost.
+// Ownership: operators never build a pool, they borrow ctx().batch_pool.
+// The Engine owns one ungoverned pool that every default context hands out,
+// and QueryEngine::Execute builds one per read query, charged to the query's
+// QueryMemoryScope (lint rule pool-owner).
 //
-// BatchPoolStats is the one copy of the pool's counts: the owning
-// ParallelScan adds each cycle's delta to the registry's batchpool.* at Close.
+// Memory governance: an optional MemoryAccount is charged a fixed per-batch
+// estimate when a batch's storage goes warm and uncharged when it is shed.
+// When the account reports OverQuota() — the query breached its quota, or
+// the global MemoryBroker is under pressure — Release() drops the batch's row
+// storage instead of keeping it warm: recycling degrades gracefully to
+// allocate-per-batch, trading CPU for memory, never failing the query and
+// never touching its simulated cost.
+//
+// BatchPoolStats is the one copy of the pool's counts: the query adds its
+// pool's stats to the registry's batchpool.* at completion
+// (AddBatchPoolStats).
 
 #ifndef SMOOTHSCAN_MEM_BATCH_POOL_H_
 #define SMOOTHSCAN_MEM_BATCH_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/latch_rank.h"
 #include "common/thread_annotations.h"
 #include "common/tuple_batch.h"
-#include "mem/arena.h"
 #include "mem/memory_broker.h"
 
 namespace smoothscan {
+
+namespace obs {
+struct ObsContext;
+}  // namespace obs
 
 class BatchPool;
 
@@ -82,17 +90,14 @@ class PooledBatch {
 struct BatchPoolOptions {
   /// Capacity of every batch the pool hands out.
   size_t batch_capacity = kDefaultBatchSize;
-  /// When false, released batches drop their row storage instead of keeping
-  /// it warm — the allocate-per-batch baseline, kept for ablation benches.
-  bool recycle = true;
 };
 
 struct BatchPoolStats {
   uint64_t acquires = 0;   ///< Batches handed out.
   uint64_t reuses = 0;     ///< ... of which came warm off the free list.
   uint64_t releases = 0;   ///< Batches returned.
-  uint64_t sheds = 0;      ///< Returns that dropped storage (quota/ablation).
-  uint64_t fresh_batches = 0;  ///< Headers constructed in the arena, ever.
+  uint64_t sheds = 0;      ///< Returns that dropped storage (over quota).
+  uint64_t fresh_batches = 0;  ///< Batches constructed, ever.
   /// Acquires that could NOT reuse warm storage — the steady-state metric:
   /// zero over a cycle means the cycle allocated no batch memory.
   uint64_t cold_acquires() const { return acquires - reuses; }
@@ -119,13 +124,13 @@ class BatchPool {
   /// The per-warm-batch charge (estimated from the capacity).
   uint64_t batch_bytes() const { return batch_bytes_; }
   BatchPoolStats stats() const EXCLUDES(mu_);
-  MemoryAccount* account() const { return account_; }
 
  private:
   friend class PooledBatch;
 
   struct Slot {
-    TupleBatch* batch = nullptr;
+    explicit Slot(size_t capacity) : batch(capacity) {}
+    TupleBatch batch;
     bool warm = false;     ///< Row storage populated (free-list entries only).
     bool charged = false;  ///< Currently charged to the account.
   };
@@ -139,11 +144,14 @@ class BatchPool {
   /// Ranked just above the broker: Release() charges/uncharges the account
   /// scope (which forwards into MemoryBroker::mu_) while holding this latch.
   mutable latch::Latch mu_{latch::LatchRank::kBatchPool, "BatchPool::mu_"};
-  Arena arena_ GUARDED_BY(mu_);
-  std::vector<Slot> slots_ GUARDED_BY(mu_);
+  /// A deque, so handed-out batches keep their addresses as the pool grows.
+  std::deque<Slot> slots_ GUARDED_BY(mu_);
   std::vector<size_t> free_ GUARDED_BY(mu_);
   BatchPoolStats stats_ GUARDED_BY(mu_);
 };
+
+/// Adds a settled pool's counts to the registry's batchpool.* (null-safe).
+void AddBatchPoolStats(const obs::ObsContext* o, const BatchPoolStats& stats);
 
 }  // namespace smoothscan
 

@@ -1,12 +1,14 @@
 // Engine: the bundle of substrate components (storage, simulated disk, buffer
-// pool, CPU meter) that every operator executes against. Owns its members and
-// provides the measurement hooks benchmarks use (cold runs, time snapshots).
+// pool, CPU meter, batch pool) that every operator executes against. Owns its
+// members and provides the measurement hooks benchmarks use (cold runs, time
+// snapshots).
 
 #ifndef SMOOTHSCAN_STORAGE_ENGINE_H_
 #define SMOOTHSCAN_STORAGE_ENGINE_H_
 
 #include <memory>
 
+#include "mem/batch_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/cpu_meter.h"
 #include "storage/sim_disk.h"
@@ -40,6 +42,9 @@ class Engine {
   SimDisk& disk() { return disk_; }
   BufferPool& pool() { return pool_; }
   CpuMeter& cpu() { return cpu_; }
+  /// The ungoverned batch pool every default context hands out; it outlives
+  /// every operator, so a fresh scan draws warm batches.
+  BatchPool& batch_pool() { return batch_pool_; }
   const EngineOptions& options() const { return options_; }
 
   /// Total simulated elapsed time (I/O + CPU).
@@ -60,6 +65,7 @@ class Engine {
   SimDisk disk_;
   BufferPool pool_;
   CpuMeter cpu_;
+  BatchPool batch_pool_;
 };
 
 }  // namespace smoothscan

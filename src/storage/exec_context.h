@@ -1,11 +1,14 @@
 // ExecContext: the accounting surface an operator executes against — which
 // buffer pool its page accesses go through, which CPU meter its work is
-// charged to, which simulated disk classifies its stream. Serial execution
-// uses the engine's shared instances; the multi-query engine gives every
-// query, and morsel-driven parallel execution every morsel, a private
-// AccountingStack so that simulated time is charged per *logical access
-// stream*: a pure function of the query (or the morsel decomposition),
-// independent of concurrency, worker count and interleaving.
+// charged to, which simulated disk classifies its stream, and which batch
+// pool its pooled batches come from. Serial execution uses the engine's
+// shared instances; the multi-query engine gives every query, and
+// morsel-driven parallel execution every morsel, a private AccountingStack so
+// that simulated time is charged per *logical access stream*: a pure function
+// of the query (or the morsel decomposition), independent of concurrency,
+// worker count and interleaving. Batch storage is not accounting state: every
+// context borrows a pool (the engine's, or the query's, which charges the
+// query's memory account) and no operator owns one.
 
 #ifndef SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
 #define SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
@@ -14,9 +17,6 @@
 
 namespace smoothscan {
 
-class BatchPool;
-class QueryMemoryScope;
-
 /// Borrowed pointers to the components an operator charges its work to.
 /// Copyable; the pointees must outlive every operator using the context.
 struct ExecContext {
@@ -24,20 +24,16 @@ struct ExecContext {
   BufferPool* pool = nullptr;
   CpuMeter* cpu = nullptr;
   SimDisk* disk = nullptr;
-  /// Recycled-batch pool for the operator's output batches (set by the
-  /// parallel scan driver for its kernels, whose morsel Smooth Scans also
-  /// spill into it; null for serial operators, which reuse the caller's
-  /// carry batch).
+  /// Recycled-batch pool the operator borrows: the parallel kernels emit
+  /// through it and Smooth Scan spills into it. Never null in a context
+  /// built by EngineContext or AccountingStack.
   BatchPool* batch_pool = nullptr;
-  /// Per-query execution-memory account (quota + broker charging). Null:
-  /// ungoverned. Never affects simulated cost — accounting bytes, not time.
-  QueryMemoryScope* mem = nullptr;
 };
 
 /// The engine's shared (serial) execution context.
 inline ExecContext EngineContext(Engine* engine) {
   return ExecContext{&engine->storage(), &engine->pool(), &engine->cpu(),
-                     &engine->disk()};
+                     &engine->disk(), &engine->batch_pool()};
 }
 
 /// A private accounting stack: a simulated disk (one logical access stream),
@@ -75,16 +71,16 @@ class AccountingStack {
     ctx_.pool = &pool_;
     ctx_.cpu = &cpu_;
     ctx_.disk = &disk_;
+    ctx_.batch_pool = &engine->batch_pool();
   }
 
   AccountingStack(const AccountingStack&) = delete;
   AccountingStack& operator=(const AccountingStack&) = delete;
 
-  /// Hands the stack's operators a batch pool (the parallel scan, for its
-  /// kernels) and the query's execution-memory account (see
-  /// QueryMemoryScope). Set before any operator runs against the stack.
+  /// Hands the stack's operators a batch pool other than the engine's (the
+  /// query's own, or the one a parallel scan's context carries). Set before
+  /// any operator runs against the stack.
   void SetBatchPool(BatchPool* pool) { ctx_.batch_pool = pool; }
-  void SetMemScope(QueryMemoryScope* mem) { ctx_.mem = mem; }
 
   const ExecContext& ctx() const { return ctx_; }
   SimDisk& disk() { return disk_; }

@@ -1,5 +1,5 @@
-// Executor tests: filter, project, sort, limit, hash join, index
-// nested-loops join, hash aggregation — unit behaviour plus composition.
+// Executor tests: filter, sort, hash join, index nested-loops join, hash
+// aggregation — unit behaviour plus composition.
 
 #include <gtest/gtest.h>
 
@@ -63,17 +63,6 @@ TEST(FilterOpTest, EmptyInput) {
   EXPECT_TRUE(RunAll(&op).empty());
 }
 
-TEST(ProjectOpTest, ReordersColumns) {
-  std::vector<Tuple> rows = {{Value::Int64(1), Value::String("a"),
-                              Value::Double(2.5)}};
-  ProjectOp op(std::make_unique<VectorSource>(rows), {2, 0});
-  const auto out = RunAll(&op);
-  ASSERT_EQ(out.size(), 1u);
-  ASSERT_EQ(out[0].size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0][0].AsDouble(), 2.5);
-  EXPECT_EQ(out[0][1].AsInt64(), 1);
-}
-
 TEST(SortOpTest, SortsByComparator) {
   Engine engine;
   SortOp op(&engine, Ints({3, 1, 2}), [](const Tuple& a, const Tuple& b) {
@@ -96,16 +85,6 @@ TEST(SortOpTest, ChargesCpu) {
   const double before = engine.cpu().time();
   RunAll(&op);
   EXPECT_GT(engine.cpu().time(), before);
-}
-
-TEST(LimitOpTest, CapsOutput) {
-  LimitOp op(Ints({1, 2, 3, 4}), 2);
-  EXPECT_EQ(RunAll(&op).size(), 2u);
-}
-
-TEST(LimitOpTest, LimitLargerThanInput) {
-  LimitOp op(Ints({1, 2}), 10);
-  EXPECT_EQ(RunAll(&op).size(), 2u);
 }
 
 TEST(HashJoinOpTest, InnerJoinSemantics) {

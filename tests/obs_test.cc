@@ -491,30 +491,34 @@ TEST_F(FoldTest, FlushWriteBacksAddUpOnceTheEngineIsDestroyed) {
   EXPECT_EQ(Count("bufferpool.write_backs"), write_backs);
 }
 
-TEST_F(FoldTest, ParallelScanAddsBatchPoolStatsAtClose) {
+TEST_F(FoldTest, QueryAddsItsBatchPoolStatsAtCompletion) {
+  // Each read query owns one batch pool and adds its stats once, after the
+  // path closed: every batch the query acquired is home by then. The
+  // engine's own pool is not touched by queries.
   TaskScheduler scheduler(2);
-  ParallelScanOptions po;
-  po.dop = 2;
-  po.scheduler = &scheduler;
-  std::unique_ptr<ParallelScan> path = MakeParallelFullScan(
-      &db_.heap(), db_.PredicateForSelectivity(0.5), FullScanOptions(), po);
-  path->SetObs(&obs_);
-  // Two cycles over one pool: the second runs warm, and each Close adds
-  // only its own delta, so the registry tracks the pool's cumulative stats.
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    ASSERT_TRUE(path->Open().ok());
-    TupleBatch batch;
-    while (path->NextBatch(&batch)) {
-    }
-    path->Close();
-    const BatchPoolStats stats = path->batch_pool()->stats();
-    EXPECT_GT(stats.acquires, 0u);
-    EXPECT_EQ(Count("batchpool.acquires"), stats.acquires);
-    EXPECT_EQ(Count("batchpool.reuses"), stats.reuses);
-    EXPECT_EQ(Count("batchpool.releases"), stats.releases);
-    EXPECT_EQ(Count("batchpool.sheds"), stats.sheds);
-  }
-  EXPECT_GT(path->batch_pool()->stats().reuses, 0u);
+  QueryEngineOptions qeo;
+  qeo.metrics = &registry_;
+  qeo.scheduler = &scheduler;
+  QueryEngine qe(&engine_, qeo);
+  Session session(&qe);
+  const BatchPoolStats engine_before = engine_.batch_pool().stats();
+  QuerySpec spec = Read(PathKind::kFullScan, 0.5);
+  spec.dop = 2;
+  const QueryResult par = session.Query().FromSpec(spec).Run();
+  ASSERT_TRUE(par.status.ok());
+  ASSERT_TRUE(par.metrics.parallel);
+  const uint64_t par_acquires = Count("batchpool.acquires");
+  EXPECT_GT(par_acquires, 0u);
+  EXPECT_EQ(Count("batchpool.releases"), par_acquires);
+  EXPECT_EQ(Count("batchpool.sheds"), 0u);
+  // A serial Smooth Scan's spill batches come from the query's pool too.
+  const QueryResult smooth =
+      session.Query().FromSpec(Read(PathKind::kSmoothScan, 1.0)).Run();
+  ASSERT_TRUE(smooth.status.ok());
+  ASSERT_FALSE(smooth.metrics.parallel);
+  EXPECT_GT(Count("batchpool.acquires"), par_acquires);
+  EXPECT_EQ(Count("batchpool.releases"), Count("batchpool.acquires"));
+  EXPECT_EQ(engine_.batch_pool().stats().acquires, engine_before.acquires);
 }
 
 TEST_F(FoldTest, OrderedSmoothScanAddsResultCacheStats) {

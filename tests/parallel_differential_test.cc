@@ -503,17 +503,6 @@ TEST(TaskSchedulerTest, GroupsCanOverlap) {
   EXPECT_EQ(b.load(), 1);
 }
 
-TEST(TaskSchedulerTest, WorkerRngStreamsAreReproducibleAndDistinct) {
-  TaskScheduler s1(4, /*rng_seed=*/99);
-  TaskScheduler s2(4, /*rng_seed=*/99);
-  for (uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(s1.worker_rng(w)->Next(), s2.worker_rng(w)->Next())
-        << "worker " << w;
-  }
-  TaskScheduler s3(2, /*rng_seed=*/100);
-  EXPECT_NE(s1.worker_rng(0)->Next(), s3.worker_rng(0)->Next());
-}
-
 TEST(RngForkTest, DeterministicAndDecorrelated) {
   Rng root(42);
   Rng a = root.Fork(0);
