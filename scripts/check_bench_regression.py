@@ -4,8 +4,8 @@
 Compares freshly-run bench JSONs against the baselines committed at the repo
 root and fails (exit 1) when a row's *simulated* cost regresses by more than
 the threshold, or when a shared-scan row's aggregate fetch ratio
-(pages_vs_solo) regresses at all. Wall-clock columns are deliberately
-ignored: CI hardware jitters, simulated cost does not.
+(pages_vs_solo) regresses at all. Wall-clock columns are never compared
+with the baseline: CI hardware jitters, simulated cost does not.
 
 Rows are matched by (series, sel_pct[, clients]) within a bench. A baseline
 row missing from the fresh run fails the gate (a bench silently dropped
@@ -18,6 +18,12 @@ parallelism: in each fresh run, every parallel Smooth Scan row may cost at
 most PARALLEL_SMOOTH_MAX_RATIO times the serial Smooth Scan row it
 parallelizes (same series stem, same sel_pct). Simulated time is
 deterministic, so this ratio needs no allowance for jitter.
+
+A third gate is the one on wall clock, and it too stays within one fresh
+file: in fig05, the serial SortScan row at sel_pct 100 may take at most
+SORT_SCAN_MAX_WALL_RATIO times the wall_ms of the serial FullScan row beside
+it (a missing row fails). Both rows ran seconds apart on the same host, so
+the ratio survives jitter that absolute wall times do not.
 
 Usage:
   check_bench_regression.py --baseline-dir . --fresh-dir bench-json \
@@ -60,6 +66,12 @@ PARALLEL_SMOOTH_SERIES = {
     "fig05_selectivity": re.compile(r"^Par(SmoothScan) dop=\d+$"),
     "fig04_tpch": re.compile(r"^(Q\d+ Smooth) dop=\d+$"),
 }
+# Serial SortScan vs FullScan wall time at 100% selectivity, within one fresh
+# fig05 file. Simulated, SortScan costs 1.56x FullScan there; a streamed heap
+# phase reads about 2x in wall time, and one that buffers every row 14x.
+SORT_SCAN_MAX_WALL_RATIO = 5.0
+WALL_RATIO_BENCH = "fig05_selectivity"
+WALL_RATIO_SEL_PCT = 100.0
 
 
 def row_key(row):
@@ -177,6 +189,35 @@ def check_parallel_smooth_bound(name, fresh_path):
     return failures
 
 
+def check_sort_scan_wall_ratio(name, fresh_path):
+    """Returns failures of the within-file SortScan/FullScan wall bound."""
+    if name != WALL_RATIO_BENCH:
+        return []
+    with open(fresh_path) as f:
+        rows = json.load(f).get("rows", [])
+    serial = {}
+    for row in rows:
+        if round(float(row.get("sel_pct", 0.0)), 6) != WALL_RATIO_SEL_PCT:
+            continue
+        if float(row.get("threads", 1)) != 1:
+            continue
+        serial[row.get("series")] = float(row.get("wall_ms", 0.0))
+    label = f"{name} sel_pct={WALL_RATIO_SEL_PCT}"
+    missing = [s for s in ("SortScan", "FullScan") if s not in serial]
+    if missing:
+        return [f"{label}: no serial {' or '.join(missing)} row for the "
+                "wall-ratio bound"]
+    if serial["FullScan"] <= 0.0:
+        return [f"{label}: serial FullScan row has no wall_ms"]
+    ratio = serial["SortScan"] / serial["FullScan"]
+    if ratio > SORT_SCAN_MAX_WALL_RATIO:
+        return [f"{label}: serial SortScan wall time is {ratio:.2f}x "
+                f"FullScan's ({serial['SortScan']:.1f} vs "
+                f"{serial['FullScan']:.1f} ms; bound "
+                f"{SORT_SCAN_MAX_WALL_RATIO:.1f}x)"]
+    return []
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default=".",
@@ -208,6 +249,7 @@ def main(argv=None):
             name, os.path.join(args.baseline_dir, f"BENCH_{name}.json"),
             fresh_path, args.threshold)
         failures += check_parallel_smooth_bound(name, fresh_path)
+        failures += check_sort_scan_wall_ratio(name, fresh_path)
         for note in notes:
             print(f"note: {note}")
         if failures:

@@ -2,8 +2,9 @@
 """Self-test of the CI perf-regression gate: proves, with doctored bench
 JSONs, that the gate passes on unchanged results and demonstrably fails on a
 >25% simulated-cost regression, a shared-scan fetch-ratio regression, a
-dropped row, and a parallel Smooth Scan row beyond its bound on the serial
-operator. Run directly (CI) or via ctest.
+dropped row, a parallel Smooth Scan row beyond its bound on the serial
+operator, and a serial SortScan wall time beyond its bound on FullScan's.
+Run directly (CI) or via ctest.
 """
 
 import copy
@@ -138,22 +139,38 @@ class GateTest(unittest.TestCase):
         self.assertEqual(self.run_gate(), 1)
 
 
+def wall_rows(sort_wall_ms, full_wall_ms=10.0):
+    """fig05's serial FullScan and SortScan rows at 100% (plus a parallel
+    FullScan row and a SortScan row at 50%, which the wall bound ignores)."""
+    return [
+        {"series": "FullScan", "sel_pct": 100.0, "sim_time": 4413.0,
+         "wall_ms": full_wall_ms, "threads": 1},
+        {"series": "SortScan", "sel_pct": 100.0, "sim_time": 6889.8,
+         "wall_ms": sort_wall_ms, "threads": 1},
+        {"series": "ParFullScan dop=2", "sel_pct": 100.0,
+         "sim_time": 4413.0, "wall_ms": 1.0, "threads": 2},
+        {"series": "SortScan", "sel_pct": 50.0, "sim_time": 5000.0,
+         "wall_ms": 900.0, "threads": 1},
+    ]
+
+
 def smooth_rows(bench, serial, parallel, sel_pct, parallel_sim):
     """A bench file with one serial Smooth Scan row (sim 1000) and its
-    parallel legs at `parallel_sim`."""
+    parallel legs at `parallel_sim`; a fig05 file also carries the serial
+    rows the wall bound needs, well within it."""
     rows = [{"series": serial, "sel_pct": sel_pct, "sim_time": 1000.0,
              "threads": 1}]
     for dop in (1, 8):
         rows.append({"series": f"{parallel} dop={dop}", "sel_pct": sel_pct,
                      "sim_time": parallel_sim, "threads": dop})
+    if bench == "fig05_selectivity":
+        rows += wall_rows(22.0)
     return {"bench": bench, "rows": rows}
 
 
-class ParallelSmoothBoundTest(unittest.TestCase):
-    """The within-file bound: parallel Smooth Scan <= 1.35x serial."""
-
-    CASES = [("fig05_selectivity", "SmoothScan", "ParSmoothScan", 20.0),
-             ("fig04_tpch", "Q4 Smooth", "Q4 Smooth", 65.0)]
+class WithinFileGateTest(unittest.TestCase):
+    """Runs the gate on one bench file whose baseline equals the fresh run,
+    so only the within-file bounds can fail."""
 
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
@@ -163,7 +180,6 @@ class ParallelSmoothBoundTest(unittest.TestCase):
 
     def run_gate(self, payload):
         bench = payload["bench"]
-        # The baseline equals the fresh run: only the ratio gate can fail.
         for sub in ("base", "fresh"):
             os.makedirs(os.path.join(self.tmp.name, sub), exist_ok=True)
             with open(os.path.join(self.tmp.name, sub,
@@ -172,6 +188,13 @@ class ParallelSmoothBoundTest(unittest.TestCase):
         return gate.main(["--baseline-dir", os.path.join(self.tmp.name, "base"),
                           "--fresh-dir", os.path.join(self.tmp.name, "fresh"),
                           bench])
+
+
+class ParallelSmoothBoundTest(WithinFileGateTest):
+    """The within-file bound: parallel Smooth Scan <= 1.35x serial."""
+
+    CASES = [("fig05_selectivity", "SmoothScan", "ParSmoothScan", 20.0),
+             ("fig04_tpch", "Q4 Smooth", "Q4 Smooth", 65.0)]
 
     def test_restarting_regions_ratio_fails(self):
         # 1.79x: every morsel restarting its region at one page.
@@ -195,6 +218,35 @@ class ParallelSmoothBoundTest(unittest.TestCase):
     def test_other_benches_are_not_bounded(self):
         self.assertEqual(self.run_gate(
             smooth_rows("concurrent", "smooth", "smooth", 1.0, 5000.0)), 0)
+
+
+def fig05(rows):
+    return {"bench": "fig05_selectivity", "rows": rows}
+
+
+class SortScanWallRatioTest(WithinFileGateTest):
+    """The within-file wall bound: serial SortScan <= 5x FullScan at 100%."""
+
+    def test_streamed_heap_phase_passes(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(22.0))), 0)  # 2.2x.
+
+    def test_buffered_heap_phase_fails(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(140.0))), 1)  # 14x.
+
+    def test_just_above_the_bound_fails(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(50.1))), 1)
+
+    def test_missing_row_fails(self):
+        for series in ("SortScan", "FullScan"):
+            with self.subTest(series=series):
+                rows = [r for r in wall_rows(22.0)
+                        if not (r["series"] == series and
+                                r["sel_pct"] == 100.0)]
+                self.assertEqual(self.run_gate(fig05(rows)), 1)
+
+    def test_other_benches_are_not_bounded(self):
+        payload = {"bench": "fig04_tpch", "rows": wall_rows(140.0)}
+        self.assertEqual(self.run_gate(payload), 0)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ bool IndexScan::NextBatchImpl(TupleBatch* out) {
   uint64_t produced = 0;
   while (!out->full() && it_->Valid() && it_->key() < predicate_.hi) {
     const Tid tid = it_->tid();
+    it_->PrefetchHeapAhead();
     it_->Next();
     // One heap look-up per entry: random I/O unless the page happens to be
     // resident — exactly the pattern of Eq. (11).

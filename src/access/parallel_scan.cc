@@ -318,8 +318,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // SortScan kernel: SortScan's leaf walk + TID sort in the prolog, and its
-// sorted-TID fetch over each morsel's slice of the sorted array (one morsel
-// per populated page-range bucket).
+// sorted-TID cursor over each morsel's slice of the sorted array (one morsel
+// per populated page-range bucket), filling pooled batches in place.
 // ---------------------------------------------------------------------------
 
 class ParallelSortScanKernel : public ParallelScanKernel {
@@ -357,18 +357,14 @@ class ParallelSortScanKernel : public ParallelScanKernel {
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
     const auto [begin, end] = slices_[m.index];
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    const AccessPathStats stats = FetchSortedTids(
-        index_->heap(), predicate_, tids_, begin, end, ctx,
-        [&](const Tid&, const Tuple& tuple) {
-          *batch->AppendSlot() = tuple;  // Copy-assign: the slot stays warm.
-          if (batch->full()) {
-            emit(std::move(batch));
-            batch = ctx.batch_pool->Acquire();
-          }
-        });
-    emit(std::move(batch));
-    return stats;
+    SortedTidCursor cursor(index_->heap(), &predicate_, &tids_, begin, end);
+    bool more = true;
+    while (more) {
+      PooledBatch batch = ctx.batch_pool->Acquire();
+      more = cursor.Fill(ctx, batch.get());
+      emit(std::move(batch));
+    }
+    return cursor.stats();
   }
 
  private:

@@ -14,7 +14,7 @@
 // of the *serial* operator restricted to the morsel — FullScan over a page
 // range, IndexScan over a key range, SmoothScan over the morsel's bucket of
 // leaf entries with regions clipped at the range end, FullScan's page loop
-// for the post-switch phase of SwitchScan, and SortScan's sorted-TID fetch
+// for the post-switch phase of SwitchScan, and SortScan's sorted-TID cursor
 // over the morsel's slice. The prologs run the serial operators' own phase
 // functions too, so no kernel has a harvest loop of its own. Smooth Scan's
 // morph state carries across morsels: its prolog dry-runs the region policy

@@ -196,6 +196,7 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
   const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
   const Tid tid = it_->tid();
+  it_->PrefetchHeapAhead();
   it_->Next();
   Tuple* slot = out->AppendSlot();
   heap->ReadInto(tid, ctx, slot);  // Single-tuple look-up: random I/O.

@@ -1,14 +1,19 @@
 // SortScan (PostgreSQL's Bitmap Heap Scan; Section II). Collects all
 // qualifying TIDs from the index, sorts them in heap-page order, then fetches
 // the matching pages (and only those) with a nearly sequential pattern. The
-// price is a blocking execution model, and — when the consumer needs the
-// index order — a posterior sort of the result tuples. Batches are emitted as
-// dense slices of the materialized result.
+// price is a blocking TID sort, and — when the consumer needs the index
+// order — a posterior sort of the result tuples.
+//
+// Open blocks only on the leaf walk and the TID sort. The heap phase then
+// streams: a SortedTidCursor decodes the next TIDs straight into the caller's
+// batch, so an unordered scan buffers no row. The ordered scan drains the
+// cursor at Open (its posterior sort needs every row) and emits the sorted
+// rows afterwards.
 
 #ifndef SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "access/access_path.h"
@@ -28,23 +33,64 @@ struct SortScanOptions {
 /// consumed before any of it is evicted.
 inline constexpr uint32_t kSortScanChunkPages = 64;
 
+/// CollectSortedTids sorts at least this many TIDs in linear time, with two
+/// stable counting passes (slot, then page); fewer go through a comparison
+/// sort, which beats clearing a histogram with one bucket per heap page.
+inline constexpr size_t kTidCountingSortMin = 64;
+
 /// SortScan phases 1-2: the TIDs of the qualifying index entries, sorted in
-/// heap order. Charges the leaf walk and the sort to `ctx`.
+/// heap order. Charges the leaf walk and the sort (n log2 n comparisons,
+/// whichever sort runs) to `ctx`.
 std::vector<Tid> CollectSortedTids(const BPlusTree* index,
                                    const ScanPredicate& predicate,
                                    const ExecContext& ctx);
 
-/// SortScan phase 3 over the sorted `tids[begin, end)`: fetches the result
-/// pages as coalesced extents (capped at kSortScanChunkPages), reads each
-/// entry's tuple into one reused scratch tuple and hands every one passing
-/// the residual predicate to `sink` (valid only for the call), in TID order.
-/// Charges inspect and produce once, at the end.
-/// Returns the counters; tuples_produced counts the tuples handed to `sink`.
-AccessPathStats FetchSortedTids(
-    const HeapFile* heap, const ScanPredicate& predicate,
-    const std::vector<Tid>& tids, size_t begin, size_t end,
-    const ExecContext& ctx,
-    const std::function<void(const Tid&, const Tuple&)>& sink);
+/// SortScan phase 3, resumable: walks the sorted `tids[begin, end)`, fetching
+/// the result pages as coalesced extents (capped at kSortScanChunkPages), and
+/// decodes each page's run of TIDs under one pinned Fetch. The run's other
+/// look-ups would each have hit that just-fetched page, so they are added to
+/// the pool's hit count instead (BufferPool::AddHits): in a query-private
+/// stack, every FetchExtent, Fetch and charge keeps the order and count of
+/// one Fetch per TID. No pin outlives a Fill call.
+class SortedTidCursor {
+ public:
+  /// An exhausted cursor over nothing.
+  SortedTidCursor() = default;
+  /// `predicate` and `tids` must outlive the cursor.
+  SortedTidCursor(const HeapFile* heap, const ScanPredicate* predicate,
+                  const std::vector<Tid>* tids, size_t begin, size_t end)
+      : heap_(heap),
+        predicate_(predicate),
+        tids_(tids),
+        next_(begin),
+        extent_end_(begin),
+        end_(end),
+        charged_(false) {}
+
+  /// Appends the tuples of the next TIDs that pass the residual predicate to
+  /// `out`, until it is full or the TIDs run out. Returns false once they
+  /// have run out, having charged the run (Finish).
+  bool Fill(const ExecContext& ctx, TupleBatch* out);
+
+  /// Charges inspect and produce for every tuple looked up so far, once per
+  /// cursor: Fill calls it when the TIDs run out, and an owner that abandons
+  /// the cursor calls it at Close, so the work done is charged either way.
+  void Finish(const ExecContext& ctx);
+
+  /// Counters so far: heap_pages_probed counts extent pages, and
+  /// tuples_produced the tuples appended by Fill.
+  const AccessPathStats& stats() const { return stats_; }
+
+ private:
+  const HeapFile* heap_ = nullptr;
+  const ScanPredicate* predicate_ = nullptr;
+  const std::vector<Tid>* tids_ = nullptr;
+  size_t next_ = 0;        ///< Next TID to look up.
+  size_t extent_end_ = 0;  ///< One past the fetched extent's last TID.
+  size_t end_ = 0;
+  bool charged_ = true;
+  AccessPathStats stats_;
+};
 
 class SortScan : public AccessPath {
  public:
@@ -53,18 +99,16 @@ class SortScan : public AccessPath {
 
   const char* name() const override { return "SortScan"; }
 
-  /// Heap pages fetched (distinct by construction).
-  uint64_t pages_fetched() const { return pages_fetched_; }
+  /// Heap pages fetched (distinct by construction). Final once the scan is
+  /// drained; an unordered scan fetches as it streams.
+  uint64_t pages_fetched() const { return stats_.heap_pages_probed; }
 
  protected:
-  /// Blocking: performs the index traversal, TID sort and all heap I/O.
+  /// Performs the index traversal and the TID sort; the ordered scan also
+  /// runs the whole heap phase and the posterior sort here.
   Status OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {
-    results_.clear();
-    results_.shrink_to_fit();
-    next_result_ = 0;
-  }
+  void CloseImpl() override;
   ExecContext DefaultContext() const override;
 
  private:
@@ -72,9 +116,12 @@ class SortScan : public AccessPath {
   ScanPredicate predicate_;
   SortScanOptions options_;
 
-  std::vector<Tuple> results_;
-  size_t next_result_ = 0;
-  uint64_t pages_fetched_ = 0;
+  std::vector<Tid> tids_;
+  SortedTidCursor cursor_;
+  /// Ordered scan only: the drained rows, and (key, row) in emission order.
+  TupleBatch rows_{1};
+  std::vector<std::pair<int64_t, uint32_t>> order_;
+  size_t next_row_ = 0;
 };
 
 }  // namespace smoothscan

@@ -34,6 +34,7 @@ bool SwitchScan::IndexPhase(TupleBatch* out, ScanWork* work) {
   while (!out->full()) {
     if (!it_->Valid() || it_->key() >= predicate_.hi) return false;
     const Tid tid = it_->tid();
+    it_->PrefetchHeapAhead();
     Tuple* slot = out->AppendSlot();
     heap->ReadInto(tid, ctx, slot);
     ++work->pages;

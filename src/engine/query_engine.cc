@@ -657,8 +657,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
           }
         }
         if (spec.stream != nullptr) {
-          spec.stream->Push(std::move(batch));
-          batch.Clear();  // Leave the moved-from batch refillable.
+          spec.stream->Push(&batch);
         }
         // Polled between batches: path->Close() below is the teardown — for
         // a shared-scan consumer that is Detach mid-lap, the existing

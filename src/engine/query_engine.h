@@ -82,6 +82,11 @@ const char* QueryLaneToString(QueryLane lane);
 /// turns further pushes into drops, so an abandoned or cancelled stream never
 /// wedges an executor. Streaming changes only *where* batches go, never what
 /// the query is charged: the blocking adds wall time, not simulated cost.
+///
+/// Batches circulate instead of being rebuilt: each Pop hands the batch the
+/// consumer is done with back to the producer, whose next Push leaves it in
+/// the producer's hands, so a steady stream decodes into warm rows and
+/// allocates nothing per row on either side.
 class ResultStream {
  public:
   /// Undelivered batches the executor may run ahead of the consumer.
@@ -91,13 +96,24 @@ class ResultStream {
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
-  /// Producer (engine executor): enqueue one batch; blocks while the window
-  /// is full and the consumer is still attached.
-  void Push(TupleBatch batch) {
+  /// Producer (engine executor): enqueue `*batch`; blocks while the window
+  /// is full and the consumer is still attached. Leaves `*batch` cleared and
+  /// refillable: a batch the consumer handed back when there is one.
+  void Push(TupleBatch* batch) {
     latch::UniqueLatch lock(mu_);
     while (!closed_ && q_.size() >= kWindowBatches) cv_.wait(lock);
-    if (closed_) return;  // Consumer gone: drop, keep draining.
-    q_.push_back(std::move(batch));
+    if (closed_) {  // Consumer gone: drop, keep draining.
+      batch->Clear();
+      return;
+    }
+    const size_t capacity = batch->capacity();
+    q_.push_back(std::move(*batch));
+    if (!spare_.empty()) {
+      *batch = std::move(spare_.back());
+      spare_.pop_back();
+    } else {
+      *batch = TupleBatch(capacity);
+    }
     cv_.notify_all();
   }
 
@@ -110,11 +126,19 @@ class ResultStream {
 
   /// Consumer (QueryHandle): dequeue the next batch; false once the producer
   /// finished and the queue drained.
+  /// The batch `*out` held goes back to the producer when it has the
+  /// producer's capacity (a different capacity would move the producer's
+  /// batch boundaries).
   bool Pop(TupleBatch* out) {
     latch::UniqueLatch lock(mu_);
     while (q_.empty() && !finished_) cv_.wait(lock);
     if (q_.empty()) return false;
-    *out = std::move(q_.front());
+    std::swap(*out, q_.front());
+    if (!closed_ && q_.front().capacity() == out->capacity() &&
+        spare_.size() < kWindowBatches) {
+      q_.front().Clear();
+      spare_.push_back(std::move(q_.front()));
+    }
     q_.pop_front();
     cv_.notify_all();
     return true;
@@ -125,6 +149,7 @@ class ResultStream {
     latch::LatchGuard lock(mu_);
     closed_ = true;
     q_.clear();
+    spare_.clear();
     cv_.notify_all();
   }
 
@@ -133,6 +158,8 @@ class ResultStream {
                            "ResultStream::mu_"};
   std::condition_variable_any cv_;
   std::deque<TupleBatch> q_ GUARDED_BY(mu_);
+  /// Batches the consumer is done with, for the producer to refill.
+  std::vector<TupleBatch> spare_ GUARDED_BY(mu_);
   bool finished_ GUARDED_BY(mu_) = false;
   bool closed_ GUARDED_BY(mu_) = false;
 };

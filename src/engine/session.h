@@ -74,7 +74,8 @@ class QueryHandle {
 
   /// Streamed result batches (queries built with Stream()): blocks for the
   /// next batch; false once the query finished and the stream drained.
-  /// Always false for non-streamed queries.
+  /// The rows `*out` held before the call go back to the executor for
+  /// reuse (ResultStream::Pop). Always false for non-streamed queries.
   bool NextBatch(TupleBatch* out);
 
   /// Blocks until the query completes; idempotent (the first call reaps the

@@ -222,11 +222,11 @@ bool BPlusTree::Remove(int64_t key, Tid tid) {
   return false;
 }
 
-PageId BPlusTree::DescendAccounted(int64_t key, BufferPool* pool) const {
+PageId BPlusTree::Descend(int64_t key, BufferPool* pool) const {
   SMOOTHSCAN_CHECK(!nodes_.empty());
   PageId cur = root_;
   while (true) {
-    pool->Fetch(file_id_, cur);
+    if (pool != nullptr) pool->Fetch(file_id_, cur);
     const Node& n = node(cur);
     if (n.is_leaf) return cur;
     // Child index = number of separators strictly below `key`. Because a run
@@ -243,7 +243,7 @@ BPlusTree::Iterator BPlusTree::Seek(int64_t lo, const ExecContext* ctx) const {
   if (nodes_.empty() || num_entries_ == 0) {
     return Iterator(this, kInvalidPageId, 0, ctx);
   }
-  PageId leaf = DescendAccounted(lo, pool);
+  PageId leaf = Descend(lo, pool);
   const Node& n = node(leaf);
   uint32_t pos = static_cast<uint32_t>(
       std::lower_bound(n.keys.begin(), n.keys.end(), lo) - n.keys.begin());
@@ -294,6 +294,19 @@ Tid BPlusTree::Iterator::tid() const {
   return tree_->node(leaf_).tids[pos_];
 }
 
+bool BPlusTree::Iterator::PeekTid(uint32_t ahead, Tid* tid) const {
+  const std::vector<Tid>& tids = tree_->node(leaf_).tids;
+  if (pos_ + ahead >= tids.size()) return false;
+  *tid = tids[pos_ + ahead];
+  return true;
+}
+
+void BPlusTree::Iterator::PrefetchHeapAhead() const {
+  Tid tid;
+  if (PeekTid(2 * kHeapPrefetchDistance, &tid)) tree_->heap_->PrefetchSlot(tid);
+  if (PeekTid(kHeapPrefetchDistance, &tid)) tree_->heap_->PrefetchTuple(tid);
+}
+
 void BPlusTree::Iterator::Next() {
   SMOOTHSCAN_CHECK(Valid());
   cpu().ChargeIndexEntry();
@@ -316,14 +329,7 @@ std::vector<int64_t> BPlusTree::PartitionKeyRange(int64_t lo, int64_t hi,
     bounds.push_back(hi);
     return bounds;
   }
-  // Count qualifying entries with a free leaf walk (exact histogram).
-  uint64_t in_range = 0;
-  for (PageId leaf = first_leaf_; leaf != kInvalidPageId;
-       leaf = node(leaf).next_leaf) {
-    for (const int64_t k : node(leaf).keys) {
-      if (k >= lo && k < hi) ++in_range;
-    }
-  }
+  const uint64_t in_range = CountRange(lo, hi);
   if (in_range == 0) {
     bounds.push_back(hi);
     return bounds;
@@ -345,6 +351,20 @@ std::vector<int64_t> BPlusTree::PartitionKeyRange(int64_t lo, int64_t hi,
   }
   bounds.push_back(hi);
   return bounds;
+}
+
+uint64_t BPlusTree::CountRange(int64_t lo, int64_t hi) const {
+  if (nodes_.empty() || num_entries_ == 0 || lo >= hi) return 0;
+  uint64_t count = 0;
+  for (PageId leaf = Descend(lo, nullptr); leaf != kInvalidPageId;
+       leaf = node(leaf).next_leaf) {
+    const std::vector<int64_t>& keys = node(leaf).keys;
+    const auto end = std::lower_bound(keys.begin(), keys.end(), hi);
+    count += static_cast<uint64_t>(
+        end - std::lower_bound(keys.begin(), end, lo));
+    if (end != keys.end()) break;  // A key >= hi: the range ends here.
+  }
+  return count;
 }
 
 std::vector<int64_t> BPlusTree::RootSeparators() const {

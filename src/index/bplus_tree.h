@@ -40,6 +40,11 @@ struct IndexMeta {
   uint64_t num_entries = 0;  ///< Total (key, Tid) entries.
 };
 
+/// Look-ups between a heap prefetch hint and its use (Iterator::
+/// PrefetchHeapAhead): far enough to cover a memory miss behind one decode,
+/// near enough to stay within one leaf most of the time.
+inline constexpr uint32_t kHeapPrefetchDistance = 4;
+
 /// Tuning knobs. Defaults follow the paper's cost model: fanout derived from
 /// the page size with 20% per-key pointer overhead (Eq. 5).
 struct BPlusTreeOptions {
@@ -88,6 +93,17 @@ class BPlusTree {
     Tid tid() const;
     /// Advances to the next entry in (key, Tid) order.
     void Next();
+    /// The Tid `ahead` entries past the current one, when it lies in the
+    /// current leaf (false otherwise). Free of charge: it reads the leaf the
+    /// iterator already holds. It ignores the caller's key range, so use it
+    /// only for hints (heap prefetch), never for results.
+    bool PeekTid(uint32_t ahead, Tid* tid) const;
+    /// Prefetch hints for the heap look-ups of the coming entries (see
+    /// HeapFile::PrefetchSlot): the slot entry of the Tid
+    /// 2 * kHeapPrefetchDistance entries ahead, and the tuple of the one
+    /// kHeapPrefetchDistance ahead, whose slot entry an earlier call pulled
+    /// in. Free of charge; call it once per look-up.
+    void PrefetchHeapAhead() const;
 
    private:
     friend class BPlusTree;
@@ -123,6 +139,10 @@ class BPlusTree {
   std::vector<int64_t> PartitionKeyRange(int64_t lo, int64_t hi,
                                          uint32_t max_parts) const;
 
+  /// Number of entries with key in [lo, hi). Planning helper, free of charge
+  /// like PartitionKeyRange: a descent plus one binary search per leaf.
+  uint64_t CountRange(int64_t lo, int64_t hi) const;
+
   /// Key separators stored in the root node. The paper uses these as the
   /// key-range partition boundaries of the Result Cache ("the root page is a
   /// good indicator of the key value distributions").
@@ -157,8 +177,9 @@ class BPlusTree {
   const Node& node(PageId id) const { return *nodes_[id]; }
 
   /// Descends from the root to the leaf that may contain `key`, charging one
-  /// buffer-pool fetch per visited node to `pool`. Returns the leaf page id.
-  PageId DescendAccounted(int64_t key, BufferPool* pool) const;
+  /// buffer-pool fetch per visited node to `pool` (none when null). Returns
+  /// the leaf page id.
+  PageId Descend(int64_t key, BufferPool* pool) const;
 
   /// Recursive insert; returns the (separator, new right sibling) on split.
   struct SplitResult {

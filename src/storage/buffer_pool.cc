@@ -388,6 +388,12 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
   }
 }
 
+void BufferPool::AddHits(FileId file, PageId page, uint64_t n) {
+  Shard& shard = ShardFor(Key(file, page));
+  latch::LatchGuard lock(shard.mu);
+  shard.stats.hits += n;
+}
+
 void BufferPool::MarkDirty(FileId file, PageId page) {
   const uint64_t key = Key(file, page);
   Shard& shard = ShardFor(key);

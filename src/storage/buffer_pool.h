@@ -155,6 +155,12 @@ class BufferPool {
   /// physical extent read cannot skip holes in the middle. Takes no pins.
   void FetchExtent(FileId file, PageId first, uint32_t num_pages);
 
+  /// Counts `n` hits on `page` of `file` with no other effect: the look-ups
+  /// a page-run reader decoded under the one Fetch it still pins. Each would
+  /// have been a hit on the page that Fetch just made most recently used, so
+  /// the LRU state and the counts match per-look-up fetching exactly.
+  void AddHits(FileId file, PageId page, uint64_t n);
+
   /// Marks `page` of `file` dirty: its content diverges from "disk" and must
   /// be written back (charged through SimDisk) before the frame can be
   /// dropped. Inserts the frame if absent — a freshly published page is

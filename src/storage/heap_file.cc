@@ -25,12 +25,7 @@ Result<Tid> HeapFile::Append(const Tuple& tuple) {
 
 void HeapFile::ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const {
   const PageGuard page = ctx.pool->Fetch(file_id_, tid.page_id);
-  uint32_t size = 0;
-  const uint8_t* data = page->GetTuple(tid.slot, &size);
-  // Reading a tombstoned Tid is a bug: index maintenance removes an entry in
-  // the same publish that kills its slot.
-  SMOOTHSCAN_CHECK(data != nullptr);
-  schema_.DeserializeInto(data, size, out);
+  DecodeInto(*page, tid.slot, out);
 }
 
 Tuple HeapFile::Read(Tid tid) const {

@@ -34,6 +34,27 @@ class HeapFile {
   /// look-up of every operator.
   void ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const;
 
+  /// Decodes live `slot` of `page`, one of this file's pages the caller has
+  /// already fetched and still pins, into `out` (a page-run reader decodes
+  /// every look-up on one page under one fetch).
+  void DecodeInto(const Page& page, SlotId slot, Tuple* out) const {
+    uint32_t size = 0;
+    const uint8_t* data = page.GetTuple(slot, &size);
+    // Reading a tombstoned Tid is a bug: index maintenance removes an entry
+    // in the same publish that kills its slot.
+    SMOOTHSCAN_CHECK(data != nullptr);
+    schema_.DeserializeInto(data, size, out);
+  }
+
+  /// Prefetch hints for a coming look-up of `tid` (see Page::PrefetchSlot):
+  /// no buffer-pool access, no charge, no effect on any result.
+  void PrefetchSlot(Tid tid) const {
+    engine_->storage().GetPage(file_id_, tid.page_id).PrefetchSlot(tid.slot);
+  }
+  void PrefetchTuple(Tid tid) const {
+    engine_->storage().GetPage(file_id_, tid.page_id).PrefetchTuple(tid.slot);
+  }
+
   /// Same through the engine's own pool, returning a fresh tuple (tests and
   /// build-time code).
   Tuple Read(Tid tid) const;

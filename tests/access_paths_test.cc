@@ -13,6 +13,7 @@
 #include "access/index_scan.h"
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
+#include "common/rng.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -178,6 +179,46 @@ TEST_F(AccessPathTest, UnorderedSortScanEmitsHeapOrder) {
       EXPECT_GT(t[0].AsInt64(), prev);
       prev = t[0].AsInt64();
     }
+  }
+}
+
+// CollectSortedTids' linear sort must return exactly the comparison sort's
+// (page, slot) order. The index here is built over hand-picked TIDs with
+// seeded random keys, so the leaf walk hands them over in random order.
+TEST_F(AccessPathTest, CollectSortedTidsMatchesComparisonSort) {
+  const HeapFile& heap = db_->heap();
+  const PageId last_page = static_cast<PageId>(heap.num_pages() - 1);
+  Rng rng(2024);
+  auto random_tids = [&](size_t n) {
+    std::vector<Tid> tids = {{0, 0}, {last_page, 1}};  // Both ends.
+    while (tids.size() < n) {
+      tids.push_back({static_cast<PageId>(rng.UniformInt(0, last_page)),
+                      static_cast<SlotId>(rng.UniformInt(0, 120))});
+    }
+    tids.resize(n);
+    return tids;
+  };
+  std::vector<std::vector<Tid>> sets = {{}, {{last_page, 5}}};
+  for (const size_t n : {kTidCountingSortMin - 1, kTidCountingSortMin,
+                         kTidCountingSortMin + 1, size_t{5000}}) {
+    sets.push_back(random_tids(n));
+  }
+  // Every slot of one page, highest first.
+  const uint16_t slots = engine_->storage().GetPage(heap.file_id(), 7)
+                             .num_slots();
+  std::vector<Tid>& one_page = sets.emplace_back();
+  for (uint16_t s = slots; s-- > 0;) one_page.push_back({7, s});
+
+  ScanPredicate all;
+  all.column = kC2;
+  for (const std::vector<Tid>& set : sets) {
+    BPlusTree tree(engine_, "tids", &heap, kC2);
+    for (const Tid& tid : set) tree.Insert(rng.UniformInt(0, 999), tid);
+    std::vector<Tid> expected = set;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(CollectSortedTids(&tree, all, EngineContext(engine_)),
+              expected)
+        << set.size() << " TIDs";
   }
 }
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -283,6 +284,159 @@ TEST_F(LookupSiteTest, SwitchFiringMidBatchProducesTriggerRowOnce) {
     EXPECT_EQ(std::count(m.rows.begin(), m.rows.end(), trigger), 1) << cap;
   }
   CheckLookups(engine_.get(), &path, Oracle(pred), "SwitchScan/mid-batch");
+}
+
+// ---------------------------------------------------------------------------
+// SortScan's streamed heap phase against a replay of the per-TID fetch loop
+// it replaced: one FetchExtent per coalesced extent, then one
+// HeapFile::ReadInto (one pool Fetch) per TID, with inspect and produce
+// charged once at the end. The cursor decodes each page's run of TIDs under
+// one Fetch and counts the run's other look-ups as hits, so on a private
+// stack every row, counter and simulated charge must agree bit for bit,
+// whatever the pool size and the batch capacity.
+// ---------------------------------------------------------------------------
+
+/// A private accounting stack with a pool of `pool_pages`.
+struct SizedStack {
+  SizedStack(Engine* engine, size_t pool_pages)
+      : disk(engine->options().device, engine->options().page_size),
+        pool(&engine->storage(), &disk, pool_pages),
+        cpu(engine->options().cpu_costs),
+        ctx{&engine->storage(), &pool, &cpu, &disk, &engine->batch_pool()} {}
+
+  SimDisk disk;
+  BufferPool pool;
+  CpuMeter cpu;
+  ExecContext ctx;
+};
+
+/// Everything one run leaves behind on its stack.
+struct StackRun {
+  std::vector<Tuple> rows;
+  AccessPathStats stats;
+  IoStats io;
+  double cpu = 0.0;
+  BufferPoolStats pool;
+};
+
+void Settle(const SizedStack& stack, StackRun* run) {
+  run->io = stack.disk.stats();
+  run->cpu = stack.cpu.time();
+  run->pool = stack.pool.stats();
+}
+
+/// The per-TID SortScan, replayed against `stack`.
+StackRun ReplayPerTidSortScan(const BPlusTree& index,
+                              const ScanPredicate& pred, SizedStack* stack) {
+  const ExecContext& ctx = stack->ctx;
+  std::vector<Tid> tids;
+  for (BPlusTree::Iterator it = index.Seek(pred.lo, &ctx);
+       it.Valid() && it.key() < pred.hi; it.Next()) {
+    tids.push_back(it.tid());
+  }
+  ctx.cpu->ChargeSort(tids.size());
+  std::sort(tids.begin(), tids.end());
+  const HeapFile& heap = *index.heap();
+  StackRun run;
+  Tuple tuple;
+  for (size_t i = 0; i < tids.size();) {
+    // One extent: the entries on the first page or on the page after the
+    // previous entry's, within kSortScanChunkPages of the first.
+    const PageId first = tids[i].page_id;
+    PageId last = first;
+    size_t end = i + 1;
+    while (end < tids.size() && tids[end].page_id <= last + 1 &&
+           tids[end].page_id - first < kSortScanChunkPages) {
+      last = tids[end++].page_id;
+    }
+    ctx.pool->FetchExtent(heap.file_id(), first, last - first + 1);
+    run.stats.heap_pages_probed += last - first + 1;
+    for (; i < end; ++i) {
+      heap.ReadInto(tids[i], ctx, &tuple);
+      ++run.stats.tuples_inspected;
+      if (pred.residual && !pred.residual(tuple)) continue;
+      ++run.stats.tuples_produced;
+      run.rows.push_back(tuple);
+    }
+  }
+  ctx.cpu->ChargeInspect(run.stats.tuples_inspected);
+  ctx.cpu->ChargeProduce(run.stats.tuples_produced);
+  Settle(*stack, &run);
+  return run;
+}
+
+/// Drains `scan` against `stack` at batch capacity `capacity`, checking after
+/// every batch that the scan holds no pin.
+StackRun DrainOnStack(SortScan* scan, SizedStack* stack, size_t capacity) {
+  scan->SetExecContext(&stack->ctx);
+  EXPECT_TRUE(scan->Open().ok());
+  StackRun run;
+  TupleBatch batch(capacity);
+  while (scan->NextBatch(&batch)) {
+    EXPECT_EQ(stack->pool.pinned_pages(), 0u) << "a pin outlived NextBatch";
+    for (size_t i = 0; i < batch.size(); ++i) run.rows.push_back(batch.row(i));
+  }
+  run.stats = scan->stats();
+  scan->Close();
+  scan->SetExecContext(nullptr);
+  Settle(*stack, &run);
+  return run;
+}
+
+void ExpectSameRun(const StackRun& want, const StackRun& got,
+                   const std::string& label) {
+  ASSERT_EQ(want.rows.size(), got.rows.size()) << label;
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    ASSERT_EQ(want.rows[i], got.rows[i]) << label << " row " << i;
+  }
+  EXPECT_EQ(want.stats, got.stats) << label;
+  EXPECT_EQ(want.io.random_ios, got.io.random_ios) << label;
+  EXPECT_EQ(want.io.seq_ios, got.io.seq_ios) << label;
+  EXPECT_EQ(want.io.io_requests, got.io.io_requests) << label;
+  EXPECT_EQ(want.io.pages_read, got.io.pages_read) << label;
+  EXPECT_EQ(want.io.bytes_read, got.io.bytes_read) << label;
+  EXPECT_EQ(want.io.io_time, got.io.io_time) << label;  // Exact doubles.
+  EXPECT_EQ(want.cpu, got.cpu) << label;
+  EXPECT_EQ(want.pool.hits, got.pool.hits) << label;
+  EXPECT_EQ(want.pool.misses, got.pool.misses) << label;
+}
+
+TEST_F(BatchDifferentialTest, StreamedSortScanMatchesPerTidFetch) {
+  for (const size_t pool_pages : {size_t{4}, size_t{64}, size_t{1024}}) {
+    for (const double sel : {0.0001, 0.01, 0.1, 1.0}) {
+      for (const bool residual : {false, true}) {
+        ScanPredicate pred = db_->PredicateForSelectivity(sel);
+        if (residual) pred = WithRejectingResidual(pred);
+        const std::string label = "pool " + std::to_string(pool_pages) +
+                                  " sel " + std::to_string(sel) +
+                                  (residual ? " residual" : "");
+        SizedStack replay_stack(engine_.get(), pool_pages);
+        const StackRun replay =
+            ReplayPerTidSortScan(db_->index(), pred, &replay_stack);
+        if (sel >= 0.01) {
+          ASSERT_FALSE(replay.rows.empty()) << label;
+        }
+        SortScan scan(&db_->index(), pred);
+        for (const size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
+          SizedStack stack(engine_.get(), pool_pages);
+          ExpectSameRun(replay, DrainOnStack(&scan, &stack, capacity),
+                        label + " capacity " + std::to_string(capacity));
+        }
+        // Close after one batch, then re-Open and drain: the same rows and
+        // counters as a fresh drain (residency differs, so only those).
+        SizedStack stack(engine_.get(), pool_pages);
+        scan.SetExecContext(&stack.ctx);
+        ASSERT_TRUE(scan.Open().ok());
+        TupleBatch batch(7);
+        EXPECT_EQ(scan.NextBatch(&batch), !replay.rows.empty()) << label;
+        EXPECT_EQ(stack.pool.pinned_pages(), 0u) << label;
+        scan.Close();
+        const StackRun again = DrainOnStack(&scan, &stack, 7);
+        EXPECT_EQ(again.rows, replay.rows) << label << " re-Open";
+        EXPECT_EQ(again.stats, replay.stats) << label << " re-Open";
+      }
+    }
+  }
 }
 
 // One outer key matches 1500 inner rows: the run overflows a 1024-row batch

@@ -205,17 +205,62 @@ TEST(BPlusTreeTest, IteratorCompletenessVsBruteForce) {
   BPlusTree tree(&engine, "idx", heap.get(), 1, SmallNodes());
   tree.BulkBuild();
 
-  for (const int64_t lo : {0L, 50L, 299L, 300L}) {
-    for (const int64_t hi : {1L, 100L, 301L}) {
-      uint64_t expected = 0;
-      for (const int64_t k : keys) expected += (k >= lo && k < hi);
-      uint64_t got = 0;
-      for (auto it = tree.Seek(lo); it.Valid() && it.key() < hi; it.Next()) {
-        ++got;
+  auto check = [&](const char* label) {
+    for (const int64_t lo : {0L, 50L, 299L, 300L}) {
+      for (const int64_t hi : {1L, 100L, 301L}) {
+        uint64_t expected = 0;
+        for (const int64_t k : keys) expected += (k >= lo && k < hi);
+        uint64_t got = 0;
+        for (auto it = tree.Seek(lo); it.Valid() && it.key() < hi;
+             it.Next()) {
+          ++got;
+        }
+        EXPECT_EQ(got, expected)
+            << label << " range [" << lo << "," << hi << ")";
+        EXPECT_EQ(tree.CountRange(lo, hi), expected)
+            << label << " CountRange [" << lo << "," << hi << ")";
       }
-      EXPECT_EQ(got, expected) << "range [" << lo << "," << hi << ")";
+    }
+  };
+  check("bulk-built");
+  // Emptying every leaf that holds only keys in [100, 200) leaves empty
+  // leaves mid-chain, which both the iterator and CountRange must skip.
+  std::vector<std::pair<int64_t, Tid>> doomed;
+  for (auto it = tree.Seek(100); it.Valid() && it.key() < 200; it.Next()) {
+    doomed.emplace_back(it.key(), it.tid());
+  }
+  for (const auto& [key, tid] : doomed) ASSERT_TRUE(tree.Remove(key, tid));
+  keys.erase(std::remove_if(keys.begin(), keys.end(),
+                            [](int64_t k) { return k >= 100 && k < 200; }),
+             keys.end());
+  check("after removals");
+}
+
+TEST(BPlusTreeTest, PeekTidLooksAheadWithinTheLeaf) {
+  Engine engine;
+  std::vector<int64_t> keys(300);
+  Rng rng(29);
+  for (auto& k : keys) k = rng.UniformInt(0, 100);
+  auto heap = MakeHeap(&engine, keys);
+  BPlusTree tree(&engine, "idx", heap.get(), 1, SmallNodes());
+  tree.BulkBuild();
+  std::vector<Tid> order;
+  for (auto it = tree.Begin(); it.Valid(); it.Next()) order.push_back(it.tid());
+  size_t i = 0;
+  uint64_t hits = 0;
+  for (auto it = tree.Begin(); it.Valid(); it.Next(), ++i) {
+    for (uint32_t ahead = 0; ahead <= 4; ++ahead) {
+      Tid tid;
+      const bool in_leaf = it.PeekTid(ahead, &tid);
+      EXPECT_TRUE(in_leaf || ahead > 0) << i;
+      EXPECT_FALSE(in_leaf && ahead == 4) << i;  // Leaves hold 4 entries.
+      if (!in_leaf) continue;
+      ++hits;
+      ASSERT_LT(i + ahead, order.size());
+      EXPECT_EQ(tid, order[i + ahead]) << i << " + " << ahead;
     }
   }
+  EXPECT_GT(hits, order.size());  // Looked past the current entry.
 }
 
 TEST(BPlusTreeTest, TidsPointToMatchingHeapTuples) {
