@@ -14,6 +14,9 @@
 // rows the perf gate diffs. The simulated columns are schedule-independent
 // (per-query private accounting stacks), so they diff cleanly across PRs;
 // qps and percentiles are wall-clock and scale with the host's cores.
+// batchpool_reuses depends on how the engine scheduler's workers interleaved
+// the queries' morsels, so each committed value is one scheduling's sample:
+// the CI perf gate does not compare it.
 //
 // Trace mode: with SMOOTHSCAN_TRACE_FILE=<path> in the environment the bench
 // skips the sweep and runs ONE traced cell — 8 clients, DOP 2, the Smooth
@@ -27,7 +30,6 @@
 
 #include "bench_util.h"
 #include "engine/query_engine.h"
-#include "exec/task_scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/workload_driver.h"
@@ -42,16 +44,15 @@ constexpr DriverPolicy kPolicies[] = {
     DriverPolicy::kOptimizer, DriverPolicy::kSmoothScan,
     DriverPolicy::kFullScan};
 
-void RunCell(Engine* engine, const MicroBenchDb& db, TaskScheduler* scheduler,
-             DriverPolicy policy, uint32_t dop, uint32_t clients,
-             obs::TraceCollector* tracing, bool record_json) {
+void RunCell(Engine* engine, const MicroBenchDb& db, DriverPolicy policy,
+             uint32_t dop, uint32_t clients, obs::TraceCollector* tracing,
+             bool record_json) {
   // Per-cell registry so every row's snapshot covers exactly its own run.
   obs::MetricsRegistry registry;
   QueryEngineOptions qeo;
   // Admission tracks the client count up to the host-independent cap the
   // sweep fixes, so queue wait appears in the oversubscribed cells.
   qeo.max_admitted = std::min<uint32_t>(clients, 4);
-  qeo.scheduler = scheduler;
   qeo.metrics = &registry;
   qeo.tracing = tracing;
   QueryEngine qe(engine, qeo);
@@ -120,12 +121,11 @@ void RunCell(Engine* engine, const MicroBenchDb& db, TaskScheduler* scheduler,
 
 /// SMOOTHSCAN_TRACE_FILE mode: one traced mixed cell, exported for the CI
 /// trace gate. Returns the process exit code.
-int RunTraced(Engine* engine, const MicroBenchDb& db, TaskScheduler* scheduler,
-              const char* path) {
+int RunTraced(Engine* engine, const MicroBenchDb& db, const char* path) {
   std::printf("# trace mode: 8 clients, dop=2, smooth policy -> %s\n\n", path);
   obs::TraceCollector collector;
-  RunCell(engine, db, scheduler, DriverPolicy::kSmoothScan, /*dop=*/2,
-          /*clients=*/8, &collector, /*record_json=*/false);
+  RunCell(engine, db, DriverPolicy::kSmoothScan, /*dop=*/2, /*clients=*/8,
+          &collector, /*record_json=*/false);
   if (!collector.ExportJsonFile(path)) {
     std::fprintf(stderr, "trace export to %s failed\n", path);
     return 1;
@@ -143,7 +143,6 @@ int main() {
   MicroBenchSpec spec;
   spec.num_tuples = 120000;
   MicroBenchDb db(&engine, spec);
-  TaskScheduler scheduler(4);  // The one shared data-plane pool.
 
   std::printf("# concurrent multi-query throughput — %llu tuples, %zu pages, "
               "host hardware threads: %u\n",
@@ -153,15 +152,15 @@ int main() {
               "stats lie up to 1000x in phases 2-3\n\n");
 
   if (const char* trace_path = std::getenv("SMOOTHSCAN_TRACE_FILE")) {
-    return RunTraced(&engine, db, &scheduler, trace_path);
+    return RunTraced(&engine, db, trace_path);
   }
 
   bench::OpenJson("concurrent");
   for (const DriverPolicy policy : kPolicies) {
     for (const uint32_t dop : kDops) {
       for (const uint32_t clients : kClientCounts) {
-        RunCell(&engine, db, &scheduler, policy, dop, clients,
-                /*tracing=*/nullptr, /*record_json=*/true);
+        RunCell(&engine, db, policy, dop, clients, /*tracing=*/nullptr,
+                /*record_json=*/true);
       }
       std::printf("\n");
     }

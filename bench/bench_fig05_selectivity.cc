@@ -17,7 +17,6 @@
 #include "access/sort_scan.h"
 #include "bench_util.h"
 #include "exec/operators.h"
-#include "exec/task_scheduler.h"
 #include "workload/micro_bench.h"
 
 using namespace smoothscan;
@@ -98,9 +97,10 @@ void ParallelSweep(Engine* engine, const MicroBenchDb& db) {
   // Wall speedup is bounded by the physical cores of the host: on a
   // single-core box every DOP degenerates to ~1x (plus scheduling overhead),
   // while the simulated columns stay bit-identical everywhere.
+  // Every scan runs on the engine's scheduler: one worker per hardware
+  // thread, started by the first scan and shared by all the rest.
   std::printf("# host hardware threads: %u\n",
               std::thread::hardware_concurrency());
-  TaskScheduler scheduler(8);  // Shared fixed pool across all measurements.
   constexpr uint32_t kDops[] = {1, 2, 4, 8};
   for (const double sel : {0.2, 1.0}) {
     const ScanPredicate pred = db.PredicateForSelectivity(sel);
@@ -110,7 +110,6 @@ void ParallelSweep(Engine* engine, const MicroBenchDb& db) {
     for (const uint32_t dop : kDops) {
       ParallelScanOptions po;
       po.dop = dop;
-      po.scheduler = &scheduler;
 
       auto full = MakeParallelFullScan(&db.heap(), pred, FullScanOptions(), po);
       RunMetrics m = MeasureScan(engine, full.get());

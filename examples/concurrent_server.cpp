@@ -1,5 +1,5 @@
 // Concurrent server: many queries, one engine — admission control, an SLA
-// priority lane and per-query accounting over the shared scheduler and
+// priority lane and per-query accounting over the engine's scheduler and
 // buffer pool.
 //
 //   $ ./build/concurrent_server
@@ -19,7 +19,6 @@
 
 #include "engine/query_engine.h"
 #include "engine/session.h"
-#include "exec/task_scheduler.h"
 #include "workload/workload_driver.h"
 
 using namespace smoothscan;
@@ -32,11 +31,10 @@ int main() {
   spec.num_tuples = 150000;
   MicroBenchDb db(&engine, spec);
 
-  // One shared data-plane pool; admission caps the control plane at 3.
-  TaskScheduler scheduler(4);
+  // Parallel leaves share the engine's worker pool; admission caps the
+  // control plane at 3.
   QueryEngineOptions qeo;
   qeo.max_admitted = 3;
-  qeo.scheduler = &scheduler;
   QueryEngine qe(&engine, qeo);
 
   // 1. A burst: eight batch queries across the selectivity range, then three

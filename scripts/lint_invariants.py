@@ -53,6 +53,14 @@ one of the engine's structural invariants:
                      Engine owns one pool and each read query one, so a
                      fresh scan draws warm batches and every batch is
                      charged to its query's memory account.
+  scheduler-owner    No TaskScheduler construction (TaskScheduler(,
+                     make_unique / unique_ptr of TaskScheduler, a
+                     TaskScheduler local or member) anywhere in src/
+                     outside storage/engine.* and exec/task_scheduler.*:
+                     the Engine owns the one worker pool and every
+                     ExecContext hands it out, so a fresh parallel scan
+                     starts no thread and every scan keeps the same
+                     window.
 
 One rule looks at the tree rather than at single lines:
 
@@ -180,6 +188,20 @@ RULES = [
                                                "exec" + os.sep,
                                                "compress" + os.sep,
                                                "sharing" + os.sep)),
+    },
+    {
+        "name": "scheduler-owner",
+        "pattern": re.compile(
+            r"\bTaskScheduler\s*[({]"
+            r"|\b(?:make_(?:unique|shared)|unique_ptr|shared_ptr)\s*<\s*"
+            r"TaskScheduler\s*>"
+            r"|\bTaskScheduler\s+\w+\s*[;({=]"
+        ),
+        "message": "task scheduler built outside the Engine (borrow "
+                   "ctx().scheduler; the engine owns the one worker pool)",
+        "applies": lambda rel: not rel.startswith((
+            os.path.join("storage", "engine."),
+            os.path.join("exec", "task_scheduler."))),
     },
 ]
 

@@ -175,6 +175,37 @@ class LintTest(unittest.TestCase):
                    "BatchPool scratch(options);\n")
         self.assertEqual(self.lint(["pool-owner"]), [])
 
+    def test_scheduler_owner_fires_outside_engine_and_scheduler(self):
+        self.write("access/parallel_scan.cc",
+                   "owned_ = std::make_unique<TaskScheduler>(workers);\n"
+                   "ctx().scheduler->Submit(std::move(tasks));\n"
+                   "// A comment may say TaskScheduler pool(4).\n")
+        self.write("access/parallel_scan.h",
+                   "class TaskScheduler;\n"
+                   "  std::unique_ptr<TaskScheduler> owned_scheduler_;\n"
+                   "  TaskScheduler* scheduler_ = nullptr;\n"
+                   "  std::vector<TaskScheduler::Task> tasks;\n")
+        self.write("engine/query_engine.cc", "  TaskScheduler pool(4);\n")
+        self.write("sharing/group.h", "  TaskScheduler pool_;\n")
+        self.write("net/server.cc", "auto p = TaskScheduler(2);\n")
+        # The engine owns the pool; the scheduler's own unit builds it.
+        self.write("storage/engine.h",
+                   "  TaskScheduler scheduler_;\n"
+                   "  TaskScheduler& scheduler() { return scheduler_; }\n")
+        self.write("exec/task_scheduler.h",
+                   "  explicit TaskScheduler(uint32_t num_workers);\n"
+                   "  TaskScheduler(const TaskScheduler&) = delete;\n")
+        self.write("exec/task_scheduler.cc",
+                   "TaskScheduler::TaskScheduler(uint32_t n) {}\n")
+        self.assertEqual(self.names(["scheduler-owner"]),
+                         ["scheduler-owner"] * 5)
+
+    def test_scheduler_owner_allow_suppresses(self):
+        self.write("access/scan.cc",
+                   "// lint:allow(scheduler-owner) — a private test pool.\n"
+                   "TaskScheduler scratch(1);\n")
+        self.assertEqual(self.lint(["scheduler-owner"]), [])
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

@@ -18,39 +18,35 @@ void Accumulate(AccessPathStats* into, const AccessPathStats& from) {
   into->heap_pages_probed += from.heap_pages_probed;
 }
 
-/// Drains `scan` (a serial operator restricted to one morsel) into pooled
-/// batches against the morsel's stream; returns its counters.
-AccessPathStats DrainMorsel(AccessPath* scan, const ExecContext& ctx,
-                            const ParallelScanKernel::EmitFn& emit) {
-  scan->SetExecContext(&ctx);
-  SMOOTHSCAN_CHECK(scan->Open().ok());
-  PooledBatch batch = ctx.batch_pool->Acquire();
-  while (scan->NextBatch(batch.get())) {
-    emit(std::move(batch));
-    batch = ctx.batch_pool->Acquire();
-  }
-  const AccessPathStats stats = scan->stats();
-  scan->Close();
-  return stats;
+/// Cursor over a serial operator restricted to one morsel: Open at start,
+/// NextBatch per fill, Close at finish.
+MorselCursor PathCursor(std::shared_ptr<AccessPath> path,
+                        const ExecContext& ctx) {
+  path->SetExecContext(&ctx);
+  SMOOTHSCAN_CHECK(path->Open().ok());
+  return {[path](TupleBatch* out) { return path->NextBatch(out); },
+          [path = std::move(path)] {
+            const AccessPathStats stats = path->stats();
+            path->Close();
+            return stats;
+          }};
 }
 
-/// Runs `fill` (a serial operator's phase that leaves charging to its
-/// caller) until it reports no more, emitting every batch, then charges the
-/// whole run once — the granularity the prolog and morsel streams use.
-AccessPathStats FillAndCharge(
-    const ExecContext& ctx, const ParallelScanKernel::EmitFn& emit,
-    const std::function<bool(TupleBatch*, ScanWork*)>& fill) {
-  ScanWork work;
-  bool more = true;
-  while (more) {
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    more = fill(batch.get(), &work);
-    emit(std::move(batch));
-  }
-  work.Charge(ctx.cpu);
-  AccessPathStats stats;
-  work.AddTo(&stats);
-  return stats;
+/// Cursor over a serial operator's phase that leaves charging to its caller:
+/// the phase's ScanWork accumulates over every fill and is charged once at
+/// finish — the granularity the prolog and morsel streams use.
+MorselCursor WorkCursor(const ExecContext& ctx,
+                        std::function<bool(TupleBatch*, ScanWork*)> fill) {
+  auto work = std::make_shared<ScanWork>();
+  return {[fill = std::move(fill), work](TupleBatch* out) {
+            return fill(out, work.get());
+          },
+          [&ctx, work] {
+            work->Charge(ctx.cpu);
+            AccessPathStats stats;
+            work->AddTo(&stats);
+            return stats;
+          }};
 }
 
 /// Seeds a page-range morsel's stream at the page the serial scan would have
@@ -63,6 +59,33 @@ void SeedPageRange(const ExecContext& ctx, const HeapFile* heap,
 }
 
 }  // namespace
+
+std::vector<Morsel> PageRangeMorsels(PageId num_pages, uint32_t morsel_pages) {
+  SMOOTHSCAN_CHECK(morsel_pages > 0);
+  std::vector<Morsel> morsels;
+  for (PageId begin = 0; begin < num_pages; begin += morsel_pages) {
+    Morsel m;
+    m.index = static_cast<uint32_t>(morsels.size());
+    m.page_begin = begin;
+    m.page_end = std::min<PageId>(begin + morsel_pages, num_pages);
+    morsels.push_back(m);
+  }
+  return morsels;
+}
+
+std::vector<Morsel> KeyRangeMorsels(const std::vector<int64_t>& bounds) {
+  std::vector<Morsel> morsels;
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    SMOOTHSCAN_CHECK(bounds[i] <= bounds[i + 1]);
+    if (bounds[i] == bounds[i + 1]) continue;  // Empty range.
+    Morsel m;
+    m.index = static_cast<uint32_t>(morsels.size());
+    m.key_lo = bounds[i];
+    m.key_hi = bounds[i + 1];
+    morsels.push_back(m);
+  }
+  return morsels;
+}
 
 uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead) {
   if (morsel_pages <= read_ahead) return read_ahead;
@@ -82,23 +105,13 @@ ParallelScan::ParallelScan(Engine* engine,
 }
 
 ParallelScan::~ParallelScan() {
-  // Make sure no worker outlives the slots it emits into.
-  Unthrottle();
-  if (group_ != nullptr) group_->Wait();
+  // No task may outlive the slots it fills, and a parked morsel finishes
+  // only once re-queued.
+  Drain();
 }
 
 ExecContext ParallelScan::DefaultContext() const {
   return EngineContext(engine_);
-}
-
-TaskScheduler* ParallelScan::scheduler(uint32_t workers) {
-  if (options_.scheduler != nullptr) return options_.scheduler;
-  if (owned_scheduler_ == nullptr) {
-    // Sized by the first cycle's puller count, so a huge DOP never spawns
-    // more threads than there are morsels to run.
-    owned_scheduler_ = std::make_unique<TaskScheduler>(workers);
-  }
-  return owned_scheduler_.get();
 }
 
 std::unique_ptr<AccountingStack> ParallelScan::NewStack() const {
@@ -108,26 +121,79 @@ std::unique_ptr<AccountingStack> ParallelScan::NewStack() const {
   return stack;
 }
 
-void ParallelScan::EmitTo(size_t slot, PooledBatch&& batch) {
-  // Empty batches go straight back to the pool (the handle's destructor).
-  if (!batch || batch->empty()) return;
-  {
-    latch::UniqueLatch lock(mu_);
-    while (window_ != 0 && slot > emit_slot_ && queued_ >= window_) {
-      space_cv_.wait(lock);
+bool ParallelScan::FillSlot(size_t s, const MorselCursor& cursor,
+                            BatchPool* pool) {
+  for (;;) {
+    PooledBatch batch = pool->Acquire();
+    const bool more = cursor.fill(batch.get());
+    bool park;
+    {
+      latch::LatchGuard lock(mu_);
+      // Empty batches go straight back to the pool (the handle's destructor).
+      if (!batch->empty()) {
+        slots_[s].batches.push_back(std::move(batch));
+        if (s > 0) ++queued_;  // The prolog (slot 0) never counts.
+      }
+      park = s > emit_slot_ && queued_ >= window();
     }
-    slots_[slot].batches.push_back(std::move(batch));
-    ++queued_;
+    cv_.notify_one();
+    if (!more) return true;
+    if (park) return false;
   }
-  cv_.notify_one();
 }
 
-void ParallelScan::Unthrottle() {
-  {
+void ParallelScan::RunSlots(size_t s) {
+  while (s != 0) {
+    Run& run = runs_[s];
+    bool done;
+    {
+      // Worker-ring span around one run of the morsel (a parked morsel
+      // resumes in a new span); the index payload lets a Perfetto view line
+      // morsels up against the queue they drained from.
+      const obs::ObsContext* o = obs();
+      obs::TraceSpan morsel_span(o != nullptr ? o->trace : nullptr,
+                                 o != nullptr ? o->query_id : 0, "morsel",
+                                 "morsel_index", static_cast<int64_t>(s - 1));
+      if (!run.cursor.fill) {
+        run.cursor = kernel_->StartMorsel(morsels_[s - 1], run.stack->ctx());
+      }
+      done = FillSlot(s, run.cursor, run.stack->ctx().batch_pool);
+      if (done) {
+        run.stats = run.cursor.finish();
+        run.cursor = MorselCursor();
+      }
+    }
     latch::LatchGuard lock(mu_);
-    window_ = 0;
+    slots_[s].state = done ? RunState::kDone : RunState::kParked;
+    s = PickLocked();
+    if (s != 0) {
+      slots_[s].state = RunState::kRunning;
+    } else {
+      --in_flight_;
+    }
+    cv_.notify_one();
   }
-  space_cv_.notify_all();
+}
+
+size_t ParallelScan::PickLocked() const {
+  for (size_t s = std::max<size_t>(emit_slot_, 1); s < slots_.size(); ++s) {
+    const RunState state = slots_[s].state;
+    if (state == RunState::kUnstarted || state == RunState::kParked) {
+      return s == emit_slot_ || queued_ < window() ? s : 0;
+    }
+  }
+  return 0;
+}
+
+void ParallelScan::DispatchLocked() {
+  std::vector<TaskScheduler::Task> tasks;
+  size_t s;
+  while (in_flight_ < options_.dop && (s = PickLocked()) != 0) {
+    slots_[s].state = RunState::kRunning;
+    ++in_flight_;
+    tasks.push_back([this, s] { RunSlots(s); });
+  }
+  if (!tasks.empty()) scheduler_->Submit(std::move(tasks));
 }
 
 Status ParallelScan::OpenImpl() {
@@ -135,183 +201,141 @@ Status ParallelScan::OpenImpl() {
   // Finalize() repopulates stats_ with the settled cycle's totals; this cycle
   // starts from zero, as the stats() contract requires.
   stats_ = AccessPathStats();
+  scheduler_ = ctx().scheduler;
+  SMOOTHSCAN_CHECK(scheduler_ != nullptr);
   {
-    // No workers are live here (Finalize waited on the group), but the slot
+    // No task is in flight (Finalize drained the last cycle), but the slot
     // state is latch-guarded, so reset it under the latch like everyone else.
     latch::LatchGuard lock(mu_);
     slots_.clear();
+    slots_.resize(1);
     emit_slot_ = 0;
+    queued_ = 0;
   }
-  stacks_.clear();
-  morsel_stats_.clear();
-  prolog_stats_ = AccessPathStats();
-  group_.reset();
-  pending_.Release();
-  pending_pos_ = 0;
   finalized_ = false;
   kernel_->obs_ = obs();
 
-  // Serial prolog on the planning stream. Workers are not running yet, so the
-  // prolog emits into slot 0 without locking concerns.
-  planning_ = NewStack();
-  std::vector<PooledBatch> prolog;
-  std::vector<Morsel> morsels = kernel_->Plan(
-      planning_->ctx(),
-      [&prolog](PooledBatch&& b) {
-        if (b && !b->empty()) prolog.push_back(std::move(b));
-      },
-      &prolog_stats_);
-
-  {
-    latch::LatchGuard lock(mu_);
-    slots_.resize(1 + morsels.size());
-    for (PooledBatch& b : prolog) slots_[0].batches.push_back(std::move(b));
-    slots_[0].done = true;
-    queued_ = 0;  // The consumer drains slot 0 first; it never counts.
-    window_ = options_.scheduler == nullptr
-                  ? kQueuedBatchesPerWorker * options_.dop
-                  : 0;
+  // Serial prolog on the planning stream, filling slot 0 before any task
+  // runs.
+  runs_.clear();
+  runs_.resize(1);
+  runs_[0].stack = NewStack();
+  const ExecContext& planning = runs_[0].stack->ctx();
+  if (const MorselCursor prolog = kernel_->StartProlog(planning);
+      prolog.fill) {
+    FillSlot(0, prolog, planning.batch_pool);
+    runs_[0].stats = prolog.finish();
   }
+  morsels_ = kernel_->Plan(planning);
+  runs_.resize(1 + morsels_.size());
+  for (size_t s = 1; s < runs_.size(); ++s) runs_[s].stack = NewStack();
 
-  morsel_stats_.resize(morsels.size());
-  stacks_.reserve(morsels.size());
-  for (size_t i = 0; i < morsels.size(); ++i) stacks_.push_back(NewStack());
-  source_ = std::make_unique<MorselSource>(std::move(morsels));
-  if (source_->size() == 0) return Status::OK();
-
-  // One puller task per worker; each drains the shared morsel source.
-  std::vector<TaskScheduler::Task> tasks;
-  const uint32_t pullers =
-      std::min<uint32_t>(options_.dop, static_cast<uint32_t>(source_->size()));
-  tasks.reserve(pullers);
-  for (uint32_t t = 0; t < pullers; ++t) {
-    tasks.push_back([this] {
-      const obs::ObsContext* o = obs();
-      Morsel m;
-      while (source_->Next(&m)) {
-        // Worker-ring span around the morsel; the index payload lets a
-        // Perfetto view line morsels up against the queue they drained from.
-        obs::TraceSpan morsel_span(o != nullptr ? o->trace : nullptr,
-                                   o != nullptr ? o->query_id : 0, "morsel",
-                                   "morsel_index",
-                                   static_cast<int64_t>(m.index));
-        morsel_stats_[m.index] = kernel_->RunMorsel(
-            m, stacks_[m.index]->ctx(),
-            [this, &m](PooledBatch&& b) { EmitTo(m.index + 1, std::move(b)); });
-        {
-          latch::LatchGuard lock(mu_);
-          slots_[m.index + 1].done = true;
-        }
-        cv_.notify_all();
-      }
-    });
-  }
-  group_ = scheduler(pullers)->Submit(std::move(tasks));
+  latch::LatchGuard lock(mu_);
+  slots_[0].state = RunState::kDone;
+  slots_.resize(runs_.size());
+  DispatchLocked();
   return Status::OK();
+}
+
+PooledBatch ParallelScan::Take() {
+  latch::UniqueLatch lock(mu_);
+  for (;;) {
+    if (emit_slot_ >= slots_.size()) return PooledBatch();
+    Slot& slot = slots_[emit_slot_];
+    if (slot.head < slot.batches.size()) {
+      PooledBatch batch = std::move(slot.batches[slot.head++]);
+      // Below half the window, parked and unstarted morsels run again.
+      if (emit_slot_ > 0 && --queued_ <= window() / 2) DispatchLocked();
+      return batch;
+    }
+    if (slot.state == RunState::kDone) {
+      slot.batches.clear();
+      slot.head = 0;
+      ++emit_slot_;
+      continue;
+    }
+    // The consumer's morsel has nothing queued; parked or unstarted, it
+    // runs at once.
+    DispatchLocked();
+    cv_.wait(lock);
+  }
 }
 
 bool ParallelScan::NextBatchImpl(TupleBatch* out) {
   while (!out->full()) {
-    if (pending_) {
-      TupleBatch& pb = *pending_;
-      if (out->empty() && pending_pos_ == 0 &&
-          pb.capacity() == out->capacity()) {
-        // Whole-batch hand-off: the exchange swaps the buffers, not the
-        // rows, then recycles the caller's old storage through the pool —
-        // the recycled-Value-storage contract the old `pending_ =
-        // TupleBatch()` reset silently broke.
-        std::swap(*out, pb);
-        pending_.Release();
-        return !out->empty();
-      }
-      const size_t n = pb.size();
-      // Row by row, swap rather than move: both batches keep warm slots.
-      while (pending_pos_ < n && !out->full()) {
-        std::swap(*out->AppendSlot(), pb.row(pending_pos_++));
-      }
-      if (pending_pos_ >= n) {
-        pending_.Release();
-        pending_pos_ = 0;
-      }
-      continue;
-    }
-    // Pull the next batch in morsel order, waiting on the producers.
-    latch::UniqueLatch lock(mu_);
-    for (;;) {
-      if (emit_slot_ >= slots_.size()) {
-        lock.unlock();
+    if (!pending_) {
+      pending_ = Take();
+      pending_pos_ = 0;
+      if (!pending_) {
         Finalize();  // End of stream: settle accounting before reporting it.
         return !out->empty();
       }
-      Slot& slot = slots_[emit_slot_];
-      if (slot.head < slot.batches.size()) {
-        pending_ = std::move(slot.batches[slot.head++]);
-        pending_pos_ = 0;
-        // Slot 0 (the prolog) is never counted in queued_.
-        if (emit_slot_ > 0 && --queued_ == window_ / 2 && window_ != 0) {
-          space_cv_.notify_all();
-        }
-        break;
-      }
-      if (slot.done) {
-        slot.batches.clear();
-        slot.head = 0;
-        ++emit_slot_;
-        // The next morsel's worker may be waiting; it no longer has to.
-        if (window_ != 0) space_cv_.notify_all();
-        continue;
-      }
-      cv_.wait(lock);
     }
+    TupleBatch& pb = *pending_;
+    if (out->empty() && pending_pos_ == 0 &&
+        pb.capacity() == out->capacity()) {
+      // Whole-batch hand-off: the exchange swaps the buffers, not the
+      // rows, then recycles the caller's old storage through the pool —
+      // the recycled-Value-storage contract the old `pending_ =
+      // TupleBatch()` reset silently broke.
+      std::swap(*out, pb);
+      pending_.Release();
+      return !out->empty();
+    }
+    const size_t n = pb.size();
+    // Row by row, swap rather than move: both batches keep warm slots.
+    while (pending_pos_ < n && !out->full()) {
+      std::swap(*out->AppendSlot(), pb.row(pending_pos_++));
+    }
+    if (pending_pos_ >= n) pending_.Release();
   }
   return !out->empty();
+}
+
+void ParallelScan::Drain() {
+  // Take() reports the end only once every slot is done, and each task marks
+  // its last slot done and leaves in one critical section: after the loop no
+  // task of this scan is in flight.
+  pending_.Release();
+  while (Take()) {
+  }
 }
 
 void ParallelScan::Finalize() {
   if (finalized_) return;
   finalized_ = true;
-  Unthrottle();
-  if (group_ != nullptr) group_->Wait();
+  Drain();
   // Merge in deterministic order: prolog stream first, then morsel streams by
   // index. This fixes the floating-point accumulation order, so the merged
   // simulated time is bit-identical at any DOP.
   stats_ = AccessPathStats();
-  Accumulate(&stats_, prolog_stats_);
-  planning_->MergeInto(ctx().disk, ctx().cpu);
-  BufferPoolStats pools = planning_->pool().stats();
-  for (size_t i = 0; i < stacks_.size(); ++i) {
-    Accumulate(&stats_, morsel_stats_[i]);
-    stacks_[i]->MergeInto(ctx().disk, ctx().cpu);
-    pools += stacks_[i]->pool().stats();
+  BufferPoolStats pools;
+  for (const Run& run : runs_) {
+    Accumulate(&stats_, run.stats);
+    run.stack->MergeInto(ctx().disk, ctx().cpu);
+    pools += run.stack->pool().stats();
   }
   AddPoolStats(obs(), pools);
-  planning_.reset();
-  stacks_.clear();
+  runs_.clear();
 }
 
 void ParallelScan::CloseImpl() {
   Finalize();
-  group_.reset();
-  // Undrained batches (a consumer that Closed mid-stream) return to the
-  // borrowed pool warm with the slots.
   {
     latch::LatchGuard lock(mu_);
     slots_.clear();
     slots_.shrink_to_fit();
     emit_slot_ = 0;
   }
-  pending_.Release();
-  pending_pos_ = 0;
-  source_.reset();
+  morsels_.clear();
 }
 
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
 
-AccessPathStats DrainKernel::RunMorsel(const Morsel& m, const ExecContext& ctx,
-                                       const EmitFn& emit) {
-  return DrainMorsel(scan_(m, ctx).get(), ctx, emit);
+MorselCursor DrainKernel::StartMorsel(const Morsel& m, const ExecContext& ctx) {
+  return PathCursor(scan_(m, ctx), ctx);
 }
 
 namespace {
@@ -332,8 +356,7 @@ class ParallelSortScanKernel : public ParallelScanKernel {
 
   const char* name() const override { return "ParallelSortScan"; }
 
-  std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn&,
-                           AccessPathStats*) override {
+  std::vector<Morsel> Plan(const ExecContext& planning) override {
     tids_ = CollectSortedTids(index_, predicate_, planning);
     // One morsel per populated page-range bucket; each morsel's slice of the
     // sorted array is fixed here, so workers read disjoint slices.
@@ -354,17 +377,12 @@ class ParallelSortScanKernel : public ParallelScanKernel {
     return morsels;
   }
 
-  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
-                            const EmitFn& emit) override {
+  MorselCursor StartMorsel(const Morsel& m, const ExecContext& ctx) override {
     const auto [begin, end] = slices_[m.index];
-    SortedTidCursor cursor(index_->heap(), &predicate_, &tids_, begin, end);
-    bool more = true;
-    while (more) {
-      PooledBatch batch = ctx.batch_pool->Acquire();
-      more = cursor.Fill(ctx, batch.get());
-      emit(std::move(batch));
-    }
-    return cursor.stats();
+    auto cursor = std::make_shared<SortedTidCursor>(index_->heap(), &predicate_,
+                                                    &tids_, begin, end);
+    return {[cursor, &ctx](TupleBatch* out) { return cursor->Fill(ctx, out); },
+            [cursor] { return cursor->stats(); }};
   }
 
  private:
@@ -396,36 +414,37 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
 
   const char* name() const override { return "ParallelSwitchScan"; }
 
-  std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn& emit,
-                           AccessPathStats* stats) override {
-    // Kept open (never Closed) until the next Plan: its produced-TID cache is
-    // the morsels' exclusion. Its iterator is not touched after this call.
+  MorselCursor StartProlog(const ExecContext& planning) override {
+    // Kept open (never Closed) until the next prolog: its produced-TID cache
+    // is the morsels' exclusion. Its iterator is not touched after the
+    // prolog ends.
     index_phase_.emplace(index_, predicate_, scan_options_);
     index_phase_->SetExecContext(&planning);
     SMOOTHSCAN_CHECK(index_phase_->Open().ok());
-    auto index_phase = [this](TupleBatch* out, ScanWork* work) {
+    return WorkCursor(planning, [this](TupleBatch* out, ScanWork* work) {
       return index_phase_->IndexPhase(out, work);
-    };
-    Accumulate(stats, FillAndCharge(planning, emit, index_phase));
+    });
+  }
+
+  std::vector<Morsel> Plan(const ExecContext&) override {
     if (!index_phase_->switched()) return {};
-    return MorselSource::PageRanges(
+    return PageRangeMorsels(
         static_cast<PageId>(index_->heap()->num_pages()), morsel_pages_);
   }
 
-  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
-                            const EmitFn& emit) override {
+  MorselCursor StartMorsel(const Morsel& m, const ExecContext& ctx) override {
     const HeapFile* heap = index_->heap();
     SeedPageRange(ctx, heap, m);
     FullScanOptions options;
     options.read_ahead_pages = scan_options_.read_ahead_pages;
     options.page_begin = m.page_begin;
     options.page_end = m.page_end;
-    FullScan scan(heap, predicate_, options);
-    scan.SetExecContext(&ctx);
-    SMOOTHSCAN_CHECK(scan.Open().ok());
+    auto scan = std::make_shared<FullScan>(heap, predicate_, options);
+    scan->SetExecContext(&ctx);
+    SMOOTHSCAN_CHECK(scan->Open().ok());
     const TupleIdCache* exclude = &index_phase_->produced();
-    return FillAndCharge(ctx, emit, [&](TupleBatch* out, ScanWork* work) {
-      return scan.Fill(out, exclude, work);
+    return WorkCursor(ctx, [scan, exclude](TupleBatch* out, ScanWork* work) {
+      return scan->Fill(out, exclude, work);
     });
   }
 
@@ -480,11 +499,10 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
     return total;
   }
 
-  std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn&,
-                           AccessPathStats*) override {
+  std::vector<Morsel> Plan(const ExecContext& planning) override {
     const PageId num_pages = static_cast<PageId>(index_->heap()->num_pages());
     std::vector<Morsel> morsels =
-        MorselSource::PageRanges(num_pages, morsel_pages_);
+        PageRangeMorsels(num_pages, morsel_pages_);
     page_cache_ = std::make_unique<PageIdCache>(num_pages);
     buckets_.assign(morsels.size(), {});
     seeds_.assign(morsels.size(), SmoothScanMorsel());
@@ -502,17 +520,23 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
     return morsels;
   }
 
-  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
-                            const EmitFn& emit) override {
+  MorselCursor StartMorsel(const Morsel& m, const ExecContext& ctx) override {
     SmoothScanMorsel morsel = seeds_[m.index];
     morsel.targets = &buckets_[m.index];
     morsel.page_end = m.page_end;
     morsel.page_cache = page_cache_.get();
-    SmoothScan scan(index_, predicate_, scan_options_, morsel);
-    scan.SetObs(obs());
-    const AccessPathStats stats = DrainMorsel(&scan, ctx, emit);
-    sstats_[m.index] = scan.smooth_stats();
-    return stats;
+    auto scan =
+        std::make_shared<SmoothScan>(index_, predicate_, scan_options_, morsel);
+    scan->SetObs(obs());
+    MorselCursor cursor = PathCursor(scan, ctx);
+    // The operator's counters, once its Close added them to the registry.
+    cursor.finish = [finish = std::move(cursor.finish), scan,
+                     sstats = &sstats_[m.index]] {
+      const AccessPathStats stats = finish();
+      *sstats = scan->smooth_stats();
+      return stats;
+    };
+    return cursor;
   }
 
  private:
@@ -563,10 +587,10 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
 
   std::unique_ptr<PageIdCache> page_cache_;
   std::vector<std::vector<Tid>> buckets_;
-  /// Per-morsel morph seeds; RunMorsel fills in the rest of each morsel.
+  /// Per-morsel morph seeds; StartMorsel fills in the rest of each morsel.
   std::vector<SmoothScanMorsel> seeds_;
   /// Per-morsel operator counters; slot i is written only by morsel i's
-  /// worker.
+  /// cursor.
   std::vector<SmoothScanStats> sstats_;
 };
 
@@ -582,7 +606,7 @@ std::unique_ptr<ParallelScan> MakeParallelFullScan(
   const uint32_t morsel_pages =
       AlignMorselPages(options.morsel_pages, scan_options.read_ahead_pages);
   auto plan = [heap, morsel_pages] {
-    return MorselSource::PageRanges(static_cast<PageId>(heap->num_pages()),
+    return PageRangeMorsels(static_cast<PageId>(heap->num_pages()),
                                     morsel_pages);
   };
   auto scan = [heap, predicate = std::move(predicate), scan_options](
@@ -606,7 +630,7 @@ std::unique_ptr<ParallelScan> MakeParallelIndexScan(
   // Key-range morsels from the leaf-level histogram.
   auto plan = [index, lo = predicate.lo, hi = predicate.hi,
                parts = options.max_key_morsels] {
-    return MorselSource::KeyRanges(index->PartitionKeyRange(lo, hi, parts));
+    return KeyRangeMorsels(index->PartitionKeyRange(lo, hi, parts));
   };
   auto scan = [index, predicate = std::move(predicate)](const Morsel& m,
                                                         const ExecContext&) {

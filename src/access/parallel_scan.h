@@ -4,14 +4,14 @@
 // A kernel decomposes its scan into a fixed list of morsels — page ranges or
 // key ranges, derived from the data alone, never from the worker count — plus
 // an optional serial prolog (index leaf walks, TID sorts, pre-switch index
-// phases). Workers pull morsels from a shared MorselSource and run each one
+// phases). Tasks on a worker pool run the morsels, lowest index first, each
 // against a private morsel AccountingStack (its own simulated disk, buffer
 // pool and CPU meter: one logical access stream per morsel). Produced batches
 // flow through per-morsel output slots that the consumer drains in morsel
 // order.
 //
-// One implementation per access path: a kernel's per-morsel work is a drain
-// of the *serial* operator restricted to the morsel — FullScan over a page
+// One implementation per access path: a kernel's per-morsel work is a cursor
+// over the *serial* operator restricted to the morsel — FullScan over a page
 // range, IndexScan over a key range, SmoothScan over the morsel's bucket of
 // leaf entries with regions clipped at the range end, FullScan's page loop
 // for the post-switch phase of SwitchScan, and SortScan's sorted-TID cursor
@@ -50,24 +50,26 @@
 // configurations that need cross-morsel merges (SortScan/SmoothScan with
 // preserve_order) are serial-only and rejected by the factories.
 //
+// Backpressure: every scan runs on the worker pool its context hands out
+// (the engine's one TaskScheduler, unless the context's owner supplied
+// another) with the same window: at most kQueuedBatchesPerWorker x dop
+// batches queued ahead of the consumer. Morsels are resumable cursors, not
+// blocking tasks. A task fills its morsel batch by batch; once the window is
+// full, a morsel past the consumer's parks — cursor and stack kept — and the
+// task returns its worker. The consumer re-queues parked and unstarted
+// morsels, lowest first, as it drains below half the window, and at once when
+// it reaches a parked one. Its own morsel never parks, so it always makes
+// progress, and no worker ever waits on a consumer. At most dop tasks of a
+// scan are in flight. Parking changes when a morsel runs, never its charges.
+//
 // Run-to-completion: a started scan always executes every morsel, even when
-// the consumer falls behind or Closes mid-stream. This is deliberate:
+// the consumer falls behind or Closes mid-stream: Close and the destructor
+// drain the rest of the stream into the batch pool. This is deliberate:
 // cancelling workers would make the charges of an abandoned run depend on
 // scheduling, and the whole design exists to keep simulated cost
 // schedule-independent. Consumers that need only a prefix of a huge result
 // should bound the scan itself (predicate or page range), not rely on early
 // Close to shed work.
-//
-// Backpressure: a scan that owns its workers keeps at most
-// kQueuedBatchesPerWorker x dop batches queued ahead of the consumer; a
-// worker emitting into a later morsel than the one the consumer drains waits
-// for room, while the worker of the consumer's morsel never waits, so the
-// consumer always makes progress. Waiting changes when a morsel runs, never
-// what it charges. Close lifts the window, so an abandoned run still
-// completes. Without it a slow consumer lets the whole result pile up in
-// pooled batches, and the engine's pool would keep that storage for good. A
-// scan on a shared scheduler queues without bound: a waiting task would hold
-// a worker that another scan's consumer may be waiting on.
 
 #ifndef SMOOTHSCAN_ACCESS_PARALLEL_SCAN_H_
 #define SMOOTHSCAN_ACCESS_PARALLEL_SCAN_H_
@@ -79,7 +81,6 @@
 
 #include "access/access_path.h"
 #include "access/full_scan.h"
-#include "access/morsel_source.h"
 #include "access/smooth_scan.h"
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
@@ -91,28 +92,54 @@
 
 namespace smoothscan {
 
+/// The workers come from the scan's context (ExecContext::scheduler), the
+/// window from `dop` (see the file comment).
 struct ParallelScanOptions {
-  /// Workers draining the morsel queue (1 = serial schedule, same cost).
+  /// Morsels in flight at once (1 = serial schedule, same cost); also sizes
+  /// the window of queued batches.
   uint32_t dop = 1;
   /// Page-range morsel size; rounded to a multiple of the scan's read-ahead
   /// window so parallel extent boundaries coincide with the serial scan's.
   uint32_t morsel_pages = 128;
   /// Cap on the key-range decomposition of index-driven scans.
   uint32_t max_key_morsels = 32;
-  /// Optional shared worker pool; the scan owns a private one when null.
-  TaskScheduler* scheduler = nullptr;
 };
 
-/// The path-specific logic of a parallel scan. Plan() runs serially on the
-/// consumer thread against the planning stream; RunMorsel() runs once per
-/// morsel, concurrently, each call against its own stream.
+/// One unit of parallel scan work: a heap page range [page_begin, page_end)
+/// or an index key range [key_lo, key_hi). `index` is the morsel's position
+/// in the decomposition, the order accounting merges in.
+struct Morsel {
+  uint32_t index = 0;
+  PageId page_begin = 0;
+  PageId page_end = 0;
+  int64_t key_lo = 0;
+  int64_t key_hi = 0;
+};
+
+/// Fixed-size page-range decomposition of [0, num_pages). `morsel_pages`
+/// should be a multiple of the scan's read-ahead window (AlignMorselPages)
+/// so parallel extent boundaries coincide with the serial scan's.
+std::vector<Morsel> PageRangeMorsels(PageId num_pages, uint32_t morsel_pages);
+
+/// Key-range decomposition from ascending bounds {b0, ..., bk}: morsel i
+/// covers keys [b_i, b_{i+1}); empty ranges are skipped.
+std::vector<Morsel> KeyRangeMorsels(const std::vector<int64_t>& bounds);
+
+/// One phase of a parallel scan in progress — a morsel, or a kernel's
+/// emitting prolog. ParallelScan calls `fill` with a cleared pooled batch
+/// until it returns false (the batch may still hold the last rows), then
+/// `finish` once, which settles the phase's charges and returns its
+/// counters. Between two fills a morsel may park and resume on any worker.
+struct MorselCursor {
+  std::function<bool(TupleBatch*)> fill;
+  std::function<AccessPathStats()> finish;
+};
+
+/// The path-specific logic of a parallel scan. StartProlog() and Plan() run
+/// serially on the consumer thread against the planning stream;
+/// StartMorsel() runs once per morsel, each cursor against its own stream.
 class ParallelScanKernel {
  public:
-  /// Kernels Acquire() batches from ctx.batch_pool, fill, and emit; the
-  /// consumer (or the pool handle's destructor) releases them — so batch
-  /// storage cycles between producers and consumer without heap traffic.
-  using EmitFn = std::function<void(PooledBatch&&)>;
-
   virtual ~ParallelScanKernel() = default;
   virtual const char* name() const = 0;
 
@@ -123,17 +150,19 @@ class ParallelScanKernel {
   /// its Close, against the merged stats at any DOP.
   virtual SmoothScanStats smooth_stats() const { return SmoothScanStats(); }
 
-  /// Serial prolog: builds the morsel list; may emit prolog tuples and
-  /// accumulate prolog counters. Charged to the planning stream.
-  virtual std::vector<Morsel> Plan(const ExecContext& planning,
-                                   const EmitFn& emit,
-                                   AccessPathStats* stats) = 0;
+  /// Serial prolog that emits rows ahead of every morsel (Switch Scan's
+  /// index phase), run to completion on the planning stream before Plan();
+  /// empty for kernels without one.
+  virtual MorselCursor StartProlog(const ExecContext&) { return {}; }
 
-  /// Runs one morsel. Must touch only morsel-local and read-only state (plus
-  /// explicitly thread-safe shared structures); charges `ctx`.
-  virtual AccessPathStats RunMorsel(const Morsel& morsel,
-                                    const ExecContext& ctx,
-                                    const EmitFn& emit) = 0;
+  /// Builds the morsel list. Charged to the planning stream.
+  virtual std::vector<Morsel> Plan(const ExecContext& planning) = 0;
+
+  /// Starts one morsel's cursor against `ctx`, the morsel's stream. It must
+  /// touch only morsel-local and read-only state (plus explicitly
+  /// thread-safe shared structures).
+  virtual MorselCursor StartMorsel(const Morsel& morsel,
+                                   const ExecContext& ctx) = 0;
 
  protected:
   /// The owning scan's observability handle for the current cycle (may be
@@ -158,12 +187,8 @@ class DrainKernel : public ParallelScanKernel {
       : name_(name), plan_(std::move(plan)), scan_(std::move(scan)) {}
 
   const char* name() const override { return name_; }
-  std::vector<Morsel> Plan(const ExecContext&, const EmitFn&,
-                           AccessPathStats*) override {
-    return plan_();
-  }
-  AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
-                            const EmitFn& emit) override;
+  std::vector<Morsel> Plan(const ExecContext&) override { return plan_(); }
+  MorselCursor StartMorsel(const Morsel& m, const ExecContext& ctx) override;
 
  private:
   const char* name_;
@@ -180,20 +205,22 @@ uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
 /// Also usable as the source below a Gather exchange operator.
 class ParallelScan : public AccessPath {
  public:
-  /// Backpressure window per worker of a scan that owns its workers (see
-  /// the file comment). Measured with perfbench tpch_parallel (dop 2) on a
-  /// 4-core host: 4 or 8 batches per worker hold the engine's batch pool at
-  /// about 30 batches instead of about 100, with no loss of throughput.
+  /// Window per unit of DOP: batches a scan keeps queued ahead of its
+  /// consumer before morsels past the consumer's park (see the file
+  /// comment). Measured with perfbench tpch_parallel (dop 2) on a 4-core
+  /// host: 4 or 8 batches per worker hold the engine's batch pool at about
+  /// 30 batches instead of about 100, with no loss of throughput.
   static constexpr size_t kQueuedBatchesPerWorker = 8;
 
   ParallelScan(Engine* engine, std::unique_ptr<ParallelScanKernel> kernel,
                ParallelScanOptions options);
+  /// Drains a stream still open (see Run-to-completion).
   ~ParallelScan() override;
 
   const char* name() const override { return kernel_->name(); }
   uint32_t dop() const { return options_.dop; }
   /// Valid after Open().
-  size_t num_morsels() const { return source_ != nullptr ? source_->size() : 0; }
+  size_t num_morsels() const { return morsels_.size(); }
   const ParallelScanKernel* kernel() const { return kernel_.get(); }
 
  protected:
@@ -203,6 +230,9 @@ class ParallelScan : public AccessPath {
   ExecContext DefaultContext() const override;
 
  private:
+  /// Where a slot's phase stands. Slot 0 (the prolog) is kDone from Open.
+  enum class RunState : uint8_t { kUnstarted, kRunning, kParked, kDone };
+
   /// Per-slot output queue: slot 0 is the prolog, slot i+1 is morsel i. A
   /// vector + head cursor instead of a deque: entries are tiny pool handles,
   /// pushes amortize into the retained capacity, and a drained slot frees in
@@ -210,45 +240,59 @@ class ParallelScan : public AccessPath {
   struct Slot {
     std::vector<PooledBatch> batches;
     size_t head = 0;
-    bool done = false;
+    RunState state = RunState::kUnstarted;
   };
 
-  /// The shared pool, or the owned one (built with `workers` threads).
-  TaskScheduler* scheduler(uint32_t workers);
   /// A morsel (or planning) stack inheriting this cycle's context.
   std::unique_ptr<AccountingStack> NewStack() const;
-  /// Queues `batch` on `slot`, first waiting for room (see Backpressure).
-  void EmitTo(size_t slot, PooledBatch&& batch) EXCLUDES(mu_);
-  /// Lifts the backpressure window, so every waiting worker proceeds.
-  void Unthrottle() EXCLUDES(mu_);
-  /// Waits for the workers and merges all stream accounting into ctx()
-  /// (planning first, then morsels in index order), adding the streams'
-  /// pool stats to the registry. Idempotent per cycle.
+  /// The one fill loop of every phase: fills slot `s` from `cursor`. True
+  /// once exhausted; false when `s`, past the consumer's slot, must park.
+  bool FillSlot(size_t s, const MorselCursor& cursor, BatchPool* pool)
+      EXCLUDES(mu_);
+  /// Task body: runs slot `s`, then each slot PickLocked() offers.
+  void RunSlots(size_t s) EXCLUDES(mu_);
+  /// The lowest unstarted or parked slot at or past the consumer's, if it
+  /// is the consumer's or the window has room; 0 for none.
+  size_t PickLocked() const REQUIRES(mu_);
+  /// Submits a task per slot PickLocked() offers, up to dop in flight.
+  void DispatchLocked() REQUIRES(mu_);
+  /// The consumer's next batch in morsel order; null at the end of stream.
+  PooledBatch Take() EXCLUDES(mu_);
+  /// Drops the rest of the stream; no task of this scan is in flight after.
+  void Drain() EXCLUDES(mu_);
+  /// Drains, then merges all stream accounting into ctx() in slot order
+  /// (planning first), adding the streams' pool stats to the registry.
+  /// Idempotent per cycle.
   void Finalize();
+  size_t window() const { return kQueuedBatchesPerWorker * options_.dop; }
 
   Engine* engine_;
   std::unique_ptr<ParallelScanKernel> kernel_;
   ParallelScanOptions options_;
-  std::unique_ptr<TaskScheduler> owned_scheduler_;
+  TaskScheduler* scheduler_ = nullptr;  ///< This cycle's, from ctx().
 
-  std::unique_ptr<MorselSource> source_;
-  std::unique_ptr<AccountingStack> planning_;
-  std::vector<std::unique_ptr<AccountingStack>> stacks_;
-  std::vector<AccessPathStats> morsel_stats_;
-  AccessPathStats prolog_stats_;
-  std::shared_ptr<TaskScheduler::TaskGroup> group_;
+  std::vector<Morsel> morsels_;
+  /// Per slot: the planning stream (slot 0), then one per morsel. Touched by
+  /// the task running the slot (hand-offs go through mu_), and by the
+  /// consumer before the first task and after the last.
+  struct Run {
+    std::unique_ptr<AccountingStack> stack;
+    MorselCursor cursor;  ///< Empty until started, and again once finished.
+    AccessPathStats stats;
+  };
+  std::vector<Run> runs_;
   bool finalized_ = true;
 
-  /// Clearing a drained slot under this latch runs PooledBatch destructors,
-  /// which release into the BatchPool (and possibly the broker) — hence its
-  /// rank above both.
+  /// Clearing a drained slot under this latch runs PooledBatch destructors
+  /// (→ batch pool, broker), and re-queuing a morsel submits to the
+  /// scheduler — hence its rank above all three. A task's last touch of the
+  /// scan is its exit under it.
   latch::Latch mu_{latch::LatchRank::kParallelScan, "ParallelScan::mu_"};
-  std::condition_variable_any cv_;        ///< Producers -> consumer.
-  std::condition_variable_any space_cv_;  ///< Consumer -> waiting producers.
+  std::condition_variable_any cv_;  ///< Workers -> consumer.
   std::vector<Slot> slots_ GUARDED_BY(mu_);
   size_t emit_slot_ GUARDED_BY(mu_) = 0;
-  size_t queued_ GUARDED_BY(mu_) = 0;  ///< Batches in slots, not yet taken.
-  size_t window_ GUARDED_BY(mu_) = 0;  ///< Backpressure bound; 0: none.
+  size_t queued_ GUARDED_BY(mu_) = 0;       ///< Morsel batches not taken.
+  uint32_t in_flight_ GUARDED_BY(mu_) = 0;  ///< Tasks submitted, not left.
   // Consumer-thread-only staging of the batch being drained; never touched by
   // workers, so deliberately outside the latch.
   PooledBatch pending_;

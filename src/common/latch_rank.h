@@ -86,11 +86,11 @@ enum class LatchRank : int {
                      ///< released).
 
   // --- execution substrate ----------------------------------------------
-  kTaskGroup = 410,      ///< TaskGroup::mu_ (completion latch).
   kScheduler = 420,      ///< TaskScheduler::mu_. SharedScanGroup::PumpLocked
                          ///< submits pump tasks under the group latch.
   kParallelScan = 440,   ///< ParallelScan::mu_. Recycling an emit slot runs
-                         ///< PooledBatch dtors (→ batch pool) under it.
+                         ///< PooledBatch dtors (→ batch pool) under it, and
+                         ///< re-queuing a parked morsel submits (→ 420).
   kCompressedMap = 460,  ///< CompressedExtentMap::mu_. Rebuild evicts pool
                          ///< frames and truncates storage under it.
 

@@ -287,7 +287,7 @@ std::unique_ptr<ParallelScan> MakeParallelCompressedScan(
   const uint32_t morsel_pages =
       AlignMorselPages(options.morsel_pages, scan_options.read_ahead_pages);
   auto plan = [extent, morsel_pages] {
-    return MorselSource::PageRanges(extent->num_pages(), morsel_pages);
+    return PageRangeMorsels(extent->num_pages(), morsel_pages);
   };
   auto scan = [engine, extent, predicate = std::move(predicate),
                scan_options](const Morsel& m, const ExecContext& ctx) {

@@ -572,14 +572,15 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   QueryMemoryScope mem_scope(options_.broker, options_.query_quota_bytes);
   BatchPool batch_pool(BatchPoolOptions(), &mem_scope);
   qctx.SetBatchPool(&batch_pool);
+  if (options_.scheduler != nullptr) qctx.SetScheduler(options_.scheduler);
 
   // One switch builds the serial, parallel or shared form of the resolved
   // kind. Parallel paths merge their morsel streams into qctx and inherit its
-  // mirror and batch pool (see parallel_scan.h); a kind with no parallel
-  // form for this spec (MakeParallelPath returns null) runs serially.
+  // mirror, batch pool and scheduler (see parallel_scan.h); a kind with no
+  // parallel form for this spec (MakeParallelPath returns null) runs
+  // serially.
   ParallelScanOptions po;
   po.dop = spec.dop;
-  po.scheduler = options_.scheduler;
   std::unique_ptr<AccessPath> path;
   bool shared_run = false;
   switch (kind) {

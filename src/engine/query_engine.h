@@ -1,7 +1,7 @@
 // QueryEngine: concurrent multi-query execution over one shared substrate —
 // the workload-level layer of the paper's robustness story. A server facing
 // many queries with mis-estimated selectivities must not cliff, so the engine
-// runs *streams* of queries, not one query, over the shared TaskScheduler
+// runs *streams* of queries, not one query, over the engine's TaskScheduler
 // (intra-query morsel work) and the shared BufferPool (page residency and
 // pinning), while every query charges a private AccountingStack
 // (see exec_context.h) — which is what keeps each query's simulated cost
@@ -17,9 +17,11 @@
 //     one query end to end, so the cap holds by construction. Queued queries
 //     accrue queue-wait time, reported per query.
 //   * Intra-query parallel leaves (QuerySpec::dop >= 1) submit their morsels
-//     to the shared TaskScheduler; the scheduler's round-robin deal and work
-//     stealing interleave morsels of *different* queries across one fixed
-//     worker pool, so no single query monopolizes the cores.
+//     to the engine's TaskScheduler; the scheduler's round-robin deal and
+//     work stealing interleave morsels of *different* queries across one
+//     fixed worker pool, and a morsel that runs a window ahead of its
+//     consumer parks and frees its worker, so no single query monopolizes
+//     the cores.
 //
 // Determinism contract: admission order, lane priority and scheduling change
 // *when* a query runs and how long it waits — never what it computes or what
@@ -191,8 +193,8 @@ struct QuerySpec {
 
   bool need_order = false;
   /// 0: the serial operator. >= 1: the morsel-driven parallel variant with
-  /// this many workers on the engine's shared scheduler (serial fallback when
-  /// the combination has no parallel form).
+  /// up to this many morsels in flight on the engine's scheduler (serial
+  /// fallback when the combination has no parallel form).
   uint32_t dop = 0;
   QueryLane lane = QueryLane::kBatch;
   /// Collect column-0 values into QueryResult::keys (differential tests).
@@ -258,8 +260,10 @@ struct QueryEngineOptions {
   /// overload bench asserts. 0 (default) keeps the historical behavior: the
   /// SLA lane only jumps the queue. Must be < max_admitted.
   uint32_t sla_reserved_slots = 0;
-  /// Shared data-plane worker pool for intra-query morsels. Null: a query
-  /// with dop >= 1 spins up a private pool (standalone use; prefer sharing).
+  /// Worker pool for intra-query morsels. Null: the engine's scheduler,
+  /// which every parallel scan uses by default. The field stays only
+  /// because the repository benchmark (perfbench's wire_mixed runner) sets
+  /// it; it goes with the next change to that benchmark.
   TaskScheduler* scheduler = nullptr;
   /// Cross-query scan sharing (src/sharing/): kSharedScan plans attach to
   /// the coordinator's cooperative circular scans, the chooser may upgrade

@@ -1,31 +1,16 @@
 #include "exec/task_scheduler.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 
 namespace smoothscan {
-
-void TaskScheduler::TaskGroup::Wait() {
-  latch::UniqueLatch lock(mu_);
-  while (remaining_.load(std::memory_order_acquire) != 0) cv_.wait(lock);
-}
-
-void TaskScheduler::TaskGroup::Finish() {
-  // The lock orders the decrement against a concurrent Wait() so the final
-  // notify cannot be missed.
-  latch::LatchGuard lock(mu_);
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    cv_.notify_all();
-  }
-}
 
 TaskScheduler::TaskScheduler(uint32_t num_workers) {
   SMOOTHSCAN_CHECK(num_workers > 0);
   workers_.reserve(num_workers);
   for (uint32_t i = 0; i < num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-  }
-  for (uint32_t i = 0; i < num_workers; ++i) {
-    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -35,26 +20,34 @@ TaskScheduler::~TaskScheduler() {
     shutdown_ = true;
   }
   cv_.notify_all();
-  for (auto& w : workers_) w->thread.join();
+  for (auto& w : workers_) {
+    if (w->thread.joinable()) w->thread.join();
+  }
 }
 
-std::shared_ptr<TaskScheduler::TaskGroup> TaskScheduler::Submit(
-    std::vector<Task> tasks) {
-  auto group = std::shared_ptr<TaskGroup>(new TaskGroup(tasks.size()));
-  if (tasks.empty()) return group;
+void TaskScheduler::Submit(std::vector<Task> tasks) {
+  if (tasks.empty()) return;
   {
     latch::LatchGuard lock(mu_);
+    if (!started_) {
+      started_ = true;
+      for (uint32_t i = 0; i < workers_.size(); ++i) {
+        workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
+      }
+    }
     for (auto& task : tasks) {
-      workers_[next_deal_]->tasks.emplace_back(group, std::move(task));
+      workers_[next_deal_]->tasks.push_back(std::move(task));
       next_deal_ = (next_deal_ + 1) % workers_.size();
     }
   }
-  cv_.notify_all();
-  return group;
+  // One wake per task: a woken worker keeps taking (and stealing) until the
+  // deques run dry, and a busy worker looks again before it sleeps, so no
+  // task waits on a missed wake-up.
+  const size_t wakes = std::min(tasks.size(), workers_.size());
+  for (size_t i = 0; i < wakes; ++i) cv_.notify_one();
 }
 
-bool TaskScheduler::TryTake(uint32_t id,
-                            std::pair<std::shared_ptr<TaskGroup>, Task>* out) {
+bool TaskScheduler::TryTake(uint32_t id, Task* out) {
   // Own deque first (front: submission order)...
   Worker& self = *workers_[id];
   if (!self.tasks.empty()) {
@@ -76,18 +69,17 @@ bool TaskScheduler::TryTake(uint32_t id,
 
 void TaskScheduler::WorkerLoop(uint32_t id) {
   while (true) {
-    std::pair<std::shared_ptr<TaskGroup>, Task> item;
+    Task task;
     {
       latch::UniqueLatch lock(mu_);
-      // Drain remaining work before honoring shutdown, so a group submitted
-      // just before destruction still completes. (An explicit wait loop
-      // rather than a predicate lambda: TryTake REQUIRES(mu_), and the
-      // analysis does not propagate the held latch into lambdas.)
-      while (!TryTake(id, &item) && !shutdown_) cv_.wait(lock);
-      if (item.second == nullptr) return;  // Shutdown with empty deques.
+      // Drain remaining work before honoring shutdown, so a task submitted
+      // just before destruction still runs. (An explicit wait loop rather
+      // than a predicate lambda: TryTake REQUIRES(mu_), and the analysis
+      // does not propagate the held latch into lambdas.)
+      while (!TryTake(id, &task) && !shutdown_) cv_.wait(lock);
+      if (task == nullptr) return;  // Shutdown with empty deques.
     }
-    item.second();
-    item.first->Finish();
+    task();
   }
 }
 

@@ -1,13 +1,16 @@
 // Engine: the bundle of substrate components (storage, simulated disk, buffer
-// pool, CPU meter, batch pool) that every operator executes against. Owns its
-// members and provides the measurement hooks benchmarks use (cold runs, time
-// snapshots).
+// pool, CPU meter, batch pool, task scheduler) that every operator executes
+// against. Owns its members and provides the measurement hooks benchmarks use
+// (cold runs, time snapshots).
 
 #ifndef SMOOTHSCAN_STORAGE_ENGINE_H_
 #define SMOOTHSCAN_STORAGE_ENGINE_H_
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 
+#include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/cpu_meter.h"
@@ -33,7 +36,8 @@ class Engine {
         storage_(options.page_size),
         disk_(options.device, options.page_size),
         pool_(&storage_, &disk_, options.buffer_pool_pages),
-        cpu_(options.cpu_costs) {}
+        cpu_(options.cpu_costs),
+        scheduler_(std::max(1u, std::thread::hardware_concurrency())) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -45,6 +49,10 @@ class Engine {
   /// The ungoverned batch pool every default context hands out; it outlives
   /// every operator, so a fresh scan draws warm batches.
   BatchPool& batch_pool() { return batch_pool_; }
+  /// The one worker pool every parallel scan runs its morsels on, one
+  /// worker per hardware thread. Its threads start at the first parallel
+  /// Open and live as long as the engine, so a fresh scan starts none.
+  TaskScheduler& scheduler() { return scheduler_; }
   const EngineOptions& options() const { return options_; }
 
   /// Total simulated elapsed time (I/O + CPU).
@@ -66,6 +74,9 @@ class Engine {
   BufferPool pool_;
   CpuMeter cpu_;
   BatchPool batch_pool_;
+  /// Declared after the batch pool: its workers join before the pool their
+  /// morsels emit into goes away.
+  TaskScheduler scheduler_;
 };
 
 }  // namespace smoothscan

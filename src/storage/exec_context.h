@@ -6,9 +6,10 @@
 // morsel-driven parallel execution every morsel, a private AccountingStack so
 // that simulated time is charged per *logical access stream*: a pure function
 // of the query (or the morsel decomposition), independent of concurrency,
-// worker count and interleaving. Batch storage is not accounting state: every
-// context borrows a pool (the engine's, or the query's, which charges the
-// query's memory account) and no operator owns one.
+// worker count and interleaving. Batch storage and workers are not accounting
+// state: every context borrows a batch pool (the engine's, or the query's,
+// which charges the query's memory account) and a task scheduler (the
+// engine's), and no operator owns either.
 
 #ifndef SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
 #define SMOOTHSCAN_STORAGE_EXEC_CONTEXT_H_
@@ -28,12 +29,18 @@ struct ExecContext {
   /// through it and Smooth Scan spills into it. Never null in a context
   /// built by EngineContext or AccountingStack.
   BatchPool* batch_pool = nullptr;
+  /// Worker pool a parallel scan runs its morsels on: the engine's, unless
+  /// the context's owner supplied another. Every scan on it keeps the same
+  /// window of queued batches (see parallel_scan.h). Never null in a context
+  /// built by EngineContext or AccountingStack.
+  TaskScheduler* scheduler = nullptr;
 };
 
 /// The engine's shared (serial) execution context.
 inline ExecContext EngineContext(Engine* engine) {
-  return ExecContext{&engine->storage(), &engine->pool(), &engine->cpu(),
-                     &engine->disk(), &engine->batch_pool()};
+  return ExecContext{&engine->storage(),    &engine->pool(),
+                     &engine->cpu(),        &engine->disk(),
+                     &engine->batch_pool(), &engine->scheduler()};
 }
 
 /// A private accounting stack: a simulated disk (one logical access stream),
@@ -72,6 +79,7 @@ class AccountingStack {
     ctx_.cpu = &cpu_;
     ctx_.disk = &disk_;
     ctx_.batch_pool = &engine->batch_pool();
+    ctx_.scheduler = &engine->scheduler();
   }
 
   AccountingStack(const AccountingStack&) = delete;
@@ -81,6 +89,9 @@ class AccountingStack {
   /// query's own, or the one a parallel scan's context carries). Set before
   /// any operator runs against the stack.
   void SetBatchPool(BatchPool* pool) { ctx_.batch_pool = pool; }
+  /// Hands the stack's parallel scans a worker pool other than the engine's.
+  /// Set before any operator runs against the stack.
+  void SetScheduler(TaskScheduler* scheduler) { ctx_.scheduler = scheduler; }
 
   const ExecContext& ctx() const { return ctx_; }
   SimDisk& disk() { return disk_; }

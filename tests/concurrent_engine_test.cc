@@ -17,7 +17,6 @@
 
 #include "engine/query_engine.h"
 #include "engine/session.h"
-#include "exec/task_scheduler.h"
 #include "sharing/scan_sharing.h"
 #include "workload/workload_driver.h"
 
@@ -117,11 +116,9 @@ TEST_F(ConcurrentEngineTest, ConcurrentCostsBitIdenticalToSoloRuns) {
     }
   }
 
-  TaskScheduler scheduler(4);
   for (const uint32_t cap : {1u, 2u, 8u}) {
     QueryEngineOptions qeo;
     qeo.max_admitted = cap;
-    qeo.scheduler = &scheduler;
     QueryEngine qe(engine_.get(), qeo);
     Session session(&qe, {.max_outstanding = 32});
 
@@ -243,10 +240,8 @@ TEST_F(ConcurrentEngineTest, ParallelLeafMatchesSoloParallelRun) {
   engine_->ColdRestart();
   engine_->disk().ResetAll();
   engine_->cpu().Reset();
-  TaskScheduler scheduler(4);
   ParallelScanOptions po;
   po.dop = 2;
-  po.scheduler = &scheduler;
   auto solo_path =
       MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), po);
   ASSERT_TRUE(solo_path->Open().ok());
@@ -260,7 +255,6 @@ TEST_F(ConcurrentEngineTest, ParallelLeafMatchesSoloParallelRun) {
   // Same plan through the query engine, concurrently with itself.
   QueryEngineOptions qeo;
   qeo.max_admitted = 4;
-  qeo.scheduler = &scheduler;
   QueryEngine qe(engine_.get(), qeo);
   Session session(&qe);
   QuerySpec spec = Spec(PathKind::kFullScan, 0.3);
@@ -340,10 +334,8 @@ TEST_F(ConcurrentEngineTest, MirrorPopulatesSharedPoolWithoutLeakingPins) {
 }
 
 TEST_F(ConcurrentEngineTest, WorkloadDriverClosedLoopReport) {
-  TaskScheduler scheduler(2);
   QueryEngineOptions qeo;
   qeo.max_admitted = 2;
-  qeo.scheduler = &scheduler;
   QueryEngine qe(engine_.get(), qeo);
   WorkloadDriver driver(engine_.get(), db_.get(), &qe);
 

@@ -458,30 +458,49 @@ TEST_F(AllocationRegression,
                            << " allocations for " << rows << " rows";
 }
 
-// A scan that owns its workers queues at most its backpressure window ahead
-// of a lagging consumer, so a slow consumer cannot pile the whole result
-// into the engine's pool. The consumer takes one batch and stalls; the
-// worker stops once the window is full, and the rest of the result still
-// arrives. (Only an upper bound is checked: a slow host may produce less.)
+// A parallel scan queues at most its window ahead of a lagging consumer, on
+// whatever scheduler its context hands out, so a slow consumer cannot pile
+// the whole result into a batch pool. The consumer takes one batch and
+// stalls; the morsels past its own park once the window is full, and the
+// rest of the result still arrives. (Only an upper bound is checked: a slow
+// host may produce less.)
 TEST_F(AllocationRegression, LaggingConsumerQueuesAtMostTheWindow) {
   const ScanPredicate pred = db_->PredicateForSelectivity(1.0);
-  auto par =
-      MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(1));
-  const BatchPoolStats base = engine_->batch_pool().stats();
-  ASSERT_TRUE(par->Open().ok());
-  TupleBatch batch;
-  ASSERT_TRUE(par->NextBatch(&batch));
-  uint64_t rows = batch.size();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const uint64_t created =
-      Since(engine_->batch_pool().stats(), base).fresh_batches;
-  while (par->NextBatch(&batch)) rows += batch.size();
-  par->Close();
-  EXPECT_EQ(rows, 30000u);
+  // Returns the batches `pool` created while the consumer held its first
+  // batch and slept.
+  auto lag = [&](const ExecContext& ctx, BatchPool* pool) {
+    auto par =
+        MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(1));
+    par->SetExecContext(&ctx);
+    const BatchPoolStats base = pool->stats();
+    EXPECT_TRUE(par->Open().ok());
+    TupleBatch batch;
+    EXPECT_TRUE(par->NextBatch(&batch));
+    uint64_t rows = batch.size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t created = Since(pool->stats(), base).fresh_batches;
+    while (par->NextBatch(&batch)) rows += batch.size();
+    par->Close();
+    EXPECT_EQ(rows, 30000u);
+    return created;
+  };
   // The window, the consumer's pending batch, the worker's batch in hand
   // and the consumer's own storage swapped in at the first hand-off.
-  EXPECT_LE(created, ParallelScan::kQueuedBatchesPerWorker + 3)
-      << "the worker ran ahead of the window";
+  constexpr uint64_t kBound = ParallelScan::kQueuedBatchesPerWorker + 3;
+
+  const ExecContext engine_ctx = EngineContext(engine_.get());
+  EXPECT_LE(lag(engine_ctx, &engine_->batch_pool()), kBound)
+      << "the worker ran ahead of the window on the engine's scheduler";
+
+  // The same window on a scheduler the scan's context supplies (its own
+  // cold batch pool keeps the count independent of the run above).
+  TaskScheduler supplied(2);
+  BatchPool pool;
+  ExecContext supplied_ctx = engine_ctx;
+  supplied_ctx.scheduler = &supplied;
+  supplied_ctx.batch_pool = &pool;
+  EXPECT_LE(lag(supplied_ctx, &pool), kBound)
+      << "the worker ran ahead of the window on a supplied scheduler";
 }
 
 // The same steady state for the Smooth kernel, whose morsel scans spill the
@@ -738,14 +757,11 @@ TEST_F(MemGovernanceTest, BrokerOnOffCostsBitIdenticalAcrossCaps) {
     }
   }
 
-  TaskScheduler scheduler(4);
-
   // Reference: the ungoverned engine, serialized admission.
   std::vector<CostSnapshot> reference;
   {
     QueryEngineOptions qeo;
     qeo.max_admitted = 1;
-    qeo.scheduler = &scheduler;
     QueryEngine qe(engine_.get(), qeo);
     Session session(&qe);
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -779,7 +795,6 @@ TEST_F(MemGovernanceTest, BrokerOnOffCostsBitIdenticalAcrossCaps) {
     MemoryBroker broker(bo);
     QueryEngineOptions qeo;
     qeo.max_admitted = cap;
-    qeo.scheduler = &scheduler;
     qeo.broker = &broker;
     qeo.query_quota_bytes = 4 * 1024;  // Below one batch: every charge breaches.
     QueryEngine qe(engine_.get(), qeo);

@@ -24,7 +24,6 @@
 #include "access/parallel_scan.h"
 #include "access/smooth_scan.h"
 #include "engine/session.h"
-#include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
 #include "obs/metrics.h"
@@ -299,7 +298,6 @@ TEST(ObsDifferentialTest, SimCostBitIdenticalWithObservabilityOnOrOff) {
   dbspec.value_max = 4000;
   dbspec.seed = 17;
   MicroBenchDb db(&engine, dbspec);
-  TaskScheduler scheduler(4);
 
   constexpr PathKind kPaths[] = {PathKind::kFullScan, PathKind::kIndexScan,
                                  PathKind::kSortScan, PathKind::kSwitchScan,
@@ -321,7 +319,6 @@ TEST(ObsDifferentialTest, SimCostBitIdenticalWithObservabilityOnOrOff) {
   for (const uint32_t cap : {1u, 2u, 8u}) {
     QueryEngineOptions off;
     off.max_admitted = cap;
-    off.scheduler = &scheduler;
 
     QueryEngineOptions on = off;
     obs::MetricsRegistry registry;
@@ -418,10 +415,8 @@ TEST_F(FoldTest, QueryPoolsAddEveryColdMissOnceSerialAndParallel) {
   // private pool (serial) or across the planning and morsel pools (dop 2);
   // the shared pool only sees unaccounted mirror pins. Each completed query
   // therefore adds exactly the heap's page count to bufferpool.misses.
-  TaskScheduler scheduler(2);
   QueryEngineOptions qeo;
   qeo.metrics = &registry_;
-  qeo.scheduler = &scheduler;
   QueryEngine qe(&engine_, qeo);
   Session session(&qe);
   uint64_t expected = 0;
@@ -495,10 +490,8 @@ TEST_F(FoldTest, QueryAddsItsBatchPoolStatsAtCompletion) {
   // Each read query owns one batch pool and adds its stats once, after the
   // path closed: every batch the query acquired is home by then. The
   // engine's own pool is not touched by queries.
-  TaskScheduler scheduler(2);
   QueryEngineOptions qeo;
   qeo.metrics = &registry_;
-  qeo.scheduler = &scheduler;
   QueryEngine qe(&engine_, qeo);
   Session session(&qe);
   const BatchPoolStats engine_before = engine_.batch_pool().stats();
@@ -667,7 +660,6 @@ TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
   dbspec.value_max = 4000;
   dbspec.seed = 17;
   MicroBenchDb db(&engine, dbspec);
-  TaskScheduler scheduler(4);
   const ScanPredicate pred = db.PredicateForSelectivity(0.3);
 
   // Serial: the operator's own SmoothScanStats and the registry's
@@ -710,7 +702,6 @@ TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
     engine.ColdRestart();
     ParallelScanOptions po;
     po.dop = kDops[i];
-    po.scheduler = &scheduler;
     std::unique_ptr<ParallelScan> path =
         MakeParallelSmoothScan(&db.index(), pred, SmoothScanOptions(), po);
     path->SetObs(&obs);

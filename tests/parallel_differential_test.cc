@@ -4,15 +4,18 @@
 // engine accounting at DOP 1, 2 and 8 across all five paths and all three
 // morph policies. The page-range parallel full scan goes further: its summed
 // charges equal the serial scan's exactly. Also covers the Close()/re-Open()
-// contract of the parallel paths, the task scheduler, and the per-worker
-// deterministic Rng streams.
+// contract of the parallel paths, parked morsels on a shared worker pool,
+// the task scheduler, and the per-worker deterministic Rng streams.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "access/full_scan.h"
@@ -278,7 +281,7 @@ TEST_F(ParallelDifferentialTest, SmoothScanCarriesMorphStateAcrossMorsels) {
   const double serial_sim =
       SimTime(RunAndCheck(engine_.get(), &serial, oracle, "serial Smooth"));
   constexpr uint32_t kMorselPages = 40;
-  ASSERT_GE(MorselSource::PageRanges(
+  ASSERT_GE(PageRangeMorsels(
                 static_cast<PageId>(db_->heap().num_pages()), kMorselPages)
                 .size(),
             8u);
@@ -478,29 +481,173 @@ TEST_F(ParallelDifferentialTest, NonKeyPredicateIsRejectedLikeSerial) {
   EXPECT_DEATH({ SmoothScan serial(&db_->index(), pred); }, "");
 }
 
-// ---------- TaskScheduler ----------
+// ---------- One worker pool for every scan ----------
 
-TEST(TaskSchedulerTest, RunsEveryTaskExactlyOnce) {
-  TaskScheduler scheduler(4);
-  std::atomic<int> count{0};
-  std::vector<TaskScheduler::Task> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&count] { count.fetch_add(1); });
+/// Entries of /proc/self/task (this process's threads), or -1 where the
+/// directory cannot be read.
+int CountThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++n;
   }
-  scheduler.Submit(std::move(tasks))->Wait();
-  EXPECT_EQ(count.load(), 100);
+  return n;
 }
 
-TEST(TaskSchedulerTest, GroupsCanOverlap) {
+TEST_F(ParallelDifferentialTest, FreshScanOnWarmEngineStartsNoThread) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(0.5);
+  const std::multiset<int64_t> oracle = Oracle(pred);
+  // The first parallel drain starts the engine's workers.
+  auto warm =
+      MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(2));
+  RunAndCheck(engine_.get(), warm.get(), oracle, "warm-up drain");
+
+  const int before = CountThreads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  auto fresh =
+      MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(2));
+  RunAndCheck(engine_.get(), fresh.get(), oracle, "fresh scan");
+  EXPECT_EQ(CountThreads(), before) << "a fresh scan started threads";
+}
+
+// One worker, two scans open at once. Scan A's consumer takes one batch and
+// then drains all of scan B before it takes another: A's morsels past its
+// consumer fill the window and park, returning the one worker to B's
+// morsels instead of holding it. Each scan charges its own cold stack, which
+// must match the scan's solo run bit for bit.
+TEST_F(ParallelDifferentialTest, TwoScansShareOneWorkerWithoutDeadlock) {
+  TaskScheduler one_worker(1);
+  const ScanPredicate preds[2] = {db_->PredicateForSelectivity(1.0),
+                                  db_->PredicateForSelectivity(0.5)};
+  struct Run {
+    std::unique_ptr<AccountingStack> stack;
+    std::unique_ptr<ParallelScan> scan;
+    std::multiset<int64_t> got;
+  };
+  auto make = [&](const ScanPredicate& pred) {
+    Run r;
+    r.stack =
+        std::make_unique<AccountingStack>(engine_.get(), &engine_->pool());
+    r.stack->SetScheduler(&one_worker);
+    r.scan =
+        MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(2));
+    r.scan->SetExecContext(&r.stack->ctx());
+    return r;
+  };
+  TupleBatch batch;
+  auto collect = [&batch](Run* r) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      r->got.insert(batch.row(i)[0].AsInt64());
+    }
+  };
+  auto drain = [&](Run* r) {
+    while (r->scan->NextBatch(&batch)) collect(r);
+    r->scan->Close();
+  };
+
+  Run solo[2] = {make(preds[0]), make(preds[1])};
+  for (Run& r : solo) {
+    ASSERT_TRUE(r.scan->Open().ok());
+    drain(&r);
+  }
+
+  Run a = make(preds[0]);
+  Run b = make(preds[1]);
+  ASSERT_TRUE(a.scan->Open().ok());
+  ASSERT_TRUE(b.scan->Open().ok());
+  ASSERT_TRUE(a.scan->NextBatch(&batch));
+  collect(&a);
+  drain(&b);
+  drain(&a);
+
+  // More rows than the window holds: scan A's morsels had to park.
+  ASSERT_GT(a.got.size(),
+            ParallelScan::kQueuedBatchesPerWorker * 2 * kDefaultBatchSize);
+  const Run* runs[2] = {&a, &b};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "scan A" : "scan B");
+    EXPECT_EQ(runs[i]->got, Oracle(preds[i]));
+    EXPECT_EQ(solo[i].got, Oracle(preds[i]));
+    const IoStats io = runs[i]->stack->disk().stats();
+    const IoStats solo_io = solo[i].stack->disk().stats();
+    EXPECT_EQ(io.io_requests, solo_io.io_requests);
+    EXPECT_EQ(io.random_ios, solo_io.random_ios);
+    EXPECT_EQ(io.seq_ios, solo_io.seq_ios);
+    EXPECT_EQ(io.pages_read, solo_io.pages_read);
+    EXPECT_EQ(io.io_time, solo_io.io_time);  // Exact, not NEAR.
+    EXPECT_EQ(runs[i]->stack->cpu().time(), solo[i].stack->cpu().time());
+    EXPECT_EQ(runs[i]->scan->stats(), solo[i].scan->stats());
+  }
+}
+
+// ---------- TaskScheduler ----------
+
+/// Waits until `done` reaches `n`: the scheduler has no completion handle,
+/// so the tasks count themselves.
+void AwaitCount(const std::atomic<int>& done, int n) {
+  while (done.load() < n) std::this_thread::yield();
+}
+
+TEST(TaskSchedulerTest, RunsEveryTaskExactlyOnce) {
+  constexpr int kTasks = 100;
+  std::vector<std::atomic<int>> runs(kTasks);
+  std::atomic<int> done{0};
+  {
+    TaskScheduler scheduler(4);
+    std::vector<TaskScheduler::Task> tasks;
+    for (int i = 0; i < kTasks; ++i) {
+      tasks.push_back([&runs, &done, i] {
+        runs[i].fetch_add(1);
+        done.fetch_add(1);
+      });
+    }
+    scheduler.Submit(std::move(tasks));
+    AwaitCount(done, kTasks);
+  }  // Joins the workers: no task may run again after this.
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
+}
+
+TEST(TaskSchedulerTest, SubmissionsCanOverlap) {
   TaskScheduler scheduler(3);
-  std::atomic<int> a{0}, b{0};
-  auto ga = scheduler.Submit({[&a] { a.fetch_add(1); },
-                              [&a] { a.fetch_add(1); }});
-  auto gb = scheduler.Submit({[&b] { b.fetch_add(1); }});
-  ga->Wait();
-  gb->Wait();
+  std::atomic<int> a{0}, b{0}, done{0};
+  // The first submission's tasks finish only once the second one's task
+  // ran: the two overlap on the pool.
+  auto first = [&] {
+    while (b.load() == 0) std::this_thread::yield();
+    a.fetch_add(1);
+    done.fetch_add(1);
+  };
+  scheduler.Submit({first, first});
+  scheduler.Submit({[&] {
+    b.fetch_add(1);
+    done.fetch_add(1);
+  }});
+  AwaitCount(done, 3);
   EXPECT_EQ(a.load(), 2);
   EXPECT_EQ(b.load(), 1);
+}
+
+TEST(TaskSchedulerTest, OneTaskSubmitsFromManyThreadsAllRun) {
+  // One wake per task: a stream of single-task submissions, the shape
+  // parked morsels produce, must never strand a task on a missed wake-up.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  TaskScheduler scheduler(3);
+  std::atomic<int> done{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        scheduler.Submit({[&done] { done.fetch_add(1); }});
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  AwaitCount(done, kThreads * kPerThread);
+  EXPECT_EQ(done.load(), kThreads * kPerThread);
 }
 
 TEST(RngForkTest, DeterministicAndDecorrelated) {
@@ -529,15 +676,18 @@ TEST(ConcurrentPageIdCacheTest, MarkReportsFirstMarkOnly) {
 TEST(ConcurrentPageIdCacheTest, ConcurrentDisjointMarking) {
   PageIdCache cache(1024);
   TaskScheduler scheduler(8);
+  std::atomic<int> done{0};
   std::vector<TaskScheduler::Task> tasks;
   for (uint32_t t = 0; t < 8; ++t) {
-    tasks.push_back([&cache, t] {
+    tasks.push_back([&cache, &done, t] {
       for (PageId p = t * 128; p < (t + 1) * 128; ++p) {
         EXPECT_TRUE(cache.Mark(p));
       }
+      done.fetch_add(1);
     });
   }
-  scheduler.Submit(std::move(tasks))->Wait();
+  scheduler.Submit(std::move(tasks));
+  AwaitCount(done, 8);
   for (PageId p = 0; p < 1024; ++p) EXPECT_TRUE(cache.IsMarked(p));
 }
 
