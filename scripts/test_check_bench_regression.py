@@ -3,7 +3,8 @@
 JSONs, that the gate passes on unchanged results and demonstrably fails on a
 >25% simulated-cost regression, a shared-scan fetch-ratio regression, a
 dropped row, a parallel Smooth Scan row beyond its bound on the serial
-operator, and a serial SortScan wall time beyond its bound on FullScan's.
+operator, and a serial SortScan or IndexScan wall time beyond its bound on
+FullScan's.
 Run directly (CI) or via ctest.
 """
 
@@ -139,14 +140,17 @@ class GateTest(unittest.TestCase):
         self.assertEqual(self.run_gate(), 1)
 
 
-def wall_rows(sort_wall_ms, full_wall_ms=10.0):
-    """fig05's serial FullScan and SortScan rows at 100% (plus a parallel
-    FullScan row and a SortScan row at 50%, which the wall bound ignores)."""
+def wall_rows(sort_wall_ms, full_wall_ms=10.0, index_wall_ms=100.0):
+    """fig05's serial FullScan, SortScan and IndexScan rows at 100% (plus a
+    parallel FullScan row and a SortScan row at 50%, which the wall bounds
+    ignore)."""
     return [
         {"series": "FullScan", "sel_pct": 100.0, "sim_time": 4413.0,
          "wall_ms": full_wall_ms, "threads": 1},
         {"series": "SortScan", "sel_pct": 100.0, "sim_time": 6889.8,
          "wall_ms": sort_wall_ms, "threads": 1},
+        {"series": "IndexScan", "sel_pct": 100.0, "sim_time": 82000.0,
+         "wall_ms": index_wall_ms, "threads": 1},
         {"series": "ParFullScan dop=2", "sel_pct": 100.0,
          "sim_time": 4413.0, "wall_ms": 1.0, "threads": 2},
         {"series": "SortScan", "sel_pct": 50.0, "sim_time": 5000.0,
@@ -247,6 +251,34 @@ class SortScanWallRatioTest(WithinFileGateTest):
     def test_other_benches_are_not_bounded(self):
         payload = {"bench": "fig04_tpch", "rows": wall_rows(140.0)}
         self.assertEqual(self.run_gate(payload), 0)
+
+
+class IndexScanWallRatioTest(WithinFileGateTest):
+    """The within-file wall bound: serial IndexScan <= 16x FullScan at 100%."""
+
+    def test_pin_free_look_ups_pass(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(
+            22.0, index_wall_ms=110.0))), 0)  # 11x.
+
+    def test_pinned_look_ups_fail(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(
+            22.0, index_wall_ms=206.0))), 1)  # 20.6x.
+
+    def test_just_above_the_bound_fails(self):
+        self.assertEqual(self.run_gate(fig05(wall_rows(
+            22.0, index_wall_ms=160.1))), 1)
+
+    def test_missing_row_fails(self):
+        rows = [r for r in wall_rows(22.0)
+                if not (r["series"] == "IndexScan" and r["sel_pct"] == 100.0)]
+        self.assertEqual(self.run_gate(fig05(rows)), 1)
+
+    def test_parallel_row_is_not_the_serial_row(self):
+        rows = wall_rows(22.0)
+        for row in rows:
+            if row["series"] == "IndexScan":
+                row["threads"] = 2
+        self.assertEqual(self.run_gate(fig05(rows)), 1)
 
 
 if __name__ == "__main__":

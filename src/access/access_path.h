@@ -57,7 +57,9 @@ struct ScanWork {
   uint64_t pages = 0;      ///< Heap page fetch events.
   uint64_t inspected = 0;
   uint64_t produced = 0;
-  uint64_t cache_ops = 0;  ///< Tuple ID Cache inserts/probes.
+  /// The paper's Tuple ID Cache inserts/probes, charged as such; the engine
+  /// answers them by index position (see bplus_tree.h).
+  uint64_t cache_ops = 0;
 
   /// Charges in the fixed order inspect, cache op, produce. (A zero cache-op
   /// charge would add an exact 0.0; skipping it keeps loops without cache

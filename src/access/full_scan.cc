@@ -30,7 +30,7 @@ void FullScan::CloseImpl() {
   cur_slot_ = 0;
 }
 
-bool FullScan::Fill(TupleBatch* out, const TupleIdCache* exclude,
+bool FullScan::Fill(TupleBatch* out, const IndexPosition* exclude,
                     ScanWork* work) {
   const ExecContext& ctx = this->ctx();
   const Schema& schema = heap_->schema();
@@ -74,7 +74,7 @@ bool FullScan::Fill(TupleBatch* out, const TupleIdCache* exclude,
       if (has_residual && !predicate_.residual(*decoded)) continue;
       if (exclude != nullptr) {
         ++cache_ops;
-        if (exclude->Contains(Tid{cur_page_, s})) continue;
+        if (IndexPosition{key, Tid{cur_page_, s}} < *exclude) continue;
       }
       ++filled;
     }

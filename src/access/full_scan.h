@@ -9,7 +9,7 @@
 #define SMOOTHSCAN_ACCESS_FULL_SCAN_H_
 
 #include "access/access_path.h"
-#include "access/tuple_id_cache.h"
+#include "index/bplus_tree.h"
 #include "storage/heap_file.h"
 
 namespace smoothscan {
@@ -35,11 +35,13 @@ class FullScan : public AccessPath {
   /// qualifying tuples until `out` is full or the range ends and adds the
   /// work done to `work`, which the caller charges and folds into its own
   /// stats. Returns true when it stopped only because `out` filled up.
-  /// `exclude` (null: none) suppresses tuples — SwitchScan's frozen set of
-  /// those its index phase already produced — at one cache op per qualifying
-  /// tuple. SwitchScan's post-switch phase and the parallel Switch kernel
-  /// drive the scan through it. Valid between Open() and Close().
-  bool Fill(TupleBatch* out, const TupleIdCache* exclude, ScanWork* work);
+  /// `exclude` (null: none) suppresses every qualifying tuple whose (key,
+  /// Tid) lies below it — the position where SwitchScan's index phase
+  /// stopped, below which it produced every qualifying tuple — at one cache
+  /// op per qualifying tuple. SwitchScan's post-switch phase and the
+  /// parallel Switch kernel drive the scan through it. Valid between Open()
+  /// and Close().
+  bool Fill(TupleBatch* out, const IndexPosition* exclude, ScanWork* work);
 
  protected:
   Status OpenImpl() override;

@@ -397,7 +397,8 @@ class ParallelSortScanKernel : public ParallelScanKernel {
 // SwitchScan kernel: the index phase is inherently serial (the switch fires
 // on the *global* produced cardinality), so SwitchScan's own index phase runs
 // in the prolog; if the switch fires, FullScan's page loop runs over
-// page-range morsels, all excluding the Tuple ID Cache frozen at the switch.
+// page-range morsels, all excluding what lies below the index position where
+// the switch fired.
 // Both phases are charged once (prolog, morsel), not per batch.
 // ---------------------------------------------------------------------------
 
@@ -415,8 +416,8 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
   const char* name() const override { return "ParallelSwitchScan"; }
 
   MorselCursor StartProlog(const ExecContext& planning) override {
-    // Kept open (never Closed) until the next prolog: its produced-TID cache
-    // is the morsels' exclusion. Its iterator is not touched after the
+    // Kept open (never Closed) until the next prolog: its stop position is
+    // the morsels' exclusion. Its iterator is not touched after the
     // prolog ends.
     index_phase_.emplace(index_, predicate_, scan_options_);
     index_phase_->SetExecContext(&planning);
@@ -442,7 +443,7 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
     auto scan = std::make_shared<FullScan>(heap, predicate_, options);
     scan->SetExecContext(&ctx);
     SMOOTHSCAN_CHECK(scan->Open().ok());
-    const TupleIdCache* exclude = &index_phase_->produced();
+    const IndexPosition* exclude = &index_phase_->stop();
     return WorkCursor(ctx, [scan, exclude](TupleBatch* out, ScanWork* work) {
       return scan->Fill(out, exclude, work);
     });

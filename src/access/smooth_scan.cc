@@ -95,7 +95,7 @@ Status SmoothScan::OpenImpl() {
   spill_.clear();
   spill_next_ = spill_pos_ = 0;
   region_pages_ = morsel_.region_pages;
-  tuple_cache_.reset();
+  mode0_stop_ = IndexPosition();
   result_cache_.reset();
   page_end_ = static_cast<PageId>(index_->heap()->num_pages());
   if (morsel_.targets != nullptr) {
@@ -118,13 +118,11 @@ Status SmoothScan::OpenImpl() {
       morphing_ = false;
       pretrigger_bound_ = options_.optimizer_estimate;
       active_policy_ = options_.post_trigger_policy;
-      tuple_cache_ = std::make_unique<TupleIdCache>();
       break;
     case MorphTrigger::kSlaDriven:
       morphing_ = false;
       pretrigger_bound_ = options_.sla_trigger_cardinality;
       active_policy_ = options_.post_trigger_policy;
-      tuple_cache_ = std::make_unique<TupleIdCache>();
       break;
   }
   if (options_.preserve_order) {
@@ -156,13 +154,12 @@ void SmoothScan::CloseImpl() {
     obs::AddCount(obs(), "smooth.region_shrinks", sstats_.shrinks);
     obs::AddCount(obs(), "smooth.page_cache_hits", sstats_.page_cache_hits);
   }
-  // Release every auxiliary structure (page/tuple caches, result cache and
+  // Release every auxiliary structure (page cache, result cache and
   // its spill file references, buffered tuples, the index iterator). The
   // next Open() rebuilds them from scratch.
   it_.reset();
   owned_page_cache_.reset();
   page_cache_ = nullptr;
-  tuple_cache_.reset();
   if (result_cache_ != nullptr) {
     const ResultCacheStats& rc = result_cache_->spill_stats();
     sstats_.rc_spills += rc.spills;
@@ -183,6 +180,7 @@ void SmoothScan::MaybeTrigger() {
   if (morphing_) return;
   if (stats_.tuples_produced >= pretrigger_bound_) {
     morphing_ = true;
+    mode0_stop_ = it_->position();
     sstats_.triggered = true;
     sstats_.trigger_cardinality = stats_.tuples_produced;
     obs::EmitInstant(obs(), "morph_trigger", "cardinality",
@@ -207,8 +205,7 @@ void SmoothScan::Mode0Step(TupleBatch* out) {
     out->PopLast();
     return;
   }
-  tuple_cache_->Insert(tid);
-  ctx.cpu->ChargeCacheOp();
+  ctx.cpu->ChargeCacheOp();  // The paper's Tuple ID Cache insert.
   ctx.cpu->ChargeProduce();
   ++stats_.tuples_produced;
   ++sstats_.card_mode0;
@@ -351,9 +348,9 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
         page_has_result = true;
         // Under a non-eager trigger, tuples already produced in Mode 0 must
         // not be produced again.
-        if (tuple_cache_ != nullptr) {
+        if (options_.trigger != MorphTrigger::kEager) {
           ++cache_ops;
-          keep = !tuple_cache_->Contains(tid);
+          keep = !(IndexPosition{key, tid} < mode0_stop_);
         }
       }
       if (!keep) {

@@ -36,7 +36,6 @@
 #include "access/access_path.h"
 #include "access/page_id_cache.h"
 #include "access/result_cache.h"
-#include "access/tuple_id_cache.h"
 #include "index/bplus_tree.h"
 #include "mem/batch_pool.h"
 
@@ -261,7 +260,11 @@ class SmoothScan : public AccessPath {
   PageId page_end_ = 0;     ///< Regions never reach this page.
   std::unique_ptr<PageIdCache> owned_page_cache_;
   PageIdCache* page_cache_ = nullptr;  ///< Owned, or the morsels' shared one.
-  std::unique_ptr<TupleIdCache> tuple_cache_;
+  /// Non-eager triggers: where Mode 0 stopped when the trigger fired (the
+  /// default before it). Mode 0 produced exactly the qualifying tuples below
+  /// it, so a harvest drops those — the paper's Tuple ID Cache, by index
+  /// order.
+  IndexPosition mode0_stop_;
   std::unique_ptr<ResultCache> result_cache_;
   /// Rows a region harvested beyond the caller's batch (a morphing region can
   /// hold many batches' worth), decoded in place into pooled batches:

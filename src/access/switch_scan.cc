@@ -14,7 +14,8 @@ ExecContext SwitchScan::DefaultContext() const {
 
 Status SwitchScan::OpenImpl() {
   it_ = index_->Seek(predicate_.lo, &ctx());
-  produced_.Clear();
+  produced_ = 0;
+  stop_ = IndexPosition();
   switched_ = false;
   full_.reset();
   return Status::OK();
@@ -22,9 +23,6 @@ Status SwitchScan::OpenImpl() {
 
 void SwitchScan::CloseImpl() {
   it_.reset();
-  // Release the slot array, not just empty it: a closed scan holds no
-  // memory sized by the rows it produced.
-  produced_ = TupleIdCache();
   full_.reset();
 }
 
@@ -47,15 +45,16 @@ bool SwitchScan::IndexPhase(TupleBatch* out, ScanWork* work) {
     // A qualifying tuple. If producing it would exceed the estimate, the
     // estimate is wrong: switch *before producing the next result tuple*
     // (Section VI-F). The tuple is popped, not produced — the full scan will
-    // re-discover it, since its TID was never recorded.
-    if (produced_.size() >= options_.estimated_cardinality) {
+    // re-discover it, since it does not lie below the stop position.
+    if (produced_ >= options_.estimated_cardinality) {
       out->PopLast();
+      stop_ = it_->position();
       switched_ = true;
       return false;
     }
     it_->Next();
-    produced_.Insert(tid);
-    ++work->cache_ops;
+    ++produced_;
+    ++work->cache_ops;  // The paper's Tuple ID Cache insert.
     ++work->produced;
   }
   return true;
@@ -81,7 +80,7 @@ bool SwitchScan::NextBatchImpl(TupleBatch* out) {
     full_->SetExecContext(&ctx());
     SMOOTHSCAN_CHECK(full_->Open().ok());
   }
-  full_->Fill(out, &produced_, &work);
+  full_->Fill(out, &stop_, &work);
   work.Charge(ctx().cpu);
   work.AddTo(&stats_);
   return !out->empty();

@@ -1,9 +1,12 @@
 // SwitchScan (Section III / VI-F): the straw-man run-time adaptivity. Runs a
 // plain index scan while the produced cardinality stays within the
 // optimizer's estimate; the moment the estimate is violated it abandons the
-// index and restarts as a full table scan, using a Tuple ID Cache to avoid
-// duplicating the tuples already produced. The binary switch bounds the worst
-// case but creates the performance cliff Fig. 11 shows.
+// index and restarts as a full table scan. The paper avoids duplicating the
+// tuples already produced with a Tuple ID Cache; the index's strict (key,
+// Tid) order makes that a single position instead: the index phase produced
+// exactly the qualifying tuples below the entry it stopped at, and the full
+// scan skips those. The binary switch bounds the worst case but creates the
+// performance cliff Fig. 11 shows.
 
 #ifndef SMOOTHSCAN_ACCESS_SWITCH_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SWITCH_SCAN_H_
@@ -12,7 +15,6 @@
 
 #include "access/access_path.h"
 #include "access/full_scan.h"
-#include "access/tuple_id_cache.h"
 #include "index/bplus_tree.h"
 
 namespace smoothscan {
@@ -40,8 +42,10 @@ class SwitchScan : public AccessPath {
   /// Returns true when it stopped only because `out` filled up. The parallel
   /// Switch kernel runs its prolog through it. Valid from Open() on.
   bool IndexPhase(TupleBatch* out, ScanWork* work);
-  /// The TIDs the index phase produced: the post-switch scan's exclusion.
-  const TupleIdCache& produced() const { return produced_; }
+  /// Where the index phase stopped (the default until the switch fires):
+  /// it produced exactly the qualifying tuples below this position, which
+  /// is the post-switch scan's exclusion.
+  const IndexPosition& stop() const { return stop_; }
 
  protected:
   Status OpenImpl() override;
@@ -55,7 +59,8 @@ class SwitchScan : public AccessPath {
   SwitchScanOptions options_;
 
   std::optional<BPlusTree::Iterator> it_;
-  TupleIdCache produced_;
+  uint64_t produced_ = 0;  ///< Tuples the index phase produced.
+  IndexPosition stop_;
   bool switched_ = false;
   /// The post-switch full scan (opened when the switch fires).
   std::optional<FullScan> full_;

@@ -226,7 +226,7 @@ PageId BPlusTree::Descend(int64_t key, BufferPool* pool) const {
   SMOOTHSCAN_CHECK(!nodes_.empty());
   PageId cur = root_;
   while (true) {
-    if (pool != nullptr) pool->Fetch(file_id_, cur);
+    if (pool != nullptr) pool->Lookup(file_id_, cur);
     const Node& n = node(cur);
     if (n.is_leaf) return cur;
     // Child index = number of separators strictly below `key`. Because a run
@@ -252,7 +252,7 @@ BPlusTree::Iterator BPlusTree::Seek(int64_t lo, const ExecContext* ctx) const {
   while (leaf != kInvalidPageId && pos >= node(leaf).keys.size()) {
     leaf = node(leaf).next_leaf;
     pos = 0;
-    if (leaf != kInvalidPageId) pool->Fetch(file_id_, leaf);
+    if (leaf != kInvalidPageId) pool->Lookup(file_id_, leaf);
   }
   return Iterator(this, leaf, pos, ctx);
 }
@@ -264,14 +264,14 @@ BPlusTree::Iterator BPlusTree::Begin() const {
   // Charge the leftmost descent, then skip any deletion-emptied leaves.
   PageId cur = root_;
   while (true) {
-    engine_->pool().Fetch(file_id_, cur);
+    engine_->pool().Lookup(file_id_, cur);
     const Node& n = node(cur);
     if (n.is_leaf) break;
     cur = n.children.front();
   }
   while (cur != kInvalidPageId && node(cur).keys.empty()) {
     cur = node(cur).next_leaf;
-    if (cur != kInvalidPageId) engine_->pool().Fetch(file_id_, cur);
+    if (cur != kInvalidPageId) engine_->pool().Lookup(file_id_, cur);
   }
   return Iterator(this, cur, 0, nullptr);
 }
@@ -292,6 +292,14 @@ int64_t BPlusTree::Iterator::key() const {
 Tid BPlusTree::Iterator::tid() const {
   SMOOTHSCAN_CHECK(Valid());
   return tree_->node(leaf_).tids[pos_];
+}
+
+IndexPosition BPlusTree::Iterator::position() const {
+  if (!Valid()) {
+    return {std::numeric_limits<int64_t>::max(),
+            Tid{kInvalidPageId, std::numeric_limits<SlotId>::max()}};
+  }
+  return {key(), tid()};
 }
 
 bool BPlusTree::Iterator::PeekTid(uint32_t ahead, Tid* tid) const {
@@ -317,7 +325,7 @@ void BPlusTree::Iterator::Next() {
     leaf_ = tree_->node(leaf_).next_leaf;
     pos_ = 0;
     if (leaf_ != kInvalidPageId) {
-      pool().Fetch(tree_->file_id_, leaf_);
+      pool().Lookup(tree_->file_id_, leaf_);
     }
   }
 }

@@ -2,8 +2,12 @@
 // every indexed column in the paper's workloads is one of the two).
 //
 // Leaf entries are (key, Tid) pairs kept in strict (key, Tid) order — the
-// ordering the paper notes lets a DBMS avoid the Tuple ID Cache. Leaves are
-// chained; a bulk-built tree lays leaves out at consecutive page ids so that
+// ordering the paper notes lets a DBMS avoid the Tuple ID Cache, and this
+// engine does: an index phase that ran before a switch (Switch Scan) or a
+// trigger (Smooth Scan's Mode 0) produced exactly the qualifying tuples that
+// sort below the IndexPosition where it stopped, so the phase after it
+// excludes by one comparison instead of a set of TIDs. Leaves are chained;
+// a bulk-built tree lays leaves out at consecutive page ids so that
 // a leaf-to-leaf traversal is a sequential access pattern, matching the
 // #leaves_res * seq_cost term of the paper's Eq. (11).
 //
@@ -44,6 +48,17 @@ struct IndexMeta {
 /// PrefetchHeapAhead): far enough to cover a memory miss behind one decode,
 /// near enough to stay within one leaf most of the time.
 inline constexpr uint32_t kHeapPrefetchDistance = 4;
+
+/// A position in the index's (key, Tid) order, compared key first. An entry
+/// lies below a position when it sorts strictly before it. The default lies
+/// below every entry, so it excludes nothing.
+struct IndexPosition {
+  int64_t key = std::numeric_limits<int64_t>::min();
+  Tid tid{0, 0};
+
+  friend auto operator<=>(const IndexPosition&,
+                          const IndexPosition&) = default;
+};
 
 /// Tuning knobs. Defaults follow the paper's cost model: fanout derived from
 /// the page size with 20% per-key pointer overhead (Eq. 5).
@@ -91,6 +106,9 @@ class BPlusTree {
     bool Valid() const { return leaf_ != kInvalidPageId; }
     int64_t key() const;
     Tid tid() const;
+    /// The current entry's position; past the last entry, a position above
+    /// every entry.
+    IndexPosition position() const;
     /// Advances to the next entry in (key, Tid) order.
     void Next();
     /// The Tid `ahead` entries past the current one, when it lies in the

@@ -43,71 +43,42 @@ void BufferPool::SetMirror(BufferPool* mirror) {
   mirror_ = mirror;
 }
 
-namespace {
-
-/// Home slot of `key` in a table of 2^(64 - shift) slots (Fibonacci hashing:
-/// the high bits of the product mix every key bit, so the page-strided keys
-/// of one shard spread evenly).
-size_t HomeSlot(uint64_t key, uint32_t shift) {
-  return shift >= 64 ? 0
-                     : static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                           shift);
-}
-
-}  // namespace
-
-uint32_t BufferPool::FindLocked(const Shard& shard, uint64_t key) {
-  if (shard.table.empty()) return kNil;
-  const size_t mask = shard.table.size() - 1;
-  for (size_t i = HomeSlot(key, shard.table_shift);; i = (i + 1) & mask) {
-    const Slot& slot = shard.table[i];
-    if (slot.frame == kNil || slot.key == key) return slot.frame;
-  }
+uint32_t BufferPool::FindLocked(const Shard& shard, uint64_t key) const {
+  const FileId file = FileOf(key);
+  if (file >= shard.table.size()) return kNil;
+  const std::vector<uint32_t>& pages = shard.table[file];
+  const size_t i = PageOf(key) / num_shards();
+  return i < pages.size() ? pages[i] : kNil;
 }
 
 void BufferPool::TableInsertLocked(Shard* shard, uint64_t key,
                                    uint32_t frame) {
-  if ((shard->resident + 1) * 2 > shard->table.size()) {
-    // Rehash into twice the slots (16 at first): the load stays <= 1/2.
-    std::vector<Slot> old = std::move(shard->table);
-    const size_t slots = std::max<size_t>(16, old.size() * 2);
-    shard->table.assign(slots, Slot{});
-    shard->table_shift = 64;
-    for (size_t n = slots; n > 1; n >>= 1) --shard->table_shift;
-    const size_t mask = slots - 1;
-    for (const Slot& slot : old) {
-      if (slot.frame == kNil) continue;
-      size_t i = HomeSlot(slot.key, shard->table_shift);
-      while (shard->table[i].frame != kNil) i = (i + 1) & mask;
-      shard->table[i] = slot;
+  const FileId file = FileOf(key);
+  const size_t i = PageOf(key) / num_shards();
+  if (file >= shard->table.size() || i >= shard->table[file].size()) {
+    // Size an array for every stored file at its current length: a file's
+    // pages reach the shards one at a time (an index walks its leaves in
+    // page order), and a shard reached late must not allocate mid-scan. So
+    // a shard allocates at its first insert and again only after some file
+    // grew or appeared. A page past its file's stored length (an era page
+    // not yet published) sizes that file's array to reach it.
+    const size_t stored = storage_->NumFiles();
+    const size_t files = std::max(stored, size_t{file} + 1);
+    if (shard->table.size() < files) shard->table.resize(files);
+    for (FileId f = 0; f < files; ++f) {
+      size_t length = f < stored ? storage_->NumPages(f) : 0;
+      if (f == file) length = std::max(length, size_t{PageOf(key)} + 1);
+      const size_t entries = (length + num_shards() - 1) / num_shards();
+      if (shard->table[f].size() < entries) {
+        shard->table[f].resize(entries, kNil);
+      }
     }
   }
-  const size_t mask = shard->table.size() - 1;
-  size_t i = HomeSlot(key, shard->table_shift);
-  while (shard->table[i].frame != kNil) i = (i + 1) & mask;
-  shard->table[i] = Slot{key, frame};
+  shard->table[file][i] = frame;
 }
 
 void BufferPool::TableEraseLocked(Shard* shard, uint64_t key) {
-  std::vector<Slot>& table = shard->table;
-  const size_t mask = table.size() - 1;
-  size_t hole = HomeSlot(key, shard->table_shift);
-  while (table[hole].key != key || table[hole].frame == kNil) {
-    SMOOTHSCAN_CHECK(table[hole].frame != kNil);
-    hole = (hole + 1) & mask;
-  }
-  // Backward-shift delete: pull each later entry of the probe run into the
-  // hole unless its home lies cyclically in (hole, j] — then it must stay.
-  for (size_t j = (hole + 1) & mask; table[j].frame != kNil;
-       j = (j + 1) & mask) {
-    const size_t home = HomeSlot(table[j].key, shard->table_shift);
-    const bool stays = hole <= j ? (hole < home && home <= j)
-                                 : (hole < home || home <= j);
-    if (stays) continue;
-    table[hole] = table[j];
-    hole = j;
-  }
-  table[hole].frame = kNil;
+  shard->table[FileOf(key)][PageOf(key) / num_shards()] = kNil;
 }
 
 void BufferPool::UnlinkLocked(Shard* shard, uint32_t frame) {
@@ -187,7 +158,7 @@ uint64_t BufferPool::InsertLocked(Shard* shard, uint64_t key,
   return write_back;
 }
 
-uint32_t BufferPool::PinLocked(Shard* shard, uint64_t key, bool* miss,
+uint32_t BufferPool::UseLocked(Shard* shard, uint64_t key, bool* miss,
                                uint64_t* evicted) {
   uint32_t frame = FindLocked(*shard, key);
   *miss = frame == kNil;
@@ -196,7 +167,6 @@ uint32_t BufferPool::PinLocked(Shard* shard, uint64_t key, bool* miss,
   } else {
     TouchLocked(shard, frame);
   }
-  ++shard->frames[frame].pins;
   return frame;
 }
 
@@ -215,7 +185,8 @@ uint32_t BufferPool::PinKey(uint64_t key) {
   {
     latch::LatchGuard lock(shard.mu);
     bool miss;
-    frame = PinLocked(&shard, key, &miss, &evicted);
+    frame = UseLocked(&shard, key, &miss, &evicted);
+    ++shard.frames[frame].pins;
   }
   ChargeWriteBack(evicted);
   return frame;
@@ -235,12 +206,8 @@ void BufferPool::TouchKey(uint64_t key) {
   uint64_t evicted = kNoWriteBack;
   {
     latch::LatchGuard lock(shard.mu);
-    uint32_t frame = FindLocked(shard, key);
-    if (frame != kNil) {
-      TouchLocked(&shard, frame);
-    } else {
-      evicted = InsertLocked(&shard, key, &frame);
-    }
+    bool miss;
+    UseLocked(&shard, key, &miss, &evicted);
   }
   ChargeWriteBack(evicted);
 }
@@ -291,17 +258,30 @@ PageGuard BufferPool::Fetch(FileId file, PageId page) {
   uint32_t frame;
   {
     latch::LatchGuard lock(shard.mu);
-    frame = PinLocked(&shard, key, &miss, &evicted);
-    if (miss) {
-      ++shard.stats.misses;
-    } else {
-      ++shard.stats.hits;
-    }
+    frame = UseLocked(&shard, key, &miss, &evicted);
+    ++shard.frames[frame].pins;
+    ++(miss ? shard.stats.misses : shard.stats.hits);
   }
   // Charge outside the shard latch; SimDisk serializes internally.
   ChargeWriteBack(evicted);
   if (miss) disk_->ReadPage(file, page);
   return MakeGuard(file, page, frame);
+}
+
+void BufferPool::Lookup(FileId file, PageId page) {
+  const uint64_t key = Key(file, page);
+  Shard& shard = ShardFor(key);
+  bool miss;
+  uint64_t evicted = kNoWriteBack;
+  {
+    latch::LatchGuard lock(shard.mu);
+    UseLocked(&shard, key, &miss, &evicted);
+    ++(miss ? shard.stats.misses : shard.stats.hits);
+  }
+  // The charges in Fetch's order, outside the shard latch.
+  ChargeWriteBack(evicted);
+  if (miss) disk_->ReadPage(file, page);
+  if (mirror_ != nullptr) mirror_->TouchKey(key);
 }
 
 PageGuard BufferPool::PinIfResident(FileId file, PageId page) {
@@ -326,7 +306,8 @@ PageGuard BufferPool::Pin(FileId file, PageId page) {
   {
     latch::LatchGuard lock(shard.mu);
     bool miss;
-    frame = PinLocked(&shard, key, &miss, &evicted);
+    frame = UseLocked(&shard, key, &miss, &evicted);
+    ++shard.frames[frame].pins;
   }
   ChargeWriteBack(evicted);
   return MakeGuard(file, page, frame);
@@ -376,13 +357,9 @@ void BufferPool::FetchExtent(FileId file, PageId first, uint32_t num_pages) {
     uint64_t evicted = kNoWriteBack;
     {
       latch::LatchGuard lock(shard.mu);
-      uint32_t frame = FindLocked(shard, key);
-      if (frame != kNil) {
-        TouchLocked(&shard, frame);
-      } else {
-        ++shard.stats.misses;
-        evicted = InsertLocked(&shard, key, &frame);
-      }
+      bool miss;
+      UseLocked(&shard, key, &miss, &evicted);
+      if (miss) ++shard.stats.misses;
     }
     ChargeWriteBack(evicted);
   }
@@ -400,13 +377,8 @@ void BufferPool::MarkDirty(FileId file, PageId page) {
   uint64_t evicted = kNoWriteBack;
   {
     latch::LatchGuard lock(shard.mu);
-    uint32_t frame = FindLocked(shard, key);
-    if (frame != kNil) {
-      TouchLocked(&shard, frame);
-    } else {
-      evicted = InsertLocked(&shard, key, &frame);
-    }
-    shard.frames[frame].dirty = true;
+    bool miss;
+    shard.frames[UseLocked(&shard, key, &miss, &evicted)].dirty = true;
   }
   ChargeWriteBack(evicted);
 }

@@ -13,15 +13,27 @@
 //
 // Layout: a shard keeps its resident pages in a frame array. The frames form
 // an intrusive doubly linked LRU list through uint32_t indices (no node per
-// page), and an open-addressing page table (linear probing, backward-shift
-// delete) maps a (file, page) key to its frame. A dropped page's frame
-// (evicted, flushed or invalidated) goes on a free-frame list, which the next
-// insert takes from before it grows the array. The array grows on demand up
-// to the shard's capacity share (further only while every frame is pinned),
-// so a pool that touches few pages allocates few frames, and a full pool
+// page), and a direct page table maps a page to its frame: one array per
+// file, indexed by the page's position among the shard's pages (a shard
+// holds every num_shards()-th page), so a find, insert or erase is one
+// indexed load or store. At its first insert a shard sizes an array for
+// every file the StorageManager holds, from StorageManager::NumPages; it
+// sizes again only when an insert falls past its file's array (the file
+// grew, or is new). A dropped page's frame (evicted, flushed or
+// invalidated) goes on a free-frame list, which the next insert takes from
+// before it grows the frame array. The frame array grows on demand up to
+// the shard's capacity share (further only while every frame is pinned), so
+// a pool that touches few pages allocates few frames, and a full pool
 // fetches, evicts and pins without touching the heap. A pinned frame never
 // moves or changes index, so a PageGuard records its frame index (and the
 // mirror's) and releases its pin without a table look-up.
+//
+// Look-ups: a reader that decodes one tuple and lets go of the page at once
+// (HeapFile::ReadInto, index node accesses) calls Lookup instead of Fetch.
+// It does what Fetch and an immediate release do to the counts, the LRU
+// order, the charges and the mirror, but takes no pin, so it costs one shard
+// latch here and one in the mirror. The reader then reads the page from the
+// StorageManager, whose pages do not change under the table's read lease.
 //
 // BufferPoolStats is the one copy of the pool's counts: the pool's owner
 // adds them to the registry through AddPoolStats once they settle.
@@ -136,6 +148,12 @@ class BufferPool {
   /// Returns a pinned guard of `page` of `file`, charging the disk on a miss.
   PageGuard Fetch(FileId file, PageId page);
 
+  /// Accounts one look-up of `page` of `file` exactly as Fetch followed by
+  /// an immediate release would: a hit or a miss, the page made most
+  /// recently used, a miss's read and a dirty victim's write-back charged,
+  /// and the page inserted or touched in the mirror. Takes no pin.
+  void Lookup(FileId file, PageId page);
+
   /// Returns a pinned guard without any I/O charge or hit/miss accounting:
   /// the caller already charged the access through its own stream (morsel
   /// execution), or the access is free by design. Inserts the page if absent.
@@ -199,14 +217,14 @@ class BufferPool {
 
   /// Mirrors this pool's residency and pins into `mirror` (typically the
   /// engine's shared pool): every page this pool fetches or pins is also
-  /// pinned in the mirror for the guard's lifetime, and extent prefetches
-  /// touch the mirror's LRU — with no I/O charge or hit/miss accounting
-  /// there. This is how the multi-query engine splits the two planes: a
-  /// query's *cost* flows through its private stack (bit-identical to a solo
-  /// run), while its *memory residency* lands in the one shared pool, where
-  /// concurrent queries genuinely contend on shard latches, LRU state and pin
-  /// counts. Must be set before the first fetch; pass null to detach. The
-  /// mirror itself must not have a mirror.
+  /// pinned in the mirror for the guard's lifetime, and look-ups and extent
+  /// prefetches touch the mirror's LRU — with no I/O charge or hit/miss
+  /// accounting there. This is how the multi-query engine splits the two
+  /// planes: a query's *cost* flows through its private stack (bit-identical
+  /// to a solo run), while its *memory residency* lands in the one shared
+  /// pool, where concurrent queries genuinely contend on shard latches, LRU
+  /// state and pin counts. Must be set before the first fetch; pass null to
+  /// detach. The mirror itself must not have a mirror.
   ///
   /// Write-I/O audit: mirror-side frames are always inserted *clean* and
   /// MarkDirty never forwards to the mirror, so a mirrored fetch (or pin) of
@@ -230,7 +248,7 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  /// "No frame": an empty page-table slot, or either end of the LRU list.
+  /// "No frame": an empty page-table entry, or either end of the LRU list.
   static constexpr uint32_t kNil = ~0u;
 
   /// One resident page. `prev`/`next` link the shard's LRU list (prev is
@@ -242,12 +260,6 @@ class BufferPool {
     uint32_t pins = 0;
     bool dirty = false;  ///< Content newer than "disk"; write back to drop.
   };
-  /// Page-table slot: the key is kept beside the frame index so a probe
-  /// compares keys without touching the frame array.
-  struct Slot {
-    uint64_t key = 0;
-    uint32_t frame = kNil;
-  };
   struct Shard {
     mutable latch::Latch mu{latch::LatchRank::kPoolShard,
                             "BufferPool::Shard::mu"};
@@ -256,12 +268,11 @@ class BufferPool {
     size_t capacity = 0;
     std::vector<Frame> frames GUARDED_BY(mu);
     std::vector<uint32_t> free_frames GUARDED_BY(mu);
-    /// Open-addressing page table, a power of two long (or empty), kept at
-    /// most half full.
-    std::vector<Slot> table GUARDED_BY(mu);
-    uint32_t table_shift GUARDED_BY(mu) = 64;  ///< 64 - log2(table.size()).
-    uint32_t head GUARDED_BY(mu) = kNil;       ///< Most recently used.
-    uint32_t tail GUARDED_BY(mu) = kNil;       ///< Least recently used.
+    /// Direct page table: table[file][page / num_shards()] is the frame
+    /// holding that page, or kNil (see file comment).
+    std::vector<std::vector<uint32_t>> table GUARDED_BY(mu);
+    uint32_t head GUARDED_BY(mu) = kNil;  ///< Most recently used.
+    uint32_t tail GUARDED_BY(mu) = kNil;  ///< Least recently used.
     size_t resident GUARDED_BY(mu) = 0;
     BufferPoolStats stats GUARDED_BY(mu);
   };
@@ -275,29 +286,30 @@ class BufferPool {
 
   Shard& ShardFor(uint64_t key) {
     // Consecutive pages round-robin across shards so sequential scans spread.
-    return *shards_[PageOf(key) % shards_.size()];
+    return *shards_[PageOf(key) % num_shards()];
   }
   const Shard& ShardFor(uint64_t key) const {
-    return *shards_[PageOf(key) % shards_.size()];
+    return *shards_[PageOf(key) % num_shards()];
   }
 
   /// Sentinel return of InsertLocked: no dirty page was evicted.
   static constexpr uint64_t kNoWriteBack = ~0ull;
 
   /// The frame holding `key`, or kNil.
-  static uint32_t FindLocked(const Shard& shard, uint64_t key)
+  uint32_t FindLocked(const Shard& shard, uint64_t key) const
       REQUIRES(shard.mu);
-  /// Page-table maintenance; TableInsertLocked grows the table as needed.
-  static void TableInsertLocked(Shard* shard, uint64_t key, uint32_t frame)
+  /// Page-table maintenance; TableInsertLocked sizes the arrays from the
+  /// storage manager when the page's array does not reach it yet.
+  void TableInsertLocked(Shard* shard, uint64_t key, uint32_t frame)
       REQUIRES(shard->mu);
-  static void TableEraseLocked(Shard* shard, uint64_t key) REQUIRES(shard->mu);
+  void TableEraseLocked(Shard* shard, uint64_t key) REQUIRES(shard->mu);
   /// LRU list maintenance.
   static void UnlinkLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
   static void PushFrontLocked(Shard* shard, uint32_t frame)
       REQUIRES(shard->mu);
   static void TouchLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
   /// Unlinks `frame` from the list and the table and frees it.
-  static void DropLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
+  void DropLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
 
   /// Inserts `key` as most-recently-used in its shard (which must be locked),
   /// evicting the least recently used *unpinned* page if the shard is full,
@@ -313,9 +325,9 @@ class BufferPool {
       disk_->WritePage(FileOf(evicted), PageOf(evicted));
     }
   }
-  /// Finds or inserts `key`, marks it most recently used and takes a pin on
-  /// it (no accounting); returns its frame. `*miss` reports an insert.
-  uint32_t PinLocked(Shard* shard, uint64_t key, bool* miss,
+  /// Finds or inserts `key` and marks it most recently used (no pin, no
+  /// accounting); returns its frame. `*miss` reports an insert.
+  uint32_t UseLocked(Shard* shard, uint64_t key, bool* miss,
                      uint64_t* evicted) REQUIRES(shard->mu);
   /// Wraps a pinned local frame in a guard, pinning the mirror alongside.
   PageGuard MakeGuard(FileId file, PageId page, uint32_t frame);

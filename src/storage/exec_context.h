@@ -59,9 +59,11 @@ inline ExecContext EngineContext(Engine* engine) {
 ///     The parallel scan merges its stacks into its own context in morsel
 ///     order, which keeps the accumulated doubles bit-identical across
 ///     degrees of parallelism.
-/// When `mirror` is given (the engine's shared pool) every fetch additionally
-/// pins its page there — see BufferPool::SetMirror — so concurrent streams
-/// contend for the one real pool without perturbing each other's accounting.
+/// When `mirror` is given (the engine's shared pool) every access also lands
+/// there — a fetch or pin pins its page for the guard's lifetime, a look-up
+/// or extent read touches it with no pin; see BufferPool::SetMirror — so
+/// concurrent streams contend for the one real pool without perturbing each
+/// other's accounting.
 /// The stack's pool has the engine's capacity but grows its frames lazily,
 /// one per page it actually holds: a morsel stack that touches 128 pages
 /// allocates 128 frames, not a capacity's worth.

@@ -24,8 +24,8 @@ Result<Tid> HeapFile::Append(const Tuple& tuple) {
 }
 
 void HeapFile::ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const {
-  const PageGuard page = ctx.pool->Fetch(file_id_, tid.page_id);
-  DecodeInto(*page, tid.slot, out);
+  ctx.pool->Lookup(file_id_, tid.page_id);
+  DecodeInto(engine_->storage().GetPage(file_id_, tid.page_id), tid.slot, out);
 }
 
 Tuple HeapFile::Read(Tid tid) const {

@@ -30,13 +30,15 @@ class HeapFile {
   Result<Tid> Append(const Tuple& tuple);
 
   /// Decodes the tuple at `tid` into `out`, reusing its storage (a warm
-  /// batch slot), through `ctx`'s buffer pool (I/O-accounted). The per-row
-  /// look-up of every operator.
+  /// batch slot). The per-row look-up of every operator: one
+  /// BufferPool::Lookup on `ctx`'s pool (I/O-accounted, no pin), then a
+  /// decode straight from the storage manager, whose pages do not change
+  /// under the table's read lease.
   void ReadInto(Tid tid, const ExecContext& ctx, Tuple* out) const;
 
   /// Decodes live `slot` of `page`, one of this file's pages the caller has
-  /// already fetched and still pins, into `out` (a page-run reader decodes
-  /// every look-up on one page under one fetch).
+  /// already accounted for, into `out` (ReadInto after its look-up; a
+  /// page-run reader decodes every look-up on one page under one fetch).
   void DecodeInto(const Page& page, SlotId slot, Tuple* out) const {
     uint32_t size = 0;
     const uint8_t* data = page.GetTuple(slot, &size);

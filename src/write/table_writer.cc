@@ -144,7 +144,7 @@ Result<Tid> TableWriter::DoInsert(const Tuple& tuple, const ExecContext& ctx) {
     ++stats_.pages_appended;
   } else if (pid < base_pages) {
     // Re-using an existing page: the frame is read before being modified.
-    ctx.pool->Fetch(file_, pid).Release();
+    ctx.pool->Lookup(file_, pid);
     ++stats_.recycled_inserts;
   }
   Page* page = registry_->PageForWrite(file_, pid);

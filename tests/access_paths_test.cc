@@ -301,10 +301,10 @@ TEST_F(AccessPathTest, SwitchScanSwitchesAboveEstimate) {
   EXPECT_EQ(got, Oracle(pred));  // No duplicates, no losses across the seam.
 }
 
-// The Tuple ID Cache across the seam: switching before the first result
+// The stop position across the seam: switching before the first result
 // (estimate 0), after a few, and never (the exact estimate) all produce the
-// oracle multiset. A closed scan drops its cache, and a reopened one starts
-// from an empty cache.
+// oracle multiset. A reopened scan starts from the default position, which
+// excludes nothing, and only a switch moves it.
 TEST_F(AccessPathTest, SwitchScanSeamAtEveryEstimateMatchesOracle) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.02);
   const std::multiset<int64_t> oracle = Oracle(pred);
@@ -316,7 +316,7 @@ TEST_F(AccessPathTest, SwitchScanSeamAtEveryEstimateMatchesOracle) {
     for (int run = 0; run < 2; ++run) {
       EXPECT_EQ(Collect(&scan), oracle) << "estimate " << estimate;
       EXPECT_EQ(scan.switched(), estimate < oracle.size());
-      EXPECT_EQ(scan.produced().size(), 0u);  // Released on Close.
+      EXPECT_EQ(scan.stop() == IndexPosition(), !scan.switched());
     }
   }
 }

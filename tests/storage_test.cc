@@ -460,6 +460,11 @@ class RefPool {
     TakePin(key);
     if (mirror_ != nullptr) mirror_->TakePin(key);
   }
+  /// A look-up is a Fetch and an immediate release.
+  void Lookup(uint64_t key) {
+    Fetch(key);
+    Unpin(key);
+  }
   bool PinIfResident(uint64_t key) {
     Shard& s = ShardFor(key);
     auto it = s.map.find(key);
@@ -661,21 +666,32 @@ class RefPool {
 /// reference model. Returns "" when they agree at every step, else a
 /// one-line repro naming the seed, configuration, step and mismatch.
 /// `*overflowed` reports whether the pool ever held more pages than its
-/// capacity (every frame pinned).
-std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
+/// capacity (every frame pinned). An `extended` run also draws Lookup, grows
+/// files mid-run through AppendPage (marking the page about to be appended
+/// dirty first, as a writer publishing an era page would), and spreads each
+/// pool over 1, 3, 5 or 8 shards; the other runs draw exactly the sequence
+/// they always did.
+std::string RunPoolDifferential(uint64_t seed, bool extended,
+                                bool* overflowed) {
   Rng rng(seed);
   constexpr FileId kFiles = 3;
   constexpr PageId kPages = 12;
+  constexpr PageId kMaxPages = 40;  // Growth cap of an extended run's files.
   StorageManager storage(8192);
   for (FileId f = 0; f < kFiles; ++f) {
     const FileId id = storage.CreateFile("f" + std::to_string(f));
     for (PageId p = 0; p < kPages; ++p) storage.AppendPage(id);
   }
+  auto draw_shards = [&]() -> uint32_t {
+    if (!extended) return rng.Bernoulli(0.5) ? 1 : 8;
+    constexpr uint32_t kShards[] = {1, 3, 5, 8};
+    return kShards[rng.UniformInt(0, 3)];
+  };
   const size_t capacity = static_cast<size_t>(rng.UniformInt(1, 9));
-  const uint32_t shards = rng.Bernoulli(0.5) ? 1 : 8;
+  const uint32_t shards = draw_shards();
   const bool mirrored = seed % 2 == 1;
   const size_t mirror_capacity = static_cast<size_t>(rng.UniformInt(1, 9));
-  const uint32_t mirror_shards = rng.Bernoulli(0.5) ? 1 : 8;
+  const uint32_t mirror_shards = draw_shards();
   // Pin-heavy runs hold many guards and rarely release them, so every frame
   // ends up pinned and the shard overflows its capacity ("pins win").
   const bool pin_heavy = seed % 3 == 0;
@@ -704,7 +720,8 @@ std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
   config << "seed=" << seed << " capacity=" << capacity << " shards=" << shards
          << " mirror=" << (mirrored ? 1 : 0) << " mirror_capacity="
          << mirror_capacity << " mirror_shards=" << mirror_shards
-         << " pin_heavy=" << (pin_heavy ? 1 : 0);
+         << " pin_heavy=" << (pin_heavy ? 1 : 0)
+         << " extended=" << (extended ? 1 : 0);
 
   auto same_stats = [](const BufferPoolStats& a, const BufferPoolStats& b) {
     return a.hits == b.hits && a.misses == b.misses &&
@@ -747,7 +764,8 @@ std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
   constexpr int kSteps = 400;
   for (int step = 0; step < kSteps; ++step) {
     const FileId file = static_cast<FileId>(rng.UniformInt(0, kFiles - 1));
-    const PageId page = static_cast<PageId>(rng.UniformInt(0, kPages - 1));
+    const PageId pages = static_cast<PageId>(storage.NumPages(file));
+    const PageId page = static_cast<PageId>(rng.UniformInt(0, pages - 1));
     const uint64_t key = RefPool::Key(file, page);
     // Unmirrored runs still drive the second pool on its own, so dirty
     // eviction write-backs show up on both shapes.
@@ -756,7 +774,7 @@ std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
     RefPool& model = on_mirror ? ref_mirror : ref;
     std::ostringstream op;
     std::string mismatch;
-    const int64_t kind = rng.UniformInt(0, 9);
+    const int64_t kind = rng.UniformInt(0, extended ? 11 : 9);
     const double keep = pin_heavy ? 0.9 : 0.4;
     switch (kind) {
       case 0:
@@ -799,7 +817,7 @@ std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
       }
       case 4: {
         const uint32_t n =
-            static_cast<uint32_t>(rng.UniformInt(0, kPages - page));
+            static_cast<uint32_t>(rng.UniformInt(0, pages - page));
         op << "FetchExtent(" << file << "," << page << "," << n << ")";
         target.FetchExtent(file, page, n);
         model.FetchExtent(file, page, n);
@@ -842,6 +860,25 @@ std::string RunPoolDifferential(uint64_t seed, bool* overflowed) {
         }
         break;
       }
+      case 10:
+        op << "Lookup(" << file << "," << page << ")";
+        target.Lookup(file, page);
+        model.Lookup(key);
+        break;
+      case 11: {
+        if (pages >= kMaxPages) break;
+        // The page about to be appended, dirty in the pool before the file
+        // holds it; then the file grows and a look-up reaches the new page.
+        const uint64_t next = RefPool::Key(file, pages);
+        op << "MarkDirty(" << file << "," << pages << ")+AppendPage+Lookup";
+        target.MarkDirty(file, pages);
+        model.MarkDirty(next);
+        storage.AppendPage(file);
+        target.Lookup(file, pages);
+        model.Lookup(next);
+        touched.insert(next);
+        break;
+      }
       default: {
         op << "Release";
         if (held.empty() || rng.Bernoulli(pin_heavy ? 0.8 : 0.0)) break;
@@ -880,12 +917,21 @@ TEST(BufferPoolDifferentialTest, MatchesReferenceLruOverSeededRuns) {
   int overflow_runs = 0;
   for (uint64_t seed = 1; seed <= 400; ++seed) {
     bool overflowed = false;
-    const std::string failure = RunPoolDifferential(seed, &overflowed);
+    const std::string failure =
+        RunPoolDifferential(seed, /*extended=*/false, &overflowed);
     ASSERT_EQ(failure, "");
     overflow_runs += overflowed;
   }
   // The pin-heavy seeds really drove shards past capacity.
   EXPECT_GT(overflow_runs, 20);
+  // Look-ups, files that grow mid-run and shard counts that are not a power
+  // of two.
+  for (uint64_t seed = 401; seed <= 800; ++seed) {
+    bool overflowed = false;
+    const std::string failure =
+        RunPoolDifferential(seed, /*extended=*/true, &overflowed);
+    ASSERT_EQ(failure, "");
+  }
 }
 
 // ---------- HeapFile ----------
