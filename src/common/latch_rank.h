@@ -7,8 +7,8 @@
 // every latch it already holds, so the documented layering
 //
 //   engine → registry eras → coordinator/shared group → compressed map →
-//   parallel scan → scheduler → pool shard → storage catalog → disk →
-//   batch pool → broker
+//   parallel scan → scheduler → pool shard → pool page maps →
+//   storage catalog → disk → batch pool → broker
 //
 // is checked on every acquisition. A rank inversion — the deadlock shape
 // TSan only reports when the schedule cooperates — aborts deterministically
@@ -79,6 +79,9 @@ enum class LatchRank : int {
                         ///< anything else.
   kDisk = 200,       ///< SimDisk::mu_ (one per logical access stream).
   kStorage = 250,    ///< StorageManager::mu_ (catalog/extent mutation).
+  kPoolMaps = 290,   ///< BufferPool::maps_mu_ (page-map ranges). Taken
+                     ///< under a shard latch when an insert falls outside
+                     ///< its array; nothing is acquired under it.
   kPoolShard = 300,  ///< BufferPool Shard::mu. Misses append pages and
                      ///< charge the disk under the shard latch on the cold
                      ///< path; shards of one pool never nest (the mirror

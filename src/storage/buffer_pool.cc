@@ -29,8 +29,10 @@ BufferPool::BufferPool(StorageManager* storage, SimDisk* disk,
   const size_t shards =
       std::min<size_t>(num_shards, std::max<size_t>(1, capacity_pages));
   shards_.reserve(shards);
+  spare_tables_.resize(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->index = i;
     // Distribute the capacity; earlier shards take the remainder.
     shards_.back()->capacity = capacity_pages / shards +
                                (i < capacity_pages % shards ? 1 : 0);
@@ -46,39 +48,65 @@ void BufferPool::SetMirror(BufferPool* mirror) {
 uint32_t BufferPool::FindLocked(const Shard& shard, uint64_t key) const {
   const FileId file = FileOf(key);
   if (file >= shard.table.size()) return kNil;
-  const std::vector<uint32_t>& pages = shard.table[file];
-  const size_t i = PageOf(key) / num_shards();
-  return i < pages.size() ? pages[i] : kNil;
+  const PageMap& map = shard.table[file];
+  // Below base, i wraps past any array length.
+  const size_t i = size_t{PageOf(key) / num_shards()} - map.base;
+  return i < map.frames.size() ? map.frames[i] : kNil;
 }
 
 void BufferPool::TableInsertLocked(Shard* shard, uint64_t key,
                                    uint32_t frame) {
   const FileId file = FileOf(key);
-  const size_t i = PageOf(key) / num_shards();
-  if (file >= shard->table.size() || i >= shard->table[file].size()) {
-    // Size an array for every stored file at its current length: a file's
-    // pages reach the shards one at a time (an index walks its leaves in
-    // page order), and a shard reached late must not allocate mid-scan. So
-    // a shard allocates at its first insert and again only after some file
-    // grew or appeared. A page past its file's stored length (an era page
-    // not yet published) sizes that file's array to reach it.
-    const size_t stored = storage_->NumFiles();
-    const size_t files = std::max(stored, size_t{file} + 1);
-    if (shard->table.size() < files) shard->table.resize(files);
-    for (FileId f = 0; f < files; ++f) {
-      size_t length = f < stored ? storage_->NumPages(f) : 0;
-      if (f == file) length = std::max(length, size_t{PageOf(key)} + 1);
-      const size_t entries = (length + num_shards() - 1) / num_shards();
-      if (shard->table[f].size() < entries) {
-        shard->table[f].resize(entries, kNil);
-      }
-    }
+  const size_t pos = PageOf(key) / num_shards();
+  if (file >= shard->table.size() ||
+      pos - shard->table[file].base >= shard->table[file].frames.size()) {
+    CoverLocked(shard, file, pos);
   }
-  shard->table[file][i] = frame;
+  PageMap& map = shard->table[file];
+  map.frames[pos - map.base] = frame;
 }
 
-void BufferPool::TableEraseLocked(Shard* shard, uint64_t key) {
-  shard->table[FileOf(key)][PageOf(key) / num_shards()] = kNil;
+void BufferPool::CoverLocked(Shard* shard, FileId file, size_t pos) {
+  latch::LatchGuard lock(maps_mu_);
+  if (file >= spans_.size()) {
+    spans_.resize(size_t{file} + 1);
+    for (std::vector<PageMap>& table : spare_tables_) {
+      table = std::vector<PageMap>(spans_.size());
+    }
+  }
+  FileSpan& span = spans_[file];
+  const size_t length = span.hi - span.lo;
+  if (pos - span.lo >= length) {
+    // At least double the range toward the page; arrays for every shard.
+    if (length == 0) {
+      span.lo = pos;
+      span.hi = pos + kMinMapSpan;
+    } else if (pos < span.lo) {
+      span.lo = std::min(pos, span.lo - std::min(span.lo, length));
+    } else {
+      span.hi = std::max(pos + 1, span.hi + length);
+    }
+    span.spare.resize(shards_.size());
+    for (std::vector<uint32_t>& frames : span.spare) {
+      frames.assign(span.hi - span.lo, kNil);
+    }
+  }
+  // Install this shard's arrays, moving its entries across.
+  if (file >= shard->table.size()) {
+    std::vector<PageMap>& table = spare_tables_[shard->index];
+    std::move(shard->table.begin(), shard->table.end(), table.begin());
+    shard->table.swap(table);
+    table = {};
+  }
+  PageMap& map = shard->table[file];
+  std::vector<uint32_t>& frames = span.spare[shard->index];
+  if (!map.frames.empty()) {
+    std::copy(map.frames.begin(), map.frames.end(),
+              frames.begin() + (map.base - span.lo));
+  }
+  map.frames.swap(frames);
+  map.base = span.lo;
+  frames = {};
 }
 
 void BufferPool::UnlinkLocked(Shard* shard, uint32_t frame) {
@@ -117,7 +145,9 @@ void BufferPool::TouchLocked(Shard* shard, uint32_t frame) {
 
 void BufferPool::DropLocked(Shard* shard, uint32_t frame) {
   UnlinkLocked(shard, frame);
-  TableEraseLocked(shard, shard->frames[frame].key);
+  const uint64_t key = shard->frames[frame].key;
+  PageMap& map = shard->table[FileOf(key)];
+  map.frames[PageOf(key) / num_shards() - map.base] = kNil;
   shard->free_frames.push_back(frame);
   --shard->resident;
 }

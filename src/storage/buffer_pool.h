@@ -11,22 +11,24 @@
 // while other threads churn the pool. Construct with `num_shards = 1` to pin
 // the exact global-LRU eviction order (tests; morsel-local pools).
 //
-// Layout: a shard keeps its resident pages in a frame array. The frames form
-// an intrusive doubly linked LRU list through uint32_t indices (no node per
-// page), and a direct page table maps a page to its frame: one array per
-// file, indexed by the page's position among the shard's pages (a shard
-// holds every num_shards()-th page), so a find, insert or erase is one
-// indexed load or store. At its first insert a shard sizes an array for
-// every file the StorageManager holds, from StorageManager::NumPages; it
-// sizes again only when an insert falls past its file's array (the file
-// grew, or is new). A dropped page's frame (evicted, flushed or
-// invalidated) goes on a free-frame list, which the next insert takes from
-// before it grows the frame array. The frame array grows on demand up to
-// the shard's capacity share (further only while every frame is pinned), so
-// a pool that touches few pages allocates few frames, and a full pool
-// fetches, evicts and pins without touching the heap. A pinned frame never
-// moves or changes index, so a PageGuard records its frame index (and the
-// mirror's) and releases its pin without a table look-up.
+// Layout: a shard keeps its resident pages in a frame array, linked into an
+// intrusive doubly linked LRU list through uint32_t indices. A direct page
+// table maps a page to its frame: per file, an array indexed by the page's
+// position among the shard's pages (page / num_shards()) less a base, so a
+// find, insert or erase is one indexed load or store. A file's arrays cover
+// the positions the pool has touched, the same range in every shard: 64 at
+// the first insert, then at least doubled toward any page outside. The
+// shard that extends a range makes every shard's array for it under the
+// pool's page-map latch, and each other shard installs its own at its next
+// insert outside its old one. So page-table memory follows the pages a pool
+// touches, a shard that reaches a file late does not allocate, and the pool
+// never reads file lengths, which a publish to another table may be
+// changing. A dropped page's frame goes on a free-frame list, which the next
+// insert takes from before it grows the frame array. The frame array grows
+// on demand up to the shard's capacity share (further only while every
+// frame is pinned), so a full pool fetches, evicts and pins without touching
+// the heap. A pinned frame never moves, so a PageGuard records its frame
+// index (and the mirror's) and releases its pin without a table look-up.
 //
 // Look-ups: a reader that decodes one tuple and lets go of the page at once
 // (HeapFile::ReadInto, index node accesses) calls Lookup instead of Fetch.
@@ -260,17 +262,32 @@ class BufferPool {
     uint32_t pins = 0;
     bool dirty = false;  ///< Content newer than "disk"; write back to drop.
   };
+  /// A shard's page table for one file: frames[i] holds the shard's page at
+  /// position base + i, or kNil.
+  struct PageMap {
+    size_t base = 0;
+    std::vector<uint32_t> frames;
+  };
+  /// The positions [lo, hi) every shard's array for one file covers, and
+  /// the arrays for it that shards have not installed yet.
+  struct FileSpan {
+    size_t lo = 0;
+    size_t hi = 0;
+    std::vector<std::vector<uint32_t>> spare;  ///< One per shard.
+  };
+  /// Positions a file's range covers when the pool first inserts its page.
+  static constexpr size_t kMinMapSpan = 64;
   struct Shard {
     mutable latch::Latch mu{latch::LatchRank::kPoolShard,
                             "BufferPool::Shard::mu"};
     /// Set once at pool construction, before the pool is shared; read-only
     /// afterwards, hence not guarded.
+    size_t index = 0;
     size_t capacity = 0;
     std::vector<Frame> frames GUARDED_BY(mu);
     std::vector<uint32_t> free_frames GUARDED_BY(mu);
-    /// Direct page table: table[file][page / num_shards()] is the frame
-    /// holding that page, or kNil (see file comment).
-    std::vector<std::vector<uint32_t>> table GUARDED_BY(mu);
+    /// Direct page table, one map per file id (see file comment).
+    std::vector<PageMap> table GUARDED_BY(mu);
     uint32_t head GUARDED_BY(mu) = kNil;  ///< Most recently used.
     uint32_t tail GUARDED_BY(mu) = kNil;  ///< Least recently used.
     size_t resident GUARDED_BY(mu) = 0;
@@ -298,11 +315,13 @@ class BufferPool {
   /// The frame holding `key`, or kNil.
   uint32_t FindLocked(const Shard& shard, uint64_t key) const
       REQUIRES(shard.mu);
-  /// Page-table maintenance; TableInsertLocked sizes the arrays from the
-  /// storage manager when the page's array does not reach it yet.
+  /// Records `frame` as the page's in the shard's page table.
   void TableInsertLocked(Shard* shard, uint64_t key, uint32_t frame)
       REQUIRES(shard->mu);
-  void TableEraseLocked(Shard* shard, uint64_t key) REQUIRES(shard->mu);
+  /// Makes `shard`'s array for `file` reach position `pos`, extending the
+  /// file's range first if it does not (see file comment).
+  void CoverLocked(Shard* shard, FileId file, size_t pos) REQUIRES(shard->mu)
+      EXCLUDES(maps_mu_);
   /// LRU list maintenance.
   static void UnlinkLocked(Shard* shard, uint32_t frame) REQUIRES(shard->mu);
   static void PushFrontLocked(Shard* shard, uint32_t frame)
@@ -346,6 +365,13 @@ class BufferPool {
   size_t capacity_;
   BufferPool* mirror_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Taken under a shard latch when an insert falls outside its array.
+  mutable latch::Latch maps_mu_{latch::LatchRank::kPoolMaps,
+                                "BufferPool::maps_mu_"};
+  std::vector<FileSpan> spans_ GUARDED_BY(maps_mu_);  ///< Per file id.
+  /// Per shard: a table as long as spans_, for a shard whose table is
+  /// shorter to install.
+  std::vector<std::vector<PageMap>> spare_tables_ GUARDED_BY(maps_mu_);
 };
 
 }  // namespace smoothscan

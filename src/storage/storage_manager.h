@@ -59,8 +59,6 @@ class StorageManager {
   const Page& GetPage(FileId file, PageId page) const;
 
   size_t NumPages(FileId file) const;
-  /// Files created so far; their ids are 0 .. NumFiles() - 1.
-  size_t NumFiles() const { return files_.size(); }
   const std::string& FileName(FileId file) const;
   uint32_t page_size() const { return page_size_; }
 

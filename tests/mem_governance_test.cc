@@ -254,8 +254,9 @@ uint64_t CountSteadyBatches(AccessPath* path, AccountingStack* stack, int warm,
 // The per-row look-up accounts a page in the query's private pool and in
 // the engine pool it mirrors into, with no pin. Once both pools are full, a
 // serial Index Scan's batches allocate nothing: a miss reuses the evicted
-// page's frame and the page tables were sized at each shard's first insert. Measured: 0 allocations
-// for 12,948 rows.
+// page's frame, and a shard that reaches the index file late installs the
+// page-map array the pool made for it. Measured: 0 allocations for 12,948
+// rows.
 TEST_F(AllocationRegression, IndexScanLookupsThroughFullPoolsAllocateNothing) {
   SmallPoolDb small;
   const ScanPredicate pred = small.db->PredicateForSelectivity(0.5);

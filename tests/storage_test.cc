@@ -670,13 +670,14 @@ class RefPool {
 /// files mid-run through AppendPage (marking the page about to be appended
 /// dirty first, as a writer publishing an era page would), and spreads each
 /// pool over 1, 3, 5 or 8 shards; the other runs draw exactly the sequence
-/// they always did.
+/// they always did. Files start with `file_pages` pages: wide files make the
+/// page maps extend their ranges up and down many times.
 std::string RunPoolDifferential(uint64_t seed, bool extended,
-                                bool* overflowed) {
+                                bool* overflowed, PageId file_pages = 12) {
   Rng rng(seed);
   constexpr FileId kFiles = 3;
-  constexpr PageId kPages = 12;
-  constexpr PageId kMaxPages = 40;  // Growth cap of an extended run's files.
+  const PageId kPages = file_pages;
+  const PageId kMaxPages = kPages + 28;  // Growth cap of extended runs.
   StorageManager storage(8192);
   for (FileId f = 0; f < kFiles; ++f) {
     const FileId id = storage.CreateFile("f" + std::to_string(f));
@@ -930,6 +931,14 @@ TEST(BufferPoolDifferentialTest, MatchesReferenceLruOverSeededRuns) {
     bool overflowed = false;
     const std::string failure =
         RunPoolDifferential(seed, /*extended=*/true, &overflowed);
+    ASSERT_EQ(failure, "");
+  }
+  // Files of 600 pages, whose page maps extend their ranges in both
+  // directions at every shard count.
+  for (uint64_t seed = 801; seed <= 900; ++seed) {
+    bool overflowed = false;
+    const std::string failure = RunPoolDifferential(
+        seed, /*extended=*/true, &overflowed, /*file_pages=*/600);
     ASSERT_EQ(failure, "");
   }
 }

@@ -689,5 +689,71 @@ TEST(WriteConcurrencyTest, ScannersRaceWritersSafely) {
   db.index().CheckInvariants();
 }
 
+// A publish appends pages to one table while queries on another table run
+// with fresh mirrored pools, whose shards make their first inserts as the
+// queries go. A pool sizes its page maps from the pages it touches and
+// never reads another table's file length, so there is nothing here for a
+// publish to race with.
+TEST(WriteConcurrencyTest, PublishRacesFirstInsertsOnAnotherTable) {
+  EngineOptions eo;
+  eo.buffer_pool_pages = 256;
+  Engine engine(eo);
+  MicroBenchSpec written_spec;
+  written_spec.num_tuples = 4000;
+  MicroBenchDb written(&engine, written_spec);
+  SkewedBenchSpec read_spec;
+  read_spec.num_tuples = 6000;
+  read_spec.dense_prefix = 300;
+  MicroBenchDb read(&engine, read_spec);
+  TableVersionRegistry registry(&engine);
+  TableWriter writer(written.mutable_heap(),
+                     std::vector<BPlusTree*>{written.mutable_index()},
+                     &registry);
+  QueryEngineOptions qeo;
+  qeo.max_admitted = 4;
+  qeo.versions = &registry;
+  QueryEngine qe(&engine, qeo);
+
+  const uint64_t written_pages = written.heap().num_pages();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(&qe);
+      constexpr PathKind kKinds[] = {PathKind::kIndexScan,
+                                     PathKind::kSwitchScan,
+                                     PathKind::kSmoothScan};
+      for (int q = 0; q < 9; ++q) {
+        QuerySpec spec;
+        spec.index = &read.index();
+        spec.predicate = read.PredicateForSelectivity(0.2);
+        spec.kind = kKinds[q % 3];
+        spec.estimate = 100;
+        spec.dop = (q + t) % 2 == 0 ? 0 : 2;
+        ASSERT_TRUE(
+            session.Query().FromSpec(std::move(spec)).Run().status.ok());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Session session(&qe);
+    for (int b = 0; b < 12; ++b) {
+      QuerySpec spec;
+      spec.writer = &writer;
+      for (int i = 0; i < 100; ++i) {
+        spec.write_ops.push_back(WriteOp::MakeInsert(
+            MakeRow(written.heap().schema(), 8000000 + b * 100 + i, i)));
+      }
+      ASSERT_TRUE(session.Query().FromSpec(std::move(spec)).Run().status.ok());
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  TableVersionRegistry::ReadLease lease =
+      registry.AcquireRead(written.heap().file_id());
+  EXPECT_EQ(written.heap().num_tuples(), written_spec.num_tuples + 1200);
+  EXPECT_GT(written.heap().num_pages(), written_pages);
+  lease.Release();
+}
+
 }  // namespace
 }  // namespace smoothscan
