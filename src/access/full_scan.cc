@@ -7,7 +7,6 @@ namespace smoothscan {
 FullScan::FullScan(const HeapFile* heap, ScanPredicate predicate,
                    FullScanOptions options)
     : heap_(heap), predicate_(std::move(predicate)), options_(options) {
-  SMOOTHSCAN_CHECK(options_.read_ahead_pages > 0);
   SMOOTHSCAN_CHECK(options_.page_begin <= options_.page_end);
 }
 
@@ -50,7 +49,7 @@ bool FullScan::Fill(TupleBatch* out, const IndexPosition* exclude,
   uint64_t cache_ops = 0;
   while (filled < cap && cur_page_ < num_pages_) {
     if (cur_page_ >= window_end_) {
-      const uint32_t window = std::min<uint32_t>(options_.read_ahead_pages,
+      const uint32_t window = std::min<uint32_t>(kReadAheadPages,
                                                  num_pages_ - window_end_);
       ctx.pool->FetchExtent(file, window_end_, window);
       window_end_ += window;

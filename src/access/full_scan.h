@@ -14,9 +14,11 @@
 
 namespace smoothscan {
 
+/// Pages fetched per I/O request (the read-ahead window) by the sequential
+/// page loops: FullScan, Switch Scan's post-switch scan and CompressedScan.
+constexpr uint32_t kReadAheadPages = 32;
+
 struct FullScanOptions {
-  /// Pages fetched per I/O request (read-ahead window).
-  uint32_t read_ahead_pages = 32;
   /// Heap-page range [page_begin, page_end) to scan. The defaults cover the
   /// whole file; morsel-driven execution restricts each worker's scan to its
   /// page-range morsel.

@@ -410,8 +410,7 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
       : index_(index),
         predicate_(std::move(predicate)),
         scan_options_(scan_options),
-        morsel_pages_(
-            AlignMorselPages(morsel_pages, scan_options.read_ahead_pages)) {}
+        morsel_pages_(AlignMorselPages(morsel_pages, kReadAheadPages)) {}
 
   const char* name() const override { return "ParallelSwitchScan"; }
 
@@ -437,7 +436,6 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
     const HeapFile* heap = index_->heap();
     SeedPageRange(ctx, heap, m);
     FullScanOptions options;
-    options.read_ahead_pages = scan_options_.read_ahead_pages;
     options.page_begin = m.page_begin;
     options.page_end = m.page_end;
     auto scan = std::make_shared<FullScan>(heap, predicate_, options);
@@ -605,7 +603,7 @@ std::unique_ptr<ParallelScan> MakeParallelFullScan(
     const HeapFile* heap, ScanPredicate predicate, FullScanOptions scan_options,
     ParallelScanOptions options) {
   const uint32_t morsel_pages =
-      AlignMorselPages(options.morsel_pages, scan_options.read_ahead_pages);
+      AlignMorselPages(options.morsel_pages, kReadAheadPages);
   auto plan = [heap, morsel_pages] {
     return PageRangeMorsels(static_cast<PageId>(heap->num_pages()),
                                     morsel_pages);

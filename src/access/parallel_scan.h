@@ -202,7 +202,7 @@ class DrainKernel : public ParallelScanKernel {
 uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
 
 /// AccessPath adapter running a kernel on a worker pool (see file comment).
-/// Also usable as the source below a Gather exchange operator.
+/// Wrapped in a ScanOp it is a plan's exchange boundary.
 class ParallelScan : public AccessPath {
  public:
   /// Window per unit of DOP: batches a scan keeps queued ahead of its

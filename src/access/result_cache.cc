@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "write/table_version.h"
-
 namespace smoothscan {
 
 ResultCache::ResultCache(std::vector<int64_t> separators, Engine* engine,
                          ResultCacheOptions options)
     : separators_(std::move(separators)), engine_(engine), options_(options) {
   SMOOTHSCAN_CHECK(std::is_sorted(separators_.begin(), separators_.end()));
-  SMOOTHSCAN_CHECK(options_.spill_tuples_per_page > 0);
   if (options_.max_resident_tuples != UINT64_MAX) {
     SMOOTHSCAN_CHECK(engine_ != nullptr);
   }
@@ -19,32 +16,6 @@ ResultCache::ResultCache(std::vector<int64_t> separators, Engine* engine,
     mem_ = options_.broker->Register(MemoryClass::kResultCache, "result_cache");
   }
   partitions_.resize(separators_.size() + 1);
-}
-
-ResultCache::~ResultCache() {
-  if (registry_ != nullptr) registry_->RemovePublishHook(hook_token_);
-}
-
-void ResultCache::AttachInvalidation(TableVersionRegistry* registry,
-                                     FileId table) {
-  SMOOTHSCAN_CHECK(registry != nullptr && registry_ == nullptr);
-  registry_ = registry;
-  hook_token_ = registry_->AddPublishHook([this, table](FileId file) {
-    if (file != table) return;
-    Clear();
-    ++invalidations_;
-  });
-}
-
-void ResultCache::Clear() {
-  for (Partition& part : partitions_) {
-    part.tuples.clear();
-    part.spilled = false;
-  }
-  first_live_partition_ = 0;
-  size_ = 0;
-  resident_size_ = 0;
-  SyncBrokerCharge();
 }
 
 void ResultCache::SyncBrokerCharge() {
@@ -67,7 +38,7 @@ size_t ResultCache::PartitionOf(int64_t key) const {
 
 uint32_t ResultCache::SpillPages(size_t n) const {
   return static_cast<uint32_t>(
-      (n + options_.spill_tuples_per_page - 1) / options_.spill_tuples_per_page);
+      (n + kSpillTuplesPerPage - 1) / kSpillTuplesPerPage);
 }
 
 void ResultCache::SpillPartition(size_t p) {

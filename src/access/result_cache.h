@@ -35,14 +35,13 @@
 
 namespace smoothscan {
 
-class TableVersionRegistry;
+/// Tuples that fit in one overflow-file page (sizing the charged I/O).
+constexpr uint32_t kSpillTuplesPerPage = 64;
 
 struct ResultCacheOptions {
   /// Maximum tuples resident in memory before the furthest partitions spill.
   /// Default: unbounded (no spilling).
   uint64_t max_resident_tuples = UINT64_MAX;
-  /// Tuples that fit in one overflow-file page (sizing the charged I/O).
-  uint32_t spill_tuples_per_page = 64;
   /// Memory broker the cache reports its resident bytes to. Under global
   /// pressure the cache spills furthest partitions even below its own tuple
   /// budget — the broker's preferred alternative to refusing memory. Needs
@@ -68,23 +67,9 @@ class ResultCache {
   explicit ResultCache(std::vector<int64_t> separators,
                        Engine* engine = nullptr,
                        ResultCacheOptions options = ResultCacheOptions());
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
-
-  /// Subscribes the cache to `table`'s publish notifications: any publish of
-  /// that table Clear()s the cache, because cached tuples were harvested from
-  /// the pre-publish snapshot and may now be stale (deleted, updated, or
-  /// re-keyed). The hook unregisters in the destructor. At most one
-  /// attachment per cache.
-  void AttachInvalidation(TableVersionRegistry* registry, FileId table);
-
-  /// Drops every cached tuple in every partition (spilled ones included) and
-  /// rewinds the live-partition cursor, making all partitions insertable
-  /// again. Cumulative counters (inserts, max_size, spill stats) survive —
-  /// only content is invalidated.
-  void Clear();
 
   /// Inserts the tuple for `tid` under `key`.
   void Insert(int64_t key, Tid tid, Tuple tuple);
@@ -102,8 +87,6 @@ class ResultCache {
   uint64_t resident_size() const { return resident_size_; }
   uint64_t max_size() const { return max_size_; }
   uint64_t inserts() const { return inserts_; }
-  /// Publish-triggered Clear()s since attachment.
-  uint64_t invalidations() const { return invalidations_; }
   const ResultCacheStats& spill_stats() const { return spill_stats_; }
 
  private:
@@ -148,10 +131,6 @@ class ResultCache {
   uint64_t resident_size_ = 0;
   uint64_t max_size_ = 0;
   uint64_t inserts_ = 0;
-  uint64_t invalidations_ = 0;
-
-  TableVersionRegistry* registry_ = nullptr;
-  uint64_t hook_token_ = 0;
 };
 
 }  // namespace smoothscan

@@ -74,9 +74,7 @@ bool SwitchScan::NextBatchImpl(TupleBatch* out) {
   }
   if (!full_) {
     // Post-switch: a full scan that suppresses the tuples already produced.
-    FullScanOptions options;
-    options.read_ahead_pages = options_.read_ahead_pages;
-    full_.emplace(index_->heap(), predicate_, options);
+    full_.emplace(index_->heap(), predicate_);
     full_->SetExecContext(&ctx());
     SMOOTHSCAN_CHECK(full_->Open().ok());
   }

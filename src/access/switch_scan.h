@@ -23,8 +23,6 @@ struct SwitchScanOptions {
   /// The optimizer's result-cardinality estimate; exceeding it triggers the
   /// switch to a full scan.
   uint64_t estimated_cardinality = 0;
-  /// Read-ahead of the post-switch full scan.
-  uint32_t read_ahead_pages = 32;
 };
 
 class SwitchScan : public AccessPath {

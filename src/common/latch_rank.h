@@ -57,9 +57,6 @@ enum class LatchRank : int {
                         ///< is legal from under any engine latch (paths
                         ///< register counters inside Open, which can run
                         ///< under kParallelScan); only leaf data under it.
-  kObsSampler = 115,    ///< obs::RegistrySampler::mu_ (tick cv). Ranked
-                        ///< above kBroker/kObsMetrics: a sampler tick reads
-                        ///< broker snapshots and registry gauges under it.
   kBroker = 110,     ///< MemoryBroker::mu_. BatchPool charges its account
                      ///< scope while holding the pool latch, so the broker
                      ///< sits below the pool.
@@ -68,11 +65,10 @@ enum class LatchRank : int {
   kNetPipe = 140,       ///< net::Pipe byte-buffer latch. Pure leaf: a pipe
                         ///< endpoint copies bytes under it and never calls
                         ///< back into the engine.
-  kResultStream = 150,  ///< ResultStream::mu_ (handle batch queue). Pushed
-                        ///< to by an executor holding no latches; the engine
-                        ///< may finish a stream while holding kQueryEngine
-                        ///< (queue-cancel), so it sits below 700 with room
-                        ///< to spare.
+  kQueryTicket = 150,   ///< QueryTicket::mu_ (batch window, done bit).
+                        ///< Taken by an executor, a handle or a cancel
+                        ///< holding no latches; nothing is acquired under
+                        ///< it.
   kNetWrite = 160,      ///< net connection write latch: serializes whole
                         ///< frames onto one transport. Held across
                         ///< Transport::WriteAll (→ kNetPipe), never across
@@ -121,9 +117,9 @@ enum class LatchRank : int {
                        ///< fetched handle run after release, so nothing
                        ///< engine-side nests under it in practice.
   kNetSession = 740,   ///< Session::mu_ (outstanding-query window). The
-                       ///< engine's completion callback acquires it from an
-                       ///< executor holding nothing; a submitting client may
-                       ///< hold it while entering QueryEngine::SubmitSpec.
+                       ///< engine's completion acquires it from a thread
+                       ///< holding nothing; a submitting client may hold it
+                       ///< while entering QueryEngine::SubmitSpec.
   kNetListener = 760,  ///< net::Server::mu_ (connection registry). Accepting
                        ///< a connection spawns a session (→ 740) and may
                        ///< consult engine depth (→ 700) under it.

@@ -30,7 +30,6 @@ CompressedScan::CompressedScan(Engine* engine, CompressedExtentRef extent,
       predicate_(std::move(predicate)),
       options_(options) {
   SMOOTHSCAN_CHECK(extent_ != nullptr);
-  SMOOTHSCAN_CHECK(options_.read_ahead_pages > 0);
   SMOOTHSCAN_CHECK(options_.page_begin <= options_.page_end);
   // The extent is keyed on one column; the path serves predicates on it.
   SMOOTHSCAN_CHECK(predicate_.column == extent_->key_column);
@@ -76,7 +75,7 @@ Status CompressedScan::OpenImpl() {
   const PageId end =
       std::min<PageId>(extent_->num_pages(), options_.page_end);
   const PageId begin = std::min(options_.page_begin, end);
-  const uint32_t ra = options_.read_ahead_pages;
+  const uint32_t ra = kReadAheadPages;
   // One zone consult per block in range decides fetch-or-skip without I/O.
   ctx().cpu->ChargeCacheOp(end - begin);
   const int64_t lo = predicate_.lo;
@@ -285,7 +284,7 @@ std::unique_ptr<ParallelScan> MakeParallelCompressedScan(
     CompressedScanOptions scan_options, ParallelScanOptions options) {
   if (extent == nullptr) return nullptr;
   const uint32_t morsel_pages =
-      AlignMorselPages(options.morsel_pages, scan_options.read_ahead_pages);
+      AlignMorselPages(options.morsel_pages, kReadAheadPages);
   auto plan = [extent, morsel_pages] {
     return PageRangeMorsels(extent->num_pages(), morsel_pages);
   };

@@ -9,7 +9,7 @@
 // ratio times the zone-skip rate.
 //
 // Fetch determinism: needed compressed pages are read as extent requests that
-// never cross a read_ahead-aligned page boundary — one request per aligned
+// never cross a kReadAheadPages-aligned page boundary — one request per aligned
 // window's [first needed, last needed] span. Morsel decompositions align
 // morsel boundaries to the same windows and seed each morsel's stream at the
 // last needed page before its range (a pure function of the zone map and the
@@ -41,8 +41,6 @@
 namespace smoothscan {
 
 struct CompressedScanOptions {
-  /// Pages per I/O request window (aligned; see file comment).
-  uint32_t read_ahead_pages = 32;
   /// Compressed-page range [page_begin, page_end) to scan; defaults cover
   /// the extent. Morsel execution restricts each worker's range.
   PageId page_begin = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "compress/compressed_scan.h"
+#include "engine/session.h"
 #include "mem/batch_pool.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
@@ -50,6 +51,18 @@ PlanChoice ChoosePlan(const QuerySpec& spec, const CompressedExtentRef& extent,
   return AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
                                    spec.predicate.lo, spec.predicate.hi,
                                    copts);
+}
+
+/// The result of a query cancelled before it ran: zero execution charges,
+/// and the spec's kind as given.
+QueryResult CancelledResult(const QuerySpec& spec, const char* why) {
+  QueryResult res;
+  res.status = Status::Cancelled(why);
+  res.metrics.cancelled = true;
+  res.metrics.lane = spec.lane;
+  res.metrics.write = spec.writer != nullptr;
+  res.metrics.kind = spec.kind;
+  return res;
 }
 
 /// Reports the charges of a query's private stack (also for a cancelled or
@@ -169,7 +182,9 @@ QueryEngine::~QueryEngine() {
   }
 }
 
-QueryEngine::QueryId QueryEngine::SubmitSpec(QuerySpec spec) {
+std::shared_ptr<QueryTicket> QueryEngine::SubmitSpec(QuerySpec spec,
+                                                     Session* session,
+                                                     bool streamed) {
   SMOOTHSCAN_CHECK(spec.index != nullptr || spec.writer != nullptr);
   // Write queries need the snapshot machinery: without leases, a publish
   // could land under an in-flight scan.
@@ -182,12 +197,11 @@ QueryEngine::QueryId QueryEngine::SubmitSpec(QuerySpec spec) {
   p.submitted = std::chrono::steady_clock::now();
   const QueryLane lane = p.spec.lane;
   const bool share_eligible = p.share_eligible;
-  QueryId id;
+  std::shared_ptr<QueryTicket> ticket;
   {
     latch::LatchGuard lock(mu_);
-    id = next_id_++;
-    p.id = id;
-    records_[id];  // Reserve the completion slot.
+    ticket = std::make_shared<QueryTicket>(next_id_++, session, streamed);
+    p.ticket = ticket;
     std::deque<Pending>& q = lanes_[static_cast<int>(lane)];
     q.push_back(std::move(p));
     if (g_lane_depth_[static_cast<int>(lane)] != nullptr) {
@@ -200,78 +214,41 @@ QueryEngine::QueryId QueryEngine::SubmitSpec(QuerySpec spec) {
   cv_submit_.notify_all();
   if (c_submitted_ != nullptr) c_submitted_->Add();
   if (options_.tracing != nullptr) {
-    options_.tracing->Instant(id, "submit", "share_eligible",
+    options_.tracing->Instant(ticket->id(), "submit", "share_eligible",
                               share_eligible ? 1 : 0, nullptr, 0, nullptr, 0,
                               "lane", QueryLaneToString(lane));
   }
-  return id;
+  return ticket;
 }
 
-QueryResult QueryEngine::WaitSpec(QueryId id) {
-  latch::UniqueLatch lock(mu_);
-  auto it = records_.find(id);
-  SMOOTHSCAN_CHECK(it != records_.end());
-  // The reference survives rehashing from concurrent Submits (iterators
-  // would not).
-  Record& rec = it->second;
-  while (!rec.done) cv_done_.wait(lock);
-  QueryResult result = std::move(rec.result);
-  records_.erase(id);
-  return result;
-}
-
-void QueryEngine::Cancel(QueryId id) {
-  ResultStream* stream = nullptr;
-  std::function<void(uint64_t)> on_complete;
+void QueryEngine::CancelQueued(QueryTicket* ticket) {
+  Pending p;
+  bool queued = false;
   {
-    latch::UniqueLatch lock(mu_);
-    // Running: raise the executor's flag; it finishes the record itself.
-    auto rit = running_cancel_.find(id);
-    if (rit != running_cancel_.end()) {
-      rit->second->store(true, std::memory_order_release);
-      return;
-    }
-    // Queued: remove unadmitted and complete the record here.
-    bool found = false;
-    for (int lane = 0; lane < 2 && !found; ++lane) {
+    latch::LatchGuard lock(mu_);
+    for (int lane = 0; lane < 2 && !queued; ++lane) {
       std::deque<Pending>& q = lanes_[lane];
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->id != id) continue;
-        auto rec_it = records_.find(id);
-        SMOOTHSCAN_CHECK(rec_it != records_.end());
-        Record& rec = rec_it->second;
-        rec.result.status = Status::Cancelled("cancelled in queue");
-        QueryMetrics& m = rec.result.metrics;
-        m.cancelled = true;
-        m.lane = it->spec.lane;
-        m.write = it->spec.writer != nullptr;
-        m.kind = it->spec.kind;
-        m.queue_wait_ms =
-            MsBetween(it->submitted, std::chrono::steady_clock::now());
-        m.latency_ms = m.queue_wait_ms;
-        stream = it->spec.stream;
-        on_complete = std::move(it->spec.on_complete);
-        // Finish the stream before the record is done: once WaitSpec can
-        // return, the handle may destroy the stream.
-        if (stream != nullptr) stream->FinishProducer();
-        rec.done = true;
-        q.erase(it);
-        if (g_lane_depth_[lane] != nullptr) {
-          g_lane_depth_[lane]->Set(static_cast<int64_t>(q.size()));
-        }
-        CompleteLocked(/*cancelled=*/true);
-        found = true;
-        break;
+      auto it = std::find_if(q.begin(), q.end(), [ticket](const Pending& e) {
+        return e.ticket.get() == ticket;
+      });
+      if (it == q.end()) continue;
+      p = std::move(*it);
+      q.erase(it);
+      if (g_lane_depth_[lane] != nullptr) {
+        g_lane_depth_[lane]->Set(static_cast<int64_t>(q.size()));
       }
+      queued = true;
     }
-    if (!found) return;  // Already completed (or unknown id).
   }
-  cv_done_.notify_all();
+  if (!queued) return;  // An executor owns it now.
+  QueryResult result = CancelledResult(p.spec, "cancelled in queue");
+  result.metrics.queue_wait_ms =
+      MsBetween(p.submitted, std::chrono::steady_clock::now());
+  result.metrics.latency_ms = result.metrics.queue_wait_ms;
   if (options_.tracing != nullptr) {
-    options_.tracing->Instant(id, "cancel", "in_queue", 1);
+    options_.tracing->Instant(ticket->id(), "cancel", "in_queue", 1);
   }
-  // Outside mu_: the window callback climbs to the Session latch (rank 740).
-  if (on_complete) on_complete(id);
+  Complete(&p, std::move(result), /*admitted=*/false);
 }
 
 size_t QueryEngine::queue_depth() const {
@@ -294,11 +271,27 @@ uint64_t QueryEngine::completed() const {
   return completed_;
 }
 
-void QueryEngine::CompleteLocked(bool cancelled) {
-  ++completed_;
-  if (c_completed_ != nullptr) c_completed_->Add();
-  if (cancelled && c_cancelled_ != nullptr) c_cancelled_->Add();
-  FoldSharedPoolLocked();
+void QueryEngine::Complete(Pending* p, QueryResult result, bool admitted) {
+  {
+    latch::LatchGuard lock(mu_);
+    if (admitted) {
+      --admitted_now_;
+      if (g_running_ != nullptr) {
+        g_running_->Set(static_cast<int64_t>(admitted_now_));
+      }
+    }
+    ++completed_;
+    if (c_completed_ != nullptr) c_completed_->Add();
+    if (result.metrics.cancelled && c_cancelled_ != nullptr) {
+      c_cancelled_->Add();
+    }
+    FoldSharedPoolLocked();
+  }
+  // Outside mu_: a waiting handle wakes here, and the window release climbs
+  // to the Session latch (rank 740). The session outlives its last release
+  // (~Session waits for it); the ticket lives on in `p`.
+  p->ticket->Finish(std::move(result));
+  p->ticket->session()->OnComplete();
 }
 
 void QueryEngine::FoldSharedPoolLocked() {
@@ -314,7 +307,6 @@ void QueryEngine::FoldSharedPoolLocked() {
 void QueryEngine::ExecutorLoop(bool sla_only) {
   for (;;) {
     Pending p;
-    std::atomic<bool> cancel{false};
     std::chrono::steady_clock::time_point admit_time;
     {
       latch::UniqueLatch lock(mu_);
@@ -357,9 +349,6 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
       }
       p = std::move(*it);
       lane.erase(it);
-      // Same critical section as the pop: Cancel always finds a live query
-      // either queued or here — never in between.
-      running_cancel_[p.id] = &cancel;
       ++admitted_now_;
       peak_admitted_ = std::max(peak_admitted_, admitted_now_);
       for (int i = 0; i < 2; ++i) {
@@ -373,24 +362,23 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
       admit_time = std::chrono::steady_clock::now();
     }
 
-    // Taken before the spec moves into Execute: both outlive it (the stream
-    // is the handle's; the callback is fired below, after the record).
-    ResultStream* stream = p.spec.stream;
-    std::function<void(uint64_t)> on_complete = std::move(p.spec.on_complete);
     QueryResult result;
-    {
+    if (p.ticket->cancelled()) {
+      // Cancelled between the pop and here: never run, nothing charged.
+      result = CancelledResult(p.spec, "cancelled at admission");
+      if (options_.tracing != nullptr) {
+        options_.tracing->Instant(p.ticket->id(), "cancel", "at_admission", 1);
+      }
+    } else {
       // The "query" span covers admission → completion on this executor;
       // queue wait rides along as an arg so the span tree alone tells the
       // whole submit → done story.
       obs::TraceSpan query_span(
-          options_.tracing, p.id, "query", "lane",
+          options_.tracing, p.ticket->id(), "query", "lane",
           static_cast<int64_t>(p.spec.lane), "queue_us",
           static_cast<int64_t>(MsBetween(p.submitted, admit_time) * 1000.0));
-      result = Execute(p.id, std::move(p.spec), &cancel);
+      result = Execute(p.ticket.get(), std::move(p.spec));
     }
-    // Before the record is done: once WaitSpec can return, the handle may
-    // destroy the stream.
-    if (stream != nullptr) stream->FinishProducer();
     const auto end = std::chrono::steady_clock::now();
     result.metrics.queue_wait_ms = MsBetween(p.submitted, admit_time);
     result.metrics.exec_ms = MsBetween(admit_time, end);
@@ -403,22 +391,7 @@ void QueryEngine::ExecutorLoop(bool sla_only) {
       h_latency_us_->Record(
           static_cast<uint64_t>(result.metrics.latency_ms * 1000.0));
     }
-
-    {
-      latch::LatchGuard lock(mu_);
-      running_cancel_.erase(p.id);
-      --admitted_now_;
-      CompleteLocked(result.metrics.cancelled);
-      if (g_running_ != nullptr) {
-        g_running_->Set(static_cast<int64_t>(admitted_now_));
-      }
-      Record& rec = records_[p.id];
-      rec.result = std::move(result);
-      rec.done = true;
-    }
-    cv_done_.notify_all();
-    // Outside mu_: the Session window callback climbs to rank 740.
-    if (on_complete) on_complete(p.id);
+    Complete(&p, std::move(result), /*admitted=*/true);
   }
 }
 
@@ -460,20 +433,13 @@ bool QueryEngine::ShareEligible(const QuerySpec& spec) const {
          (kind == PathKind::kCompressedScan && compressed_shared);
 }
 
-QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
-                                      const std::atomic<bool>* cancel) {
+QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec) {
+  // Past the admission check the batch runs to completion — its mutations
+  // are real and will publish.
   QueryResult res;
   QueryMetrics& m = res.metrics;
   m.lane = spec.lane;
   m.write = true;
-  if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-    // Raised between admission and the first op: nothing was applied, so
-    // this is still a clean cancel. Mid-Apply the batch runs to completion —
-    // its mutations are real and will publish.
-    res.status = Status::Cancelled("write cancelled before apply");
-    m.cancelled = true;
-    return res;
-  }
 
   // Per-query accounting stack, exactly like a read: the fetches that pull
   // target pages into the buffer are this query's cost, bit-identical at any
@@ -497,11 +463,9 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   return res;
 }
 
-QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
-                                 const std::atomic<bool>* cancel) {
-  if (spec.writer != nullptr) {
-    return ExecuteWrite(id, std::move(spec), cancel);
-  }
+QueryResult QueryEngine::Execute(QueryTicket* ticket, QuerySpec spec) {
+  const QueryId id = ticket->id();
+  if (spec.writer != nullptr) return ExecuteWrite(id, std::move(spec));
   QueryResult res;
   QueryMetrics& m = res.metrics;
   m.lane = spec.lane;
@@ -657,14 +621,11 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
             res.keys.push_back(batch.row(i)[0].AsInt64());
           }
         }
-        if (spec.stream != nullptr) {
-          spec.stream->Push(&batch);
-        }
+        if (ticket->streamed()) ticket->Push(&batch);
         // Polled between batches: path->Close() below is the teardown — for
         // a shared-scan consumer that is Detach mid-lap, the existing
         // cancelled-consumer path, and the peers' laps proceed untouched.
-        if (cancel != nullptr &&
-            cancel->load(std::memory_order_acquire)) {
+        if (ticket->cancelled()) {
           res.status = Status::Cancelled("cancelled mid-execution");
           m.cancelled = true;
           obs::EmitInstant(obs_ctx, "cancel", "mid_execution", 1);

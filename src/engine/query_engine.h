@@ -16,12 +16,17 @@
 //     the engine owns `max_admitted` executor threads, each running at most
 //     one query end to end, so the cap holds by construction. Queued queries
 //     accrue queue-wait time, reported per query.
+//   * Every submitted query lives in one ref-counted QueryTicket, shared by
+//     its lane entry and the client's QueryHandle: id, cancel flag, the
+//     streamed batch window and the finished result. A cancel raises the
+//     flag and pulls a still-queued ticket from its lane; the executor
+//     checks the flag at admission and between batches. One completion function
+//     serves the executor and the in-queue cancel.
 //   * Intra-query parallel leaves (QuerySpec::dop >= 1) submit their morsels
-//     to the engine's TaskScheduler; the scheduler's round-robin deal and
-//     work stealing interleave morsels of *different* queries across one
-//     fixed worker pool, and a morsel that runs a window ahead of its
-//     consumer parks and frees its worker, so no single query monopolizes
-//     the cores.
+//     to the engine's TaskScheduler, whose one FIFO queue interleaves
+//     morsels of *different* queries across one fixed worker pool, and a
+//     morsel that runs a window ahead of its consumer parks and frees its
+//     worker, so no single query monopolizes the cores.
 //
 // Determinism contract: admission order, lane priority and scheduling change
 // *when* a query runs and how long it waits — never what it computes or what
@@ -37,7 +42,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -54,7 +59,9 @@
 
 namespace smoothscan {
 
+class QueryHandle;
 class ScanSharingCoordinator;
+class Session;
 
 namespace obs {
 class Counter;
@@ -76,95 +83,6 @@ class TraceCollector;
 enum class QueryLane { kBatch = 0, kSla = 1 };
 
 const char* QueryLaneToString(QueryLane lane);
-
-/// Bounded batch queue between an executing query and the client holding its
-/// QueryHandle — the streaming half of the Session API. The executor Pushes
-/// each result batch as it is produced (blocking while the window is full);
-/// the handle Pops them. Closing the consumer side unblocks the producer and
-/// turns further pushes into drops, so an abandoned or cancelled stream never
-/// wedges an executor. Streaming changes only *where* batches go, never what
-/// the query is charged: the blocking adds wall time, not simulated cost.
-///
-/// Batches circulate instead of being rebuilt: each Pop hands the batch the
-/// consumer is done with back to the producer, whose next Push leaves it in
-/// the producer's hands, so a steady stream decodes into warm rows and
-/// allocates nothing per row on either side.
-class ResultStream {
- public:
-  /// Undelivered batches the executor may run ahead of the consumer.
-  static constexpr size_t kWindowBatches = 4;
-
-  ResultStream() = default;
-  ResultStream(const ResultStream&) = delete;
-  ResultStream& operator=(const ResultStream&) = delete;
-
-  /// Producer (engine executor): enqueue `*batch`; blocks while the window
-  /// is full and the consumer is still attached. Leaves `*batch` cleared and
-  /// refillable: a batch the consumer handed back when there is one.
-  void Push(TupleBatch* batch) {
-    latch::UniqueLatch lock(mu_);
-    while (!closed_ && q_.size() >= kWindowBatches) cv_.wait(lock);
-    if (closed_) {  // Consumer gone: drop, keep draining.
-      batch->Clear();
-      return;
-    }
-    const size_t capacity = batch->capacity();
-    q_.push_back(std::move(*batch));
-    if (!spare_.empty()) {
-      *batch = std::move(spare_.back());
-      spare_.pop_back();
-    } else {
-      *batch = TupleBatch(capacity);
-    }
-    cv_.notify_all();
-  }
-
-  /// Producer: no further batches (normal end, error, or cancellation).
-  void FinishProducer() {
-    latch::LatchGuard lock(mu_);
-    finished_ = true;
-    cv_.notify_all();
-  }
-
-  /// Consumer (QueryHandle): dequeue the next batch; false once the producer
-  /// finished and the queue drained.
-  /// The batch `*out` held goes back to the producer when it has the
-  /// producer's capacity (a different capacity would move the producer's
-  /// batch boundaries).
-  bool Pop(TupleBatch* out) {
-    latch::UniqueLatch lock(mu_);
-    while (q_.empty() && !finished_) cv_.wait(lock);
-    if (q_.empty()) return false;
-    std::swap(*out, q_.front());
-    if (!closed_ && q_.front().capacity() == out->capacity() &&
-        spare_.size() < kWindowBatches) {
-      q_.front().Clear();
-      spare_.push_back(std::move(q_.front()));
-    }
-    q_.pop_front();
-    cv_.notify_all();
-    return true;
-  }
-
-  /// Consumer: stop consuming (cancel / handle teardown). Idempotent.
-  void CloseConsumer() {
-    latch::LatchGuard lock(mu_);
-    closed_ = true;
-    q_.clear();
-    spare_.clear();
-    cv_.notify_all();
-  }
-
- private:
-  mutable latch::Latch mu_{latch::LatchRank::kResultStream,
-                           "ResultStream::mu_"};
-  std::condition_variable_any cv_;
-  std::deque<TupleBatch> q_ GUARDED_BY(mu_);
-  /// Batches the consumer is done with, for the producer to refill.
-  std::vector<TupleBatch> spare_ GUARDED_BY(mu_);
-  bool finished_ GUARDED_BY(mu_) = false;
-  bool closed_ GUARDED_BY(mu_) = false;
-};
 
 /// One query: a selection over an indexed table, with either a fixed access
 /// path or the cost-based chooser run against (possibly lying) statistics —
@@ -203,16 +121,6 @@ struct QuerySpec {
   /// fall back to FullScan, Smooth Scan runs solo, and the share-aware
   /// admission never reorders it). No effect without a coordinator.
   bool allow_sharing = true;
-
-  // --- wired by Session (engine/session.h); not part of the client surface.
-  /// Result batches are moved into this stream as they are produced (owned
-  /// by the QueryHandle; must outlive the query's execution — the handle's
-  /// Wait() is the synchronization point).
-  ResultStream* stream = nullptr;
-  /// Invoked exactly once per query, after its record is done (completion or
-  /// cancellation), from a thread holding no engine latches. The Session's
-  /// outstanding-window bookkeeping.
-  std::function<void(uint64_t /*id*/)> on_complete;
 };
 
 /// Per-query accounting, the workload-level analogue of bench RunMetrics.
@@ -249,6 +157,128 @@ struct QueryResult {
   Status status = Status::OK();
   QueryMetrics metrics;
   std::vector<int64_t> keys;  ///< Column-0 values (QuerySpec::collect_keys).
+};
+
+/// One submitted query's whole life, shared (ref-counted) by its QueryHandle
+/// and the engine's lane entry: the query id, the cancel flag the executor
+/// checks at admission and between result batches, the bounded batch window
+/// of a streamed query, and the finished QueryResult with its done bit.
+///
+/// Streaming: the executor Pushes each result batch as it is produced
+/// (blocking while the window is full); the handle Pops them. Cancel detaches
+/// the consumer, which unblocks the producer and turns further pushes into
+/// drops, so an abandoned or cancelled stream never wedges an executor.
+/// Streaming changes only *where* batches go, never what the query is
+/// charged: the blocking adds wall time, not simulated cost. Batches
+/// circulate instead of being rebuilt: each Pop hands the batch the consumer
+/// is done with back to the producer, whose next Push leaves it in the
+/// producer's hands, so a steady stream decodes into warm rows and allocates
+/// nothing per row on either side.
+class QueryTicket {
+ public:
+  /// Undelivered batches the executor may run ahead of a streamed consumer.
+  static constexpr size_t kWindowBatches = 4;
+
+  QueryTicket(uint64_t id, Session* session, bool streamed)
+      : id_(id), session_(session), streamed_(streamed) {}
+  QueryTicket(const QueryTicket&) = delete;
+  QueryTicket& operator=(const QueryTicket&) = delete;
+
+  uint64_t id() const { return id_; }
+  bool streamed() const { return streamed_; }
+  bool cancelled() const { return cancel_.load(std::memory_order_acquire); }
+
+ private:
+  // The producer side is the engine's, the consumer side the handle's.
+  friend class QueryEngine;
+  friend class QueryHandle;
+
+  /// The session whose window slot the query holds until it finishes.
+  Session* session() const { return session_; }
+
+  /// Raises the cancel flag and detaches the consumer. False when the query
+  /// already finished or was already cancelled: nothing is left to do.
+  bool Cancel() {
+    latch::LatchGuard lock(mu_);
+    if (done_ || cancelled()) return false;
+    cancel_.store(true, std::memory_order_release);
+    q_.clear();
+    spare_.clear();
+    cv_.notify_all();
+    return true;
+  }
+
+  /// Producer (engine executor): enqueue `*batch`; blocks while the window
+  /// is full and the query is not cancelled. Leaves `*batch` cleared and
+  /// refillable: a batch the consumer handed back when there is one.
+  void Push(TupleBatch* batch) {
+    latch::UniqueLatch lock(mu_);
+    while (!cancelled() && q_.size() >= kWindowBatches) cv_.wait(lock);
+    if (cancelled()) {  // Consumer gone: drop, keep draining.
+      batch->Clear();
+      return;
+    }
+    const size_t capacity = batch->capacity();
+    q_.push_back(std::move(*batch));
+    if (!spare_.empty()) {
+      *batch = std::move(spare_.back());
+      spare_.pop_back();
+    } else {
+      *batch = TupleBatch(capacity);
+    }
+    cv_.notify_all();
+  }
+
+  /// The engine's completion (normal end, error or cancellation): stores
+  /// the result and wakes every waiter. Called exactly once.
+  void Finish(QueryResult result) {
+    latch::LatchGuard lock(mu_);
+    result_ = std::move(result);
+    done_ = true;
+    cv_.notify_all();
+  }
+
+  /// Consumer (QueryHandle): dequeue the next batch; false once the query
+  /// finished and the queue drained, and at once for a non-streamed query.
+  /// The batch `*out` held goes back to the producer when it has the
+  /// producer's capacity (a different capacity would move the producer's
+  /// batch boundaries).
+  bool Pop(TupleBatch* out) {
+    if (!streamed_) return false;
+    latch::UniqueLatch lock(mu_);
+    while (q_.empty() && !done_) cv_.wait(lock);
+    if (q_.empty()) return false;
+    std::swap(*out, q_.front());
+    if (!cancelled() && q_.front().capacity() == out->capacity() &&
+        spare_.size() < kWindowBatches) {
+      q_.front().Clear();
+      spare_.push_back(std::move(q_.front()));
+    }
+    q_.pop_front();
+    cv_.notify_all();
+    return true;
+  }
+
+  /// Blocks until the query finished. The result is written once, before
+  /// the done bit, and only its handle touches it afterwards.
+  QueryResult& Wait() {
+    latch::UniqueLatch lock(mu_);
+    while (!done_) cv_.wait(lock);
+    return result_;
+  }
+
+  const uint64_t id_;
+  Session* const session_;
+  const bool streamed_;
+  std::atomic<bool> cancel_{false};
+
+  latch::Latch mu_{latch::LatchRank::kQueryTicket, "QueryTicket::mu_"};
+  std::condition_variable_any cv_;
+  std::deque<TupleBatch> q_ GUARDED_BY(mu_);
+  /// Batches the consumer is done with, for the producer to refill.
+  std::vector<TupleBatch> spare_ GUARDED_BY(mu_);
+  bool done_ GUARDED_BY(mu_) = false;
+  QueryResult result_;
 };
 
 struct QueryEngineOptions {
@@ -341,27 +371,25 @@ class QueryEngine {
   friend class Session;
   friend class QueryHandle;
 
-  /// Enqueues the query; returns immediately with its completion id.
-  QueryId SubmitSpec(QuerySpec spec) EXCLUDES(mu_);
+  /// Enqueues the query; returns immediately with its ticket, which holds
+  /// one of `session`'s window slots until the query finishes.
+  std::shared_ptr<QueryTicket> SubmitSpec(QuerySpec spec, Session* session,
+                                          bool streamed) EXCLUDES(mu_);
 
-  /// Blocks until query `id` completes and takes its result (each id can be
-  /// waited on exactly once).
-  QueryResult WaitSpec(QueryId id) EXCLUDES(mu_);
-
-  /// Cancels query `id`. In-queue: the query is removed unadmitted and its
-  /// record completes immediately with StatusCode::kCancelled (queue-wait
-  /// accounted, zero execution charges). Mid-execution: a cancel flag is
-  /// raised that the executor polls between result batches — a shared-scan
-  /// consumer Detaches mid-lap (the existing cancelled-consumer path), any
-  /// other read path closes early, and the record completes with kCancelled
-  /// and the charges accrued so far. Write queries cancel in-queue only; a
-  /// batch mid-Apply runs to completion (its mutations are real). A query
-  /// that already completed is left alone — its result must still be
-  /// WaitSpec()ed either way.
-  void Cancel(QueryId id) EXCLUDES(mu_);
+  /// The second half of QueryHandle::Cancel, once the ticket's flag is up.
+  /// Still queued: the query is removed unadmitted and completes at once
+  /// with StatusCode::kCancelled (queue-wait accounted, zero execution
+  /// charges). Admitted: nothing to do here — the executor sees the flag at
+  /// admission (no charges either) or between result batches, where a
+  /// shared-scan consumer Detaches mid-lap (the existing cancelled-consumer
+  /// path), any other read path closes early, and the query completes with
+  /// kCancelled and the charges accrued so far. Write queries cancel before
+  /// Apply only; a batch mid-Apply runs to completion (its mutations are
+  /// real).
+  void CancelQueued(QueryTicket* ticket) EXCLUDES(mu_);
 
   struct Pending {
-    QueryId id = 0;
+    std::shared_ptr<QueryTicket> ticket;
     QuerySpec spec;
     std::chrono::steady_clock::time_point submitted;
     /// Times a younger share-eligible query was admitted over this one (the
@@ -373,21 +401,15 @@ class QueryEngine {
     /// the live lap.
     bool share_eligible = false;
   };
-  struct Record {
-    QueryResult result;
-    bool done = false;
-  };
 
   /// `sla_only` executors (the first `sla_reserved_slots` of the pool) pop
   /// nothing but the SLA lane.
   void ExecutorLoop(bool sla_only) EXCLUDES(mu_);
-  /// `id` attributes the query's trace spans and morph instants; it never
-  /// influences planning or accounting. `cancel` (never null from the
-  /// executor) is polled between result batches.
-  QueryResult Execute(QueryId id, QuerySpec spec,
-                      const std::atomic<bool>* cancel) EXCLUDES(mu_);
-  QueryResult ExecuteWrite(QueryId id, QuerySpec spec,
-                           const std::atomic<bool>* cancel);
+  /// The ticket's id attributes the query's trace spans and morph instants;
+  /// it never influences planning or accounting. Its cancel flag is polled
+  /// between result batches.
+  QueryResult Execute(QueryTicket* ticket, QuerySpec spec) EXCLUDES(mu_);
+  QueryResult ExecuteWrite(QueryId id, QuerySpec spec);
   /// Whether the query will resolve to a shared scan (Pending::share_eligible
   /// — runs the chooser for use_chooser specs, so a selective query that
   /// will pick an index path never jumps the FIFO for nothing).
@@ -397,10 +419,12 @@ class QueryEngine {
   /// otherwise — including right after a publish invalidated it, which is
   /// the graceful-staleness fallback to the heap paths.
   CompressedExtentRef CompressedExtentFor(const QuerySpec& spec) const;
-  /// Completion bookkeeping shared by the executor and the in-queue cancel:
-  /// the engine's count, the registry's engine.completed/engine.cancelled,
-  /// and the shared pool's registry fold.
-  void CompleteLocked(bool cancelled) REQUIRES(mu_);
+  /// Completion, shared by the executor (`admitted`) and the in-queue
+  /// cancel: the engine's counts, the registry's engine.completed /
+  /// engine.cancelled and the shared pool's fold under mu_, then — outside
+  /// it — the ticket's result and the session's window slot.
+  void Complete(Pending* p, QueryResult result, bool admitted)
+      EXCLUDES(mu_);
   /// Adds the shared pool's stats delta since the last fold to the registry.
   void FoldSharedPoolLocked() REQUIRES(mu_);
 
@@ -423,25 +447,17 @@ class QueryEngine {
   /// Registry publish-hook registration (0 = none wired).
   uint64_t publish_hook_token_ = 0;
 
-  /// Control-plane latch (admission queue + completion records). Top of the
+  /// Control-plane latch (admission queue + engine counts). Top of the
   /// hierarchy: nothing below it (executors release it before running a
   /// query, which acquires every other latch in the engine).
   mutable latch::Latch mu_{latch::LatchRank::kQueryEngine,
                            "QueryEngine::mu_"};
   std::condition_variable_any cv_submit_;  ///< Executors wait for work here.
-  std::condition_variable_any cv_done_;    ///< WaitSpec() waits here.
   std::deque<Pending> lanes_[2] GUARDED_BY(mu_);  ///< Indexed by QueryLane.
-  std::unordered_map<QueryId, Record> records_ GUARDED_BY(mu_);
   QueryId next_id_ GUARDED_BY(mu_) = 1;
   /// Tables with a shared scan executing right now (value = running count);
   /// the share-aware batch pop admits matching queued queries first.
   std::unordered_map<FileId, uint32_t> running_shared_ GUARDED_BY(mu_);
-  /// Cancel flags of the queries executing right now. Each flag lives on its
-  /// executor's stack; registered in the same critical section as the pop
-  /// (so Cancel never finds a query in neither the lanes nor here while it
-  /// is still live) and deregistered in the completion section.
-  std::unordered_map<QueryId, std::atomic<bool>*> running_cancel_
-      GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
   uint32_t admitted_now_ GUARDED_BY(mu_) = 0;
   uint32_t peak_admitted_ GUARDED_BY(mu_) = 0;

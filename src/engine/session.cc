@@ -6,58 +6,32 @@ namespace smoothscan {
 
 QueryHandle& QueryHandle::operator=(QueryHandle&& other) noexcept {
   if (this == &other) return *this;
-  if (valid() && !waited_) {
+  if (valid()) {
     Cancel();
     Wait();
   }
-  session_ = other.session_;
-  id_ = other.id_;
-  stream_ = std::move(other.stream_);
-  waited_ = other.waited_;
-  result_ = std::move(other.result_);
-  other.session_ = nullptr;
-  other.id_ = 0;
-  other.waited_ = false;
+  ticket_ = std::move(other.ticket_);
   return *this;
 }
 
 QueryHandle::~QueryHandle() {
-  if (valid() && !waited_) {
-    // Abandoned handle (e.g. a dropped connection): cancel and reap, so the
-    // engine record never leaks and the executor never blocks on a stream
-    // nobody reads.
+  if (valid()) {
+    // Abandoned handle (e.g. a dropped connection): cancel, so the executor
+    // never blocks on a stream nobody reads, and wait, so nothing the spec
+    // borrowed is used after the handle is gone.
     Cancel();
     Wait();
   }
 }
 
-bool QueryHandle::NextBatch(TupleBatch* out) {
-  if (stream_ == nullptr) return false;
-  return stream_->Pop(out);
-}
-
-const QueryResult& QueryHandle::Wait() {
-  SMOOTHSCAN_CHECK(valid());
-  if (!waited_) {
-    result_ = session_->engine()->WaitSpec(id_);
-    waited_ = true;
-  }
-  return result_;
-}
-
-QueryResult QueryHandle::Take() {
-  Wait();
-  return std::move(result_);
-}
-
 void QueryHandle::Cancel() {
-  if (!valid() || waited_) return;
-  if (stream_ != nullptr) {
-    // Unblock the producer first: a stream-stalled executor only re-polls
-    // the cancel flag once its pending Push drains.
-    stream_->CloseConsumer();
+  // The flag goes up before the lane search: an executor that pops the
+  // query after this point sees it at admission, and one that popped it
+  // before sees it between batches. A finished query is left alone, and the
+  // session is not touched then: a waited handle may outlive it.
+  if (valid() && ticket_->Cancel()) {
+    ticket_->session()->engine()->CancelQueued(ticket_.get());
   }
-  session_->engine()->Cancel(id_);
 }
 
 // -------------------------------------------------------------- QueryBuilder
@@ -118,14 +92,7 @@ QueryHandle Session::SubmitSpec(QuerySpec spec, bool stream) {
     }
     ++outstanding_;
   }
-  std::unique_ptr<ResultStream> rs;
-  if (stream) {
-    rs = std::make_unique<ResultStream>();
-    spec.stream = rs.get();
-  }
-  spec.on_complete = [this](uint64_t) { OnComplete(); };
-  const uint64_t id = engine_->SubmitSpec(std::move(spec));
-  return QueryHandle(this, id, std::move(rs));
+  return QueryHandle(engine_->SubmitSpec(std::move(spec), this, stream));
 }
 
 void Session::OnComplete() {

@@ -1,8 +1,8 @@
 // Session / QueryHandle: the client API over the QueryEngine — the one
 // submission surface shared by in-process callers (examples, tests,
 // WorkloadDriver) and the network server's per-connection sessions
-// (src/net/server.h). The engine's spec-level submit/wait/cancel are private
-// and befriend only these two classes; a caller holding a bound QuerySpec
+// (src/net/server.h). The engine's spec-level submit/cancel are private and
+// befriend only these two classes; a caller holding a bound QuerySpec
 // submits it with Query().FromSpec(spec).
 //
 //   Session session(&qe);
@@ -18,11 +18,13 @@
 // Submit() blocks while `window()` queries are in flight, which is the
 // client-side half of the engine's admission control (and the knob the
 // network server turns for backpressure — see net/server.h). A QueryHandle
-// is the completion handle of one query: Wait() (idempotent), Cancel()
-// (in-queue or mid-execution — see QueryEngine::Cancel), Metrics(), and —
-// for Stream() queries — NextBatch() pulling result batches as the executor
-// produces them. Destroying an unwaited handle cancels and reaps the query,
-// so a dropped connection never leaks a completion record.
+// is a reference to one query's QueryTicket (engine/query_engine.h), which
+// the engine's lane entry shares: Wait() (idempotent), Cancel() (in-queue
+// or mid-execution — see QueryEngine::CancelQueued; safe while another
+// thread drains or waits), Metrics(), and — for Stream() queries —
+// NextBatch() pulling result batches as the executor produces them. Destroying a handle
+// of an unfinished query cancels it and waits, so a dropped connection
+// leaves no query behind. The query's completion frees its window slot.
 //
 // Determinism contract, inherited verbatim from the engine: a query
 // submitted through a Session is charged bit-identically to a solo cold
@@ -57,38 +59,37 @@ struct SessionOptions {
   uint32_t max_outstanding = 8;
 };
 
-/// Completion handle of one submitted query. Move-only; reaping the result
-/// (Wait / Metrics / destruction) is what frees the engine-side record.
+/// Completion handle of one submitted query: a reference to its
+/// QueryTicket, which the engine's lane entry shares. Move-only.
 class QueryHandle {
  public:
   QueryHandle() = default;
-  /// An unwaited handle cancels its query and reaps the record.
+  /// An unfinished query is cancelled and waited for.
   ~QueryHandle();
-  QueryHandle(QueryHandle&& other) noexcept { *this = std::move(other); }
+  QueryHandle(QueryHandle&& other) noexcept = default;
   QueryHandle& operator=(QueryHandle&& other) noexcept;
   QueryHandle(const QueryHandle&) = delete;
   QueryHandle& operator=(const QueryHandle&) = delete;
 
-  bool valid() const { return session_ != nullptr; }
-  uint64_t id() const { return id_; }
+  bool valid() const { return ticket_ != nullptr; }
+  uint64_t id() const { return ticket_ == nullptr ? 0 : ticket_->id(); }
 
   /// Streamed result batches (queries built with Stream()): blocks for the
   /// next batch; false once the query finished and the stream drained.
   /// The rows `*out` held before the call go back to the executor for
-  /// reuse (ResultStream::Pop). Always false for non-streamed queries.
-  bool NextBatch(TupleBatch* out);
+  /// reuse (QueryTicket::Pop). Always false for non-streamed queries.
+  bool NextBatch(TupleBatch* out) { return valid() && ticket_->Pop(out); }
 
-  /// Blocks until the query completes; idempotent (the first call reaps the
-  /// engine record, later calls return the cached result).
-  const QueryResult& Wait();
+  /// Blocks until the query completes; idempotent.
+  const QueryResult& Wait() { return ticket_->Wait(); }
 
   /// Moves the result out (after which Wait() returns the hollow shell).
-  QueryResult Take();
+  QueryResult Take() { return std::move(ticket_->Wait()); }
 
   /// Cancels the query: in-queue it never runs (kCancelled, zero execution
   /// charges); mid-execution it stops between batches — a shared-scan
-  /// consumer Detaches mid-lap. The result must still be Wait()ed (the
-  /// destructor does so if the caller does not).
+  /// consumer Detaches mid-lap. A finished query is left alone. Safe to call
+  /// while another thread drains or waits on this handle.
   void Cancel();
 
   /// The query's metrics (blocks until completion).
@@ -96,15 +97,10 @@ class QueryHandle {
 
  private:
   friend class Session;
-  QueryHandle(Session* session, uint64_t id,
-              std::unique_ptr<ResultStream> stream)
-      : session_(session), id_(id), stream_(std::move(stream)) {}
+  explicit QueryHandle(std::shared_ptr<QueryTicket> ticket)
+      : ticket_(std::move(ticket)) {}
 
-  Session* session_ = nullptr;
-  uint64_t id_ = 0;
-  std::unique_ptr<ResultStream> stream_;
-  bool waited_ = false;
-  QueryResult result_;
+  std::shared_ptr<QueryTicket> ticket_;
 };
 
 /// Fluent spec assembly; terminal calls are Submit() (handle) and Run()
@@ -227,10 +223,12 @@ class Session {
   friend class QueryBuilder;
   friend class QueryHandle;
 
-  /// Blocks on the window, wires the completion callback (and stream, when
-  /// `stream`), and submits.
+  friend class QueryEngine;
+
+  /// Blocks on the window and submits.
   QueryHandle SubmitSpec(QuerySpec spec, bool stream) EXCLUDES(mu_);
-  /// Engine completion callback (executor thread, no engine latches held).
+  /// Frees the finished query's window slot (engine completion, no engine
+  /// latches held).
   void OnComplete() EXCLUDES(mu_);
 
   QueryEngine* const engine_;

@@ -1,8 +1,7 @@
 // TaskScheduler: the fixed worker pool behind morsel-driven parallel
-// execution. Each worker owns a deque of tasks; Submit() deals tasks
-// round-robin across the deques, workers pop their own deque from the front
-// and — when it runs dry — steal from the back of a sibling's deque, so an
-// uneven submission (or several scans' tasks) still keeps every core busy.
+// execution. Tasks wait in one FIFO queue and every idle worker takes the
+// oldest, so a scan's tasks start lowest slot first — the order ParallelScan
+// submits them in — and several scans' tasks still keep every core busy.
 //
 // Ownership: the Engine owns the one pool every ExecContext hands out (see
 // storage/engine.h); its threads start at the first Submit, so an engine
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -46,35 +44,23 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  uint32_t num_workers() const { return static_cast<uint32_t>(workers_.size()); }
-
-  /// Enqueues `tasks`, dealt round-robin across worker deques, and wakes one
-  /// worker per task (at most every worker). Returns immediately; a caller
-  /// that needs completion has its tasks report it.
+  /// Appends `tasks` to the queue in order and wakes one worker per task (at
+  /// most every worker). Returns immediately; a caller that needs
+  /// completion has its tasks report it.
   void Submit(std::vector<Task> tasks) EXCLUDES(mu_);
 
  private:
-  struct Worker {
-    std::deque<Task> tasks;
-    std::thread thread;
-  };
+  void WorkerLoop() EXCLUDES(mu_);
 
-  void WorkerLoop(uint32_t id);
-  /// Pops own work from the front, or steals from the back of a sibling.
-  bool TryTake(uint32_t id, Task* out) REQUIRES(mu_);
-
-  // One latch guards all deques: contention is per-task (morsel steps are
-  // thousands of tuples each), far off any hot path. The stealing *policy*
-  // stays per-deque; the latch is an implementation shortcut.
+  const uint32_t num_workers_;
+  // Contention is per task (morsel steps are thousands of tuples each), far
+  // off any hot path.
   mutable latch::Latch mu_{latch::LatchRank::kScheduler,
                            "TaskScheduler::mu_"};
   std::condition_variable_any cv_;
-  /// The vector itself is fixed after construction; the `tasks` deques
-  /// inside are guarded by `mu_` — accessed only via TryTake/Submit — and
-  /// each `thread` is set once, under `mu_`, by the first Submit.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  size_t next_deal_ GUARDED_BY(mu_) = 0;
-  bool started_ GUARDED_BY(mu_) = false;
+  std::deque<Task> tasks_ GUARDED_BY(mu_);
+  /// Empty until the first Submit starts every worker.
+  std::vector<std::thread> threads_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
 

@@ -1,6 +1,9 @@
 #include "mem/memory_broker.h"
 
 #include <algorithm>
+#include <string>
+
+#include "obs/metrics.h"
 
 namespace smoothscan {
 
@@ -151,6 +154,22 @@ void QueryMemoryScope::Uncharge(uint64_t bytes) {
 bool QueryMemoryScope::OverQuota() const {
   if (bytes_.load(std::memory_order_relaxed) > quota_) return true;
   return broker_ != nullptr && broker_->UnderPressure();
+}
+
+void SetBrokerGauges(const MemoryBroker& broker,
+                     obs::MetricsRegistry* registry) {
+  auto set = [registry](const std::string& name, uint64_t v) {
+    registry->gauge(name)->Set(static_cast<int64_t>(v));
+  };
+  set("broker.total_bytes", broker.total_bytes());
+  set("broker.peak_total_bytes", broker.peak_total_bytes());
+  set("broker.pressure_epochs", broker.pressure_epoch());
+  set("broker.under_pressure", broker.UnderPressure() ? 1 : 0);
+  for (size_t i = 0; i < kNumMemoryClasses; ++i) {
+    const auto cls = static_cast<MemoryClass>(i);
+    set(std::string("broker.class.") + MemoryClassName(cls) + ".bytes",
+        broker.class_bytes(cls));
+  }
 }
 
 }  // namespace smoothscan

@@ -34,6 +34,10 @@
 
 namespace smoothscan {
 
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
 /// Consumer classes the broker accounts separately (reporting/shedding
 /// policy is per class; the budget is global).
 enum class MemoryClass {
@@ -233,6 +237,11 @@ class QueryMemoryScope : public MemoryAccount {
   std::atomic<uint64_t> peak_bytes_{0};
   std::atomic<uint64_t> breaches_{0};
 };
+
+/// Writes the broker's totals, peak, pressure state and per-class bytes into
+/// `registry`'s broker.* gauges: one pull, right before a report snapshot.
+void SetBrokerGauges(const MemoryBroker& broker,
+                     obs::MetricsRegistry* registry);
 
 }  // namespace smoothscan
 

@@ -24,7 +24,7 @@
 // its latency floor — bench_server_overload pins exactly this.
 //
 // Cancellation: a CANCEL frame (or the connection dropping — teardown
-// cancels every active query) reaches QueryEngine::Cancel through the
+// cancels every active query) reaches the query's ticket through the
 // handle: in-queue queries never run; mid-execution shared-scan consumers
 // Detach mid-lap without perturbing their peers' accounting.
 

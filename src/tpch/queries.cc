@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "exec/gather.h"
+#include "access/parallel_scan.h"
 #include "exec/operators.h"
 
 namespace smoothscan::tpch {
@@ -13,28 +13,26 @@ namespace li = lineitem;
 namespace ord = orders;
 
 /// Builds the LINEITEM access path of `kind` for `pred`, exposing the raw
-/// pointer so stats survive until after the drain. With `dop > 1` the leaf
-/// becomes a morsel-driven parallel scan below a Gather exchange; the rest of
-/// the plan (and its simulated cost) is unchanged — only wall time drops.
+/// pointer so stats survive until after the drain. With `dop >= 1` the leaf
+/// becomes a morsel-driven parallel scan, the plan's exchange boundary; the
+/// rest of the plan (and its simulated cost) is unchanged — only wall time
+/// drops.
 std::unique_ptr<Operator> MakeLineitemScan(const TpchDb& db,
                                            const ScanPredicate& pred,
                                            PathKind kind, bool need_order,
                                            uint32_t dop,
                                            const AccessPath** out_path) {
+  std::unique_ptr<AccessPath> path;
   if (dop >= 1) {
     ParallelScanOptions parallel;
     parallel.dop = dop;
-    std::unique_ptr<ParallelScan> par =
-        MakeParallelPath(kind, &db.lineitem_shipdate_index(), pred, need_order,
-                         /*estimate=*/0, parallel);
-    if (par != nullptr) {
-      *out_path = par.get();
-      return std::make_unique<GatherOp>(std::move(par));
-    }
+    path = MakeParallelPath(kind, &db.lineitem_shipdate_index(), pred,
+                            need_order, /*estimate=*/0, parallel);
   }
-  std::unique_ptr<AccessPath> path =
-      MakePath(kind, &db.lineitem_shipdate_index(), pred, need_order,
-               /*estimate=*/0);
+  if (path == nullptr) {
+    path = MakePath(kind, &db.lineitem_shipdate_index(), pred, need_order,
+                    /*estimate=*/0);
+  }
   *out_path = path.get();
   return std::make_unique<ScanOp>(std::move(path));
 }

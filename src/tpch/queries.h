@@ -56,9 +56,9 @@ QueryOutput RunQ19(const TpchDb& db, PathKind lineitem_path,
 
 /// Dispatch by query number (1, 4, 6, 7, 12, 14, 19). `dop` selects the
 /// LINEITEM leaf's execution model: 0 (default) runs the serial operator as
-/// the paper does; dop >= 1 runs the morsel-driven parallel variant below a
-/// Gather exchange with that many workers — the parallel plan's simulated
-/// cost is DOP-invariant, so 1 vs. 8 isolates the wall-clock effect.
+/// the paper does; dop >= 1 runs the morsel-driven parallel variant with
+/// that many morsels in flight — the parallel plan's simulated cost is
+/// DOP-invariant, so 1 vs. 8 isolates the wall-clock effect.
 QueryOutput RunQuery(int query, const TpchDb& db, PathKind lineitem_path,
                      uint32_t dop = 0);
 

@@ -4,12 +4,10 @@
 #include <barrier>
 #include <chrono>
 #include <cstddef>
-#include <memory>
 #include <thread>
 
 #include "common/rng.h"
 #include "engine/session.h"
-#include "obs/sampler.h"
 #include "plan/table_stats.h"
 
 namespace smoothscan {
@@ -247,18 +245,6 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
       1, 2 * db_->heap().num_tuples() /
              std::max<uint64_t>(1, db_->heap().num_pages())));
 
-  // Periodic snapshot reporter: while the clients run, a sampler thread
-  // pulls broker state into registry gauges every tick; Stop()
-  // samples once more, so the report's snapshot is the end state.
-  std::unique_ptr<obs::RegistrySampler> sampler;
-  if (options.metrics != nullptr) {
-    obs::RegistrySampler::Sources sources;
-    sources.registry = options.metrics;
-    sources.broker = options.broker;
-    sampler = std::make_unique<obs::RegistrySampler>(sources);
-    sampler->Start(std::chrono::milliseconds(options.snapshot_period_ms));
-  }
-
   std::vector<std::vector<QueryMetrics>> per_client(options.clients);
   const Rng root(options.seed);
   const auto wall_start = std::chrono::steady_clock::now();
@@ -310,9 +296,6 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
   for (std::thread& t : clients) t.join();
   phase_lease.Release();
   const auto wall_end = std::chrono::steady_clock::now();
-  // After the wall-clock stamp so the final synchronous sample never
-  // inflates wall_ms.
-  if (sampler != nullptr) sampler->Stop();
 
   WorkloadReport report;
   report.wall_ms =
@@ -359,6 +342,9 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
     }
   }
   if (options.metrics != nullptr) {
+    if (options.broker != nullptr) {
+      SetBrokerGauges(*options.broker, options.metrics);
+    }
     report.metrics = options.metrics->Snapshot();
   }
   return report;

@@ -96,16 +96,13 @@ struct WorkloadOptions {
 
   // --- Observability (pure bookkeeping; per-query simulated cost is
   // bit-identical with or without any of it). ---
-  /// Unified metrics registry. When set, Run() spawns a RegistrySampler for
-  /// the duration of the client loop — the periodic snapshot reporter that
-  /// pulls broker state into registry gauges — samples once more at
-  /// stop, and stores the final registry snapshot in WorkloadReport::metrics.
+  /// Unified metrics registry. When set, Run() stores the final registry
+  /// snapshot in WorkloadReport::metrics, with the broker's gauges written
+  /// right before it (SetBrokerGauges).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Pull-style sampler source (optional; see obs/sampler.h). It also fills
-  /// the report's mem_class_bytes/peak/pressure fields directly.
+  /// Memory broker whose end state fills the report's mem_class_bytes /
+  /// peak / pressure fields and, with `metrics`, the broker.* gauges.
   const MemoryBroker* broker = nullptr;
-  /// Sampler tick period.
-  uint32_t snapshot_period_ms = 25;
 
   /// The paper's three-phase drift with a lying optimizer: trickle-selective
   /// queries the stats get right, then a mid-selectivity phase the stats

@@ -24,7 +24,6 @@
 #include "access/switch_scan.h"
 #include "common/rng.h"
 #include "workload/micro_bench.h"
-#include "write/table_version.h"
 
 namespace smoothscan {
 namespace {
@@ -584,59 +583,6 @@ TEST(ResultCacheTest, MaxSizeTracksHighWater) {
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.max_size(), 10u);
   EXPECT_EQ(cache.inserts(), 10u);
-}
-
-TEST(ResultCacheTest, ClearDropsContentKeepsCounters) {
-  ResultCache cache({10, 20});
-  cache.Insert(5, Tid{0, 0}, {Value::Int64(1)});
-  cache.Insert(15, Tid{0, 1}, {Value::Int64(2)});
-  EXPECT_EQ(cache.EvictBelow(10), 1u);  // Advance the live-partition cursor.
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.resident_size(), 0u);
-  EXPECT_FALSE(cache.Take(15, Tid{0, 1}).has_value());
-  // Cleared, not reset: cumulative counters survive ...
-  EXPECT_EQ(cache.inserts(), 2u);
-  EXPECT_EQ(cache.max_size(), 2u);
-  // ... and the partition cursor rewound, so low keys are insertable again.
-  cache.Insert(5, Tid{0, 0}, {Value::Int64(1)});
-  EXPECT_TRUE(cache.Take(5, Tid{0, 0}).has_value());
-}
-
-TEST(ResultCacheTest, PublishInvalidationClearsAttachedTableOnly) {
-  // Tuples cached from a snapshot are stale once that table publishes: the
-  // registry's publish-hook fan-out must Clear() the attached cache — and
-  // only for its own table.
-  Engine engine((EngineOptions()));
-  HeapFile heap(&engine, "cached_table", MakeIntSchema(2));
-  HeapFile other(&engine, "other_table", MakeIntSchema(2));
-  SMOOTHSCAN_CHECK(heap.Append({Value::Int64(1), Value::Int64(2)}).ok());
-  SMOOTHSCAN_CHECK(other.Append({Value::Int64(3), Value::Int64(4)}).ok());
-  TableVersionRegistry registry(&engine);
-
-  ResultCache cache({});
-  cache.AttachInvalidation(&registry, heap.file_id());
-  cache.Insert(5, Tid{0, 0}, {Value::Int64(42)});
-
-  // A publish of an unrelated table leaves the cache intact.
-  registry.BeginWrite(other.file_id(), &other).Release();
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.invalidations(), 0u);
-
-  // A publish of the attached table clears it.
-  registry.BeginWrite(heap.file_id(), &heap).Release();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.invalidations(), 1u);
-  EXPECT_FALSE(cache.Take(5, Tid{0, 0}).has_value());
-
-  // Detach-on-destruction: a cache dying before the registry must not leave
-  // a dangling hook behind for the next publish to call.
-  {
-    ResultCache doomed({});
-    doomed.AttachInvalidation(&registry, heap.file_id());
-  }
-  registry.BeginWrite(heap.file_id(), &heap).Release();
-  EXPECT_EQ(cache.invalidations(), 2u);  // Survivor still wired.
 }
 
 // ---------- Result Cache spilling ----------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/query_engine.h"
 #include "engine/session.h"
 #include "sharing/scan_sharing.h"
@@ -457,6 +459,101 @@ TEST_F(ConcurrentEngineTest, CancelMidExecutionDetachesSharedConsumer) {
     const std::multiset<int64_t> got(r.keys.begin(), r.keys.end());
     EXPECT_EQ(got, oracle);
   }
+}
+
+TEST_F(ConcurrentEngineTest, SubmitCancelRaceSettlesEveryTicketOnce) {
+  // Four threads submit rounds of queries, streamed and not, into one
+  // executor and at once cancel most of them, latest first. Seeded spins
+  // land the cancels in the queue, at admission, between batches and after
+  // completion. Every query completes exactly once and no wait hangs. A
+  // query cancelled before it ran has no I/O and no tuples; one that ran to
+  // the end has the oracle multiset; one stopped between batches has
+  // delivered a subset of it.
+  QueryEngineOptions qeo;
+  qeo.max_admitted = 1;
+  QueryEngine qe(engine_.get(), qeo);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  constexpr double kSels[] = {0.001, 0.05, 0.5};
+  constexpr PathKind kKinds[] = {PathKind::kFullScan, PathKind::kIndexScan,
+                                 PathKind::kSmoothScan};
+  std::vector<std::multiset<int64_t>> oracles;
+  for (const double sel : kSels) {
+    oracles.push_back(Oracle(db_->PredicateForSelectivity(sel)));
+  }
+  std::atomic<int> before_run{0}, mid_run{0}, finished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(1000 + t);
+      Session session(&qe);
+      for (int submitted = 0; submitted < kPerThread;) {
+        struct Sub {
+          QueryHandle handle;
+          size_t sel;
+          bool streamed;
+        };
+        std::vector<Sub> round;
+        for (int64_t n = rng.UniformInt(1, 4);
+             n > 0 && submitted < kPerThread; --n, ++submitted) {
+          const size_t sel = static_cast<size_t>(rng.UniformInt(0, 2));
+          const bool streamed = rng.UniformInt(0, 1) == 1;
+          round.push_back(
+              {session.Query()
+                   .Table(&db_->index())
+                   .Predicate(db_->PredicateForSelectivity(kSels[sel]))
+                   .Policy(kKinds[rng.UniformInt(0, 2)])
+                   .CollectKeys(!streamed)
+                   .Stream(streamed)
+                   .Submit(),
+               sel, streamed});
+        }
+        // A busy delay: a yield can hand the core away for a whole slice.
+        std::atomic<int64_t> spin{rng.UniformInt(0, 1000000)};
+        while (spin.fetch_sub(1, std::memory_order_relaxed) > 0) {
+        }
+        for (auto it = round.rbegin(); it != round.rend(); ++it) {
+          if (rng.UniformInt(0, 3) != 0) it->handle.Cancel();
+        }
+        for (Sub& sub : round) {
+          std::multiset<int64_t> got;
+          TupleBatch batch;
+          while (sub.handle.NextBatch(&batch)) {
+            for (size_t r = 0; r < batch.size(); ++r) {
+              got.insert(batch.row(r)[0].AsInt64());
+            }
+          }
+          const QueryResult& res = sub.handle.Wait();
+          if (!sub.streamed) got.insert(res.keys.begin(), res.keys.end());
+          const std::multiset<int64_t>& oracle = oracles[sub.sel];
+          if (res.status.ok()) {
+            EXPECT_FALSE(res.metrics.cancelled);
+            EXPECT_EQ(got, oracle);
+            finished.fetch_add(1);
+            continue;
+          }
+          ASSERT_EQ(res.status.code(), StatusCode::kCancelled);
+          EXPECT_TRUE(res.metrics.cancelled);
+          if (res.metrics.io_requests == 0 && res.metrics.tuples == 0) {
+            EXPECT_TRUE(got.empty());
+            before_run.fetch_add(1);
+            continue;
+          }
+          // Stopped between batches: it delivered part of the answer.
+          EXPECT_LE(got.size(), res.metrics.tuples);
+          EXPECT_TRUE(std::includes(oracle.begin(), oracle.end(),
+                                    got.begin(), got.end()));
+          mid_run.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(before_run + mid_run + finished, kThreads * kPerThread);
+  EXPECT_EQ(qe.completed(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_GT(before_run.load(), 0);
+  EXPECT_GT(finished.load(), 0);
 }
 
 TEST(LatencyPercentileTest, NearestRank) {

@@ -328,7 +328,7 @@ TEST_F(AllocationRegression, UnorderedSortScanAllocatesNoRowStorage) {
 }
 
 // A streamed query hands each batch to its consumer and gets the one the
-// consumer is done with back (ResultStream), so once the stream's few
+// consumer is done with back (QueryTicket), so once the stream's few
 // batches are warm the executor decodes into warm rows. A whole streamed
 // query (submit, drain, Take) allocates the rows of at most window + 2 cold
 // batches (the queue, the executor's and the consumer's: how many of them
@@ -368,7 +368,7 @@ TEST_F(AllocationRegression, StreamedQueryAllocatesNoRowStorage) {
     EXPECT_GT(half_rows, 10000u);
     EXPECT_LT(half_rows, 20000u);
     const uint64_t bound =
-        (ResultStream::kWindowBatches + 2) * (kDefaultBatchSize + 1) + 500;
+        (QueryTicket::kWindowBatches + 2) * (kDefaultBatchSize + 1) + 500;
     EXPECT_LT(all, bound) << all << " allocations for " << all_rows;
     EXPECT_LT(half, bound) << half << " allocations for " << half_rows;
   }

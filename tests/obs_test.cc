@@ -28,7 +28,6 @@
 #include "mem/memory_broker.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sharing/scan_sharing.h"
 #include "workload/workload_driver.h"
@@ -753,7 +752,6 @@ TEST(WorkloadReportTest, CarriesRegistrySnapshotAndBrokerState) {
   wo.phases = WorkloadOptions::DriftingPhases(/*queries_per_phase=*/2);
   wo.metrics = &registry;
   wo.broker = &broker;
-  wo.snapshot_period_ms = 5;
   const WorkloadReport report = driver.Run(wo);
 
   EXPECT_EQ(report.queries, 2u * 3u * 2u);
@@ -763,8 +761,8 @@ TEST(WorkloadReportTest, CarriesRegistrySnapshotAndBrokerState) {
   EXPECT_TRUE(report.metrics.Has("engine.latency_us.p95"));
   // Each query's private pool is added to the registry at completion.
   EXPECT_GT(report.metrics.Value("bufferpool.misses"), 0.0);
-  // ...including the sampler's broker gauges, which agree with the direct
-  // broker fields (the sampler's final tick runs after the last query).
+  // ...including the broker gauges, which agree with the direct broker
+  // fields (both are read after the last query).
   EXPECT_TRUE(report.metrics.Has("broker.peak_total_bytes"));
   EXPECT_EQ(static_cast<uint64_t>(
                 report.metrics.Value("broker.peak_total_bytes")),

@@ -22,7 +22,6 @@
 #include "access/page_id_cache.h"
 #include "access/parallel_scan.h"
 #include "common/rng.h"
-#include "exec/gather.h"
 #include "exec/operators.h"
 #include "exec/task_scheduler.h"
 #include "workload/micro_bench.h"
@@ -354,7 +353,7 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.4);
   const std::multiset<int64_t> oracle = Oracle(pred);
   engine_->ColdRestart();
-  auto gather = std::make_unique<GatherOp>(
+  auto gather = std::make_unique<ScanOp>(
       MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(8)));
   // Serial filter above the exchange boundary.
   FilterOp filter(engine_.get(), std::move(gather), [](const Tuple& t) {
