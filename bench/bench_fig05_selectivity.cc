@@ -35,8 +35,7 @@ constexpr double kSelectivities[] = {0.0,  0.00001, 0.0001, 0.001, 0.01,
 RunMetrics MeasureFullScanWithSort(Engine* engine, const MicroBenchDb& db,
                                    const ScanPredicate& pred) {
   return MeasureCold(engine, [&]() -> uint64_t {
-    auto scan = std::make_unique<ScanOp>(
-        std::make_unique<FullScan>(&db.heap(), pred));
+    auto scan = std::make_unique<FullScan>(&db.heap(), pred);
     SortOp sort(engine, std::move(scan), [](const Tuple& a, const Tuple& b) {
       return a[MicroBenchDb::kIndexedColumn].AsInt64() <
              b[MicroBenchDb::kIndexedColumn].AsInt64();

@@ -104,11 +104,11 @@ BENCHMARK_F(TreeFixture, BM_HeapRead)(benchmark::State& state) {
 }
 
 // Full-scan drain throughput as a function of batch capacity: the headline
-// number of the vectorization refactor. The scan runs through the executor
-// (ScanOp over FullScan), as every query does: batch 1 degenerates to the
-// old tuple-at-a-time pipeline — one dispatch through each operator layer
-// plus batch/meter bookkeeping *per tuple* — while batch 1024 amortizes all
-// of it across the batch. Compare items_per_second of /1 vs /1024.
+// number of the vectorization refactor. The scan is pulled through the
+// Operator interface, as every query's leaf is: batch 1 degenerates to the
+// old tuple-at-a-time pipeline — one dispatch and batch/meter bookkeeping
+// *per tuple* — while batch 1024 amortizes all of it across the batch.
+// Compare items_per_second of /1 vs /1024.
 void BM_FullScanDrain(benchmark::State& state) {
   static std::unique_ptr<Engine> engine;
   static std::unique_ptr<MicroBenchDb> scan_db;
@@ -122,9 +122,9 @@ void BM_FullScanDrain(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
   uint64_t tuples = 0;
   for (auto _ : state) {
-    ScanOp scan(std::make_unique<FullScan>(&scan_db->heap(), pred));
+    FullScan scan(&scan_db->heap(), pred);
     SMOOTHSCAN_CHECK(scan.Open().ok());
-    const uint64_t n = DrainBatched(&scan, nullptr, batch_size);
+    const uint64_t n = Drain(&scan, nullptr, batch_size);
     scan.Close();
     benchmark::DoNotOptimize(n);
     tuples += n;

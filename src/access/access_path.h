@@ -1,7 +1,9 @@
-// AccessPath: the common interface of every access path operator (Full Scan,
-// Index Scan, Sort Scan, Switch Scan, Smooth Scan). The substrate is
-// *batch-first*: NextBatch() is the one pull call and fills up to a
-// TupleBatch of qualifying tuples per virtual dispatch. All I/O flows through
+// AccessPath: the common base of every access path (Full Scan, Index Scan,
+// Sort Scan, Switch Scan, Smooth Scan, and the parallel, shared and
+// compressed scans). An access path is an Operator (exec/operator.h): the
+// same batch-first NextBatch() pull, so it sits directly under its parent
+// operator. What it adds is per-scan bookkeeping only: its stats, its
+// execution context and its observability handle. All I/O flows through
 // the engine's buffer pool and all CPU work through its meter (charged per
 // batch, amortized), so a caller can diff engine counters around a scan to
 // obtain the paper's measurements.
@@ -23,8 +25,8 @@
 //   * stats() — counters of the CURRENT Open() cycle (Open resets them).
 //     Read them before re-Open.
 //
-// Implementations override OpenImpl / NextBatchImpl / CloseImpl; the base
-// class owns the end-of-stream latch.
+// Implementations override OpenImpl / NextBatchImpl / CloseImpl; Operator
+// owns the end-of-stream latch.
 
 #ifndef SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
 #define SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
@@ -34,6 +36,7 @@
 #include "access/predicate.h"
 #include "common/status.h"
 #include "common/tuple_batch.h"
+#include "exec/operator.h"
 #include "obs/obs_context.h"
 #include "storage/exec_context.h"
 #include "storage/schema.h"
@@ -77,23 +80,8 @@ struct ScanWork {
 };
 
 /// Abstract pipelined access path (see the lifecycle contract above).
-class AccessPath {
+class AccessPath : public Operator {
  public:
-  virtual ~AccessPath() = default;
-
-  /// Prepares the scan, resetting iteration state and stats.
-  Status Open();
-
-  /// Fills `out` with up to out->capacity() qualifying tuples. Returns false
-  /// at end of stream (with `out` empty).
-  bool NextBatch(TupleBatch* out);
-
-  /// Releases scan state (see contract). Idempotent; re-Open is safe.
-  void Close();
-
-  /// Operator name for reports ("FullScan", "SmoothScan", ...).
-  virtual const char* name() const = 0;
-
   const AccessPathStats& stats() const { return stats_; }
 
   /// Redirects all page fetches and CPU charges of this scan to `ctx`
@@ -109,12 +97,11 @@ class AccessPath {
   void SetObs(const obs::ObsContext* o) { obs_ = o; }
 
  protected:
-  /// Subclass hooks. NextBatchImpl appends to `out` (already cleared) and
-  /// returns !out->empty(); it is never called again after returning false
-  /// until the next Open().
-  virtual Status OpenImpl() = 0;
-  virtual bool NextBatchImpl(TupleBatch* out) = 0;
-  virtual void CloseImpl() {}
+  /// Open() starts a cycle with zeroed stats and the active context.
+  void ResetCycle() final {
+    stats_ = AccessPathStats();
+    ctx_ = ctx_override_ != nullptr ? *ctx_override_ : DefaultContext();
+  }
 
   /// The engine-owned context this path charges when none is injected.
   virtual ExecContext DefaultContext() const = 0;
@@ -130,7 +117,6 @@ class AccessPath {
   AccessPathStats stats_;
 
  private:
-  bool exhausted_ = false;  ///< End of stream reached (until re-Open).
   const ExecContext* ctx_override_ = nullptr;
   const obs::ObsContext* obs_ = nullptr;
   ExecContext ctx_;

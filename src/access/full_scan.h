@@ -18,6 +18,49 @@ namespace smoothscan {
 /// page loops: FullScan, Switch Scan's post-switch scan and CompressedScan.
 constexpr uint32_t kReadAheadPages = 32;
 
+/// The dense-fill heap-page kernel of FullScan::Fill and SharedScanPath:
+/// decodes the tuples of `page` that pass `pred`, from `slot` on, straight
+/// into `rows[*filled .. cap)`, and returns the slot to resume at
+/// (page.num_slots() once the page is spent). A failed residual does not
+/// advance the count, so its slot is reused. Inspections and cache ops go to
+/// `work`. `exclude` is FullScan::Fill's, and `page_id` names `page` for it.
+/// Inline, so the running count stays in a register.
+inline uint16_t FillFromPage(const Page& page, PageId page_id, uint16_t slot,
+                             const Schema& schema, const ScanPredicate& pred,
+                             const IndexPosition* exclude, Tuple* rows,
+                             size_t cap, size_t* filled, ScanWork* work) {
+  const int key_col = pred.column;
+  const int64_t lo = pred.lo;
+  const int64_t hi = pred.hi;
+  const bool has_residual = static_cast<bool>(pred.residual);
+  const uint16_t num_slots = page.num_slots();
+  size_t n = *filled;
+  uint64_t inspected = 0;
+  uint64_t cache_ops = 0;
+  while (slot < num_slots && n < cap) {
+    const SlotId s = slot++;
+    uint32_t size = 0;
+    const uint8_t* data = page.GetTuple(s, &size);
+    if (data == nullptr) continue;  // Tombstoned slot.
+    ++inspected;
+    // Cheap key check on the serialized bytes before materializing.
+    const int64_t key = schema.ReadInt64Column(data, size, key_col);
+    if (key < lo || key >= hi) continue;
+    Tuple* decoded = &rows[n];
+    schema.DeserializeInto(data, size, decoded);
+    if (has_residual && !pred.residual(*decoded)) continue;
+    if (exclude != nullptr) {
+      ++cache_ops;
+      if (IndexPosition{key, Tid{page_id, s}} < *exclude) continue;
+    }
+    ++n;
+  }
+  *filled = n;
+  work->inspected += inspected;
+  work->cache_ops += cache_ops;
+  return slot;
+}
+
 struct FullScanOptions {
   /// Heap-page range [page_begin, page_end) to scan. The defaults cover the
   /// whole file; morsel-driven execution restricts each worker's scan to its

@@ -271,23 +271,11 @@ bool ParallelScan::NextBatchImpl(TupleBatch* out) {
         return !out->empty();
       }
     }
-    TupleBatch& pb = *pending_;
-    if (out->empty() && pending_pos_ == 0 &&
-        pb.capacity() == out->capacity()) {
-      // Whole-batch hand-off: the exchange swaps the buffers, not the
-      // rows, then recycles the caller's old storage through the pool —
-      // the recycled-Value-storage contract the old `pending_ =
-      // TupleBatch()` reset silently broke.
-      std::swap(*out, pb);
-      pending_.Release();
-      return !out->empty();
-    }
-    const size_t n = pb.size();
-    // Row by row, swap rather than move: both batches keep warm slots.
-    while (pending_pos_ < n && !out->full()) {
-      std::swap(*out->AppendSlot(), pb.row(pending_pos_++));
-    }
-    if (pending_pos_ >= n) pending_.Release();
+    // A whole pooled batch goes out as is: the exchange swaps buffers, not
+    // rows, and the caller's old storage returns to the pool warm.
+    const bool whole = out->TakeFrom(pending_.get(), &pending_pos_);
+    if (pending_pos_ == pending_->size()) pending_.Release();
+    if (whole) break;
   }
   return !out->empty();
 }

@@ -8,7 +8,8 @@
 // against a private morsel AccountingStack (its own simulated disk, buffer
 // pool and CPU meter: one logical access stream per morsel). Produced batches
 // flow through per-morsel output slots that the consumer drains in morsel
-// order.
+// order. A ParallelScan is an Operator like every access path, so it sits
+// directly under its parent operator as the plan's exchange.
 //
 // One implementation per access path: a kernel's per-morsel work is a cursor
 // over the *serial* operator restricted to the morsel — FullScan over a page
@@ -201,8 +202,8 @@ class DrainKernel : public ParallelScanKernel {
 /// coincide with the serial scan's.
 uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
 
-/// AccessPath adapter running a kernel on a worker pool (see file comment).
-/// Wrapped in a ScanOp it is a plan's exchange boundary.
+/// AccessPath running a kernel on a worker pool (see file comment). Under
+/// its parent operator it is a plan's exchange boundary.
 class ParallelScan : public AccessPath {
  public:
   /// Window per unit of DOP: batches a scan keeps queued ahead of its

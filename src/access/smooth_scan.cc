@@ -1,6 +1,7 @@
 #include "access/smooth_scan.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace smoothscan {
 
@@ -400,21 +401,11 @@ TupleBatch* SmoothScan::SpillBatch() {
 void SmoothScan::TakeSpilled(TupleBatch* out) {
   PooledBatch& spilled = spill_[spill_next_];
   const size_t before = out->size();
-  if (out->empty() && spill_pos_ == 0 &&
-      spilled->capacity() == out->capacity()) {
-    // Swap buffers, not rows; the caller's old storage goes to the pool warm.
-    std::swap(*out, *spilled);
+  out->TakeFrom(spilled.get(), &spill_pos_);
+  if (spill_pos_ == spilled->size()) {
     spilled.Release();
     ++spill_next_;
-  } else {
-    while (spill_pos_ < spilled->size() && !out->full()) {
-      std::swap(*out->AppendSlot(), spilled->row(spill_pos_++));
-    }
-    if (spill_pos_ == spilled->size()) {
-      spilled.Release();
-      ++spill_next_;
-      spill_pos_ = 0;
-    }
+    spill_pos_ = 0;
   }
   stats_.tuples_produced += out->size() - before;
   if (spill_next_ == spill_.size()) {
@@ -501,7 +492,7 @@ void SmoothScan::NextOrdered(TupleBatch* out) {
     if (!cached) continue;  // Residual failure / Mode-0 duplicate: skip.
     result_cache_->EvictBelow(key);
     ++stats_.tuples_produced;
-    out->Append(std::move(*cached));
+    std::swap(*out->AppendSlot(), *cached);
   }
 }
 

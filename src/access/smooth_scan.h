@@ -231,9 +231,8 @@ class SmoothScan : public AccessPath {
   /// The spill batch with room for the next harvested row, borrowed from
   /// ctx().batch_pool.
   TupleBatch* SpillBatch();
-  /// Hands the oldest spilled rows to `out`: the whole batch when `out` is
-  /// empty and of the same capacity (a buffer swap that sends `out`'s old
-  /// storage back to the pool warm), else row by row.
+  /// Hands the oldest spilled rows to `out` (TupleBatch::TakeFrom: a whole
+  /// batch sends `out`'s old storage back to the pool warm).
   void TakeSpilled(TupleBatch* out);
   void UpdatePolicy(uint64_t region_pages, uint64_t region_result_pages);
 

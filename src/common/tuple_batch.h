@@ -4,12 +4,13 @@
 // CPU-meter accounting over the whole batch — the per-row CPU tax that
 // dominates scan cost once I/O is sequential.
 //
-// Layout: a dense array of row slots plus an optional selection vector.
-// Producers fill slots in place (AppendSlot reuses the slot's Value storage
-// across batches, so steady-state decode of fixed-width schemas performs no
-// allocation); filters mark survivors in the selection vector instead of
-// copying rows. All read accessors (`size`, `row`, `Take`) see the batch
-// through the selection, so consumers are selection-oblivious.
+// Layout: one dense array of row slots, [0, size()) live. Rows are read and
+// written only through slots: producers fill them in place (AppendSlot
+// reuses the slot's Value storage across batches, so steady-state decode of
+// fixed-width schemas performs no allocation), and consumers that keep a row
+// swap it out of row(i) rather than move it, so both sides keep warm
+// storage. A filter swaps its survivors into the dense prefix, and a batch
+// hands its rows on to another with TakeFrom.
 
 #ifndef SMOOTHSCAN_COMMON_TUPLE_BATCH_H_
 #define SMOOTHSCAN_COMMON_TUPLE_BATCH_H_
@@ -39,43 +40,28 @@ class TupleBatch {
 
   size_t capacity() const { return capacity_; }
 
-  /// Number of visible (selected) tuples.
-  size_t size() const { return sel_active_ ? sel_.size() : filled_; }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return filled_; }
+  bool empty() const { return filled_ == 0; }
   /// True when no further tuple can be appended.
   bool full() const { return filled_ >= capacity_; }
 
-  /// Forgets all rows and any selection. Row slots keep their Value storage
-  /// so the next fill cycle reuses it.
-  void Clear() {
-    filled_ = 0;
-    sel_active_ = false;
-    sel_.clear();
-  }
+  /// Forgets all rows. Row slots keep their Value storage so the next fill
+  /// cycle reuses it.
+  void Clear() { filled_ = 0; }
 
-  /// The opposite of Clear(): drops the row and selection storage outright.
-  /// Memory-governance shedding only (a BatchPool over quota) — the next
-  /// fill reallocates lazily via EnsureRows.
+  /// The opposite of Clear(): drops the row storage outright. Memory-
+  /// governance shedding only (a BatchPool over quota) — the next fill
+  /// reallocates lazily via EnsureRows.
   void ReleaseMemory() {
     filled_ = 0;
-    sel_active_ = false;
     std::vector<Tuple>().swap(rows_);
-    std::vector<uint32_t>().swap(sel_);
-  }
-
-  /// Appends a tuple by move. Illegal once a selection is active (the dense
-  /// region would no longer be well defined) — Compact() first.
-  void Append(Tuple tuple) {
-    SMOOTHSCAN_CHECK(!sel_active_ && filled_ < capacity_);
-    EnsureRows();
-    rows_[filled_++] = std::move(tuple);
   }
 
   /// Returns the next slot for in-place filling and marks it live. The slot
   /// retains its previous Value storage — decode into it with
   /// Schema::DeserializeInto to avoid per-tuple allocation.
   Tuple* AppendSlot() {
-    SMOOTHSCAN_CHECK(!sel_active_ && filled_ < capacity_);
+    SMOOTHSCAN_CHECK(filled_ < capacity_);
     EnsureRows();
     return &rows_[filled_++];
   }
@@ -83,7 +69,7 @@ class TupleBatch {
   /// Drops the most recently appended slot (a slot whose tuple failed the
   /// residual predicate after in-place decode).
   void PopLast() {
-    SMOOTHSCAN_CHECK(!sel_active_ && filled_ > 0);
+    SMOOTHSCAN_CHECK(filled_ > 0);
     --filled_;
   }
 
@@ -92,71 +78,64 @@ class TupleBatch {
   /// a register, then publish it with set_filled(). Slots retain their Value
   /// storage across batches, as with AppendSlot().
   Tuple* fill_rows() {
-    SMOOTHSCAN_CHECK(!sel_active_);
     EnsureRows();
     return rows_.data();
   }
   size_t fill_begin() const { return filled_; }
   void set_filled(size_t n) {
-    SMOOTHSCAN_CHECK(!sel_active_ && n >= filled_ && n <= capacity_);
+    SMOOTHSCAN_CHECK(n >= filled_ && n <= capacity_);
     filled_ = n;
   }
 
-  /// Selection-aware row access: `i` indexes the visible tuples.
-  const Tuple& row(size_t i) const { return rows_[Physical(i)]; }
-  Tuple& row(size_t i) { return rows_[Physical(i)]; }
-
-  /// Moves visible row `i` out of the batch.
-  Tuple Take(size_t i) { return std::move(rows_[Physical(i)]); }
-
-  /// Keeps only the visible rows satisfying `pred`, recording survivors in
-  /// the selection vector (no row is moved or copied).
-  template <typename Pred>
-  void Filter(Pred&& pred) {
-    if (!sel_active_) {
-      sel_.clear();
-      for (uint32_t i = 0; i < filled_; ++i) {
-        if (pred(rows_[i])) sel_.push_back(i);
-      }
-      sel_active_ = true;
-      return;
-    }
-    size_t kept = 0;
-    for (const uint32_t phys : sel_) {
-      if (pred(rows_[phys])) sel_[kept++] = phys;
-    }
-    sel_.resize(kept);
+  const Tuple& row(size_t i) const {
+    SMOOTHSCAN_CHECK(i < filled_);
+    return rows_[i];
+  }
+  Tuple& row(size_t i) {
+    SMOOTHSCAN_CHECK(i < filled_);
+    return rows_[i];
   }
 
-  /// Materializes the selection into a dense prefix so Append* is legal
-  /// again. Rows are moved, not copied.
-  void Compact() {
-    if (!sel_active_) return;
-    size_t out = 0;
-    for (const uint32_t phys : sel_) {
-      if (phys != out) rows_[out] = std::move(rows_[phys]);
-      ++out;
+  /// Keeps only the rows satisfying `pred`, in order, by swapping each
+  /// survivor into the dense prefix: no row is copied, and the dropped
+  /// rows' storage stays in the tail slots for the next fill.
+  template <typename Pred>
+  void Filter(Pred&& pred) {
+    size_t kept = 0;
+    for (size_t i = 0; i < filled_; ++i) {
+      if (!pred(rows_[i])) continue;
+      if (i != kept) std::swap(rows_[kept], rows_[i]);
+      ++kept;
     }
-    filled_ = out;
-    sel_active_ = false;
-    sel_.clear();
+    filled_ = kept;
+  }
+
+  /// Hands the rows of `src` from `*pos` on to this batch until it is full,
+  /// advancing `*pos`; `src` is spent once `*pos == src->size()`. When this
+  /// batch is empty, `*pos` is 0 and the capacities match, the two batches
+  /// swap whole instead — buffers, not rows — which leaves `src` empty and
+  /// holding this batch's old storage, warm for its owner to recycle; the
+  /// call then returns true. Row by row, rows are swapped, so both batches
+  /// keep warm slots.
+  bool TakeFrom(TupleBatch* src, size_t* pos) {
+    if (empty() && *pos == 0 && src->capacity_ == capacity_) {
+      std::swap(*this, *src);
+      return true;
+    }
+    while (*pos < src->filled_ && !full()) {
+      std::swap(*AppendSlot(), src->rows_[(*pos)++]);
+    }
+    return false;
   }
 
  private:
-  size_t Physical(size_t i) const {
-    SMOOTHSCAN_CHECK(i < size());
-    return sel_active_ ? sel_[i] : i;
-  }
-
   void EnsureRows() {
     if (rows_.size() < capacity_) rows_.resize(capacity_);
   }
 
   size_t capacity_;
-  size_t filled_ = 0;  ///< Dense rows in [0, filled_).
+  size_t filled_ = 0;  ///< Live rows in [0, filled_).
   std::vector<Tuple> rows_;
-  std::vector<uint32_t> sel_;
-  bool sel_active_ = false;
 };
 
 }  // namespace smoothscan

@@ -165,9 +165,10 @@ struct QueryResult {
 /// of a streamed query, and the finished QueryResult with its done bit.
 ///
 /// Streaming: the executor Pushes each result batch as it is produced
-/// (blocking while the window is full); the handle Pops them. Cancel detaches
-/// the consumer, which unblocks the producer and turns further pushes into
-/// drops, so an abandoned or cancelled stream never wedges an executor.
+/// (blocking while the window is full); the handle Pops them. Cancel
+/// unblocks the producer and turns further pushes into drops, so an abandoned
+/// or cancelled stream never wedges an executor; what was queued before it
+/// stays poppable.
 /// Streaming changes only *where* batches go, never what the query is
 /// charged: the blocking adds wall time, not simulated cost. Batches
 /// circulate instead of being rebuilt: each Pop hands the batch the consumer
@@ -192,17 +193,20 @@ class QueryTicket {
   // The producer side is the engine's, the consumer side the handle's.
   friend class QueryEngine;
   friend class QueryHandle;
+  friend class QueryTicketTestPeer;  // Drives both sides with no thread.
 
   /// The session whose window slot the query holds until it finishes.
   Session* session() const { return session_; }
 
-  /// Raises the cancel flag and detaches the consumer. False when the query
-  /// already finished or was already cancelled: nothing is left to do.
+  /// Raises the cancel flag: later pushes are dropped, and a producer
+  /// blocked on a full window wakes. Batches already queued stay for Pop, so
+  /// a cancel that lands after the last push still leaves an OK result's
+  /// stream complete. False when the query already finished or was already
+  /// cancelled: nothing is left to do.
   bool Cancel() {
     latch::LatchGuard lock(mu_);
     if (done_ || cancelled()) return false;
     cancel_.store(true, std::memory_order_release);
-    q_.clear();
     spare_.clear();
     cv_.notify_all();
     return true;

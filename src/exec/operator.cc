@@ -1,9 +1,12 @@
 #include "exec/operator.h"
 
+#include <utility>
+
 namespace smoothscan {
 
 Status Operator::Open() {
   exhausted_ = false;
+  ResetCycle();
   return OpenImpl();
 }
 
@@ -19,18 +22,15 @@ void Operator::Close() {
   CloseImpl();
 }
 
-uint64_t Drain(Operator* op, std::vector<Tuple>* out) {
-  return DrainBatched(op, out, kDefaultBatchSize);
-}
-
-uint64_t DrainBatched(Operator* op, std::vector<Tuple>* out,
-                      size_t batch_size) {
+uint64_t Drain(Operator* op, std::vector<Tuple>* out, size_t batch_size) {
   TupleBatch batch(batch_size);
   uint64_t n = 0;
   while (op->NextBatch(&batch)) {
     n += batch.size();
     if (out != nullptr) {
-      for (size_t i = 0; i < batch.size(); ++i) out->push_back(batch.Take(i));
+      for (size_t i = 0; i < batch.size(); ++i) {
+        std::swap(out->emplace_back(), batch.row(i));
+      }
     }
   }
   return n;

@@ -1,16 +1,18 @@
-// Volcano-style relational operators layered above access paths, vectorized:
-// like AccessPath, the one pull call is NextBatch() (up to one TupleBatch of
-// output rows per virtual dispatch); consumers that walk a child row by row
-// do so through a BatchCursor over its batches. The paper's TPC-H
-// experiments (Fig. 4, Table II) need selections, joins (hash and
-// index-nested-loops), aggregation, sorting and projection; the concrete
-// operators provide exactly that, with all CPU work charged to the engine's
-// meter per batch, amortized.
+// The one pull iterator of the engine, vectorized: the one pull call is
+// NextBatch() (up to one TupleBatch of output rows per virtual dispatch);
+// consumers that walk a child row by row do so through a BatchCursor over
+// its batches. Access paths (access/access_path.h) are Operators too, so a
+// table leaf — a ParallelScan included, the plan's exchange — sits directly
+// under its parent. The paper's TPC-H experiments (Fig. 4, Table II) need
+// selections, joins (hash and index-nested-loops), aggregation, sorting and
+// projection; the concrete operators provide exactly that, with all CPU work
+// charged to the engine's meter per batch, amortized.
 //
-// Lifecycle mirrors AccessPath: Open() resets, NextBatch(b) clears and fills
-// `b` returning false only at end of stream (and until re-Open), Close()
-// releases state and permits re-Open. Implementations override OpenImpl /
-// NextBatchImpl / CloseImpl; the base class owns the end-of-stream latch.
+// Lifecycle: Open() resets, NextBatch(b) clears and fills `b` returning
+// false only at end of stream (and until re-Open), Close() releases state
+// and permits re-Open. Implementations override OpenImpl / NextBatchImpl /
+// CloseImpl; the base class owns the end-of-stream latch, and a base with
+// per-cycle state of its own resets it in ResetCycle().
 
 #ifndef SMOOTHSCAN_EXEC_OPERATOR_H_
 #define SMOOTHSCAN_EXEC_OPERATOR_H_
@@ -30,12 +32,22 @@ class Operator {
  public:
   virtual ~Operator() = default;
 
+  /// Prepares the operator, resetting its iteration state.
   Status Open();
+  /// Fills `out` with up to out->capacity() tuples. Returns false at end of
+  /// stream (with `out` empty).
   bool NextBatch(TupleBatch* out);
+  /// Releases state. Idempotent; re-Open is safe.
   void Close();
+  /// Operator name for reports ("Filter", "FullScan", "SmoothScan", ...).
   virtual const char* name() const = 0;
 
  protected:
+  /// Runs at the start of every Open(), before OpenImpl().
+  virtual void ResetCycle() {}
+  /// Subclass hooks. NextBatchImpl appends to `out` (already cleared) and
+  /// returns !out->empty(); it is never called again after returning false
+  /// until the next Open().
   virtual Status OpenImpl() = 0;
   virtual bool NextBatchImpl(TupleBatch* out) = 0;
   virtual void CloseImpl() {}
@@ -88,13 +100,11 @@ inline void ConcatInto(const Tuple& left, const Tuple& right, Tuple* out) {
   std::copy(right.begin(), right.end(), out->begin() + left.size());
 }
 
-/// Runs `op` to completion with batch pulls, appending produced tuples to
-/// `out` (which may be null to discard them). Returns the tuple count.
-uint64_t Drain(Operator* op, std::vector<Tuple>* out);
-
-/// Same, with a caller-chosen batch capacity (ablation benchmarks).
-uint64_t DrainBatched(Operator* op, std::vector<Tuple>* out,
-                      size_t batch_size);
+/// Runs `op` to completion with pulls of `batch_size`-row batches, swapping
+/// produced tuples into `out` (which may be null to discard them). Returns
+/// the tuple count.
+uint64_t Drain(Operator* op, std::vector<Tuple>* out,
+               size_t batch_size = kDefaultBatchSize);
 
 }  // namespace smoothscan
 

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 namespace smoothscan {
 
 bool FilterOp::NextBatchImpl(TupleBatch* out) {
-  // Pull child batches until one survives the filter. Survivors are marked
-  // in the selection vector; nothing is copied.
+  // Pull child batches until one survives the filter. Survivors are swapped
+  // into the batch's dense prefix; nothing is copied.
   while (child_->NextBatch(out)) {
     engine_->cpu().ChargeInspect(out->size());
     out->Filter(predicate_);
@@ -23,7 +24,9 @@ Status SortOp::OpenImpl() {
   next_ = 0;
   TupleBatch batch;
   while (child_->NextBatch(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) rows_.push_back(batch.Take(i));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      std::swap(rows_.emplace_back(), batch.row(i));
+    }
   }
   engine_->cpu().ChargeSort(rows_.size());
   std::stable_sort(rows_.begin(), rows_.end(), less_);
@@ -32,7 +35,7 @@ Status SortOp::OpenImpl() {
 
 bool SortOp::NextBatchImpl(TupleBatch* out) {
   while (next_ < rows_.size() && !out->full()) {
-    out->Append(std::move(rows_[next_++]));
+    std::swap(*out->AppendSlot(), rows_[next_++]);
   }
   return !out->empty();
 }
@@ -55,8 +58,8 @@ Status HashJoinOp::OpenImpl() {
   while (right_->NextBatch(&batch)) {
     engine_->cpu().ChargeHashOp(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      Tuple t = batch.Take(i);
-      table_[t[right_key_col_].AsInt64()].push_back(std::move(t));
+      Tuple& t = batch.row(i);
+      std::swap(table_[t[right_key_col_].AsInt64()].emplace_back(), t);
     }
   }
   return Status::OK();
@@ -87,7 +90,7 @@ bool IndexNestedLoopJoinOp::NextBatchImpl(TupleBatch* out) {
   uint64_t inspected = 0;
   while (!out->full()) {
     if (pending_idx_ < pending_.size()) {
-      out->Append(std::move(pending_[pending_idx_++]));
+      std::swap(*out->AppendSlot(), pending_[pending_idx_++]);
       continue;
     }
     pending_.clear();

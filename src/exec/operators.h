@@ -1,10 +1,11 @@
-// Concrete operators: access-path adapter, filter, sort, hash join,
-// index-nested-loops join and hash aggregation — all batch-first.
-// FilterOp uses the batch's selection vector (no row is copied to drop a
-// row); pipeline-breaking operators (sort, aggregate, hash-join build)
-// consume their children batch-at-a-time. Joins build each output row in a
-// warm batch slot (ConcatInto, inner look-ups via HeapFile::ReadInto), so
-// their steady state allocates nothing; the aggregate groups on a hash of
+// Concrete operators: filter, sort, hash join, index-nested-loops join and
+// hash aggregation — all batch-first, over any child Operator (an access
+// path included). FilterOp swaps survivors into the batch's dense prefix (no
+// row is copied to drop a row); pipeline-breaking operators (sort,
+// aggregate, hash-join build) consume their children batch-at-a-time and
+// keep rows by swapping them out of the batch. Joins build each output row
+// in a warm batch slot (ConcatInto, inner look-ups via HeapFile::ReadInto),
+// so their steady state allocates nothing; the aggregate groups on a hash of
 // the typed group-by Values, compared with Value::operator==.
 
 #ifndef SMOOTHSCAN_EXEC_OPERATORS_H_
@@ -15,33 +16,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "access/access_path.h"
 #include "exec/operator.h"
 #include "index/bplus_tree.h"
 
 namespace smoothscan {
 
-/// Adapts an AccessPath (table leaf) into the operator tree. Batches flow
-/// through without re-buffering.
-class ScanOp : public Operator {
- public:
-  explicit ScanOp(std::unique_ptr<AccessPath> path) : path_(std::move(path)) {}
-  const char* name() const override { return path_->name(); }
-  const AccessPath* path() const { return path_.get(); }
-
- protected:
-  Status OpenImpl() override { return path_->Open(); }
-  bool NextBatchImpl(TupleBatch* out) override {
-    return path_->NextBatch(out);
-  }
-  void CloseImpl() override { path_->Close(); }
-
- private:
-  std::unique_ptr<AccessPath> path_;
-};
-
-/// Filters tuples by an arbitrary predicate, marking survivors in the
-/// batch's selection vector.
+/// Filters tuples by an arbitrary predicate, in place: survivors are swapped
+/// into the dense prefix of the child's batch, in order.
 class FilterOp : public Operator {
  public:
   FilterOp(Engine* engine, std::unique_ptr<Operator> child,

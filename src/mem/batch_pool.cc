@@ -18,7 +18,7 @@ uint64_t DefaultBatchBytes(size_t capacity) {
 
 }  // namespace
 
-BatchPool::BatchPool(BatchPoolOptions options, MemoryAccount* account)
+BatchPool::BatchPool(BatchPoolOptions options, QueryMemoryScope* account)
     : options_(options),
       account_(account),
       batch_bytes_(DefaultBatchBytes(options.batch_capacity)) {

@@ -13,13 +13,13 @@
 // and QueryEngine::Execute builds one per read query, charged to the query's
 // QueryMemoryScope (lint rule pool-owner).
 //
-// Memory governance: an optional MemoryAccount is charged a fixed per-batch
-// estimate when a batch's storage goes warm and uncharged when it is shed.
-// When the account reports OverQuota() — the query breached its quota, or
-// the global MemoryBroker is under pressure — Release() drops the batch's row
-// storage instead of keeping it warm: recycling degrades gracefully to
-// allocate-per-batch, trading CPU for memory, never failing the query and
-// never touching its simulated cost.
+// Memory governance: an optional QueryMemoryScope is charged a fixed
+// per-batch estimate when a batch's storage goes warm and uncharged when it
+// is shed. When the scope reports OverQuota() — the query breached its
+// quota, or the global MemoryBroker is under pressure — Release() drops the
+// batch's row storage instead of keeping it warm: recycling degrades
+// gracefully to allocate-per-batch, trading CPU for memory, never failing
+// the query and never touching its simulated cost.
 //
 // BatchPoolStats is the one copy of the pool's counts: the query adds its
 // pool's stats to the registry's batchpool.* at completion
@@ -108,7 +108,7 @@ class BatchPool {
   /// `account` (optional, must outlive the pool) is charged for warm batch
   /// storage and consulted for shedding; see the file comment.
   explicit BatchPool(BatchPoolOptions options = BatchPoolOptions(),
-                     MemoryAccount* account = nullptr);
+                     QueryMemoryScope* account = nullptr);
   /// Destroys every batch ever created (all must have been released) and
   /// uncharges the account.
   ~BatchPool();
@@ -138,7 +138,7 @@ class BatchPool {
   void Release(size_t slot_index) EXCLUDES(mu_);
 
   const BatchPoolOptions options_;
-  MemoryAccount* const account_;
+  QueryMemoryScope* const account_;
   uint64_t batch_bytes_ = 0;
 
   /// Ranked just above the broker: Release() charges/uncharges the account

@@ -189,35 +189,23 @@ class MemoryBroker {
   std::atomic<uint64_t> pressure_epoch_{0};
 };
 
-/// The interface a memory pool charges its footprint through when it serves
-/// one specific owner (a query) rather than a global consumer class.
-class MemoryAccount {
- public:
-  virtual ~MemoryAccount() = default;
-  virtual void Charge(uint64_t bytes) = 0;
-  virtual void Uncharge(uint64_t bytes) = 0;
-  /// True when the owner should shed memory instead of retaining more.
-  virtual bool OverQuota() const = 0;
-};
-
 /// Per-query execution-memory account: charged through ExecContext by the
 /// query's batch pools, counted against a per-query quota and (when a broker
 /// is attached) against the global kExecBatches class. Breaching the quota —
 /// or global broker pressure — makes the pools shed recycled storage; the
 /// query itself never fails and its simulated cost never changes.
-class QueryMemoryScope : public MemoryAccount {
+class QueryMemoryScope {
  public:
   /// `broker` may be null: the scope then enforces only its own quota.
   explicit QueryMemoryScope(MemoryBroker* broker = nullptr,
                             uint64_t quota_bytes = UINT64_MAX);
-  ~QueryMemoryScope() override = default;
-
   QueryMemoryScope(const QueryMemoryScope&) = delete;
   QueryMemoryScope& operator=(const QueryMemoryScope&) = delete;
 
-  void Charge(uint64_t bytes) override;
-  void Uncharge(uint64_t bytes) override;
-  bool OverQuota() const override;
+  void Charge(uint64_t bytes);
+  void Uncharge(uint64_t bytes);
+  /// True when the query should shed memory instead of retaining more.
+  bool OverQuota() const;
 
   uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
   uint64_t peak_bytes() const {

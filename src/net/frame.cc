@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/parse.h"
+
 namespace smoothscan {
 namespace net {
 namespace {
@@ -49,29 +51,13 @@ void AppendFmt(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, static_cast<size_t>(n));
 }
 
-Status ParseU64(std::string_view tok, uint64_t* out) {
+/// Integer fields: empty, malformed and out-of-range text are all errors.
+template <typename T>
+Status ParseIntField(std::string_view tok, T* out) {
   if (tok.empty()) return Status::InvalidArgument("empty integer field");
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("bad integer '" + buf + "'");
+  if (!ParseInteger(tok, out)) {
+    return Status::InvalidArgument("bad integer '" + std::string(tok) + "'");
   }
-  *out = static_cast<uint64_t>(v);
-  return Status::OK();
-}
-
-Status ParseI64(std::string_view tok, int64_t* out) {
-  if (tok.empty()) return Status::InvalidArgument("empty integer field");
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("bad integer '" + buf + "'");
-  }
-  *out = static_cast<int64_t>(v);
   return Status::OK();
 }
 
@@ -93,7 +79,7 @@ Status ParseI64List(std::string_view s, std::vector<int64_t>* out) {
     const size_t comma = s.find(',');
     std::string_view tok = s.substr(0, comma);
     int64_t v = 0;
-    Status st = ParseI64(tok, &v);
+    Status st = ParseIntField(tok, &v);
     if (!st.ok()) return st;
     out->push_back(v);
     if (comma == std::string_view::npos) break;
@@ -162,7 +148,7 @@ Status ParseTagged(std::string_view payload, uint64_t* tag,
   const size_t sp = payload.find(' ');
   std::string_view head =
       sp == std::string_view::npos ? payload : payload.substr(0, sp);
-  Status s = ParseU64(head, tag);
+  Status s = ParseIntField(head, tag);
   if (!s.ok()) return s;
   *rest = sp == std::string_view::npos ? std::string_view()
                                        : payload.substr(sp + 1);
@@ -265,40 +251,40 @@ Status ParseDonePayload(std::string_view payload, uint64_t* tag,
     uint64_t u = 0;
     double d = 0.0;
     if (key == "status") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       status_code = static_cast<int>(u);
     } else if (key == "kind") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       if (u >= static_cast<uint64_t>(kNumPathKinds)) {
         return Status::InvalidArgument("bad path kind");
       }
       m.kind = static_cast<PathKind>(u);
     } else if (key == "lane") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       m.lane = u != 0 ? QueryLane::kSla : QueryLane::kBatch;
     } else if (key == "cancelled") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       m.cancelled = u != 0;
     } else if (key == "write") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       m.write = u != 0;
     } else if (key == "parallel") {
-      if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (!(s = ParseIntField(val, &u)).ok()) return s;
       m.parallel = u != 0;
     } else if (key == "tuples") {
-      if (!(s = ParseU64(val, &m.tuples)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.tuples)).ok()) return s;
     } else if (key == "io_requests") {
-      if (!(s = ParseU64(val, &m.io_requests)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.io_requests)).ok()) return s;
     } else if (key == "random_ios") {
-      if (!(s = ParseU64(val, &m.random_ios)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.random_ios)).ok()) return s;
     } else if (key == "seq_ios") {
-      if (!(s = ParseU64(val, &m.seq_ios)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.seq_ios)).ok()) return s;
     } else if (key == "pages_read") {
-      if (!(s = ParseU64(val, &m.pages_read)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.pages_read)).ok()) return s;
     } else if (key == "mem_peak_bytes") {
-      if (!(s = ParseU64(val, &m.mem_peak_bytes)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.mem_peak_bytes)).ok()) return s;
     } else if (key == "mem_quota_breaches") {
-      if (!(s = ParseU64(val, &m.mem_quota_breaches)).ok()) return s;
+      if (!(s = ParseIntField(val, &m.mem_quota_breaches)).ok()) return s;
     } else if (key == "sim_time") {
       if (!(s = ParseF64(val, &m.sim_time)).ok()) return s;
     } else if (key == "io_time") {

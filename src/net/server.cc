@@ -1,14 +1,13 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <string_view>
 #include <utility>
 
+#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace smoothscan {
@@ -16,17 +15,6 @@ namespace net {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
-
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -167,8 +155,9 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
             conn->lane = EqualsIgnoreCase(val, "sla") ? QueryLane::kSla
                                                       : QueryLane::kBatch;
           } else if (EqualsIgnoreCase(key, "WINDOW")) {
-            const int w = std::atoi(std::string(val).c_str());
-            if (w >= 1) {
+            // Malformed or out-of-range text leaves the window as it was.
+            int w = 0;
+            if (ParseInteger(val, &w) && w >= 1) {
               conn->configured_window = static_cast<uint32_t>(w);
               conn->session.SetWindow(conn->configured_window);
             }

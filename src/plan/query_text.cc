@@ -1,9 +1,10 @@
 #include "plan/query_text.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <utility>
+
+#include "common/parse.h"
 
 namespace smoothscan {
 namespace {
@@ -65,17 +66,6 @@ struct Lexer {
   bool peeked_ = false;
 };
 
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Status SyntaxError(std::string_view what, std::string_view got) {
   std::string msg = "expected ";
   msg.append(what);
@@ -93,25 +83,16 @@ Status Expect(Lexer& lex, std::string_view kw) {
 }
 
 Status ParseInt64(std::string_view tok, int64_t* out) {
-  if (tok.empty()) return SyntaxError("integer", tok);
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return SyntaxError("integer", tok);
-  }
-  *out = static_cast<int64_t>(v);
+  if (!ParseInteger(tok, out)) return SyntaxError("integer", tok);
   return Status::OK();
 }
 
 Status ParseUInt64(std::string_view tok, uint64_t* out) {
-  int64_t v = 0;
-  Status s = ParseInt64(tok, &v);
-  if (!s.ok()) return s;
-  if (v < 0) return SyntaxError("non-negative integer", tok);
-  *out = static_cast<uint64_t>(v);
-  return Status::OK();
+  if (ParseInteger(tok, out)) return Status::OK();
+  int64_t negative = 0;
+  return SyntaxError(ParseInteger(tok, &negative) ? "non-negative integer"
+                                                  : "integer",
+                     tok);
 }
 
 /// `C<n>` column reference → n.
@@ -120,10 +101,11 @@ Status ParseColumnRef(std::string_view tok, int* out) {
       (tok[0] != 'C' && tok[0] != 'c')) {
     return SyntaxError("column reference C<n>", tok);
   }
-  int64_t n = 0;
-  Status s = ParseInt64(tok.substr(1), &n);
-  if (!s.ok() || n < 0) return SyntaxError("column reference C<n>", tok);
-  *out = static_cast<int>(n);
+  int n = 0;
+  if (!ParseInteger(tok.substr(1), &n) || n < 0) {
+    return SyntaxError("column reference C<n>", tok);
+  }
+  *out = n;
   return Status::OK();
 }
 

@@ -30,17 +30,12 @@ void SharedScanPath::CloseImpl() {
 }
 
 bool SharedScanPath::NextBatchImpl(TupleBatch* out) {
-  const ExecContext& ctx = this->ctx();
   const Schema& schema = heap_->schema();
-  const int key_col = predicate_.column;
-  const int64_t lo = predicate_.lo;
-  const int64_t hi = predicate_.hi;
-  const bool has_residual = static_cast<bool>(predicate_.residual);
-  // Same dense-fill kernel as FullScan, reading the group's pinned pages.
   Tuple* rows = out->fill_rows();
-  size_t filled = out->fill_begin();
+  const size_t begin = out->fill_begin();
+  size_t filled = begin;
   const size_t cap = out->capacity();
-  uint64_t inspected = 0;
+  ScanWork work;
   while (filled < cap && !done_) {
     if (chunk_ == nullptr) {
       // Releases the previous chunk and blocks for the next one.
@@ -54,35 +49,20 @@ bool SharedScanPath::NextBatchImpl(TupleBatch* out) {
       ++chunks_consumed_;
     }
     const Page& page = *chunk_->guards[chunk_page_];
-    if (cur_slot_ == 0) ++stats_.heap_pages_probed;
-    const uint16_t num_slots = page.num_slots();
-    uint16_t slot = cur_slot_;
-    while (slot < num_slots && filled < cap) {
-      uint32_t size = 0;
-      const uint8_t* data = page.GetTuple(slot, &size);
-      ++slot;
-      if (data == nullptr) continue;  // Tombstoned slot.
-      ++inspected;
-      const int64_t key = schema.ReadInt64Column(data, size, key_col);
-      if (key < lo || key >= hi) continue;
-      Tuple* decoded = &rows[filled];
-      schema.DeserializeInto(data, size, decoded);
-      if (has_residual && !predicate_.residual(*decoded)) continue;
-      ++filled;
-    }
-    cur_slot_ = slot;
-    if (cur_slot_ >= num_slots) {
+    if (cur_slot_ == 0) ++work.pages;
+    cur_slot_ = FillFromPage(page, /*page_id=*/0, cur_slot_, schema,
+                             predicate_, /*exclude=*/nullptr, rows, cap,
+                             &filled, &work);
+    if (cur_slot_ >= page.num_slots()) {
       ++chunk_page_;
       cur_slot_ = 0;
       if (chunk_page_ >= chunk_->num_pages) chunk_ = nullptr;
     }
   }
-  const uint64_t produced = filled - out->fill_begin();
   out->set_filled(filled);
-  stats_.tuples_inspected += inspected;
-  stats_.tuples_produced += produced;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeProduce(produced);
+  work.produced = filled - begin;
+  work.Charge(ctx().cpu);
+  work.AddTo(&stats_);
   return !out->empty();
 }
 

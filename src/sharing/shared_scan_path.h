@@ -1,7 +1,7 @@
 // SharedScanPath: the consumer-facing access path over the cooperative
 // circular scan (see scan_sharing.h). Open() attaches to the table's shared
 // scan group; NextBatch() decodes qualifying tuples straight out of the
-// group's pinned chunk pages with the same dense-fill kernel as FullScan.
+// group's pinned chunk pages with FullScan's page kernel (FillFromPage).
 // The page *fetches* were paid once by the group on the engine's shared
 // stream, so this path charges only its own inspection/production CPU to its
 // ExecContext — under the QueryEngine that is the query's private stack.
@@ -14,7 +14,7 @@
 #ifndef SMOOTHSCAN_SHARING_SHARED_SCAN_PATH_H_
 #define SMOOTHSCAN_SHARING_SHARED_SCAN_PATH_H_
 
-#include "access/access_path.h"
+#include "access/full_scan.h"
 #include "sharing/scan_sharing.h"
 #include "storage/heap_file.h"
 

@@ -12,16 +12,14 @@ namespace {
 namespace li = lineitem;
 namespace ord = orders;
 
-/// Builds the LINEITEM access path of `kind` for `pred`, exposing the raw
-/// pointer so stats survive until after the drain. With `dop >= 1` the leaf
-/// becomes a morsel-driven parallel scan, the plan's exchange boundary; the
-/// rest of the plan (and its simulated cost) is unchanged — only wall time
-/// drops.
-std::unique_ptr<Operator> MakeLineitemScan(const TpchDb& db,
-                                           const ScanPredicate& pred,
-                                           PathKind kind, bool need_order,
-                                           uint32_t dop,
-                                           const AccessPath** out_path) {
+/// Builds the LINEITEM access path of `kind` for `pred`; callers keep its
+/// raw pointer so stats survive until after the drain. With `dop >= 1` the
+/// leaf becomes a morsel-driven parallel scan, the plan's exchange; the rest
+/// of the plan (and its simulated cost) is unchanged — only wall time drops.
+std::unique_ptr<AccessPath> MakeLineitemScan(const TpchDb& db,
+                                             const ScanPredicate& pred,
+                                             PathKind kind, bool need_order,
+                                             uint32_t dop) {
   std::unique_ptr<AccessPath> path;
   if (dop >= 1) {
     ParallelScanOptions parallel;
@@ -33,14 +31,12 @@ std::unique_ptr<Operator> MakeLineitemScan(const TpchDb& db,
     path = MakePath(kind, &db.lineitem_shipdate_index(), pred, need_order,
                     /*estimate=*/0);
   }
-  *out_path = path.get();
-  return std::make_unique<ScanOp>(std::move(path));
+  return path;
 }
 
 /// Trivially-true scan over a dimension table (always a full scan).
 std::unique_ptr<Operator> DimScan(const HeapFile& heap) {
-  return std::make_unique<ScanOp>(
-      std::make_unique<FullScan>(&heap, ScanPredicate{}));
+  return std::make_unique<FullScan>(&heap, ScanPredicate{});
 }
 
 QueryOutput Finish(std::unique_ptr<Operator> root, const AccessPath* li_path) {
@@ -63,10 +59,9 @@ QueryOutput RunQ1(const TpchDb& db, PathKind lineitem_path,
   pred.lo = DateDays(1992, 1, 1);
   pred.hi = DateDays(1998, 9, 2) + 1;
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   std::vector<AggSpec> aggs;
   aggs.push_back({AggFn::kSum, [](const Tuple& t) {
@@ -118,10 +113,9 @@ QueryOutput RunQ4(const TpchDb& db, PathKind lineitem_path,
     return t[li::kCommitDate].AsInt64() < t[li::kReceiptDate].AsInt64();
   };
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   // INLJ with ORDERS on the ORDERS PK; joined = L(14) ++ O(6).
   auto join = std::make_unique<IndexNestedLoopJoinOp>(
@@ -164,10 +158,9 @@ QueryOutput RunQ6(const TpchDb& db, PathKind lineitem_path,
            t[li::kQuantity].AsDouble() < 24.0;
   };
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   std::vector<AggSpec> aggs;
   aggs.push_back({AggFn::kSum, [](const Tuple& t) {
@@ -187,10 +180,9 @@ QueryOutput RunQ7(const TpchDb& db, PathKind lineitem_path,
   pred.lo = DateDays(1995, 1, 1);
   pred.hi = DateDays(1996, 12, 31) + 1;
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   // L(14) ++ O(6) = 20 columns.
   auto j1 = std::make_unique<IndexNestedLoopJoinOp>(
@@ -253,10 +245,9 @@ QueryOutput RunQ14(const TpchDb& db, PathKind lineitem_path,
   pred.lo = DateDays(1995, 9, 1);
   pred.hi = DateDays(1995, 10, 1);
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   // INLJ with PART on the PART PK; joined = L(14) ++ P(3).
   auto join = std::make_unique<IndexNestedLoopJoinOp>(
@@ -301,10 +292,9 @@ QueryOutput RunQ12(const TpchDb& db, PathKind lineitem_path,
            receipt < receipt_hi;
   };
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   // INLJ with ORDERS on the ORDERS PK; joined = L(14) ++ O(6).
   auto join = std::make_unique<IndexNestedLoopJoinOp>(
@@ -339,10 +329,9 @@ QueryOutput RunQ19(const TpchDb& db, PathKind lineitem_path,
            t[li::kQuantity].AsDouble() <= 30.0;
   };
 
-  const AccessPath* li_path = nullptr;
-  std::unique_ptr<Operator> scan =
-      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop,
-                       &li_path);
+  std::unique_ptr<AccessPath> scan =
+      MakeLineitemScan(db, pred, lineitem_path, /*need_order=*/false, dop);
+  const AccessPath* li_path = scan.get();
 
   // INLJ with PART; joined = L(14) ++ P(3).
   auto join = std::make_unique<IndexNestedLoopJoinOp>(

@@ -468,8 +468,7 @@ TEST(IndexNLJoinLookupTest, MatchRunLongerThanBatch) {
   });
   ASSERT_EQ(oracle.size(), 4500u);
   IndexNestedLoopJoinOp join(
-      std::make_unique<ScanOp>(
-          std::make_unique<FullScan>(&outer, ScanPredicate{})),
+      std::make_unique<FullScan>(&outer, ScanPredicate{}),
       &index, 0);
   CheckLookups(&engine, &join, oracle, "IndexNLJoin/long-run");
 }

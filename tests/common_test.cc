@@ -1,9 +1,15 @@
-// Unit tests for the common module: Status/Result, Value, Rng.
+// Unit tests for the common module: Status/Result, Value, Rng, TupleBatch
+// and the checked text parsers.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/tuple_batch.h"
 #include "common/types.h"
 
 namespace smoothscan {
@@ -167,6 +173,135 @@ TEST(RngTest, AlphaStringShapeAndDeterminism) {
     EXPECT_LE(c, 'z');
   }
   EXPECT_EQ(s, b.AlphaString(32));
+}
+
+
+// ---------------------------------------------------------------- TupleBatch
+
+/// Appends rows {first}, {first + 1}, ... to `b`, each slot warmed to hold
+/// `width` values (only column 0 is compared).
+void FillRows(TupleBatch* b, size_t n, int64_t first, size_t width = 1) {
+  for (size_t i = 0; i < n; ++i) {
+    Tuple* t = b->AppendSlot();
+    t->assign(width, Value::Int64(0));
+    (*t)[0] = Value::Int64(first + static_cast<int64_t>(i));
+  }
+}
+
+std::vector<int64_t> Col0(const TupleBatch& b) {
+  std::vector<int64_t> keys;
+  for (size_t i = 0; i < b.size(); ++i) keys.push_back(b.row(i)[0].AsInt64());
+  return keys;
+}
+
+TEST(TupleBatchTest, TakeFromSwapsWholeBatchesOfEqualCapacity) {
+  TupleBatch dst(8), src(8);
+  FillRows(&dst, 8, 100, /*width=*/3);  // Warm dst's slots, then empty it.
+  dst.Clear();
+  FillRows(&src, 5, 0);
+  Tuple* const dst_rows = dst.fill_rows();
+  Tuple* const src_rows = src.fill_rows();
+  size_t pos = 0;
+  EXPECT_TRUE(dst.TakeFrom(&src, &pos));
+  EXPECT_EQ(Col0(dst), (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(pos, src.size());  // Spent: src is empty.
+  EXPECT_TRUE(src.empty());
+  // Buffers, not rows, changed hands: src now holds dst's warm storage.
+  EXPECT_EQ(dst.fill_rows(), src_rows);
+  EXPECT_EQ(src.fill_rows(), dst_rows);
+  EXPECT_GE(src.fill_rows()[0].capacity(), 3u);
+}
+
+TEST(TupleBatchTest, TakeFromSwapsRowsWhenCapacitiesDiffer) {
+  TupleBatch dst(4), src(8);
+  FillRows(&dst, 4, 100, /*width=*/3);
+  const Value* const warm = dst.row(0).data();
+  dst.Clear();
+  FillRows(&src, 6, 0);
+  size_t pos = 0;
+  EXPECT_FALSE(dst.TakeFrom(&src, &pos));
+  EXPECT_EQ(Col0(dst), (std::vector<int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(pos, 4u);
+  EXPECT_EQ(src.size(), 6u);  // Not spent: two rows left.
+  // Swapped slot by slot: src's taken slots hold dst's warm tuples.
+  EXPECT_EQ(src.row(0).data(), warm);
+  EXPECT_GE(src.row(0).capacity(), 3u);
+  dst.Clear();
+  EXPECT_FALSE(dst.TakeFrom(&src, &pos));
+  EXPECT_EQ(Col0(dst), (std::vector<int64_t>{4, 5}));
+  EXPECT_EQ(pos, src.size());
+}
+
+TEST(TupleBatchTest, TakeFromAPartlyTakenSourceSwapsRows) {
+  TupleBatch dst(8), src(8);
+  FillRows(&dst, 3, 100, /*width=*/3);
+  const Value* const warm = dst.row(0).data();
+  dst.Clear();
+  FillRows(&src, 5, 0);
+  Tuple* const dst_rows = dst.fill_rows();
+  size_t pos = 2;  // Rows 0 and 1 already handed on.
+  EXPECT_FALSE(dst.TakeFrom(&src, &pos));
+  EXPECT_EQ(Col0(dst), (std::vector<int64_t>{2, 3, 4}));
+  EXPECT_EQ(pos, src.size());
+  EXPECT_EQ(dst.fill_rows(), dst_rows);  // No buffer swap.
+  EXPECT_EQ(src.row(2).data(), warm);
+}
+
+TEST(TupleBatchTest, TakeFromFillsANonEmptyTargetRowByRow) {
+  TupleBatch dst(8), src(8);
+  FillRows(&dst, 2, 100);
+  FillRows(&src, 8, 0);
+  size_t pos = 0;
+  EXPECT_FALSE(dst.TakeFrom(&src, &pos));
+  EXPECT_EQ(Col0(dst), (std::vector<int64_t>{100, 101, 0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(dst.full());
+  EXPECT_EQ(pos, 6u);
+}
+
+TEST(TupleBatchTest, FilterKeepsSurvivorsInOrderAndDroppedStorageWarm) {
+  TupleBatch b(8);
+  FillRows(&b, 8, 0, /*width=*/2);
+  b.Filter([](const Tuple& t) { return t[0].AsInt64() % 3 != 0; });
+  EXPECT_EQ(Col0(b), (std::vector<int64_t>{1, 2, 4, 5, 7}));
+  b.Filter([](const Tuple& t) { return t[0].AsInt64() > 2; });
+  EXPECT_EQ(Col0(b), (std::vector<int64_t>{4, 5, 7}));
+  // Every slot, live or dropped, still holds its two warm values.
+  for (size_t i = 0; i < b.capacity(); ++i) {
+    EXPECT_GE(b.fill_rows()[i].capacity(), 2u) << i;
+  }
+}
+
+// ------------------------------------------------------------ Text parsing
+
+TEST(TextParseTest, AcceptsInRangeDecimalText) {
+  int64_t i = 0;
+  EXPECT_TRUE(ParseInteger("-9223372036854775808", &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseInteger("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+  int n = 0;
+  EXPECT_TRUE(ParseInteger("2147483647", &n));
+  EXPECT_EQ(n, 2147483647);
+}
+
+TEST(TextParseTest, RejectsOutOfRangeAndMalformedText) {
+  int n = 7;
+  for (const char* bad : {"", "4294967297", "2147483648", "1x", " 1", "+1",
+                          "-", "0x10"}) {
+    EXPECT_FALSE(ParseInteger(bad, &n)) << bad;
+    EXPECT_EQ(n, 7) << bad;  // Untouched on failure.
+  }
+  uint64_t u = 7;
+  EXPECT_FALSE(ParseInteger("-1", &u));
+  EXPECT_FALSE(ParseInteger("18446744073709551616", &u));
+  EXPECT_EQ(u, 7u);
+}
+
+TEST(TextParseTest, EqualsIgnoreCaseComparesAsciiLetters) {
+  EXPECT_TRUE(EqualsIgnoreCase("Window", "WINDOW"));
+  EXPECT_FALSE(EqualsIgnoreCase("WINDOW", "WINDOWS"));
+  EXPECT_FALSE(EqualsIgnoreCase("lane", "lame"));
 }
 
 }  // namespace

@@ -23,6 +23,20 @@
 #include "workload/workload_driver.h"
 
 namespace smoothscan {
+
+/// Drives a QueryTicket's producer and consumer sides from one thread, so a
+/// test can order push, cancel, finish and pop exactly.
+class QueryTicketTestPeer {
+ public:
+  static void Push(QueryTicket* t, TupleBatch* b) { t->Push(b); }
+  static bool Cancel(QueryTicket* t) { return t->Cancel(); }
+  static void Finish(QueryTicket* t, QueryResult r) {
+    t->Finish(std::move(r));
+  }
+  static bool Pop(QueryTicket* t, TupleBatch* out) { return t->Pop(out); }
+  static QueryResult& Wait(QueryTicket* t) { return t->Wait(); }
+};
+
 namespace {
 
 /// Per-query engine charges of one measured run.
@@ -554,6 +568,41 @@ TEST_F(ConcurrentEngineTest, SubmitCancelRaceSettlesEveryTicketOnce) {
   EXPECT_EQ(qe.completed(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_GT(before_run.load(), 0);
   EXPECT_GT(finished.load(), 0);
+}
+
+TEST(QueryTicketTest, CancelAfterTheLastPushKeepsTheQueuedStream) {
+  // The late-cancel window: the executor pushed its last batch, a cancel
+  // lands before it calls Finish, and the query still finishes OK. Its
+  // stream must stay complete: the consumer pops every queued row. A push
+  // after the cancel is dropped, and the consumer sees the end after it.
+  using Peer = QueryTicketTestPeer;
+  QueryTicket ticket(/*id=*/1, /*session=*/nullptr, /*streamed=*/true);
+  TupleBatch batch;
+  for (int64_t v = 0; v < 5; ++v) {
+    if (v == 3) Peer::Push(&ticket, &batch);  // Batch {0, 1, 2}.
+    *batch.AppendSlot() = Tuple{Value::Int64(v)};
+  }
+  Peer::Push(&ticket, &batch);  // Batch {3, 4}.
+  EXPECT_TRUE(Peer::Cancel(&ticket));
+  EXPECT_FALSE(Peer::Cancel(&ticket));  // Already cancelled.
+  *batch.AppendSlot() = Tuple{Value::Int64(99)};
+  Peer::Push(&ticket, &batch);  // After the cancel: dropped.
+  EXPECT_TRUE(batch.empty());
+  QueryResult result;
+  result.metrics.tuples = 5;
+  Peer::Finish(&ticket, std::move(result));
+
+  std::vector<int64_t> got;
+  TupleBatch out;
+  while (Peer::Pop(&ticket, &out)) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      got.push_back(out.row(i)[0].AsInt64());
+    }
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  const QueryResult& res = Peer::Wait(&ticket);
+  EXPECT_TRUE(res.status.ok());
+  EXPECT_EQ(res.metrics.tuples, got.size());
 }
 
 TEST(LatencyPercentileTest, NearestRank) {

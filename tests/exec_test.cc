@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <memory>
 
 #include "access/full_scan.h"
@@ -24,7 +27,9 @@ class VectorSource : public Operator {
     return Status::OK();
   }
   bool NextBatchImpl(TupleBatch* out) override {
-    while (next_ < rows_.size() && !out->full()) out->Append(rows_[next_++]);
+    while (next_ < rows_.size() && !out->full()) {
+      *out->AppendSlot() = rows_[next_++];
+    }
     return !out->empty();
   }
 
@@ -55,6 +60,64 @@ TEST(FilterOpTest, KeepsMatching) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0][0].AsInt64(), 1);
   EXPECT_EQ(rows[2][0].AsInt64(), 5);
+}
+
+/// Column-0 values of `rows`, in order.
+std::vector<int64_t> Keys(const std::vector<Tuple>& rows) {
+  std::vector<int64_t> keys;
+  for (const Tuple& t : rows) keys.push_back(t[0].AsInt64());
+  return keys;
+}
+
+/// 5,000 distinct values in scrambled order: survivors of a hash-like
+/// predicate are scattered through every child batch, never a prefix.
+std::vector<int64_t> Scrambled() {
+  std::vector<int64_t> xs(5000);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = static_cast<int64_t>(i * 37 % 5003);
+  }
+  return xs;
+}
+
+bool Sparse(const Tuple& t) { return t[0].AsInt64() * 2654435761 % 7 < 3; }
+bool Odd(const Tuple& t) { return t[0].AsInt64() % 2 == 1; }
+
+TEST(FilterOpTest, ScatteredSurvivorsAcrossBatchesKeepValuesAndOrder) {
+  const std::vector<int64_t> xs = Scrambled();
+  std::vector<int64_t> oracle;
+  std::copy_if(xs.begin(), xs.end(), std::back_inserter(oracle),
+               [](int64_t x) { return Sparse({Value::Int64(x)}); });
+  ASSERT_GT(oracle.size(), 1000u);
+  // Several child batches per pull size, including partial ones at the end.
+  for (const size_t batch : {size_t{7}, size_t{64}, kDefaultBatchSize}) {
+    Engine engine;
+    FilterOp op(&engine, Ints(xs), Sparse);
+    ASSERT_TRUE(op.Open().ok());
+    std::vector<Tuple> rows;
+    Drain(&op, &rows, batch);
+    op.Close();
+    EXPECT_EQ(Keys(rows), oracle) << "batch " << batch;
+  }
+}
+
+TEST(FilterOpTest, FilterOverFilterMatchesConjunction) {
+  const std::vector<int64_t> xs = Scrambled();
+  std::vector<int64_t> oracle;
+  std::copy_if(xs.begin(), xs.end(), std::back_inserter(oracle), [](int64_t x) {
+    const Tuple t{Value::Int64(x)};
+    return Sparse(t) && Odd(t);
+  });
+  ASSERT_FALSE(oracle.empty());
+  for (const size_t batch : {size_t{5}, kDefaultBatchSize}) {
+    Engine engine;
+    FilterOp op(&engine, std::make_unique<FilterOp>(&engine, Ints(xs), Sparse),
+                Odd);
+    ASSERT_TRUE(op.Open().ok());
+    std::vector<Tuple> rows;
+    Drain(&op, &rows, batch);
+    op.Close();
+    EXPECT_EQ(Keys(rows), oracle) << "batch " << batch;
+  }
 }
 
 TEST(FilterOpTest, EmptyInput) {
@@ -268,8 +331,8 @@ TEST(PipelineTest, ScanFilterAggregateComposition) {
   spec.num_tuples = 5000;
   MicroBenchDb db(&engine, spec);
 
-  auto scan = std::make_unique<ScanOp>(std::make_unique<FullScan>(
-      &db.heap(), db.PredicateForSelectivity(0.5)));
+  auto scan = std::make_unique<FullScan>(&db.heap(),
+                                         db.PredicateForSelectivity(0.5));
   auto filter = std::make_unique<FilterOp>(
       &engine, std::move(scan),
       [](const Tuple& t) { return t[2].AsInt64() < 50000; });

@@ -649,7 +649,7 @@ uint64_t DrainCounting(Operator* op, TupleBatch* batch,
 // reuses each slot's string buffer. Measured: 0 allocations in 16 batches.
 TEST_F(AllocationRegression, VarWidthFullScanAllocatesNothingPerBatch) {
   VarWidthDb db;
-  ScanOp scan(std::make_unique<FullScan>(db.lines.get(), ScanPredicate{}));
+  FullScan scan(db.lines.get(), ScanPredicate{});
   TupleBatch batch;
   ASSERT_EQ(DrainCounting(&scan, &batch), uint64_t{VarWidthDb::kLines});
   uint64_t allocs = 0;
@@ -665,13 +665,11 @@ TEST_F(AllocationRegression, VarWidthFullScanAllocatesNothingPerBatch) {
 // (the INLJ's pending_ buffer).
 TEST_F(AllocationRegression, VarWidthJoinPipelineAllocatesUnderOnePer64Rows) {
   VarWidthDb db;
-  auto scan = std::make_unique<ScanOp>(
-      std::make_unique<FullScan>(db.lines.get(), ScanPredicate{}));
+  auto scan = std::make_unique<FullScan>(db.lines.get(), ScanPredicate{});
   // lines(5) ++ parts(3): the part's group is column 6.
   auto inlj = std::make_unique<IndexNestedLoopJoinOp>(std::move(scan),
                                                       db.parts_pk.get(), 1);
-  auto groups = std::make_unique<ScanOp>(
-      std::make_unique<FullScan>(db.groups.get(), ScanPredicate{}));
+  auto groups = std::make_unique<FullScan>(db.groups.get(), ScanPredicate{});
   auto hash = std::make_unique<HashJoinOp>(db.engine.get(), std::move(inlj),
                                            std::move(groups), 6, 0);
   FilterOp filter(db.engine.get(), std::move(hash), [](const Tuple& t) {

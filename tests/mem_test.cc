@@ -22,7 +22,7 @@ TEST(BatchPoolTest, RecyclesWarmBatches) {
     PooledBatch b = pool.Acquire();
     ASSERT_TRUE(b);
     EXPECT_EQ(b->capacity(), kDefaultBatchSize);
-    b->Append(Tuple{Value::Int64(1)});
+    *b->AppendSlot() = Tuple{Value::Int64(1)};
   }  // Released by the handle's destructor.
   TupleBatch* first = nullptr;
   {
@@ -49,7 +49,7 @@ TEST(BatchPoolTest, ValueStorageSurvivesRecycling) {
   {
     PooledBatch b = pool.Acquire();
     for (int i = 0; i < 8; ++i) {
-      b->Append(Tuple{Value::Int64(i), Value::Int64(i * 2)});
+      *b->AppendSlot() = Tuple{Value::Int64(i), Value::Int64(i * 2)};
     }
   }
   PooledBatch b = pool.Acquire();
@@ -74,7 +74,7 @@ TEST(BatchPoolTest, HandedOutBatchesKeepTheirAddressesAsThePoolGrows) {
   // The handle holds the batch's address; growing the pool must not move
   // the batch under it (a sanitizer build reports the stale read if it did).
   PooledBatch first = pool.Acquire();
-  first->Append(Tuple{Value::Int64(42)});
+  *first->AppendSlot() = Tuple{Value::Int64(42)};
   std::vector<PooledBatch> more;
   for (int i = 0; i < 100; ++i) more.push_back(pool.Acquire());
   ASSERT_EQ(first->size(), 1u);

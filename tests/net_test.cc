@@ -338,6 +338,42 @@ TEST(NetServerTest, SessionWindowBackpressureIsVisible) {
   EXPECT_GT(stats.window_stalls, 0u);
 }
 
+TEST(NetServerTest, HelloWithABadWindowLeavesTheWindowUnchanged) {
+  // Out-of-range, negative and trailing-garbage WINDOW values are ignored:
+  // the default window (8) stays, so six queries on a cap-1 engine never
+  // stall, and each connection keeps serving. WINDOW=1 then shows the
+  // stall is observable. Overload backpressure, which shrinks windows on
+  // its own, is kept out of reach.
+  ServerOptions options;
+  options.backpressure_queue_factor = 1000;
+  ServedDb world(/*max_admitted=*/1, options);
+  const ScanPredicate pred = world.db->PredicateForSelectivity(0.3);
+  const auto submit_six = [&](WireClient* client) {
+    std::vector<uint64_t> tags;
+    for (int i = 0; i < 6; ++i) {
+      tags.push_back(client->Submit(SelectText(pred, "full", 0)));
+    }
+    for (const uint64_t tag : tags) {
+      ASSERT_TRUE(client->Wait(tag).status.ok());
+    }
+  };
+  for (const char* hello : {"WINDOW=99999999999", "WINDOW=-3", "WINDOW=1x"}) {
+    std::unique_ptr<Transport> t = world.server->ConnectPipe();
+    std::string wire;
+    EncodeFrame({FrameType::kHello, hello}, &wire);
+    ASSERT_TRUE(t->WriteAll(wire.data(), wire.size()));
+    WireClient client(std::move(t));
+    submit_six(&client);
+    EXPECT_EQ(world.server->stats().window_stalls, 0u) << hello;
+  }
+  EXPECT_EQ(world.server->stats().queries_ok, 18u);
+
+  WireClient client(world.server->ConnectPipe());
+  client.Hello("batch", /*window=*/1);
+  submit_six(&client);
+  EXPECT_GT(world.server->stats().window_stalls, 0u);
+}
+
 TEST(NetServerTest, TcpTransportServesTheSameProtocol) {
   ServedDb world(/*max_admitted=*/2);
   ASSERT_TRUE(world.server->ListenTcp(0));  // Ephemeral port.

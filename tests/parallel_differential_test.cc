@@ -353,8 +353,8 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.4);
   const std::multiset<int64_t> oracle = Oracle(pred);
   engine_->ColdRestart();
-  auto gather = std::make_unique<ScanOp>(
-      MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(8)));
+  auto gather =
+      MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(8));
   // Serial filter above the exchange boundary.
   FilterOp filter(engine_.get(), std::move(gather), [](const Tuple& t) {
     return t[0].AsInt64() % 2 == 0;

@@ -1,10 +1,14 @@
 // Optimizer tests: histogram-based selectivity estimation, the textbook
-// access-path choice as a function of (possibly corrupted) statistics, and
-// the MakePath factory.
+// access-path choice as a function of (possibly corrupted) statistics, the
+// MakePath factory, and the query-text parser's range checks.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "plan/access_path_chooser.h"
+#include "plan/query_text.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -170,6 +174,37 @@ TEST_F(PlanTest, MakePathConstructsEveryKind) {
 TEST_F(PlanTest, PathKindNames) {
   EXPECT_STREQ(PathKindToString(PathKind::kFullScan), "FullScan");
   EXPECT_STREQ(PathKindToString(PathKind::kSmoothScan), "SmoothScan");
+}
+
+TEST(QueryTextTest, ColumnRefOutOfIntRangeIsInvalid) {
+  // 4294967297 is 2^32 + 1: narrowed to int it would bind column 1.
+  for (const char* text :
+       {"SELECT * FROM t WHERE C4294967297 >= 0 AND C4294967297 < 10",
+        "SELECT * FROM t WHERE C2147483648 >= 0 AND C2147483648 < 10"}) {
+    const Result<ParsedStatement> r = ParseQueryText(text);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const Result<ParsedStatement> ok = ParseQueryText(
+      "SELECT * FROM t WHERE C2147483647 >= 0 AND C2147483647 < 9");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->column, 2147483647);
+}
+
+TEST(QueryTextTest, UnsignedOptionsSpanTheirWholeRange) {
+  // ESTIMATE is a uint64: 2^64 - 1 is legal, 2^64 and negatives are not.
+  const std::string head = "SELECT * FROM t WHERE C1 >= 0 AND C1 < 10 WITH ";
+  const Result<ParsedStatement> max =
+      ParseQueryText(head + "(ESTIMATE=18446744073709551615)");
+  ASSERT_TRUE(max.ok()) << max.status().message();
+  EXPECT_EQ(max->estimate, std::numeric_limits<uint64_t>::max());
+  const Result<ParsedStatement> over =
+      ParseQueryText(head + "(ESTIMATE=18446744073709551616)");
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  const Result<ParsedStatement> negative =
+      ParseQueryText(head + "(ESTIMATE=-1)");
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status().message().find("non-negative"),
+            std::string::npos);
 }
 
 }  // namespace
