@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks for the hot substrate operations:
 // tuple serialization, page insertion, B+-tree seeks and iterator advance,
-// buffer-pool fetches and the RNG. These guard the constant factors the
-// simulation's wall-clock time depends on (the simulated costs themselves
-// are deterministic).
+// buffer-pool fetches, the RNG and the wire's BATCH row codec. These guard
+// the constant factors the simulation's wall-clock time depends on (the
+// simulated costs themselves are deterministic).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "exec/operators.h"
 #include "common/rng.h"
 #include "index/bplus_tree.h"
+#include "net/frame.h"
 #include "storage/engine.h"
 #include "storage/heap_file.h"
 #include "workload/micro_bench.h"
@@ -132,6 +133,54 @@ void BM_FullScanDrain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(tuples));
 }
 BENCHMARK(BM_FullScanDrain)->Arg(1)->Arg(64)->Arg(1024);
+
+/// 1024 rows x 10 INT64 columns of micro-benchmark-like values.
+TupleBatch WireBatch() {
+  Rng rng(7);
+  TupleBatch batch;
+  for (int i = 0; i < 1024; ++i) {
+    Tuple* slot = batch.AppendSlot();
+    slot->resize(10);
+    for (int c = 0; c < 10; ++c) {
+      (*slot)[c] = Value::Int64(rng.UniformInt(0, 4000000));
+    }
+  }
+  return batch;
+}
+
+// Server side: one BATCH frame built into a warm per-stream buffer.
+void BM_WireBatchEncode(benchmark::State& state) {
+  const TupleBatch batch = WireBatch();
+  std::string wire;
+  for (auto _ : state) {
+    wire.clear();
+    net::AppendBatchFrame(1, batch, &wire);
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * batch.size()));
+}
+BENCHMARK(BM_WireBatchEncode);
+
+// Client side: the same frame's payload parsed into fresh result rows.
+void BM_WireBatchParse(benchmark::State& state) {
+  const TupleBatch batch = WireBatch();
+  std::string wire;
+  net::AppendBatchFrame(1, batch, &wire);
+  const std::string_view payload(wire.data() + 5, wire.size() - 5);
+  for (auto _ : state) {
+    std::vector<std::vector<int64_t>> rows;
+    uint64_t tag = 0;
+    if (!net::ParseBatchPayload(payload, &tag, &rows).ok()) {
+      state.SkipWithError("parse failed");
+    }
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * batch.size()));
+}
+BENCHMARK(BM_WireBatchParse);
 
 }  // namespace
 }  // namespace smoothscan

@@ -1,17 +1,17 @@
 #include "net/frame.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
+#include <system_error>
 
 #include "common/parse.h"
 
 namespace smoothscan {
 namespace net {
 namespace {
+
+constexpr size_t kHeaderBytes = 5;
+/// The longest decimal int64: a sign and 19 digits.
+constexpr size_t kMaxI64Chars = 20;
 
 bool KnownFrameType(uint8_t t) {
   switch (static_cast<FrameType>(t)) {
@@ -28,13 +28,6 @@ bool KnownFrameType(uint8_t t) {
   return false;
 }
 
-void AppendU32Le(uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 uint32_t ReadU32Le(const char* p) {
   const auto b = [p](int i) {
     return static_cast<uint32_t>(static_cast<unsigned char>(p[i]));
@@ -42,13 +35,89 @@ uint32_t ReadU32Le(const char* p) {
   return b(0) | (b(1) << 8) | (b(2) << 16) | (b(3) << 24);
 }
 
-void AppendFmt(std::string* out, const char* fmt, ...) {
-  char buf[64];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, static_cast<size_t>(n));
+/// Appends a header whose length EndFrame patches once the payload is in;
+/// returns the header's offset.
+size_t BeginFrame(FrameType type, std::string* wire) {
+  const size_t at = wire->size();
+  wire->append(4, '\0');
+  wire->push_back(static_cast<char>(type));
+  return at;
+}
+
+void EndFrame(size_t at, std::string* wire) {
+  const auto len = static_cast<uint32_t>(wire->size() - at - kHeaderBytes);
+  char* p = wire->data() + at;
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+}
+
+template <typename T>
+void AppendInt(T v, std::string* out) {
+  char buf[kMaxI64Chars];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out->append(buf, static_cast<size_t>(r.ptr - buf));
+}
+
+template <typename T>
+void AppendIntField(std::string_view key, T v, std::string* out) {
+  out->append(key);
+  AppendInt(v, out);
+}
+
+/// %.17g: shortest-round-trip is overkill, 17 significant digits is the
+/// classic sufficient precision for binary64 — these fields are the
+/// bit-identical simulated-cost contract crossing the wire. to_chars in
+/// general format with a precision prints exactly what printf's %.17g does.
+void AppendF64Field(std::string_view key, double v, std::string* out) {
+  out->append(key);
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out->append(buf, static_cast<size_t>(r.ptr - buf));
+}
+
+void AppendTaggedBody(uint64_t tag, std::string_view text, std::string* out) {
+  AppendInt(tag, out);
+  if (!text.empty()) {
+    out->push_back(' ');
+    out->append(text);
+  }
+}
+
+void AppendDoneBody(uint64_t tag, const QueryResult& result,
+                    std::string* out) {
+  const QueryMetrics& m = result.metrics;
+  AppendInt(tag, out);
+  AppendIntField(" status=", static_cast<int>(result.status.code()), out);
+  AppendIntField(" kind=", static_cast<int>(m.kind), out);
+  AppendIntField(" lane=", static_cast<int>(m.lane), out);
+  AppendIntField(" cancelled=", m.cancelled ? 1 : 0, out);
+  AppendIntField(" write=", m.write ? 1 : 0, out);
+  AppendIntField(" parallel=", m.parallel ? 1 : 0, out);
+  AppendIntField(" tuples=", m.tuples, out);
+  AppendIntField(" io_requests=", m.io_requests, out);
+  AppendIntField(" random_ios=", m.random_ios, out);
+  AppendIntField(" seq_ios=", m.seq_ios, out);
+  AppendIntField(" pages_read=", m.pages_read, out);
+  AppendIntField(" mem_peak_bytes=", m.mem_peak_bytes, out);
+  AppendIntField(" mem_quota_breaches=", m.mem_quota_breaches, out);
+  AppendF64Field(" sim_time=", m.sim_time, out);
+  AppendF64Field(" io_time=", m.io_time, out);
+  AppendF64Field(" cpu_time=", m.cpu_time, out);
+  AppendF64Field(" queue_wait_ms=", m.queue_wait_ms, out);
+  AppendF64Field(" exec_ms=", m.exec_ms, out);
+  AppendF64Field(" latency_ms=", m.latency_ms, out);
+  if (!result.keys.empty()) {
+    out->append(" keys=");
+    for (size_t i = 0; i < result.keys.size(); ++i) {
+      if (i != 0) out->push_back(',');
+      AppendInt(result.keys[i], out);
+    }
+  }
+  if (!result.status.message().empty()) {
+    // msg= is free text through end-of-payload; must stay the last field.
+    out->append(" msg=");
+    out->append(result.status.message());
+  }
 }
 
 /// Integer fields: empty, malformed and out-of-range text are all errors.
@@ -62,28 +131,39 @@ Status ParseIntField(std::string_view tok, T* out) {
 }
 
 Status ParseF64(std::string_view tok, double* out) {
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == buf.c_str()) {
-    return Status::InvalidArgument("bad double '" + buf + "'");
+  double v = 0.0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("bad double '" + std::string(tok) + "'");
   }
   *out = v;
   return Status::OK();
 }
 
+/// Parses "v,v,...,v" at `p` into `out`, stopping at `end` or at a '|' that
+/// follows a value. Returns where it stopped, or null on malformed text.
+const char* ParseI64Run(const char* p, const char* end,
+                        std::vector<int64_t>* out) {
+  for (;;) {
+    int64_t v = 0;
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec != std::errc()) return nullptr;
+    out->push_back(v);
+    p = next;
+    if (p == end || *p == '|') return p;
+    if (*p != ',') return nullptr;
+    ++p;
+  }
+}
+
 /// "v1,v2,..." → out (empty input → no values).
 Status ParseI64List(std::string_view s, std::vector<int64_t>* out) {
-  while (!s.empty()) {
-    const size_t comma = s.find(',');
-    std::string_view tok = s.substr(0, comma);
-    int64_t v = 0;
-    Status st = ParseIntField(tok, &v);
-    if (!st.ok()) return st;
-    out->push_back(v);
-    if (comma == std::string_view::npos) break;
-    s.remove_prefix(comma + 1);
+  if (s.empty()) return Status::OK();
+  const char* end = s.data() + s.size();
+  if (ParseI64Run(s.data(), end, out) != end) {
+    return Status::InvalidArgument("bad integer list '" + std::string(s) +
+                                   "'");
   }
   return Status::OK();
 }
@@ -91,18 +171,69 @@ Status ParseI64List(std::string_view s, std::vector<int64_t>* out) {
 }  // namespace
 
 void EncodeFrame(const Frame& frame, std::string* wire) {
-  AppendU32Le(static_cast<uint32_t>(frame.payload.size()), wire);
-  wire->push_back(static_cast<char>(frame.type));
+  const size_t at = BeginFrame(frame.type, wire);
   wire->append(frame.payload);
+  EndFrame(at, wire);
+}
+
+void AppendTaggedFrame(FrameType type, uint64_t tag, std::string_view text,
+                       std::string* wire) {
+  const size_t at = BeginFrame(type, wire);
+  AppendTaggedBody(tag, text, wire);
+  EndFrame(at, wire);
+}
+
+void AppendBatchFrame(uint64_t tag, const TupleBatch& batch,
+                      std::string* wire) {
+  const size_t at = BeginFrame(FrameType::kBatch, wire);
+  AppendInt(tag, wire);
+  wire->push_back(' ');
+  // A value prints in at most kMaxI64Chars characters plus a separator.
+  // Space is reserved once per batch; each row then grows the string by its
+  // bound, prints its values in place and trims back.
+  const auto row_bound = [](const Tuple& row) {
+    return row.size() * (kMaxI64Chars + 1) + 1;
+  };
+  if (!batch.empty()) {
+    wire->reserve(wire->size() + batch.size() * row_bound(batch.row(0)));
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Tuple& row = batch.row(i);
+    const size_t n = wire->size();
+    wire->resize(n + row_bound(row));
+    char* const base = wire->data();
+    char* p = base + n;
+    if (i != 0) *p++ = '|';
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (c != 0) *p++ = ',';
+      p = std::to_chars(p, p + kMaxI64Chars, row[c].AsInt64()).ptr;
+    }
+    wire->resize(static_cast<size_t>(p - base));
+  }
+  EndFrame(at, wire);
+}
+
+void AppendDoneFrame(uint64_t tag, const QueryResult& result,
+                     std::string* wire) {
+  const size_t at = BeginFrame(FrameType::kDone, wire);
+  AppendDoneBody(tag, result, wire);
+  EndFrame(at, wire);
 }
 
 Status FrameDecoder::Feed(const char* data, size_t n) {
   if (poisoned_) return Status::InvalidArgument("frame stream poisoned");
+  // Drop the consumed prefix once it outgrows the unconsumed tail: the move
+  // copies fewer bytes than were consumed, and a stream whose reads never
+  // end on a frame boundary holds at most two frames plus one read.
+  if (pos_ != 0 && pos_ >= buf_.size() - pos_) {
+    buf_.erase(0, pos_);
+    pos_ = 0;
+  }
   buf_.append(data, n);
   // Validate every complete header immediately, even before its payload
   // arrives: a hostile length must be rejected without buffering toward it.
   size_t p = pos_;
-  while (buf_.size() - p >= 5) {
+  while (buf_.size() - p >= kHeaderBytes) {
     const uint32_t len = ReadU32Le(buf_.data() + p);
     const uint8_t type = static_cast<uint8_t>(buf_[p + 4]);
     if (len > kMaxFramePayload) {
@@ -113,19 +244,19 @@ Status FrameDecoder::Feed(const char* data, size_t n) {
       poisoned_ = true;
       return Status::InvalidArgument("unknown frame type");
     }
-    if (buf_.size() - p - 5 < len) break;
-    p += 5 + len;
+    if (buf_.size() - p - kHeaderBytes < len) break;
+    p += kHeaderBytes + len;
   }
   return Status::OK();
 }
 
 bool FrameDecoder::Pop(Frame* out) {
-  if (poisoned_ || buf_.size() - pos_ < 5) return false;
+  if (poisoned_ || buf_.size() - pos_ < kHeaderBytes) return false;
   const uint32_t len = ReadU32Le(buf_.data() + pos_);
-  if (buf_.size() - pos_ - 5 < len) return false;
+  if (buf_.size() - pos_ - kHeaderBytes < len) return false;
   out->type = static_cast<FrameType>(buf_[pos_ + 4]);
-  out->payload.assign(buf_, pos_ + 5, len);
-  pos_ += 5 + len;
+  out->payload.assign(buf_, pos_ + kHeaderBytes, len);
+  pos_ += kHeaderBytes + len;
   if (pos_ == buf_.size()) {
     buf_.clear();
     pos_ = 0;
@@ -135,11 +266,7 @@ bool FrameDecoder::Pop(Frame* out) {
 
 std::string EncodeTagged(uint64_t tag, std::string_view text) {
   std::string out;
-  AppendFmt(&out, "%" PRIu64, tag);
-  if (!text.empty()) {
-    out.push_back(' ');
-    out.append(text);
-  }
+  AppendTaggedBody(tag, text, &out);
   return out;
 }
 
@@ -155,18 +282,25 @@ Status ParseTagged(std::string_view payload, uint64_t* tag,
   return Status::OK();
 }
 
-std::string EncodeBatchPayload(uint64_t tag, const TupleBatch& batch) {
-  std::string out;
-  AppendFmt(&out, "%" PRIu64 " ", tag);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (i != 0) out.push_back('|');
-    const Tuple& row = batch.row(i);
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out.push_back(',');
-      AppendFmt(&out, "%" PRId64, row[c].AsInt64());
+Status ParseBatchRows(std::string_view body,
+                      std::vector<std::vector<int64_t>>* rows) {
+  const size_t first = rows->size();
+  const char* p = body.data();
+  const char* const end = p + body.size();
+  size_t width = 0;
+  while (p != end) {
+    std::vector<int64_t>& row = rows->emplace_back();
+    row.reserve(width);
+    p = ParseI64Run(p, end, &row);
+    // A '|' must be followed by another row.
+    if (p != nullptr && p != end && ++p == end) p = nullptr;
+    if (p == nullptr) {
+      rows->resize(first);
+      return Status::InvalidArgument("malformed batch rows");
     }
+    if (width == 0) width = row.size();
   }
-  return out;
+  return Status::OK();
 }
 
 Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
@@ -174,55 +308,12 @@ Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
   std::string_view body;
   Status s = ParseTagged(payload, tag, &body);
   if (!s.ok()) return s;
-  while (!body.empty()) {
-    const size_t bar = body.find('|');
-    std::string_view row = body.substr(0, bar);
-    rows->emplace_back();
-    if (!(s = ParseI64List(row, &rows->back())).ok()) return s;
-    if (bar == std::string_view::npos) break;
-    body.remove_prefix(bar + 1);
-  }
-  return Status::OK();
+  return ParseBatchRows(body, rows);
 }
 
 std::string EncodeDonePayload(uint64_t tag, const QueryResult& result) {
-  const QueryMetrics& m = result.metrics;
   std::string out;
-  AppendFmt(&out, "%" PRIu64, tag);
-  AppendFmt(&out, " status=%d", static_cast<int>(result.status.code()));
-  AppendFmt(&out, " kind=%d", static_cast<int>(m.kind));
-  AppendFmt(&out, " lane=%d", static_cast<int>(m.lane));
-  AppendFmt(&out, " cancelled=%d", m.cancelled ? 1 : 0);
-  AppendFmt(&out, " write=%d", m.write ? 1 : 0);
-  AppendFmt(&out, " parallel=%d", m.parallel ? 1 : 0);
-  AppendFmt(&out, " tuples=%" PRIu64, m.tuples);
-  AppendFmt(&out, " io_requests=%" PRIu64, m.io_requests);
-  AppendFmt(&out, " random_ios=%" PRIu64, m.random_ios);
-  AppendFmt(&out, " seq_ios=%" PRIu64, m.seq_ios);
-  AppendFmt(&out, " pages_read=%" PRIu64, m.pages_read);
-  AppendFmt(&out, " mem_peak_bytes=%" PRIu64, m.mem_peak_bytes);
-  AppendFmt(&out, " mem_quota_breaches=%" PRIu64, m.mem_quota_breaches);
-  // %.17g: shortest-round-trip is overkill, 17 significant digits is the
-  // classic sufficient precision for binary64 — these fields are the
-  // bit-identical simulated-cost contract crossing the wire.
-  AppendFmt(&out, " sim_time=%.17g", m.sim_time);
-  AppendFmt(&out, " io_time=%.17g", m.io_time);
-  AppendFmt(&out, " cpu_time=%.17g", m.cpu_time);
-  AppendFmt(&out, " queue_wait_ms=%.17g", m.queue_wait_ms);
-  AppendFmt(&out, " exec_ms=%.17g", m.exec_ms);
-  AppendFmt(&out, " latency_ms=%.17g", m.latency_ms);
-  if (!result.keys.empty()) {
-    out.append(" keys=");
-    for (size_t i = 0; i < result.keys.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      AppendFmt(&out, "%" PRId64, result.keys[i]);
-    }
-  }
-  if (!result.status.message().empty()) {
-    // msg= is free text through end-of-payload; must stay the last field.
-    out.append(" msg=");
-    out.append(result.status.message());
-  }
+  AppendDoneBody(tag, result, &out);
   return out;
 }
 
@@ -249,7 +340,6 @@ Status ParseDonePayload(std::string_view payload, uint64_t* tag,
         eq + 1, sp == std::string_view::npos ? std::string_view::npos
                                              : sp - eq - 1);
     uint64_t u = 0;
-    double d = 0.0;
     if (key == "status") {
       if (!(s = ParseIntField(val, &u)).ok()) return s;
       status_code = static_cast<int>(u);
@@ -299,10 +389,8 @@ Status ParseDonePayload(std::string_view payload, uint64_t* tag,
       if (!(s = ParseF64(val, &m.latency_ms)).ok()) return s;
     } else if (key == "keys") {
       if (!(s = ParseI64List(val, &result->keys)).ok()) return s;
-    } else {
-      // Unknown fields are skipped: forward compatibility for added metrics.
-      (void)d;
     }
+    // Unknown fields are skipped: forward compatibility for added metrics.
     if (sp == std::string_view::npos) break;
     body.remove_prefix(sp + 1);
   }

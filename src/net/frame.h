@@ -10,6 +10,14 @@
 // simulated-cost accounting round-trips bit-identically), ERROR ("<tag>
 // <message>"; tag 0 = connection-level), METRICS_TEXT (registry dump).
 //
+// Server frames are built in place: each Append*Frame builder appends the
+// header, the tag and the body to a caller-owned string and patches the
+// length last, so a caller that clears and reuses one string per result
+// stream encodes a warm stream with no allocation and hands the transport
+// the frame with no second copy. Numbers go through std::to_chars and come
+// back through std::from_chars, which print exactly what printf's "%" PRId64
+// and "%.17g" print: the text format is the one the protocol always had.
+//
 // The payload cap bounds a connection's buffering; an oversized or
 // unrecognized header is unrecoverable framing (the decoder cannot resync a
 // byte stream) and closes that connection — the server itself stays up.
@@ -53,6 +61,17 @@ struct Frame {
 /// Appends the wire encoding of `frame` to `wire`.
 void EncodeFrame(const Frame& frame, std::string* wire);
 
+/// Appends a "<tag> <text>" frame of `type` (ERROR, METRICS_TEXT, QUERY,
+/// CANCEL, METRICS) to `wire`.
+void AppendTaggedFrame(FrameType type, uint64_t tag, std::string_view text,
+                       std::string* wire);
+/// Appends a BATCH frame of `batch`'s (all-INT64) rows to `wire`.
+void AppendBatchFrame(uint64_t tag, const TupleBatch& batch,
+                      std::string* wire);
+/// Appends the DONE frame of `result` to `wire`.
+void AppendDoneFrame(uint64_t tag, const QueryResult& result,
+                     std::string* wire);
+
 /// Incremental decoder over a connection's byte stream. Feed() appends raw
 /// bytes and validates each header as soon as it is complete; Pop() yields
 /// finished frames. After a Feed() error the decoder is poisoned — the
@@ -63,9 +82,14 @@ class FrameDecoder {
   Status Feed(const char* data, size_t n);
   bool Pop(Frame* out);
 
+  /// Bytes held, consumed prefix included. Feed() drops the consumed prefix
+  /// once it outgrows the unconsumed tail, so this stays under two frames
+  /// plus one read however the stream's reads fall on frame boundaries.
+  size_t buffered_bytes() const { return buf_.size(); }
+
  private:
   std::string buf_;
-  size_t pos_ = 0;  ///< Consumption cursor (compacted when fully drained).
+  size_t pos_ = 0;  ///< Consumption cursor into buf_.
   bool poisoned_ = false;
 };
 
@@ -78,8 +102,14 @@ std::string EncodeTagged(uint64_t tag, std::string_view text);
 Status ParseTagged(std::string_view payload, uint64_t* tag,
                    std::string_view* rest);
 
-/// Result rows (all-INT64 tuples): "r0c0,r0c1|r1c0,r1c1|...".
-std::string EncodeBatchPayload(uint64_t tag, const TupleBatch& batch);
+/// Result rows (all-INT64 tuples), the body after a BATCH payload's tag:
+/// "r0c0,r0c1|r1c0,r1c1|...". Appends the rows to `rows`, each reserved to
+/// the width of the first; on malformed text (an empty field, a sign other
+/// than a leading '-', a stray separator, a value outside int64) returns
+/// kInvalidArgument and leaves `rows` as it was.
+Status ParseBatchRows(std::string_view body,
+                      std::vector<std::vector<int64_t>>* rows);
+/// A whole BATCH payload: ParseTagged, then ParseBatchRows on the rest.
 Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
                          std::vector<std::vector<int64_t>>* rows);
 

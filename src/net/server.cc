@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <iterator>
 #include <string_view>
@@ -129,7 +128,7 @@ void Server::ReaderLoop(Conn* conn) {
       // Unrecoverable framing (oversized length, unknown type): report and
       // close this connection; the server itself keeps serving.
       frames_malformed_.fetch_add(1, kRelaxed);
-      WriteFrame(conn, FrameType::kError, EncodeTagged(0, s.message()));
+      WriteTagged(conn, FrameType::kError, 0, s.message());
       break;
     }
     Frame frame;
@@ -174,7 +173,7 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
       Status s = ParseTagged(frame.payload, &tag, &text);
       if (!s.ok()) {
         queries_error_.fetch_add(1, kRelaxed);
-        WriteFrame(conn, FrameType::kError, EncodeTagged(0, s.message()));
+        WriteTagged(conn, FrameType::kError, 0, s.message());
         return;
       }
       HandleQuery(conn, tag, text);
@@ -209,14 +208,13 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
           if (n > 0) text.append(line, static_cast<size_t>(n));
         }
       }
-      WriteFrame(conn, FrameType::kMetricsText, EncodeTagged(tag, text));
+      WriteTagged(conn, FrameType::kMetricsText, tag, text);
       return;
     }
     default:
       // A server-to-client frame type arriving here is client confusion;
       // answer an error and carry on.
-      WriteFrame(conn, FrameType::kError,
-                 EncodeTagged(0, "unexpected frame type"));
+      WriteTagged(conn, FrameType::kError, 0, "unexpected frame type");
       return;
   }
 }
@@ -231,22 +229,19 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
   }
   if (duplicate) {
     queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, "tag already in flight"));
+    WriteTagged(conn, FrameType::kError, tag, "tag already in flight");
     return;
   }
   Result<ParsedStatement> parsed = ParseQueryText(text);
   if (!parsed.ok()) {
     queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, parsed.status().message()));
+    WriteTagged(conn, FrameType::kError, tag, parsed.status().message());
     return;
   }
   Result<QuerySpec> bound = BindStatement(*catalog_, *parsed);
   if (!bound.ok()) {
     queries_error_.fetch_add(1, kRelaxed);
-    WriteFrame(conn, FrameType::kError,
-               EncodeTagged(tag, bound.status().message()));
+    WriteTagged(conn, FrameType::kError, tag, bound.status().message());
     return;
   }
   QuerySpec spec = std::move(bound).value();
@@ -277,10 +272,16 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
 
 void Server::DrainQuery(Conn* conn, uint64_t tag,
                         std::shared_ptr<QueryHandle> handle, Drainer* self) {
+  // The stream's one frame buffer: clear() keeps its capacity, so once the
+  // first batch has sized it, every later frame is built with no allocation
+  // and written from where it was built.
+  std::string wire;
   TupleBatch batch;
   while (handle->NextBatch(&batch)) {
     if (batch.size() != 0) {
-      WriteFrame(conn, FrameType::kBatch, EncodeBatchPayload(tag, batch));
+      wire.clear();
+      AppendBatchFrame(tag, batch, &wire);
+      WriteWire(conn, wire);
     }
   }
   const QueryResult& result = handle->Wait();
@@ -291,18 +292,22 @@ void Server::DrainQuery(Conn* conn, uint64_t tag,
   } else {
     queries_error_.fetch_add(1, kRelaxed);
   }
-  WriteFrame(conn, FrameType::kDone, EncodeDonePayload(tag, result));
+  wire.clear();
+  AppendDoneFrame(tag, result, &wire);
+  WriteWire(conn, wire);
   latch::LatchGuard lock(conn->mu);
   conn->active.erase(tag);
   self->done = true;
 }
 
-void Server::WriteFrame(Conn* conn, FrameType type, std::string payload) {
-  Frame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
+void Server::WriteTagged(Conn* conn, FrameType type, uint64_t tag,
+                         std::string_view text) {
   std::string wire;
-  EncodeFrame(frame, &wire);
+  AppendTaggedFrame(type, tag, text, &wire);
+  WriteWire(conn, wire);
+}
+
+void Server::WriteWire(Conn* conn, const std::string& wire) {
   latch::LatchGuard lock(conn->write_mu);
   // A down transport drops the frame; the reader notices EOF separately.
   conn->transport->WriteAll(wire.data(), wire.size());

@@ -10,8 +10,12 @@
 // through the connection's Session (blocking on its outstanding-query
 // window — the client-visible backpressure) and drained to the client by a
 // per-query drainer thread (BATCH frames as the executor produces batches,
-// one DONE frame with the full result). Frame writes from concurrent
-// drainers are serialized by a per-connection write latch. A drainer marks
+// one DONE frame with the full result). A drainer builds every frame of its
+// stream in place in one buffer it owns (net/frame.h): the first batch
+// sizes it, later frames reuse it with no allocation, and each is written
+// to the transport from where it was built. The row text is the protocol's
+// unchanged "<tag> v,v|v,v" format. Frame writes from concurrent drainers
+// are serialized by a per-connection write latch. A drainer marks
 // itself done as its last step; the reader joins the done ones before it
 // spawns the next, so a long-lived connection holds one thread per query in
 // flight, not one per query it ever ran.
@@ -144,7 +148,11 @@ class Server {
   void HandleQuery(Conn* conn, uint64_t tag, std::string_view text);
   void DrainQuery(Conn* conn, uint64_t tag,
                   std::shared_ptr<QueryHandle> handle, Drainer* self);
-  void WriteFrame(Conn* conn, FrameType type, std::string payload);
+  /// Writes whole frames, built by the frame.h builders, as one unit.
+  void WriteWire(Conn* conn, const std::string& wire);
+  /// Builds a "<tag> <text>" frame (ERROR, METRICS_TEXT) and writes it.
+  void WriteTagged(Conn* conn, FrameType type, uint64_t tag,
+                   std::string_view text);
   /// Applies the overload policy to a batch-lane submit (see file comment).
   void ApplyBackpressure(Conn* conn, QueryLane lane);
   /// Cancels every active query, joins the drainers, accumulates the

@@ -1,19 +1,17 @@
 #include "net/wire_client.h"
 
-#include <cinttypes>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 namespace smoothscan {
 namespace net {
 namespace {
 
-void SendFrame(Transport* t, FrameType type, std::string payload) {
-  Frame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
+void SendTagged(Transport* t, FrameType type, uint64_t tag,
+                std::string_view text) {
   std::string wire;
-  EncodeFrame(frame, &wire);
+  AppendTaggedFrame(type, tag, text, &wire);
   t->WriteAll(wire.data(), wire.size());
 }
 
@@ -22,18 +20,20 @@ void SendFrame(Transport* t, FrameType type, std::string payload) {
 void WireClient::Hello(const std::string& lane, uint32_t window) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "LANE=%s WINDOW=%u", lane.c_str(), window);
-  SendFrame(transport_.get(), FrameType::kHello, buf);
+  std::string wire;
+  EncodeFrame({FrameType::kHello, buf}, &wire);
+  transport_->WriteAll(wire.data(), wire.size());
 }
 
 uint64_t WireClient::Submit(const std::string& text) {
   const uint64_t tag = next_tag_++;
   pending_[tag];  // Open the accumulator before any frame can arrive.
-  SendFrame(transport_.get(), FrameType::kQuery, EncodeTagged(tag, text));
+  SendTagged(transport_.get(), FrameType::kQuery, tag, text);
   return tag;
 }
 
 void WireClient::Cancel(uint64_t tag) {
-  SendFrame(transport_.get(), FrameType::kCancel, EncodeTagged(tag, {}));
+  SendTagged(transport_.get(), FrameType::kCancel, tag, {});
 }
 
 WireResult WireClient::Wait(uint64_t tag) {
@@ -50,7 +50,7 @@ WireResult WireClient::Wait(uint64_t tag) {
 std::string WireClient::MetricsText() {
   metrics_ready_ = false;
   metrics_text_.clear();
-  SendFrame(transport_.get(), FrameType::kMetrics, EncodeTagged(0, {}));
+  SendTagged(transport_.get(), FrameType::kMetrics, 0, {});
   while (!metrics_ready_ && !down_) {
     if (!PumpOnce()) down_ = true;
   }
@@ -62,69 +62,72 @@ void WireClient::Close() {
 }
 
 bool WireClient::PumpOnce() {
-  char buf[4096];
-  const int n = transport_->Read(buf, sizeof buf);
+  const int n = transport_->Read(read_buf_.get(), kReadChunk);
   if (n <= 0) return false;
-  if (!decoder_.Feed(buf, static_cast<size_t>(n)).ok()) return false;
-  Frame frame;
-  while (decoder_.Pop(&frame)) Dispatch(frame);
+  if (!decoder_.Feed(read_buf_.get(), static_cast<size_t>(n)).ok()) {
+    return false;
+  }
+  while (decoder_.Pop(&frame_)) Dispatch(frame_);
   return true;
 }
 
 void WireClient::Dispatch(const Frame& frame) {
+  uint64_t tag = 0;
+  std::string_view body;
+  if (!ParseTagged(frame.payload, &tag, &body).ok()) {
+    // Unroutable: the frame may have belonged to any pending query.
+    FailPending(0, "server frame with an unreadable tag");
+    if (frame.type == FrameType::kMetricsText) metrics_ready_ = true;
+    return;
+  }
+  if (frame.type == FrameType::kMetricsText) {
+    metrics_text_ = std::string(body);
+    metrics_ready_ = true;
+    return;
+  }
+  if (frame.type == FrameType::kError) {
+    FailPending(tag, body);  // Tag 0: every in-flight query is dead.
+    return;
+  }
+  auto it = pending_.find(tag);
+  if (it == pending_.end() || it->second.complete) return;
+  WireResult& r = it->second;
   switch (frame.type) {
     case FrameType::kBatch: {
-      uint64_t tag = 0;
-      std::vector<std::vector<int64_t>> rows;
-      if (!ParseBatchPayload(frame.payload, &tag, &rows).ok()) return;
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      for (auto& row : rows) it->second.rows.push_back(std::move(row));
+      const Status s = ParseBatchRows(body, &r.rows);
+      if (!s.ok()) FailPending(tag, "BATCH frame: " + s.message());
       return;
     }
     case FrameType::kDone: {
-      uint64_t tag = 0;
       QueryResult result;
-      if (!ParseDonePayload(frame.payload, &tag, &result).ok()) return;
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      it->second.complete = true;
-      it->second.status = std::move(result.status);
-      it->second.metrics = result.metrics;
-      it->second.keys = std::move(result.keys);
-      return;
-    }
-    case FrameType::kError: {
-      uint64_t tag = 0;
-      std::string_view message;
-      if (!ParseTagged(frame.payload, &tag, &message).ok()) return;
-      if (tag == 0) {
-        // Connection-level error: every in-flight query is dead.
-        for (auto& [t, r] : pending_) {
-          if (!r.complete) {
-            r.complete = true;
-            r.status = Status::InvalidArgument(std::string(message));
-          }
-        }
+      const Status s = ParseDonePayload(frame.payload, &tag, &result);
+      if (!s.ok()) {
+        FailPending(tag, "DONE frame: " + s.message());
         return;
       }
-      auto it = pending_.find(tag);
-      if (it == pending_.end()) return;
-      it->second.complete = true;
-      it->second.status = Status::InvalidArgument(std::string(message));
-      return;
-    }
-    case FrameType::kMetricsText: {
-      uint64_t tag = 0;
-      std::string_view text;
-      if (!ParseTagged(frame.payload, &tag, &text).ok()) return;
-      metrics_text_ = std::string(text);
-      metrics_ready_ = true;
+      r.complete = true;
+      r.status = std::move(result.status);
+      r.metrics = result.metrics;
+      r.keys = std::move(result.keys);
       return;
     }
     default:
       return;  // Client-to-server type echoed back: ignore.
   }
+}
+
+void WireClient::FailPending(uint64_t tag, std::string_view message) {
+  const auto fail = [message](WireResult* r) {
+    if (r->complete) return;
+    r->complete = true;
+    r->status = Status::InvalidArgument(std::string(message));
+  };
+  if (tag != 0) {
+    auto it = pending_.find(tag);
+    if (it != pending_.end()) fail(&it->second);
+    return;
+  }
+  for (auto& [t, r] : pending_) fail(&r);
 }
 
 }  // namespace net

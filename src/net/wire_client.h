@@ -7,6 +7,12 @@
 // The DONE frame carries the query's full QueryResult with %.17g doubles,
 // so WireResult::metrics round-trips the engine's simulated-cost accounting
 // bit-identically — the property the wire-vs-direct differential test pins.
+//
+// A server frame the client cannot parse fails its query with
+// kInvalidArgument (every pending query, when even the tag is unreadable):
+// a query never completes OK with rows missing, nor waits on a DONE that
+// already came and went. BATCH rows are parsed straight into the pending
+// query's WireResult::rows.
 
 #ifndef SMOOTHSCAN_NET_WIRE_CLIENT_H_
 #define SMOOTHSCAN_NET_WIRE_CLIENT_H_
@@ -14,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -71,9 +78,18 @@ class WireClient {
   /// on EOF/error.
   bool PumpOnce();
   void Dispatch(const Frame& frame);
+  /// Completes `tag`'s pending query with kInvalidArgument, or every
+  /// pending query for tag 0 (a connection-level failure, as in ERROR
+  /// frames). A query already complete keeps its result.
+  void FailPending(uint64_t tag, std::string_view message);
+
+  static constexpr size_t kReadChunk = 64 * 1024;
 
   std::unique_ptr<Transport> transport_;
+  std::unique_ptr<char[]> read_buf_ =
+      std::make_unique_for_overwrite<char[]>(kReadChunk);
   FrameDecoder decoder_;
+  Frame frame_;  ///< Reused by PumpOnce, so payloads keep their storage.
   uint64_t next_tag_ = 1;
   std::unordered_map<uint64_t, WireResult> pending_;
   std::string metrics_text_;

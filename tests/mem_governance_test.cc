@@ -4,7 +4,8 @@
 // are *accounting and recycling* layers — they may shed storage, spill
 // cached tuples and clamp the shared-scan drift window, but they must never
 // change any query's simulated cost by a single bit, and a warm steady-state
-// scan loop must perform zero heap allocations per batch. The allocation
+// scan loop (like a warm result stream's wire encoder) must perform zero
+// heap allocations per batch. The allocation
 // claim is proven with a counting global allocator (suite
 // AllocationRegression, run as its own CI step); the cost claim with exact
 // EXPECT_EQ differentials — every warm cycle of a parallel scan against its
@@ -24,6 +25,7 @@
 #include <memory>
 #include <new>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "index/bplus_tree.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
+#include "net/frame.h"
 #include "sharing/scan_sharing.h"
 #include "sharing/shared_scan_path.h"
 #include "storage/exec_context.h"
@@ -682,6 +685,35 @@ TEST_F(AllocationRegression, VarWidthJoinPipelineAllocatesUnderOnePer64Rows) {
   ASSERT_EQ(DrainCounting(&filter, &batch, &allocs), rows);
   EXPECT_LT(allocs * 64, rows) << allocs << " allocations for " << rows
                                << " joined rows";
+}
+
+// The server builds each result stream's frames in one buffer it owns: once
+// the first BATCH has sized it, a 1024-row x 10-column BATCH frame and the
+// DONE frame are built in place with zero allocations.
+TEST_F(AllocationRegression, WarmStreamBufferEncodesBatchFramesWithNoAlloc) {
+  TupleBatch batch;
+  for (int64_t i = 0; i < 1024; ++i) {
+    Tuple* slot = batch.AppendSlot();
+    slot->resize(10);
+    for (int64_t c = 0; c < 10; ++c) {
+      (*slot)[c] = Value::Int64((i * 7919 + c * 1000003) * (c % 2 ? -1 : 1));
+    }
+  }
+  QueryResult done;
+  done.metrics.tuples = 1024 * 4;
+  done.metrics.sim_time = 1.0 / 3.0;
+  std::string wire;
+  net::AppendBatchFrame(7, batch, &wire);  // Warm-up sizes the buffer.
+  const size_t frame_bytes = wire.size();
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 4; ++i) {
+    wire.clear();
+    net::AppendBatchFrame(7, batch, &wire);
+  }
+  wire.clear();
+  net::AppendDoneFrame(7, done, &wire);
+  EXPECT_EQ(AllocCount() - before, 0u) << "warm frame encode hit the heap";
+  EXPECT_GT(frame_bytes, 1024u * 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 // Network front-end testing: the frame codec (round-trip, including the
-// %.17g DONE payload that carries simulated-cost accounting bit-identically),
-// decoder hostility (oversized/unknown/truncated frames close only the
-// offending connection), session-window backpressure made visible in server
-// stats, wire cancellation detaching a shared-scan consumer without
+// %.17g DONE payload that carries simulated-cost accounting bit-identically;
+// BATCH and DONE bytes pinned to the printf text the protocol always had;
+// malformed rows rejected whole), decoder hostility (oversized/unknown/
+// truncated frames close only the offending connection) and its bounded
+// buffer, client demux of malformed server frames (the query fails, never
+// completes short or hangs), session-window backpressure made visible in
+// server stats, wire cancellation detaching a shared-scan consumer without
 // perturbing its peers' bit-identical accounting, and — the API-redesign
 // invariant — a wire-vs-direct differential: every query submitted as text
 // through a server connection reports exactly the simulated cost of the same
@@ -10,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/query_engine.h"
 #include "engine/session.h"
 #include "net/frame.h"
@@ -150,6 +158,234 @@ TEST(FrameCodecTest, DecoderPoisonsOnHostileHeaders) {
     EXPECT_FALSE(decoder.Pop(&f));
     ASSERT_TRUE(decoder.Feed(wire.data() + wire.size() - 3, 3).ok());
     EXPECT_TRUE(decoder.Pop(&f));
+  }
+}
+
+/// The BATCH frame as the protocol has always printed it: a per-value
+/// snprintf("%" PRId64) after a "%" PRIu64 " " tag, wrapped in the header.
+std::string PrintfBatchFrame(uint64_t tag,
+                             const std::vector<std::vector<int64_t>>& rows) {
+  char buf[32];
+  std::string payload;
+  std::snprintf(buf, sizeof buf, "%" PRIu64 " ", tag);
+  payload += buf;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i != 0) payload.push_back('|');
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      if (c != 0) payload.push_back(',');
+      std::snprintf(buf, sizeof buf, "%" PRId64, rows[i][c]);
+      payload += buf;
+    }
+  }
+  std::string wire;
+  const auto len = static_cast<uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) wire.push_back(static_cast<char>(len >> (8 * i)));
+  wire.push_back(static_cast<char>(FrameType::kBatch));
+  return wire + payload;
+}
+
+TEST(FrameCodecTest, BatchFrameBytesMatchThePrintfFormat) {
+  // Seeded rows whose values span every decimal length and both signs,
+  // with INT64_MIN and INT64_MAX in every batch: the to_chars encoder must
+  // print exactly what snprintf printed, and the parser must read it back.
+  Rng rng(2718);
+  for (const size_t rows : {size_t{0}, size_t{1}, size_t{1024}}) {
+    for (size_t width = 1; width <= 16; ++width) {
+      std::vector<std::vector<int64_t>> want(rows,
+                                             std::vector<int64_t>(width));
+      TupleBatch batch;
+      for (size_t i = 0; i < rows; ++i) {
+        Tuple* slot = batch.AppendSlot();
+        slot->resize(width);
+        for (size_t c = 0; c < width; ++c) {
+          const uint64_t bits = rng.Next() >> rng.UniformInt(1, 63);
+          int64_t v = static_cast<int64_t>(bits);
+          if (rng.Bernoulli(0.5)) v = -v;
+          if ((i + c) % 97 == 0) v = INT64_MIN;
+          if ((i + c) % 89 == 1) v = INT64_MAX;
+          want[i][c] = v;
+          (*slot)[c] = Value::Int64(v);
+        }
+      }
+      const uint64_t tag = rng.Next();
+      std::string wire = "prefix";  // The builder appends.
+      AppendBatchFrame(tag, batch, &wire);
+      const std::string label =
+          std::to_string(rows) + " rows x " + std::to_string(width);
+      ASSERT_EQ(wire, "prefix" + PrintfBatchFrame(tag, want)) << label;
+
+      FrameDecoder decoder;
+      ASSERT_TRUE(decoder.Feed(wire.data() + 6, wire.size() - 6).ok());
+      Frame f;
+      ASSERT_TRUE(decoder.Pop(&f)) << label;
+      uint64_t back_tag = 0;
+      std::vector<std::vector<int64_t>> back;
+      ASSERT_TRUE(ParseBatchPayload(f.payload, &back_tag, &back).ok())
+          << label;
+      EXPECT_EQ(back_tag, tag) << label;
+      EXPECT_EQ(back, want) << label;
+    }
+  }
+}
+
+TEST(FrameCodecTest, DoneDoublesMatchThePrintfFormat) {
+  // The DONE payload's doubles are printed by to_chars; pin them to the
+  // %.17g text the protocol carried before, over seeded bit patterns.
+  Rng rng(31415);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.Next();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (!std::isfinite(d)) continue;
+    if (i % 2 == 0) d = rng.UniformDouble(0.0, 1e6);  // Cost-like magnitudes.
+    QueryResult result;
+    result.metrics.sim_time = d;
+    const std::string payload = EncodeDonePayload(1, result);
+    const size_t at = payload.find(" sim_time=") + 10;
+    const std::string printed =
+        payload.substr(at, payload.find(' ', at) - at);
+    char want[40];
+    std::snprintf(want, sizeof want, "%.17g", d);
+    ASSERT_EQ(printed, want);
+  }
+}
+
+TEST(FrameCodecTest, MalformedBatchRowsFailAndAppendNothing) {
+  for (const char* body :
+       {"1,,2", "1,2,", "1,2|", "1,2|3,4|", "+5", " 5", "5 ", "1|,2", "|1",
+        ",1", "1;2", "-", "9223372036854775808", "-9223372036854775809",
+        "1,2|3,x"}) {
+    std::vector<std::vector<int64_t>> rows = {{7, 8}};
+    EXPECT_FALSE(ParseBatchRows(body, &rows).ok()) << "'" << body << "'";
+    EXPECT_EQ(rows, (std::vector<std::vector<int64_t>>{{7, 8}}))
+        << "'" << body << "'";
+    uint64_t tag = 0;
+    EXPECT_FALSE(
+        ParseBatchPayload(std::string("3 ") + body, &tag, &rows).ok())
+        << "'" << body << "'";
+    EXPECT_EQ(rows.size(), 1u) << "'" << body << "'";
+  }
+  // The extremes themselves are fine, and an empty body is zero rows.
+  std::vector<std::vector<int64_t>> rows;
+  ASSERT_TRUE(
+      ParseBatchRows("-9223372036854775808,9223372036854775807|0", &rows)
+          .ok());
+  EXPECT_EQ(rows, (std::vector<std::vector<int64_t>>{
+                      {INT64_MIN, INT64_MAX}, {0}}));
+  ASSERT_TRUE(ParseBatchRows("", &rows).ok());
+  EXPECT_EQ(rows.size(), 2u);
+}
+
+TEST(FrameCodecTest, DecoderBufferStaysUnderTwoFramesAndAChunk) {
+  // 1,000 frames of seeded sizes, fed in 4,093-byte chunks, so the reads
+  // almost never end on a frame boundary. The consumed prefix must not pile
+  // up: the decoder holds at most two frames plus one chunk at any time.
+  constexpr size_t kChunk = 4093;
+  Rng rng(99);
+  std::string wire;
+  std::vector<std::string> payloads;
+  size_t max_frame = 0;
+  for (int i = 0; i < 1000; ++i) {
+    payloads.push_back(
+        EncodeTagged(i, std::string(rng.UniformInt(1, 3000), 'a' + i % 26)));
+    EncodeFrame({FrameType::kBatch, payloads.back()}, &wire);
+    max_frame = std::max(max_frame, payloads.back().size() + 5);
+  }
+  FrameDecoder decoder;
+  size_t popped = 0;
+  size_t peak = 0;
+  for (size_t at = 0; at < wire.size(); at += kChunk) {
+    const size_t n = std::min(kChunk, wire.size() - at);
+    ASSERT_TRUE(decoder.Feed(wire.data() + at, n).ok());
+    peak = std::max(peak, decoder.buffered_bytes());
+    Frame f;
+    while (decoder.Pop(&f)) {
+      ASSERT_LT(popped, payloads.size());
+      ASSERT_EQ(f.payload, payloads[popped]) << popped;
+      ++popped;
+    }
+  }
+  EXPECT_EQ(popped, payloads.size());
+  EXPECT_LT(peak, 2 * max_frame + kChunk);
+}
+
+// ----------------------------------------------------------- client demux
+
+/// A WireClient whose server end is driven by hand: the test writes
+/// frames to `peer` and reads none of the client's.
+struct HandFedClient {
+  HandFedClient() {
+    auto [client_end, server_end] = MakePipePair();
+    peer = std::move(server_end);
+    client = std::make_unique<WireClient>(std::move(client_end));
+  }
+
+  void Send(FrameType type, const std::string& payload) {
+    std::string wire;
+    EncodeFrame({type, payload}, &wire);
+    ASSERT_TRUE(peer->WriteAll(wire.data(), wire.size()));
+  }
+
+  std::string Done(uint64_t tag, uint64_t tuples) {
+    QueryResult result;
+    result.metrics.tuples = tuples;
+    return EncodeDonePayload(tag, result);
+  }
+
+  std::unique_ptr<Transport> peer;
+  std::unique_ptr<WireClient> client;
+};
+
+TEST(WireClientTest, MalformedBatchFailsItsQueryDespiteALaterDone) {
+  // A good BATCH, a malformed one, then an OK DONE: the query must fail
+  // with the good frame's rows only, not complete OK with rows missing.
+  HandFedClient h;
+  const uint64_t tag = h.client->Submit("SELECT * FROM t");
+  const uint64_t other = h.client->Submit("SELECT * FROM t");
+  h.Send(FrameType::kBatch, std::to_string(tag) + " 1,2|3,4");
+  h.Send(FrameType::kBatch, std::to_string(tag) + " 5,6|7,");
+  h.Send(FrameType::kBatch, std::to_string(other) + " 9,9");
+  h.Send(FrameType::kDone, h.Done(tag, 4));
+  h.Send(FrameType::kDone, h.Done(other, 1));
+  const WireResult r = h.client->Wait(tag);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.rows, (std::vector<std::vector<int64_t>>{{1, 2}, {3, 4}}));
+  // The other query on the connection is untouched.
+  const WireResult o = h.client->Wait(other);
+  EXPECT_TRUE(o.complete);
+  EXPECT_TRUE(o.status.ok());
+  EXPECT_EQ(o.rows, (std::vector<std::vector<int64_t>>{{9, 9}}));
+}
+
+TEST(WireClientTest, MalformedDoneFailsItsQueryWithoutWaitingForEof) {
+  // The DONE cannot be parsed. Its query must fail from that frame: the
+  // peer then shuts down, so a client that ignored the frame would see
+  // only EOF and return an incomplete result instead.
+  HandFedClient h;
+  const uint64_t tag = h.client->Submit("SELECT * FROM t");
+  h.Send(FrameType::kBatch, std::to_string(tag) + " 1,2");
+  h.Send(FrameType::kDone, std::to_string(tag) + " status=0 tuples=x");
+  h.peer->Shutdown();
+  const WireResult r = h.client->Wait(tag);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(WireClientTest, UnreadableTagFailsEveryPendingQuery) {
+  for (const FrameType type : {FrameType::kBatch, FrameType::kDone}) {
+    HandFedClient h;
+    const uint64_t a = h.client->Submit("SELECT * FROM t");
+    const uint64_t b = h.client->Submit("SELECT * FROM t");
+    h.Send(type, "x1 1,2");
+    h.peer->Shutdown();
+    for (const uint64_t tag : {a, b}) {
+      const WireResult r = h.client->Wait(tag);
+      EXPECT_TRUE(r.complete) << static_cast<int>(type) << " tag " << tag;
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+          << static_cast<int>(type) << " tag " << tag;
+      EXPECT_TRUE(r.rows.empty());
+    }
   }
 }
 
