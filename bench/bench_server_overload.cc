@@ -126,7 +126,6 @@ int main() {
   net::ServerOptions so;
   so.session.max_outstanding = kBatchWindow;
   so.backpressure_queue_factor = 2;
-  so.backpressure_window = 1;
   net::Server server(&qe, &catalog, so);
 
   bench::OpenJson("server");

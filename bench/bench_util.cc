@@ -115,14 +115,18 @@ void PrintSweepHeader(const std::string& bench, const std::string& extra) {
 }
 
 void PrintSweepRow(double selectivity_percent, const std::string& series,
-                   const RunMetrics& m) {
+                   const RunMetrics& m, std::vector<ExtraField> extras) {
   std::printf(
-      "%-12.4f %-28s %14.1f %12.1f %12.1f %10llu %10llu %12llu %9.2f\n",
+      "%-12.4f %-28s %14.1f %12.1f %12.1f %10llu %10llu %12llu %9.2f",
       selectivity_percent, series.c_str(), m.total_time, m.io_time, m.cpu_time,
       static_cast<unsigned long long>(m.io_requests),
       static_cast<unsigned long long>(m.random_ios),
       static_cast<unsigned long long>(m.tuples), m.wall_ms);
-  RecordRow(series, selectivity_percent, m);
+  for (const ExtraField& e : extras) {
+    std::printf(" %s=%.10g", e.key.c_str(), e.value);
+  }
+  std::printf("\n");
+  RecordRowExtra(series, selectivity_percent, m, std::move(extras));
 }
 
 }  // namespace smoothscan::bench

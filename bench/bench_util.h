@@ -65,11 +65,6 @@ RunMetrics MeasureScan(Engine* engine, AccessPath* path);
 RunMetrics MeasureScanBatched(Engine* engine, AccessPath* path,
                               size_t batch_size);
 
-/// Prints a standard header / row for selectivity-sweep benches.
-void PrintSweepHeader(const std::string& bench, const std::string& extra);
-void PrintSweepRow(double selectivity_percent, const std::string& series,
-                   const RunMetrics& m);
-
 /// Machine-readable results: after OpenJson("fig05"), every PrintSweepRow /
 /// RecordRow lands in an in-memory table that CloseJson() (or process exit)
 /// writes to BENCH_fig05.json — one row per measured series point with
@@ -90,6 +85,12 @@ struct ExtraField {
 void RecordRowExtra(const std::string& series, double selectivity_percent,
                     const RunMetrics& m, std::vector<ExtraField> extras);
 void CloseJson();
+
+/// Prints a standard header / row for selectivity-sweep benches; the row's
+/// extra fields (if any) print after it as key=value and are recorded with it.
+void PrintSweepHeader(const std::string& bench, const std::string& extra);
+void PrintSweepRow(double selectivity_percent, const std::string& series,
+                   const RunMetrics& m, std::vector<ExtraField> extras = {});
 
 }  // namespace smoothscan::bench
 

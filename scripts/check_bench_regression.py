@@ -26,6 +26,16 @@ the serial FullScan row beside it (a missing row fails). The rows ran
 seconds apart on the same host, so the ratio survives jitter that absolute
 wall times do not.
 
+A fourth set of gates, again within one fresh file, states the shapes of
+the paper's figures in bench_paper_figures' file (bounds set from its first
+committed run): fig08's Elastic Smooth Scan under skew stays within
+FIG08_ELASTIC_MAX_RATIO of the cheaper of FullScan and IndexScan; fig11's
+SwitchScan jumps by at least FIG11_SWITCH_MIN_JUMP across the optimizer
+estimate while SmoothScan rises by at most FIG11_SMOOTH_MAX_STEP over the
+same step (the cliff, and the absence of one); and the batch-size ablation's
+simulated time is the same at every batch size. A row any of them needs and
+cannot find fails.
+
 Usage:
   check_bench_regression.py --baseline-dir . --fresh-dir bench-json \
       [--threshold 0.25] [bench names...]
@@ -39,19 +49,6 @@ import json
 import os
 import re
 import sys
-
-# Default gated benches when none are named: the per-PR trajectory files.
-DEFAULT_BENCHES = [
-    "fig04_tpch",
-    "fig05_selectivity",
-    "shared_scan",
-    "concurrent",
-    "write_mix",
-    "compressed",
-    "mem",
-    "result_cache_spill",
-    "server",
-]
 
 # Relative sim_time increase tolerated before the gate trips.
 DEFAULT_THRESHOLD = 0.25
@@ -76,6 +73,20 @@ PARALLEL_SMOOTH_SERIES = {
 WALL_RATIO_BOUNDS = {"SortScan": 5.0, "IndexScan": 16.0}
 WALL_RATIO_BENCH = "fig05_selectivity"
 WALL_RATIO_SEL_PCT = 100.0
+
+PAPER_FIGURES_BENCH = "paper_figures"
+# fig08: Elastic vs the cheaper fixed path. First run: 1,809.4 against
+# IndexScan's 1,717.2 (1.054x); Selectivity-Increase reads 2.23x.
+FIG08_ELASTIC_MAX_RATIO = 1.10
+# fig11, between the last selectivity whose result fits the optimizer
+# estimate (the SwitchScan rows' `estimate`) and the first that exceeds it.
+# First run: SwitchScan 290.0 -> 4,693.0 (16.2x), SmoothScan 304.9 -> 441.8
+# (1.45x).
+FIG11_SWITCH_MIN_JUMP = 10.0
+FIG11_SMOOTH_MAX_STEP = 2.0
+# Batch-size ablation: sim_time equal across batch sizes, relatively.
+BATCH_SIM_REL_TOL = 1e-9
+BATCH_SERIES = re.compile(r"^ablation batch=\d+ (.+)$")
 
 
 def row_key(row):
@@ -225,6 +236,84 @@ def check_wall_ratios(name, fresh_path):
     return failures
 
 
+def check_paper_figures(name, fresh_path):
+    """Returns failures of the figure-shape gates on bench_paper_figures."""
+    if name != PAPER_FIGURES_BENCH:
+        return []
+    with open(fresh_path) as f:
+        rows = json.load(f).get("rows", [])
+    by_series = {}
+    for row in rows:
+        by_series.setdefault(row.get("series"), []).append(row)
+    failures = []
+
+    fig08 = {}
+    for series in ("FullScan", "IndexScan", "Smooth(Elastic)"):
+        found = by_series.get(f"fig08 {series}")
+        if not found:
+            failures.append(f"{name}: no 'fig08 {series}' row for the "
+                            "fig08 bound")
+        else:
+            fig08[series] = float(found[0].get("sim_time", 0.0))
+    if len(fig08) == 3:
+        best = min(fig08["FullScan"], fig08["IndexScan"])
+        ratio = fig08["Smooth(Elastic)"] / best
+        if ratio > FIG08_ELASTIC_MAX_RATIO:
+            failures.append(
+                f"{name} fig08: Smooth(Elastic) costs {ratio:.3f}x the "
+                f"cheaper fixed path ({fig08['Smooth(Elastic)']:.1f} vs "
+                f"{best:.1f}; bound {FIG08_ELASTIC_MAX_RATIO:.2f}x)")
+
+    switch = sorted(by_series.get("fig11 SwitchScan", []),
+                    key=lambda r: float(r.get("sel_pct", 0.0)))
+    estimate = float(switch[0].get("estimate", -1)) if switch else -1
+    below = [r for r in switch if float(r.get("tuples", 0)) <= estimate]
+    above = [r for r in switch if float(r.get("tuples", 0)) > estimate]
+    smooth = {round(float(r.get("sel_pct", 0.0)), 6):
+              float(r.get("sim_time", 0.0))
+              for r in by_series.get("fig11 SmoothScan", [])}
+    if not below or not above:
+        failures.append(f"{name}: no fig11 SwitchScan rows on both sides "
+                        "of the optimizer estimate")
+    else:
+        lo, hi = below[-1], above[0]
+        sels = [round(float(r.get("sel_pct", 0.0)), 6) for r in (lo, hi)]
+        jump = float(hi["sim_time"]) / float(lo["sim_time"])
+        if jump < FIG11_SWITCH_MIN_JUMP:
+            failures.append(
+                f"{name} fig11: SwitchScan rises only {jump:.2f}x across "
+                f"the estimate (sel_pct {sels[0]} -> {sels[1]}; bound >= "
+                f"{FIG11_SWITCH_MIN_JUMP:.1f}x)")
+        if any(sel not in smooth for sel in sels):
+            failures.append(f"{name}: no fig11 SmoothScan rows at sel_pct "
+                            f"{sels[0]} and {sels[1]}")
+        else:
+            step = smooth[sels[1]] / smooth[sels[0]]
+            if step > FIG11_SMOOTH_MAX_STEP:
+                failures.append(
+                    f"{name} fig11: SmoothScan rises {step:.2f}x across the "
+                    f"estimate (sel_pct {sels[0]} -> {sels[1]}; bound "
+                    f"{FIG11_SMOOTH_MAX_STEP:.1f}x)")
+
+    batches = {}
+    for row in rows:
+        match = BATCH_SERIES.match(str(row.get("series")))
+        if match is not None:
+            key = (match.group(1), round(float(row.get("sel_pct", 0.0)), 6))
+            batches.setdefault(key, []).append(float(row.get("sim_time", 0.0)))
+    if not batches:
+        failures.append(f"{name}: no batch-size ablation rows")
+    for (path, sel), sims in sorted(batches.items()):
+        if len(sims) < 2:
+            failures.append(f"{name} batch ablation {path} sel_pct={sel}: "
+                            "only one batch size")
+        elif max(sims) - min(sims) > BATCH_SIM_REL_TOL * max(sims):
+            failures.append(
+                f"{name} batch ablation {path} sel_pct={sel}: sim_time "
+                f"varies with batch size ({min(sims)!r} .. {max(sims)!r})")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir", default=".",
@@ -257,6 +346,7 @@ def main(argv=None):
             fresh_path, args.threshold)
         failures += check_parallel_smooth_bound(name, fresh_path)
         failures += check_wall_ratios(name, fresh_path)
+        failures += check_paper_figures(name, fresh_path)
         for note in notes:
             print(f"note: {note}")
         if failures:

@@ -3,8 +3,9 @@
 JSONs, that the gate passes on unchanged results and demonstrably fails on a
 >25% simulated-cost regression, a shared-scan fetch-ratio regression, a
 dropped row, a parallel Smooth Scan row beyond its bound on the serial
-operator, and a serial SortScan or IndexScan wall time beyond its bound on
-FullScan's.
+operator, a serial SortScan or IndexScan wall time beyond its bound on
+FullScan's, and paper-figure shapes (fig08's Elastic row, fig11's Switch
+cliff, batch-invariant simulated time) just past their bounds.
 Run directly (CI) or via ctest.
 """
 
@@ -279,6 +280,117 @@ class IndexScanWallRatioTest(WithinFileGateTest):
             if row["series"] == "IndexScan":
                 row["threads"] = 2
         self.assertEqual(self.run_gate(fig05(rows)), 1)
+
+
+def figure_rows(elastic=1809.4, switch_above=4693.0, smooth_above=441.8):
+    """bench_paper_figures' rows the shape gates read, at first-run values:
+    fig08's paths, fig11's SwitchScan and SmoothScan around the estimate (32
+    tuples: 26 below it at 0.008%, 39 above it at 0.01%) and a batch-size
+    ablation at three batch sizes."""
+    rows = [{"series": f"fig08 {series}", "sel_pct": 1.0525, "sim_time": sim}
+            for series, sim in (("FullScan", 4333.8), ("IndexScan", 1717.2),
+                                ("Smooth(SI)", 3837.2),
+                                ("Smooth(Elastic)", elastic))]
+    for sel, tuples, switch, smooth in ((0.006, 18, 210.0, 220.3),
+                                        (0.008, 26, 290.0, 304.9),
+                                        (0.01, 39, switch_above, smooth_above),
+                                        (0.02, 84, 4693.0, 906.1)):
+        rows.append({"series": "fig11 SwitchScan", "sel_pct": sel,
+                     "sim_time": switch, "tuples": tuples, "estimate": 32.0})
+        rows.append({"series": "fig11 SmoothScan", "sel_pct": sel,
+                     "sim_time": smooth, "tuples": tuples})
+    for batch in (1, 64, 1024):
+        for path, sim in (("FullScan", 4333.8), ("SmoothScan", 7865.2)):
+            rows.append({"series": f"ablation batch={batch} {path}",
+                         "sel_pct": 1.0, "sim_time": sim})
+    return {"bench": "paper_figures", "rows": rows}
+
+
+def without(payload, series, sel_pct=None):
+    payload["rows"] = [r for r in payload["rows"]
+                       if not (r["series"] == series and
+                               sel_pct in (None, r["sel_pct"]))]
+    return payload
+
+
+class PaperFigureShapeTest(WithinFileGateTest):
+    """The within-file figure shapes of bench_paper_figures."""
+
+    def test_first_committed_shapes_pass(self):
+        self.assertEqual(self.run_gate(figure_rows()), 0)
+
+    def test_fig08_elastic_within_bound_passes(self):
+        self.assertEqual(self.run_gate(figure_rows(elastic=1717.2 * 1.099)),
+                         0)
+
+    def test_fig08_elastic_just_past_bound_fails(self):
+        self.assertEqual(self.run_gate(figure_rows(elastic=1717.2 * 1.101)),
+                         1)
+
+    def test_fig08_elastic_degrading_into_si_fails(self):
+        self.assertEqual(self.run_gate(figure_rows(elastic=3837.2)), 1)
+
+    def test_fig08_missing_row_fails(self):
+        for series in ("fig08 FullScan", "fig08 IndexScan",
+                       "fig08 Smooth(Elastic)"):
+            with self.subTest(series=series):
+                self.assertEqual(
+                    self.run_gate(without(figure_rows(), series)), 1)
+
+    def test_fig11_switch_cliff_just_under_bound_fails(self):
+        self.assertEqual(
+            self.run_gate(figure_rows(switch_above=290.0 * 9.99)), 1)
+
+    def test_fig11_smooth_step_just_past_bound_fails(self):
+        self.assertEqual(
+            self.run_gate(figure_rows(smooth_above=304.9 * 2.01)), 1)
+
+    def test_fig11_within_bounds_passes(self):
+        self.assertEqual(self.run_gate(figure_rows(
+            switch_above=290.0 * 10.01, smooth_above=304.9 * 1.99)), 0)
+
+    def test_fig11_missing_row_fails(self):
+        for series, sel in (("fig11 SmoothScan", 0.01),
+                            ("fig11 SmoothScan", 0.008),
+                            ("fig11 SwitchScan", None)):
+            with self.subTest(series=series, sel=sel):
+                self.assertEqual(
+                    self.run_gate(without(figure_rows(), series, sel)), 1)
+
+    def test_fig11_no_row_above_the_estimate_fails(self):
+        payload = without(without(figure_rows(), "fig11 SwitchScan", 0.01),
+                          "fig11 SwitchScan", 0.02)
+        self.assertEqual(self.run_gate(payload), 1)
+
+    def test_batch_size_changing_sim_time_fails(self):
+        payload = figure_rows()
+        for row in payload["rows"]:
+            if row["series"] == "ablation batch=64 SmoothScan":
+                row["sim_time"] *= 1.0 + 2e-9
+        self.assertEqual(self.run_gate(payload), 1)
+
+    def test_batch_size_rounding_noise_passes(self):
+        payload = figure_rows()
+        for row in payload["rows"]:
+            if row["series"] == "ablation batch=64 SmoothScan":
+                row["sim_time"] *= 1.0 + 5e-10
+        self.assertEqual(self.run_gate(payload), 0)
+
+    def test_batch_size_missing_rows_fail(self):
+        payload = figure_rows()
+        for batch in (64, 1024):
+            without(payload, f"ablation batch={batch} SmoothScan")
+        self.assertEqual(self.run_gate(payload), 1)
+        payload = figure_rows()
+        payload["rows"] = [r for r in payload["rows"]
+                           if not r["series"].startswith("ablation batch=")]
+        self.assertEqual(self.run_gate(payload), 1)
+
+    def test_other_benches_are_not_shape_checked(self):
+        payload = figure_rows(elastic=3837.2)
+        payload["bench"] = "fig05_selectivity"
+        payload["rows"] += wall_rows(22.0)
+        self.assertEqual(self.run_gate(payload), 0)
 
 
 if __name__ == "__main__":

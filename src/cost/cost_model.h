@@ -22,7 +22,7 @@ struct CostModelParams {
 
 /// Per-path CPU cost constants in simulated-time units (seq page read =
 /// 1.0), fitted against the executing substrate by the calibration sweep in
-/// bench_cost_model_validation (--calibrate). The committed defaults are the
+/// bench_paper_figures (Section V). The committed defaults are the
 /// sweep's output on the reference configuration; cost_model_test pins the
 /// estimate-vs-measured error within bounds so drift between the model and
 /// the substrate is caught in CI. The chooser applies these only when a

@@ -10,8 +10,6 @@ namespace net {
 namespace {
 
 constexpr size_t kHeaderBytes = 5;
-/// The longest decimal int64: a sign and 19 digits.
-constexpr size_t kMaxI64Chars = 20;
 
 bool KnownFrameType(uint8_t t) {
   switch (static_cast<FrameType>(t)) {
@@ -75,51 +73,6 @@ void AppendF64Field(std::string_view key, double v, std::string* out) {
   out->append(buf, static_cast<size_t>(r.ptr - buf));
 }
 
-void AppendTaggedBody(uint64_t tag, std::string_view text, std::string* out) {
-  AppendInt(tag, out);
-  if (!text.empty()) {
-    out->push_back(' ');
-    out->append(text);
-  }
-}
-
-void AppendDoneBody(uint64_t tag, const QueryResult& result,
-                    std::string* out) {
-  const QueryMetrics& m = result.metrics;
-  AppendInt(tag, out);
-  AppendIntField(" status=", static_cast<int>(result.status.code()), out);
-  AppendIntField(" kind=", static_cast<int>(m.kind), out);
-  AppendIntField(" lane=", static_cast<int>(m.lane), out);
-  AppendIntField(" cancelled=", m.cancelled ? 1 : 0, out);
-  AppendIntField(" write=", m.write ? 1 : 0, out);
-  AppendIntField(" parallel=", m.parallel ? 1 : 0, out);
-  AppendIntField(" tuples=", m.tuples, out);
-  AppendIntField(" io_requests=", m.io_requests, out);
-  AppendIntField(" random_ios=", m.random_ios, out);
-  AppendIntField(" seq_ios=", m.seq_ios, out);
-  AppendIntField(" pages_read=", m.pages_read, out);
-  AppendIntField(" mem_peak_bytes=", m.mem_peak_bytes, out);
-  AppendIntField(" mem_quota_breaches=", m.mem_quota_breaches, out);
-  AppendF64Field(" sim_time=", m.sim_time, out);
-  AppendF64Field(" io_time=", m.io_time, out);
-  AppendF64Field(" cpu_time=", m.cpu_time, out);
-  AppendF64Field(" queue_wait_ms=", m.queue_wait_ms, out);
-  AppendF64Field(" exec_ms=", m.exec_ms, out);
-  AppendF64Field(" latency_ms=", m.latency_ms, out);
-  if (!result.keys.empty()) {
-    out->append(" keys=");
-    for (size_t i = 0; i < result.keys.size(); ++i) {
-      if (i != 0) out->push_back(',');
-      AppendInt(result.keys[i], out);
-    }
-  }
-  if (!result.status.message().empty()) {
-    // msg= is free text through end-of-payload; must stay the last field.
-    out->append(" msg=");
-    out->append(result.status.message());
-  }
-}
-
 /// Integer fields: empty, malformed and out-of-range text are all errors.
 template <typename T>
 Status ParseIntField(std::string_view tok, T* out) {
@@ -179,7 +132,11 @@ void EncodeFrame(const Frame& frame, std::string* wire) {
 void AppendTaggedFrame(FrameType type, uint64_t tag, std::string_view text,
                        std::string* wire) {
   const size_t at = BeginFrame(type, wire);
-  AppendTaggedBody(tag, text, wire);
+  AppendInt(tag, wire);
+  if (!text.empty()) {
+    wire->push_back(' ');
+    wire->append(text);
+  }
   EndFrame(at, wire);
 }
 
@@ -216,26 +173,53 @@ void AppendBatchFrame(uint64_t tag, const TupleBatch& batch,
 void AppendDoneFrame(uint64_t tag, const QueryResult& result,
                      std::string* wire) {
   const size_t at = BeginFrame(FrameType::kDone, wire);
-  AppendDoneBody(tag, result, wire);
+  const QueryMetrics& m = result.metrics;
+  AppendInt(tag, wire);
+  AppendIntField(" status=", static_cast<int>(result.status.code()), wire);
+  AppendIntField(" kind=", static_cast<int>(m.kind), wire);
+  AppendIntField(" lane=", static_cast<int>(m.lane), wire);
+  AppendIntField(" cancelled=", m.cancelled ? 1 : 0, wire);
+  AppendIntField(" write=", m.write ? 1 : 0, wire);
+  AppendIntField(" parallel=", m.parallel ? 1 : 0, wire);
+  AppendIntField(" tuples=", m.tuples, wire);
+  AppendIntField(" io_requests=", m.io_requests, wire);
+  AppendIntField(" random_ios=", m.random_ios, wire);
+  AppendIntField(" seq_ios=", m.seq_ios, wire);
+  AppendIntField(" pages_read=", m.pages_read, wire);
+  AppendIntField(" mem_peak_bytes=", m.mem_peak_bytes, wire);
+  AppendIntField(" mem_quota_breaches=", m.mem_quota_breaches, wire);
+  AppendF64Field(" sim_time=", m.sim_time, wire);
+  AppendF64Field(" io_time=", m.io_time, wire);
+  AppendF64Field(" cpu_time=", m.cpu_time, wire);
+  AppendF64Field(" queue_wait_ms=", m.queue_wait_ms, wire);
+  AppendF64Field(" exec_ms=", m.exec_ms, wire);
+  AppendF64Field(" latency_ms=", m.latency_ms, wire);
+  if (!result.keys.empty()) {
+    wire->append(" keys=");
+    for (size_t i = 0; i < result.keys.size(); ++i) {
+      if (i != 0) wire->push_back(',');
+      AppendInt(result.keys[i], wire);
+    }
+  }
+  if (!result.status.message().empty()) {
+    // msg= is free text through end-of-payload; must stay the last field.
+    wire->append(" msg=");
+    wire->append(result.status.message());
+  }
   EndFrame(at, wire);
 }
 
 Status FrameDecoder::Feed(const char* data, size_t n) {
   if (poisoned_) return Status::InvalidArgument("frame stream poisoned");
-  // Drop the consumed prefix once it outgrows the unconsumed tail: the move
-  // copies fewer bytes than were consumed, and a stream whose reads never
-  // end on a frame boundary holds at most two frames plus one read.
-  if (pos_ != 0 && pos_ >= buf_.size() - pos_) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-  buf_.append(data, n);
+  buf_.Append(data, n);
   // Validate every complete header immediately, even before its payload
   // arrives: a hostile length must be rejected without buffering toward it.
-  size_t p = pos_;
-  while (buf_.size() - p >= kHeaderBytes) {
-    const uint32_t len = ReadU32Le(buf_.data() + p);
-    const uint8_t type = static_cast<uint8_t>(buf_[p + 4]);
+  const char* const base = buf_.unread_data();
+  const size_t size = buf_.unread();
+  size_t p = 0;
+  while (size - p >= kHeaderBytes) {
+    const uint32_t len = ReadU32Le(base + p);
+    const uint8_t type = static_cast<uint8_t>(base[p + 4]);
     if (len > kMaxFramePayload) {
       poisoned_ = true;
       return Status::InvalidArgument("oversized frame payload");
@@ -244,30 +228,22 @@ Status FrameDecoder::Feed(const char* data, size_t n) {
       poisoned_ = true;
       return Status::InvalidArgument("unknown frame type");
     }
-    if (buf_.size() - p - kHeaderBytes < len) break;
+    if (size - p - kHeaderBytes < len) break;
     p += kHeaderBytes + len;
   }
   return Status::OK();
 }
 
 bool FrameDecoder::Pop(Frame* out) {
-  if (poisoned_ || buf_.size() - pos_ < kHeaderBytes) return false;
-  const uint32_t len = ReadU32Le(buf_.data() + pos_);
-  if (buf_.size() - pos_ - kHeaderBytes < len) return false;
-  out->type = static_cast<FrameType>(buf_[pos_ + 4]);
-  out->payload.assign(buf_, pos_ + kHeaderBytes, len);
-  pos_ += kHeaderBytes + len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
+  const size_t size = buf_.unread();
+  if (poisoned_ || size < kHeaderBytes) return false;
+  const char* const base = buf_.unread_data();
+  const uint32_t len = ReadU32Le(base);
+  if (size - kHeaderBytes < len) return false;
+  out->type = static_cast<FrameType>(base[4]);
+  out->payload.assign(base + kHeaderBytes, len);
+  buf_.Consume(kHeaderBytes + len);
   return true;
-}
-
-std::string EncodeTagged(uint64_t tag, std::string_view text) {
-  std::string out;
-  AppendTaggedBody(tag, text, &out);
-  return out;
 }
 
 Status ParseTagged(std::string_view payload, uint64_t* tag,
@@ -309,12 +285,6 @@ Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
   Status s = ParseTagged(payload, tag, &body);
   if (!s.ok()) return s;
   return ParseBatchRows(body, rows);
-}
-
-std::string EncodeDonePayload(uint64_t tag, const QueryResult& result) {
-  std::string out;
-  AppendDoneBody(tag, result, &out);
-  return out;
 }
 
 Status ParseDonePayload(std::string_view payload, uint64_t* tag,

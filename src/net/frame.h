@@ -32,6 +32,7 @@
 
 #include "common/tuple_batch.h"
 #include "engine/query_engine.h"
+#include "net/transport.h"
 
 namespace smoothscan {
 namespace net {
@@ -52,6 +53,16 @@ enum class FrameType : uint8_t {
 /// Largest accepted payload (1 MiB). Result batches are far smaller; query
 /// text larger than this is hostile input.
 inline constexpr uint32_t kMaxFramePayload = 1u << 20;
+/// The longest decimal int64: a sign and 19 digits. The BATCH encoder
+/// reserves this plus a separator per value.
+inline constexpr size_t kMaxI64Chars = 20;
+/// The widest table whose rows fit one BATCH frame: a tag and a full batch
+/// of kDefaultBatchSize rows, every value at its longest, within
+/// kMaxFramePayload (48 columns). Reads over wider tables are rejected at
+/// bind time.
+inline constexpr size_t kMaxBatchColumns =
+    (kMaxFramePayload - kMaxI64Chars - 1) /
+    (kDefaultBatchSize * (kMaxI64Chars + 1));
 
 struct Frame {
   FrameType type = FrameType::kError;
@@ -82,22 +93,18 @@ class FrameDecoder {
   Status Feed(const char* data, size_t n);
   bool Pop(Frame* out);
 
-  /// Bytes held, consumed prefix included. Feed() drops the consumed prefix
-  /// once it outgrows the unconsumed tail, so this stays under two frames
-  /// plus one read however the stream's reads fall on frame boundaries.
-  size_t buffered_bytes() const { return buf_.size(); }
+  /// Bytes held, consumed prefix included: under two frames plus one read
+  /// however the stream's reads fall on frame boundaries (see ByteQueue).
+  size_t buffered_bytes() const { return buf_.held(); }
 
  private:
-  std::string buf_;
-  size_t pos_ = 0;  ///< Consumption cursor into buf_.
+  ByteQueue buf_;
   bool poisoned_ = false;
 };
 
 // --- payload codecs -------------------------------------------------------
 // All request/response payloads start with a decimal client-chosen tag.
 
-/// "<tag> <text>".
-std::string EncodeTagged(uint64_t tag, std::string_view text);
 /// Splits "<tag> <rest>"; rest may be empty.
 Status ParseTagged(std::string_view payload, uint64_t* tag,
                    std::string_view* rest);
@@ -113,10 +120,9 @@ Status ParseBatchRows(std::string_view body,
 Status ParseBatchPayload(std::string_view payload, uint64_t* tag,
                          std::vector<std::vector<int64_t>>* rows);
 
-/// The full QueryResult as key=value pairs. Doubles are printed with %.17g,
-/// so the simulated-cost fields parse back bit-identically — the property
-/// the wire-vs-direct differential test pins.
-std::string EncodeDonePayload(uint64_t tag, const QueryResult& result);
+/// A DONE payload: the full QueryResult as key=value pairs. Doubles are
+/// printed with %.17g, so the simulated-cost fields parse back
+/// bit-identically — the property the wire-vs-direct differential test pins.
 Status ParseDonePayload(std::string_view payload, uint64_t* tag,
                         QueryResult* result);
 

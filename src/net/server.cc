@@ -21,9 +21,7 @@ Server::Server(QueryEngine* engine, const QueryCatalog* catalog,
                ServerOptions options)
     : engine_(engine),
       catalog_(catalog),
-      options_(std::move(options)),
-      broker_(options_.broker != nullptr ? options_.broker
-                                         : engine_->options().broker) {}
+      options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
@@ -319,11 +317,10 @@ void Server::ApplyBackpressure(Conn* conn, QueryLane lane) {
   const bool deep =
       engine_->queue_depth() >
       static_cast<size_t>(options_.backpressure_queue_factor) * cap;
+  const MemoryBroker* broker = engine_->options().broker;
   const bool pressured =
-      deep || (broker_ != nullptr && broker_->UnderPressure());
-  const uint32_t target = pressured
-                              ? std::max(1u, options_.backpressure_window)
-                              : conn->configured_window;
+      deep || (broker != nullptr && broker->UnderPressure());
+  const uint32_t target = pressured ? 1 : conn->configured_window;
   if (conn->session.window() != target) {
     conn->session.SetWindow(target);
     if (pressured) backpressure_shrinks_.fetch_add(1, kRelaxed);

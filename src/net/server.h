@@ -22,10 +22,10 @@
 //
 // Backpressure: before admitting a batch-lane query the server consults the
 // engine's queue depth and the memory broker's pressure flag; overloaded, it
-// shrinks the connection's session window to `backpressure_window`, so batch
-// clients stall in their own submit path while the SLA lane (whose window is
-// never shrunk, and which the engine's reserved SLA executors serve) holds
-// its latency floor — bench_server_overload pins exactly this.
+// shrinks the connection's session window to 1, so batch clients stall in
+// their own submit path while the SLA lane (whose window is never shrunk,
+// and which the engine's reserved SLA executors serve) holds its latency
+// floor — bench_server_overload pins exactly this.
 //
 // Cancellation: a CANCEL frame (or the connection dropping — teardown
 // cancels every active query) reaches the query's ticket through the
@@ -60,10 +60,6 @@ struct ServerOptions {
   /// Overload threshold: the engine's admission queue is "deep" beyond
   /// `backpressure_queue_factor * max_admitted` queued queries.
   uint32_t backpressure_queue_factor = 2;
-  /// Window a batch-lane connection is shrunk to while overloaded (>= 1).
-  uint32_t backpressure_window = 1;
-  /// Pressure flag source; null falls back to the engine's broker (if any).
-  MemoryBroker* broker = nullptr;
 };
 
 /// Monotonic server counters (snapshot; individually relaxed).
@@ -163,7 +159,6 @@ class Server {
   QueryEngine* const engine_;
   const QueryCatalog* const catalog_;
   const ServerOptions options_;
-  MemoryBroker* broker_;  ///< Resolved pressure source (may be null).
 
   mutable latch::Latch mu_{latch::LatchRank::kNetListener,
                            "net::Server::mu_"};

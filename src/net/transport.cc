@@ -25,15 +25,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // In-process pipe pair.
 
-/// Shared state of a pipe pair: one byte buffer per direction. Endpoint
-/// `side` writes buf[side] and reads buf[1 - side]. Buffers are unbounded —
-/// flow control belongs to the frame/session layers, and in-process peers
-/// drain promptly.
+/// Shared state of a pipe pair: one byte queue per direction. Endpoint
+/// `side` writes buf[side] and reads buf[1 - side]. A queue holds what its
+/// reader has not read (plus a consumed prefix no larger, see ByteQueue):
+/// flow control belongs to the frame/session layers.
 struct PipeCore {
   latch::Latch mu{latch::LatchRank::kNetPipe, "net::PipeCore::mu"};
   std::condition_variable_any cv;
-  std::string buf[2] GUARDED_BY(mu);
-  size_t head[2] GUARDED_BY(mu) = {0, 0};
+  ByteQueue buf[2] GUARDED_BY(mu);
   bool closed GUARDED_BY(mu) = false;
 };
 
@@ -45,24 +44,19 @@ class PipeEndpoint : public Transport {
 
   int Read(char* buf, size_t n) override {
     latch::UniqueLatch lock(core_->mu);
-    std::string& b = core_->buf[1 - side_];
-    size_t& head = core_->head[1 - side_];
-    while (head == b.size() && !core_->closed) core_->cv.wait(lock);
-    if (head == b.size()) return 0;  // Closed and drained: EOF.
-    const size_t take = std::min(n, b.size() - head);
-    std::memcpy(buf, b.data() + head, take);
-    head += take;
-    if (head == b.size()) {
-      b.clear();
-      head = 0;
-    }
+    ByteQueue& q = core_->buf[1 - side_];
+    while (q.unread() == 0 && !core_->closed) core_->cv.wait(lock);
+    if (q.unread() == 0) return 0;  // Closed and drained: EOF.
+    const size_t take = std::min(n, q.unread());
+    std::memcpy(buf, q.unread_data(), take);
+    q.Consume(take);
     return static_cast<int>(take);
   }
 
   bool WriteAll(const char* buf, size_t n) override {
     latch::LatchGuard lock(core_->mu);
     if (core_->closed) return false;
-    core_->buf[side_].append(buf, n);
+    core_->buf[side_].Append(buf, n);
     core_->cv.notify_all();
     return true;
   }

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 namespace smoothscan {
@@ -32,6 +33,31 @@ class Transport {
   /// Tears the stream down in both directions; idempotent, callable from any
   /// thread. Blocked Read/WriteAll calls return.
   virtual void Shutdown() = 0;
+};
+
+/// A byte FIFO: appended at the back, read through a cursor at the front.
+/// Append() first drops the consumed prefix once it outgrows the unread
+/// tail, so the move copies fewer bytes than were consumed, and a reader
+/// that lags its writer holds at most twice its unread bytes plus one
+/// append. The pipe's directions and the frame decoder buffer through it.
+class ByteQueue {
+ public:
+  void Append(const char* data, size_t n) {
+    if (head_ != 0 && head_ >= buf_.size() - head_) {
+      buf_.erase(0, head_);
+      head_ = 0;
+    }
+    buf_.append(data, n);
+  }
+  const char* unread_data() const { return buf_.data() + head_; }
+  size_t unread() const { return buf_.size() - head_; }
+  void Consume(size_t n) { head_ += n; }
+  /// Bytes held, consumed prefix included.
+  size_t held() const { return buf_.size(); }
+
+ private:
+  std::string buf_;
+  size_t head_ = 0;
 };
 
 /// An in-process connected pair: bytes written to one endpoint are read from

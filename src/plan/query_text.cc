@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/parse.h"
+#include "net/frame.h"
 
 namespace smoothscan {
 namespace {
@@ -379,21 +380,31 @@ Result<QuerySpec> BindStatement(const QueryCatalog& catalog,
     return Status::InvalidArgument("table '" + stmt.table +
                                    "' has no index bound");
   }
-  // The range column must be one the paths can evaluate: an int64/date
-  // column of the table and, for any policy that may walk the index (the
-  // chooser included), the index key itself.
+  // Rows go back as BATCH frames of integer text, so every column must be
+  // INT64 or DATE and a full batch of rows must fit one frame.
   const Schema& schema = binding->index->heap()->schema();
+  if (schema.num_columns() > net::kMaxBatchColumns) {
+    return Status::InvalidArgument(
+        "table '" + stmt.table + "' is too wide for the wire (" +
+        std::to_string(schema.num_columns()) + " columns, at most " +
+        std::to_string(net::kMaxBatchColumns) + ")");
+  }
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ValueType type = schema.column(c).type;
+    if (type != ValueType::kInt64 && type != ValueType::kDate) {
+      return Status::InvalidArgument("table '" + stmt.table + "' column C" +
+                                     std::to_string(c) +
+                                     " is not INT64 or DATE");
+    }
+  }
+  // The range column must be a column of the table and, for any policy
+  // that may walk the index (the chooser included), the index key itself.
   std::string column = "C";
   column += std::to_string(stmt.column);
   if (stmt.column < 0 ||
       static_cast<size_t>(stmt.column) >= schema.num_columns()) {
     return Status::InvalidArgument("column " + column + " is not in table '" +
                                    stmt.table + "'");
-  }
-  const ValueType type = schema.column(stmt.column).type;
-  if (type != ValueType::kInt64 && type != ValueType::kDate) {
-    return Status::InvalidArgument("range column " + column +
-                                   " must be INT64 or DATE");
   }
   const bool heap_only_policy =
       !stmt.use_chooser && (stmt.policy == PathKind::kFullScan ||

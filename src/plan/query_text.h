@@ -102,7 +102,9 @@ class QueryCatalog {
 };
 
 /// Resolves a ParsedStatement into the engine's QuerySpec. Errors: unknown
-/// table, POLICY=auto without statistics, DML without a writer.
+/// table, POLICY=auto without statistics, DML without a writer, a read over
+/// a table whose rows a BATCH frame cannot carry (a column other than
+/// INT64/DATE, or more than net::kMaxBatchColumns columns).
 Result<QuerySpec> BindStatement(const QueryCatalog& catalog,
                                 const ParsedStatement& stmt);
 

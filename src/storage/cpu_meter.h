@@ -15,55 +15,51 @@
 namespace smoothscan {
 
 /// Per-operation CPU costs in simulated time units (seq page read = 1.0).
-struct CpuCosts {
-  /// Deserializing one tuple and evaluating the predicate on it.
-  double inspect_tuple = 5e-4;
-  /// Copying a qualifying tuple to the output (or into a result cache).
-  double produce_tuple = 2e-4;
-  /// One bitmap or hash cache operation (probe/insert/delete).
-  double cache_op = 5e-5;
-  /// Advancing one index-leaf entry.
-  double index_entry = 5e-5;
-  /// Per-element-comparison cost of sorting (total = n * log2(n) * this).
-  double sort_per_cmp = 2e-4;
-  /// One hash-table build or probe operation in joins/aggregates.
-  double hash_op = 2e-4;
-  /// Applying one mutation to a slotted page (serialize + slot bookkeeping;
-  /// index-maintenance queueing is amortized in). Writes cost more than
-  /// inspection but stay far below one page I/O, like the other constants.
-  double write_tuple = 1e-3;
-};
+namespace cpu_cost {
+/// Deserializing one tuple and evaluating the predicate on it.
+inline constexpr double kInspectTuple = 5e-4;
+/// Copying a qualifying tuple to the output (or into a result cache).
+inline constexpr double kProduceTuple = 2e-4;
+/// One bitmap or hash cache operation (probe/insert/delete).
+inline constexpr double kCacheOp = 5e-5;
+/// Advancing one index-leaf entry.
+inline constexpr double kIndexEntry = 5e-5;
+/// Per-element-comparison cost of sorting (total = n * log2(n) * this).
+inline constexpr double kSortPerCmp = 2e-4;
+/// One hash-table build or probe operation in joins/aggregates.
+inline constexpr double kHashOp = 2e-4;
+/// Applying one mutation to a slotted page (serialize + slot bookkeeping;
+/// index-maintenance queueing is amortized in). Writes cost more than
+/// inspection but stay far below one page I/O, like the other constants.
+inline constexpr double kWriteTuple = 1e-3;
+}  // namespace cpu_cost
 
 /// Accumulates simulated CPU time.
 class CpuMeter {
  public:
-  explicit CpuMeter(CpuCosts costs = CpuCosts()) : costs_(costs) {}
-
-  const CpuCosts& costs() const { return costs_; }
-
   void ChargeInspect(uint64_t tuples = 1) {
-    time_ += costs_.inspect_tuple * static_cast<double>(tuples);
+    time_ += cpu_cost::kInspectTuple * static_cast<double>(tuples);
   }
   void ChargeProduce(uint64_t tuples = 1) {
-    time_ += costs_.produce_tuple * static_cast<double>(tuples);
+    time_ += cpu_cost::kProduceTuple * static_cast<double>(tuples);
   }
   void ChargeCacheOp(uint64_t ops = 1) {
-    time_ += costs_.cache_op * static_cast<double>(ops);
+    time_ += cpu_cost::kCacheOp * static_cast<double>(ops);
   }
   void ChargeIndexEntry(uint64_t entries = 1) {
-    time_ += costs_.index_entry * static_cast<double>(entries);
+    time_ += cpu_cost::kIndexEntry * static_cast<double>(entries);
   }
   /// Charges an n*log2(n) comparison sort of `n` items.
   void ChargeSort(uint64_t n) {
     if (n < 2) return;
-    time_ += costs_.sort_per_cmp * static_cast<double>(n) *
+    time_ += cpu_cost::kSortPerCmp * static_cast<double>(n) *
              std::log2(static_cast<double>(n));
   }
   void ChargeHashOp(uint64_t ops = 1) {
-    time_ += costs_.hash_op * static_cast<double>(ops);
+    time_ += cpu_cost::kHashOp * static_cast<double>(ops);
   }
   void ChargeWriteTuple(uint64_t tuples = 1) {
-    time_ += costs_.write_tuple * static_cast<double>(tuples);
+    time_ += cpu_cost::kWriteTuple * static_cast<double>(tuples);
   }
   /// Adds another meter's accumulated time (morsel merge; callers merge in
   /// morsel order so double accumulation stays deterministic).
@@ -73,7 +69,6 @@ class CpuMeter {
   void Reset() { time_ = 0.0; }
 
  private:
-  CpuCosts costs_;
   double time_ = 0.0;
 };
 

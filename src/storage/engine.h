@@ -25,7 +25,6 @@ struct EngineOptions {
   /// Buffer-pool capacity in pages (default 8 K pages = 64 MB at 8 KB pages).
   size_t buffer_pool_pages = 8192;
   DeviceProfile device = DeviceProfile::Hdd();
-  CpuCosts cpu_costs;
 };
 
 /// One simulated database instance. Non-copyable; operators hold a pointer.
@@ -36,7 +35,6 @@ class Engine {
         storage_(options.page_size),
         disk_(options.device, options.page_size),
         pool_(&storage_, &disk_, options.buffer_pool_pages),
-        cpu_(options.cpu_costs),
         scheduler_(std::max(1u, std::thread::hardware_concurrency())) {}
 
   Engine(const Engine&) = delete;

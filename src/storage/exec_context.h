@@ -73,8 +73,7 @@ class AccountingStack {
                            uint32_t num_shards = BufferPool::kDefaultShards)
       : disk_(engine->options().device, engine->options().page_size),
         pool_(&engine->storage(), &disk_, engine->options().buffer_pool_pages,
-              num_shards),
-        cpu_(engine->options().cpu_costs) {
+              num_shards) {
     pool_.SetMirror(mirror);
     ctx_.storage = &engine->storage();
     ctx_.pool = &pool_;

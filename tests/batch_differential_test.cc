@@ -301,7 +301,6 @@ struct SizedStack {
   SizedStack(Engine* engine, size_t pool_pages)
       : disk(engine->options().device, engine->options().page_size),
         pool(&engine->storage(), &disk, pool_pages),
-        cpu(engine->options().cpu_costs),
         ctx{&engine->storage(), &pool, &cpu, &disk, &engine->batch_pool()} {}
 
   SimDisk disk;

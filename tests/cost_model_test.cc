@@ -214,7 +214,7 @@ TEST(CostModelValidationTest, PredictionsTrackSimulatedCosts) {
 }
 
 // The committed CalibratedCpuModel constants are the calibration sweep's
-// output (bench_cost_model_validation); this pins estimate-vs-measured CPU
+// output (bench_paper_figures, Section V); this pins estimate-vs-measured CPU
 // drift so a substrate change that invalidates them fails in CI.
 TEST(CalibratedCpuModelTest, PerPathEstimatesTrackMeasuredCpu) {
   EngineOptions eo;

@@ -3,13 +3,15 @@
 // BATCH and DONE bytes pinned to the printf text the protocol always had;
 // malformed rows rejected whole), decoder hostility (oversized/unknown/
 // truncated frames close only the offending connection) and its bounded
-// buffer, client demux of malformed server frames (the query fails, never
-// completes short or hangs), session-window backpressure made visible in
-// server stats, wire cancellation detaching a shared-scan consumer without
-// perturbing its peers' bit-identical accounting, and — the API-redesign
-// invariant — a wire-vs-direct differential: every query submitted as text
-// through a server connection reports exactly the simulated cost of the same
-// QuerySpec run directly, reads and writes, across admission caps 1/2/8.
+// buffer, the pipe's bounded buffer behind a lagging reader, reads the wire
+// cannot carry rejected at bind time, client demux of malformed server
+// frames (the query fails, never completes short or hangs), session-window
+// backpressure made visible in server stats, wire cancellation detaching a
+// shared-scan consumer without perturbing its peers' bit-identical
+// accounting, and — the API-redesign invariant — a wire-vs-direct
+// differential: every query submitted as text through a server connection
+// reports exactly the simulated cost of the same QuerySpec run directly,
+// reads and writes, across admission caps 1/2/8.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +42,15 @@ namespace smoothscan {
 namespace net {
 namespace {
 
+/// The payload of the one frame a builder appended to an empty `wire`.
+std::string PayloadOf(const std::string& wire) { return wire.substr(5); }
+
+std::string DonePayload(uint64_t tag, const QueryResult& result) {
+  std::string wire;
+  AppendDoneFrame(tag, result, &wire);
+  return PayloadOf(wire);
+}
+
 // ----------------------------------------------------------- frame codec
 
 TEST(FrameCodecTest, RoundTripsThroughByteDribble) {
@@ -47,7 +58,7 @@ TEST(FrameCodecTest, RoundTripsThroughByteDribble) {
   // fragmentation a stream transport can produce.
   std::string wire;
   EncodeFrame({FrameType::kHello, "LANE=sla WINDOW=3"}, &wire);
-  EncodeFrame({FrameType::kQuery, EncodeTagged(42, "SELECT * FROM t")}, &wire);
+  AppendTaggedFrame(FrameType::kQuery, 42, "SELECT * FROM t", &wire);
   EncodeFrame({FrameType::kBatch, "7 1,2|3,4"}, &wire);
   EncodeFrame({FrameType::kDone, ""}, &wire);  // Empty payload is legal.
 
@@ -99,7 +110,7 @@ TEST(FrameCodecTest, DonePayloadRoundTripsBitIdentically) {
   result.metrics.cancelled = true;
   result.keys = {-5, 0, 7, 7, 123456789};
 
-  const std::string payload = EncodeDonePayload(99, result);
+  const std::string payload = DonePayload(99, result);
   uint64_t tag = 0;
   QueryResult back;
   ASSERT_TRUE(ParseDonePayload(payload, &tag, &back).ok());
@@ -152,7 +163,7 @@ TEST(FrameCodecTest, DecoderPoisonsOnHostileHeaders) {
     // A truncated frame is not an error — just an incomplete stream.
     FrameDecoder decoder;
     std::string wire;
-    EncodeFrame({FrameType::kQuery, EncodeTagged(1, "SELECT")}, &wire);
+    AppendTaggedFrame(FrameType::kQuery, 1, "SELECT", &wire);
     ASSERT_TRUE(decoder.Feed(wire.data(), wire.size() - 3).ok());
     Frame f;
     EXPECT_FALSE(decoder.Pop(&f));
@@ -240,7 +251,7 @@ TEST(FrameCodecTest, DoneDoublesMatchThePrintfFormat) {
     if (i % 2 == 0) d = rng.UniformDouble(0.0, 1e6);  // Cost-like magnitudes.
     QueryResult result;
     result.metrics.sim_time = d;
-    const std::string payload = EncodeDonePayload(1, result);
+    const std::string payload = DonePayload(1, result);
     const size_t at = payload.find(" sim_time=") + 10;
     const std::string printed =
         payload.substr(at, payload.find(' ', at) - at);
@@ -286,10 +297,13 @@ TEST(FrameCodecTest, DecoderBufferStaysUnderTwoFramesAndAChunk) {
   std::vector<std::string> payloads;
   size_t max_frame = 0;
   for (int i = 0; i < 1000; ++i) {
-    payloads.push_back(
-        EncodeTagged(i, std::string(rng.UniformInt(1, 3000), 'a' + i % 26)));
-    EncodeFrame({FrameType::kBatch, payloads.back()}, &wire);
-    max_frame = std::max(max_frame, payloads.back().size() + 5);
+    std::string frame;
+    AppendTaggedFrame(FrameType::kBatch, i,
+                      std::string(rng.UniformInt(1, 3000), 'a' + i % 26),
+                      &frame);
+    payloads.push_back(PayloadOf(frame));
+    wire += frame;
+    max_frame = std::max(max_frame, frame.size());
   }
   FrameDecoder decoder;
   size_t popped = 0;
@@ -307,6 +321,52 @@ TEST(FrameCodecTest, DecoderBufferStaysUnderTwoFramesAndAChunk) {
   }
   EXPECT_EQ(popped, payloads.size());
   EXPECT_LT(peak, 2 * max_frame + kChunk);
+}
+
+TEST(PipeTest, LaggingReaderHoldsUnderTwoWritesAndARead) {
+  // A writer of 80 KB frames ahead of a reader that takes only whole 64 KiB
+  // chunks, so the reader lags and almost never drains the pipe exactly
+  // (the sizes line up once every 512 writes). The pipe's queue must drop
+  // what was read, not hold every byte since the reader last caught up.
+  constexpr size_t kWrite = 80000;
+  constexpr size_t kRead = 64 * 1024;
+  constexpr int kWrites = 200;
+  std::string frame(kWrite, '\0');
+  for (size_t i = 0; i < kWrite; ++i) frame[i] = static_cast<char>(i * 7);
+
+  ByteQueue queue;  // One direction of a pipe, as PipeCore holds it.
+  size_t peak = 0;
+  for (int w = 0; w < kWrites; ++w) {
+    queue.Append(frame.data(), frame.size());
+    peak = std::max(peak, queue.held());
+    while (queue.unread() >= kRead) queue.Consume(kRead);
+  }
+  EXPECT_LT(peak, 2 * kWrite + kRead);
+
+  // The same stream through a pipe pair arrives whole and in order.
+  auto [writer, reader] = MakePipePair();
+  std::vector<char> chunk(kRead);
+  size_t unread = 0;
+  size_t read_total = 0;
+  for (int w = 0; w < kWrites; ++w) {
+    ASSERT_TRUE(writer->WriteAll(frame.data(), frame.size()));
+    unread += kWrite;
+    while (unread >= kRead) {
+      size_t got = 0;
+      while (got < kRead) {
+        const int n = reader->Read(chunk.data() + got, kRead - got);
+        ASSERT_GT(n, 0);
+        got += static_cast<size_t>(n);
+      }
+      bool same = true;
+      for (size_t i = 0; i < kRead; ++i) {
+        same &= chunk[i] == frame[(read_total + i) % kWrite];
+      }
+      ASSERT_TRUE(same) << read_total;
+      read_total += kRead;
+      unread -= kRead;
+    }
+  }
 }
 
 // ----------------------------------------------------------- client demux
@@ -329,7 +389,7 @@ struct HandFedClient {
   std::string Done(uint64_t tag, uint64_t tuples) {
     QueryResult result;
     result.metrics.tuples = tuples;
-    return EncodeDonePayload(tag, result);
+    return DonePayload(tag, result);
   }
 
   std::unique_ptr<Transport> peer;
@@ -491,8 +551,7 @@ TEST(NetServerTest, HostileConnectionClosesAloneServerKeepsServing) {
   {
     std::unique_ptr<Transport> quitter = world.server->ConnectPipe();
     std::string partial;
-    EncodeFrame({FrameType::kQuery, EncodeTagged(1, "SELECT * FROM t")},
-                &partial);
+    AppendTaggedFrame(FrameType::kQuery, 1, "SELECT * FROM t", &partial);
     ASSERT_TRUE(quitter->WriteAll(partial.data(), partial.size() - 4));
   }  // Dropped mid-frame.
 
@@ -551,6 +610,57 @@ TEST(NetServerTest, PayloadErrorsKeepTheConnection) {
   EXPECT_GT(r.metrics.tuples, 0u);
   EXPECT_EQ(world.server->stats().queries_error, 8u);
   EXPECT_EQ(world.server->stats().frames_malformed, 0u);
+}
+
+/// Registers `heap` (2,048 rows, indexed on C0) as table `name` of `world`,
+/// reads it over the wire and expects the bind to reject the read with an
+/// ERROR frame whose message holds `why`; the same connection then serves a
+/// read of table t.
+void ExpectReadRejectedAtBind(ServedDb* world, HeapFile* heap,
+                              const std::string& name, const char* why) {
+  BPlusTree index(world->engine.get(), name + "_c0", heap, 0);
+  index.BulkBuild();
+  TableBinding binding;
+  binding.index = &index;
+  world->catalog.Register(name, binding);
+  WireClient client(world->server->ConnectPipe());
+  WireResult r = client.Wait(client.Submit(
+      "SELECT * FROM " + name + " WHERE C0 >= " + std::to_string(INT64_MIN) +
+      " AND C0 < " + std::to_string(INT64_MAX) + " WITH (POLICY=full)"));
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << name;
+  EXPECT_NE(r.status.message().find(why), std::string::npos)
+      << name << ": " << r.status.ToString();
+  EXPECT_TRUE(r.rows.empty()) << name;
+  const ScanPredicate pred = world->db->PredicateForSelectivity(0.01);
+  r = client.Wait(client.Submit(SelectText(pred, "smooth", 0)));
+  ASSERT_TRUE(r.status.ok()) << name << ": " << r.status.ToString();
+  EXPECT_GT(r.metrics.tuples, 0u);
+  EXPECT_EQ(world->server->stats().frames_malformed, 0u);
+}
+
+TEST(NetServerTest, ReadOverADoubleColumnIsRejectedAtBind) {
+  // BATCH rows are integer text: a DOUBLE value has none, and encoding one
+  // used to abort the server process.
+  ServedDb world(/*max_admitted=*/2);
+  HeapFile heap(world.engine.get(), "mixed",
+                Schema({{"k", ValueType::kInt64}, {"d", ValueType::kDouble}}));
+  for (int64_t i = 0; i < 2048; ++i) {
+    ASSERT_TRUE(heap.Append({Value::Int64(i), Value::Double(0.5)}).ok());
+  }
+  ExpectReadRejectedAtBind(&world, &heap, "mixed", "C1 is not INT64 or DATE");
+}
+
+TEST(NetServerTest, ReadOverATableTooWideForABatchFrameIsRejectedAtBind) {
+  // One column past kMaxBatchColumns, every value 20 characters long: a
+  // full batch overflows kMaxFramePayload, and the client used to drop the
+  // whole connection on it.
+  ServedDb world(/*max_admitted=*/2);
+  const size_t width = kMaxBatchColumns + 1;
+  HeapFile heap(world.engine.get(), "wide", MakeIntSchema(width));
+  for (int64_t i = 0; i < 2048; ++i) {
+    ASSERT_TRUE(heap.Append(Tuple(width, Value::Int64(INT64_MIN + i))).ok());
+  }
+  ExpectReadRejectedAtBind(&world, &heap, "wide", "too wide");
 }
 
 TEST(NetServerTest, SessionWindowBackpressureIsVisible) {
