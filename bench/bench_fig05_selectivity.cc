@@ -10,17 +10,11 @@
 #include <memory>
 #include <thread>
 
-#include "access/full_scan.h"
-#include "access/index_scan.h"
-#include "access/parallel_scan.h"
-#include "access/smooth_scan.h"
-#include "access/sort_scan.h"
 #include "bench_util.h"
-#include "exec/operators.h"
+#include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
 using namespace smoothscan;
-using bench::MeasureCold;
 using bench::MeasureScan;
 using bench::PrintSweepHeader;
 using bench::PrintSweepRow;
@@ -30,20 +24,6 @@ namespace {
 
 constexpr double kSelectivities[] = {0.0,  0.00001, 0.0001, 0.001, 0.01,
                                      0.05, 0.2,     0.5,    0.75,  1.0};
-
-/// Full scan followed by a posterior sort (what a plan with ORDER BY pays).
-RunMetrics MeasureFullScanWithSort(Engine* engine, const MicroBenchDb& db,
-                                   const ScanPredicate& pred) {
-  return MeasureCold(engine, [&]() -> uint64_t {
-    auto scan = std::make_unique<FullScan>(&db.heap(), pred);
-    SortOp sort(engine, std::move(scan), [](const Tuple& a, const Tuple& b) {
-      return a[MicroBenchDb::kIndexedColumn].AsInt64() <
-             b[MicroBenchDb::kIndexedColumn].AsInt64();
-    });
-    SMOOTHSCAN_CHECK(sort.Open().ok());
-    return Drain(&sort, nullptr);
-  });
-}
 
 void Sweep(Engine* engine, const MicroBenchDb& db, bool order_by) {
   PrintSweepHeader(order_by ? "Fig 5a: selectivity sweep WITH order by"
@@ -59,29 +39,22 @@ void Sweep(Engine* engine, const MicroBenchDb& db, bool order_by) {
     const char* ord = order_by ? " ordered" : "";
     char series[64];
 
-    if (order_by) {
-      PrintSweepRow(pct, "FullScan+Sort",
-                    MeasureFullScanWithSort(engine, db, pred));
-    } else {
-      FullScan full(&db.heap(), pred);
-      PrintSweepRow(pct, "FullScan", MeasureScan(engine, &full));
+    // MakePath adds the posterior sort to Full and Sort Scan when the query
+    // needs the order (the FullScan row is named for it).
+    const struct {
+      PathKind kind;
+      const char* name;
+    } paths[] = {{PathKind::kFullScan, order_by ? "FullScan+Sort" : "FullScan"},
+                 {PathKind::kIndexScan, "IndexScan"},
+                 {PathKind::kSortScan, "SortScan"},
+                 {PathKind::kSmoothScan, "SmoothScan"}};
+    for (const auto& [kind, name] : paths) {
+      std::unique_ptr<AccessPath> path =
+          MakePath(kind, &db.index(), pred, order_by, /*estimate=*/0);
+      std::snprintf(series, sizeof(series), "%s%s", name,
+                    kind == PathKind::kFullScan ? "" : ord);
+      PrintSweepRow(pct, series, MeasureScan(engine, path.get()));
     }
-
-    IndexScan index(&db.index(), pred);
-    std::snprintf(series, sizeof(series), "IndexScan%s", ord);
-    PrintSweepRow(pct, series, MeasureScan(engine, &index));
-
-    SortScanOptions so;
-    so.preserve_order = order_by;
-    SortScan sort_scan(&db.index(), pred, so);
-    std::snprintf(series, sizeof(series), "SortScan%s", ord);
-    PrintSweepRow(pct, series, MeasureScan(engine, &sort_scan));
-
-    SmoothScanOptions ss;
-    ss.preserve_order = order_by;
-    SmoothScan smooth(&db.index(), pred, ss);
-    std::snprintf(series, sizeof(series), "SmoothScan%s", ord);
-    PrintSweepRow(pct, series, MeasureScan(engine, &smooth));
   }
   std::printf("\n");
 }

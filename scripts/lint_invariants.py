@@ -61,6 +61,15 @@ one of the engine's structural invariants:
                      ExecContext hands it out, so a fresh parallel scan
                      starts no thread and every scan keeps the same
                      window.
+  row-sort           No std::sort / std::stable_sort in src/access/ or
+                     src/exec/ outside SortOp's file (exec/operators.cc),
+                     and no tuple comparator function type
+                     (std::function<bool(const Tuple&, const Tuple&)>)
+                     anywhere in src/: an ordered plan gets its order from
+                     the one key-column SortOp, which MakePath adds, so a
+                     second row sort cannot drift from it. A sort of
+                     something other than rows (CollectSortedTids' TIDs)
+                     carries lint:allow(row-sort).
 
 One rule looks at the tree rather than at single lines:
 
@@ -95,6 +104,9 @@ WRAPPER_FILES = {
     os.path.join("common", "latch_rank.cc"),
     os.path.join("common", "thread_annotations.h"),
 }
+
+# SortOp's file: the one place in src/access/ and src/exec/ that sorts rows.
+SORT_OP_FILE = os.path.join("exec", "operators.cc")
 
 RULES = [
     {
@@ -202,6 +214,25 @@ RULES = [
         "applies": lambda rel: not rel.startswith((
             os.path.join("storage", "engine."),
             os.path.join("exec", "task_scheduler."))),
+    },
+    {
+        "name": "row-sort",
+        "pattern": re.compile(r"\bstd::(?:stable_)?sort\s*\("),
+        "message": "row sort outside SortOp (MakePath wraps an ordered "
+                   "plan in the one key-column SortOp)",
+        "applies": lambda rel: rel.startswith(("access" + os.sep,
+                                               "exec" + os.sep))
+        and rel != SORT_OP_FILE,
+    },
+    {
+        "name": "row-sort",
+        "pattern": re.compile(
+            r"std::function\s*<\s*bool\s*\(\s*const\s+Tuple\s*&\s*,"
+            r"\s*const\s+Tuple\s*&\s*\)\s*>"
+        ),
+        "message": "tuple comparator function (SortOp sorts by key "
+                   "columns)",
+        "applies": lambda rel: True,
     },
 ]
 

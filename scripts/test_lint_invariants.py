@@ -206,6 +206,30 @@ class LintTest(unittest.TestCase):
                    "TaskScheduler scratch(1);\n")
         self.assertEqual(self.lint(["scheduler-owner"]), [])
 
+    def test_row_sort_fires_on_a_second_sort_in_access_and_exec(self):
+        sort = "  std::sort(order_.begin(), order_.end());\n"
+        self.write("access/sort_scan.cc", sort)
+        self.write("exec/op.cc",
+                   "  std::stable_sort(rows.begin(), rows.end(), less);\n")
+        self.write("exec/operators.cc", sort)  # SortOp's file.
+        self.write("engine/query_engine.cc", sort)  # Not an operator.
+        self.write("access/scan.h", "// Never std::sort(rows) here.\n")
+        self.assertEqual(self.names(["row-sort"]), ["row-sort"] * 2)
+
+    def test_row_sort_fires_on_a_tuple_comparator_anywhere(self):
+        self.write("tpch/queries.cc",
+                   "std::function<bool(const Tuple&, const Tuple&)> less;\n")
+        self.write("exec/operators.h",
+                   "  std::function<bool( const Tuple &, const Tuple & )> l_;\n"
+                   "  std::function<bool(const Tuple&)> predicate_;\n")
+        self.assertEqual(self.names(["row-sort"]), ["row-sort"] * 2)
+
+    def test_row_sort_allow_suppresses(self):
+        self.write("access/sort_scan.cc",
+                   "std::sort(tids.begin(), tids.end());  "
+                   "// lint:allow(row-sort): TIDs.\n")
+        self.assertEqual(self.lint(["row-sort"]), [])
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

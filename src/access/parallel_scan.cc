@@ -635,11 +635,8 @@ std::unique_ptr<ParallelScan> MakeParallelIndexScan(
 
 std::unique_ptr<ParallelScan> MakeParallelSortScan(
     const BPlusTree* index, ScanPredicate predicate,
-    SortScanOptions scan_options, ParallelScanOptions options) {
+    ParallelScanOptions options) {
   SMOOTHSCAN_CHECK(predicate.column == index->key_column());
-  // Cross-morsel key order would need a merge above the workers; the serial
-  // SortScan covers order-preserving plans.
-  if (scan_options.preserve_order) return nullptr;
   return std::make_unique<ParallelScan>(
       index->heap()->engine(),
       std::make_unique<ParallelSortScanKernel>(index, std::move(predicate),

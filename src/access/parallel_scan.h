@@ -47,9 +47,9 @@
 //
 // Ordering: workers emit morsel-locally in scan order, and the consumer sees
 // morsels in index order, so a page-range decomposition yields heap order and
-// a key-range decomposition yields index-key order — but order-*preserving*
-// configurations that need cross-morsel merges (SortScan/SmoothScan with
-// preserve_order) are serial-only and rejected by the factories.
+// a key-range decomposition yields index-key order — but an order-*preserving*
+// Smooth Scan needs a cross-morsel merge, so it is serial-only and rejected
+// by its factory.
 //
 // Backpressure: every scan runs on the worker pool its context hands out
 // (the engine's one TaskScheduler, unless the context's owner supplied
@@ -300,11 +300,11 @@ class ParallelScan : public AccessPath {
   size_t pending_pos_ = 0;
 };
 
-/// Kernel factories. Each returns null for configurations whose semantics
-/// require a serial scan (order preservation, non-eager or shared Smooth
-/// Scan); callers fall back to the serial operator. Like the serial
-/// constructors, the index-driven factories abort on a predicate that is not
-/// on the index key.
+/// Kernel factories. MakeParallelSmoothScan returns null for configurations
+/// whose semantics require a serial scan (order preservation, a non-eager
+/// trigger, a shared group); callers fall back to the serial operator. Like
+/// the serial constructors, the index-driven factories abort on a predicate
+/// that is not on the index key.
 std::unique_ptr<ParallelScan> MakeParallelFullScan(
     const HeapFile* heap, ScanPredicate predicate, FullScanOptions scan_options,
     ParallelScanOptions options);
@@ -313,7 +313,7 @@ std::unique_ptr<ParallelScan> MakeParallelIndexScan(
     ParallelScanOptions options);
 std::unique_ptr<ParallelScan> MakeParallelSortScan(
     const BPlusTree* index, ScanPredicate predicate,
-    SortScanOptions scan_options, ParallelScanOptions options);
+    ParallelScanOptions options);
 std::unique_ptr<ParallelScan> MakeParallelSwitchScan(
     const BPlusTree* index, ScanPredicate predicate,
     SwitchScanOptions scan_options, ParallelScanOptions options);

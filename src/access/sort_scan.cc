@@ -65,7 +65,7 @@ std::vector<Tid> CollectSortedTids(const BPlusTree* index,
   }
   ctx.cpu->ChargeSort(tids.size());
   if (tids.size() < kTidCountingSortMin) {
-    std::sort(tids.begin(), tids.end());
+    std::sort(tids.begin(), tids.end());  // lint:allow(row-sort): TIDs.
     return tids;
   }
   // (page, slot) order in linear time: a stable pass by slot, then one by
@@ -124,9 +124,8 @@ void SortedTidCursor::Finish(const ExecContext& ctx) {
   ctx.cpu->ChargeProduce(stats_.tuples_produced);
 }
 
-SortScan::SortScan(const BPlusTree* index, ScanPredicate predicate,
-                   SortScanOptions options)
-    : index_(index), predicate_(std::move(predicate)), options_(options) {
+SortScan::SortScan(const BPlusTree* index, ScanPredicate predicate)
+    : index_(index), predicate_(std::move(predicate)) {
   SMOOTHSCAN_CHECK(predicate_.column == index_->key_column());
 }
 
@@ -135,45 +134,20 @@ ExecContext SortScan::DefaultContext() const {
 }
 
 Status SortScan::OpenImpl() {
-  const ExecContext& ctx = this->ctx();
   // Phases 1-2: harvest qualifying TIDs from the index leaves and sort them
   // in heap order — the blocking pre-sort.
-  tids_ = CollectSortedTids(index_, predicate_, ctx);
-  // Phase 3 fetches the result pages, coalescing consecutive page ids into
-  // single extent requests ("easily detected by disk prefetchers"). The
-  // unordered scan streams it from NextBatch.
+  tids_ = CollectSortedTids(index_, predicate_, ctx());
+  // Phase 3, streamed from NextBatch, fetches the result pages, coalescing
+  // consecutive page ids into single extent requests ("easily detected by
+  // disk prefetchers").
   cursor_ = SortedTidCursor(index_->heap(), &predicate_, &tids_, 0,
                             tids_.size());
-  next_row_ = 0;
-  if (!options_.preserve_order) return Status::OK();
-
-  // Ordered: drain phase 3, then phase 4, the posterior sort restoring the
-  // interesting order. The rows arrive in TID order, so sorting (key, row)
-  // pairs keeps rows with equal keys in TID order.
-  rows_ = TupleBatch(std::max<size_t>(tids_.size(), 1));
-  const bool more = cursor_.Fill(ctx, &rows_);
-  SMOOTHSCAN_CHECK(!more);
-  stats_.heap_pages_probed = cursor_.stats().heap_pages_probed;
-  stats_.tuples_inspected = cursor_.stats().tuples_inspected;
-  order_.resize(rows_.size());
-  for (uint32_t i = 0; i < order_.size(); ++i) {
-    order_[i] = {rows_.row(i)[predicate_.column].AsInt64(), i};
-  }
-  ctx.cpu->ChargeSort(order_.size());
-  std::sort(order_.begin(), order_.end());  // Row index breaks key ties.
   return Status::OK();
 }
 
 bool SortScan::NextBatchImpl(TupleBatch* out) {
-  if (!options_.preserve_order) {
-    cursor_.Fill(ctx(), out);
-    stats_ = cursor_.stats();
-    return !out->empty();
-  }
-  while (next_row_ < order_.size() && !out->full()) {
-    std::swap(*out->AppendSlot(), rows_.row(order_[next_row_++].second));
-    ++stats_.tuples_produced;
-  }
+  cursor_.Fill(ctx(), out);
+  stats_ = cursor_.stats();
   return !out->empty();
 }
 
@@ -182,8 +156,6 @@ void SortScan::CloseImpl() {
   cursor_ = SortedTidCursor();
   // A closed scan holds no memory sized by its result.
   tids_ = std::vector<Tid>();
-  rows_ = TupleBatch(1);
-  order_ = std::vector<std::pair<int64_t, uint32_t>>();
 }
 
 }  // namespace smoothscan

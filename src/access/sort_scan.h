@@ -1,32 +1,23 @@
 // SortScan (PostgreSQL's Bitmap Heap Scan; Section II). Collects all
 // qualifying TIDs from the index, sorts them in heap-page order, then fetches
 // the matching pages (and only those) with a nearly sequential pattern. The
-// price is a blocking TID sort, and — when the consumer needs the index
-// order — a posterior sort of the result tuples.
+// price is a blocking TID sort, and the loss of the index order: a consumer
+// that needs it gets it from the posterior row sort (SortOp) that MakePath
+// puts above an ordered SortScan.
 //
 // Open blocks only on the leaf walk and the TID sort. The heap phase then
 // streams: a SortedTidCursor decodes the next TIDs straight into the caller's
-// batch, so an unordered scan buffers no row. The ordered scan drains the
-// cursor at Open (its posterior sort needs every row) and emits the sorted
-// rows afterwards.
+// batch, so the scan buffers no row.
 
 #ifndef SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 
-#include <utility>
 #include <vector>
 
 #include "access/access_path.h"
 #include "index/bplus_tree.h"
 
 namespace smoothscan {
-
-struct SortScanOptions {
-  /// Re-sort the results by index key before emitting, restoring the
-  /// "interesting order" that TID sorting destroyed (Section II's discussion
-  /// of the broken natural index ordering).
-  bool preserve_order = false;
-};
 
 /// Extent-coalescing cap of the sorted-TID heap phase: chunks stay well below
 /// the buffer-pool capacity so a long run of consecutive result pages is
@@ -94,18 +85,12 @@ class SortedTidCursor {
 
 class SortScan : public AccessPath {
  public:
-  SortScan(const BPlusTree* index, ScanPredicate predicate,
-           SortScanOptions options = SortScanOptions());
+  SortScan(const BPlusTree* index, ScanPredicate predicate);
 
   const char* name() const override { return "SortScan"; }
 
-  /// Heap pages fetched (distinct by construction). Final once the scan is
-  /// drained; an unordered scan fetches as it streams.
-  uint64_t pages_fetched() const { return stats_.heap_pages_probed; }
-
  protected:
-  /// Performs the index traversal and the TID sort; the ordered scan also
-  /// runs the whole heap phase and the posterior sort here.
+  /// Performs the index traversal and the TID sort.
   Status OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override;
@@ -114,14 +99,9 @@ class SortScan : public AccessPath {
  private:
   const BPlusTree* index_;
   ScanPredicate predicate_;
-  SortScanOptions options_;
 
   std::vector<Tid> tids_;
   SortedTidCursor cursor_;
-  /// Ordered scan only: the drained rows, and (key, row) in emission order.
-  TupleBatch rows_{1};
-  std::vector<std::pair<int64_t, uint32_t>> order_;
-  size_t next_row_ = 0;
 };
 
 }  // namespace smoothscan

@@ -18,28 +18,6 @@ const char* ValueTypeToString(ValueType type) {
   return "UNKNOWN";
 }
 
-int Value::Compare(const Value& other) const {
-  SMOOTHSCAN_CHECK(type_ == other.type_);
-  switch (type_) {
-    case ValueType::kInt64:
-    case ValueType::kDate: {
-      const int64_t a = rep_.i;
-      const int64_t b = other.rep_.i;
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case ValueType::kDouble: {
-      const double a = rep_.d;
-      const double b = other.rep_.d;
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case ValueType::kString: {
-      const int cmp = rep_.s->compare(*other.rep_.s);
-      return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
-  }
-  return 0;
-}
-
 std::string Value::ToString() const {
   switch (type_) {
     case ValueType::kInt64:

@@ -165,7 +165,22 @@ class Value {
   }
 
   /// Total order within a type; comparing values of different types aborts.
-  int Compare(const Value& other) const;
+  /// Inline: it is the comparison of every row sort (SortOp).
+  int Compare(const Value& other) const {
+    SMOOTHSCAN_CHECK(type_ == other.type_);
+    switch (type_) {
+      case ValueType::kInt64:
+      case ValueType::kDate:
+        return rep_.i < other.rep_.i ? -1 : (rep_.i > other.rep_.i ? 1 : 0);
+      case ValueType::kDouble:
+        return rep_.d < other.rep_.d ? -1 : (rep_.d > other.rep_.d ? 1 : 0);
+      case ValueType::kString: {
+        const int cmp = rep_.s->compare(*other.rep_.s);
+        return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+      }
+    }
+    return 0;
+  }
 
   bool operator==(const Value& other) const {
     if (type_ != other.type_) return false;

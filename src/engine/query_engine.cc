@@ -32,8 +32,6 @@ double MsBetween(std::chrono::steady_clock::time_point a,
 }
 
 /// The chooser's plan for `spec`, pricing `extent` when one is on offer.
-/// Shared by the share-aware batch pop and Execute, so both reach the same
-/// verdict from the same inputs.
 PlanChoice ChoosePlan(const QuerySpec& spec, const CompressedExtentRef& extent,
                       bool sharing_available) {
   ChooserOptions copts;
@@ -51,6 +49,45 @@ PlanChoice ChoosePlan(const QuerySpec& spec, const CompressedExtentRef& extent,
   return AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
                                    spec.predicate.lo, spec.predicate.hi,
                                    copts);
+}
+
+/// A read's plan once resolved: the kind Execute builds, the estimate it
+/// hands the path, and whether the run joins a cooperative shared scan.
+struct ReadPlan {
+  PathKind kind = PathKind::kFullScan;
+  uint64_t estimate = 0;
+  bool shared = false;
+  /// A compressed kind fell back to the heap full scan: no usable extent.
+  bool compressed_fallback = false;
+};
+
+/// Resolves `spec` (its table's current `extent`, and whether a sharing
+/// coordinator serves it). The share-aware batch pop and Execute both call
+/// it, so the admission verdict is the plan that runs.
+ReadPlan ResolveRead(const QuerySpec& spec, const CompressedExtentRef& extent,
+                     bool sharing_on) {
+  ReadPlan plan{spec.kind, spec.estimate};
+  if (spec.use_chooser) {
+    const PlanChoice choice = ChoosePlan(spec, extent, sharing_on);
+    plan.kind = choice.kind;
+    plan.estimate = choice.estimated_cardinality;
+  }
+  if (plan.kind == PathKind::kSharedScan && (!sharing_on || spec.need_order)) {
+    plan.kind = PathKind::kFullScan;  // The exact solo-equivalent plan.
+  }
+  if (plan.kind == PathKind::kCompressedScan && extent == nullptr) {
+    // The extent a fixed-kind spec counted on is absent — never built, or
+    // not keyed on this predicate's column. The heap full scan produces the
+    // identical multiset from the identical snapshot.
+    plan.kind = PathKind::kFullScan;
+    plan.compressed_fallback = true;
+  }
+  // A serial compressed plan attaches to the sibling file's cooperative
+  // scan, so it groups onto a running lap exactly like kSharedScan.
+  plan.shared = plan.kind == PathKind::kSharedScan ||
+                (plan.kind == PathKind::kCompressedScan && sharing_on &&
+                 spec.dop == 0);
+  return plan;
 }
 
 /// The result of a query cancelled before it ran: zero execution charges,
@@ -412,25 +449,11 @@ CompressedExtentRef QueryEngine::CompressedExtentFor(
 
 bool QueryEngine::ShareEligible(const QuerySpec& spec) const {
   if (spec.writer != nullptr || options_.sharing == nullptr ||
-      !spec.allow_sharing || spec.need_order) {
+      !spec.allow_sharing) {
     return false;
   }
-  // A serial compressed plan attaches to the sibling file's cooperative
-  // scan, so it groups onto a running lap exactly like kSharedScan.
-  const bool compressed_shared =
-      spec.dop == 0 && CompressedExtentFor(spec) != nullptr;
-  if (!spec.use_chooser) {
-    return spec.kind == PathKind::kSharedScan ||
-           (spec.kind == PathKind::kCompressedScan && compressed_shared);
-  }
-  // Chooser queries: ask the chooser itself (same inputs as Execute will
-  // use, so the verdict matches) — a selective query headed for an index
-  // path must not jump the batch FIFO for a lap it will never join.
-  const PathKind kind =
-      ChoosePlan(spec, CompressedExtentFor(spec), /*sharing_available=*/true)
-          .kind;
-  return kind == PathKind::kSharedScan ||
-         (kind == PathKind::kCompressedScan && compressed_shared);
+  return ResolveRead(spec, CompressedExtentFor(spec), /*sharing_on=*/true)
+      .shared;
 }
 
 QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec) {
@@ -504,21 +527,9 @@ QueryResult QueryEngine::Execute(QueryTicket* ticket, QuerySpec spec) {
   // agree. A publish between planning and here is impossible — publishes
   // need quiescence and we hold a lease.
   const CompressedExtentRef extent = CompressedExtentFor(spec);
-  PathKind kind = spec.kind;
-  uint64_t estimate = spec.estimate;
-  if (spec.use_chooser) {
-    const PlanChoice choice = ChoosePlan(spec, extent, sharing_on);
-    kind = choice.kind;
-    estimate = choice.estimated_cardinality;
-  }
-  if (kind == PathKind::kSharedScan && (!sharing_on || spec.need_order)) {
-    kind = PathKind::kFullScan;  // The exact solo-equivalent plan.
-  }
-  if (kind == PathKind::kCompressedScan && extent == nullptr) {
-    // Graceful fallback: the extent a fixed-kind spec counted on is absent —
-    // never built, or not keyed on this predicate's column. The heap full
-    // scan produces the identical multiset from the identical snapshot.
-    kind = PathKind::kFullScan;
+  const ReadPlan plan = ResolveRead(spec, extent, sharing_on);
+  const PathKind kind = plan.kind;
+  if (plan.compressed_fallback) {
     if (c_compressed_fallbacks_ != nullptr) c_compressed_fallbacks_->Add();
     obs::EmitInstant(obs_ctx, "compressed_fallback", "file",
                      static_cast<int64_t>(spec.index->heap()->file_id()));
@@ -546,58 +557,55 @@ QueryResult QueryEngine::Execute(QueryTicket* ticket, QuerySpec spec) {
   ParallelScanOptions po;
   po.dop = spec.dop;
   std::unique_ptr<AccessPath> path;
-  bool shared_run = false;
   switch (kind) {
     case PathKind::kSharedScan:
       path = std::make_unique<SharedScanPath>(
           options_.sharing, spec.index->heap(), spec.predicate);
-      shared_run = true;
       break;
     case PathKind::kCompressedScan:
       if (spec.dop >= 1) {
         path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
                                           CompressedScanOptions(), po);
         m.parallel = true;
-      } else if (sharing_on) {
+      } else if (plan.shared) {
         // Shared-compressed: join (or start) the cooperative circular scan
         // over the sibling extent, grouped under the *table* id below.
         path = std::make_unique<CompressedScan>(options_.sharing, extent,
                                                 spec.predicate);
-        shared_run = true;
       } else {
         path = std::make_unique<CompressedScan>(engine_, extent,
                                                 spec.predicate);
       }
       break;
-    case PathKind::kSmoothScan:
-      if (sharing_on && spec.dop == 0) {
-        // Shared-SmoothScan mode: this query feeds (and profits from) the
-        // table's common Page ID Cache. Results are solo-identical; charged
-        // I/O is not — peer-probed resident pages come free, which is the
-        // point.
+    default:  // Full, Index, Sort, Switch and Smooth Scan.
+      if (spec.dop >= 1) {
+        path = MakeParallelPath(kind, spec.index, spec.predicate,
+                                spec.need_order, plan.estimate, po);
+        m.parallel = path != nullptr;
+      }
+      if (path != nullptr) break;
+      if (kind == PathKind::kSmoothScan) {
+        // Every serial Smooth Scan: its Result Cache answers to the engine's
+        // broker. Serial with sharing on, it also feeds (and profits from)
+        // the table's common Page ID Cache. Results are solo-identical;
+        // charged I/O is not — peer-probed resident pages come free, which
+        // is the point.
         SmoothScanOptions so;
         so.preserve_order = spec.need_order;
         so.broker = options_.broker;
-        so.shared_group =
-            options_.sharing->SmoothSharingFor(spec.index->heap());
+        if (sharing_on && spec.dop == 0) {
+          so.shared_group =
+              options_.sharing->SmoothSharingFor(spec.index->heap());
+        }
         path = std::make_unique<SmoothScan>(spec.index, spec.predicate, so);
-        break;
-      }
-      [[fallthrough]];
-    default:  // Full, Index, Sort, Switch and solo Smooth Scan.
-      if (spec.dop >= 1) {
-        path = MakeParallelPath(kind, spec.index, spec.predicate,
-                                spec.need_order, estimate, po);
-        m.parallel = path != nullptr;
-      }
-      if (path == nullptr) {
+      } else {
         path = MakePath(kind, spec.index, spec.predicate, spec.need_order,
-                        estimate);
+                        plan.estimate);
       }
       break;
   }
   const FileId table = spec.index->heap()->file_id();
-  if (shared_run) {
+  if (plan.shared) {
     // Visible to the share-aware batch pop while this scan is in flight.
     latch::LatchGuard lock(mu_);
     ++running_shared_[table];
@@ -635,7 +643,7 @@ QueryResult QueryEngine::Execute(QueryTicket* ticket, QuerySpec spec) {
       path->Close();
     }
   }
-  if (shared_run) {
+  if (plan.shared) {
     latch::LatchGuard lock(mu_);
     auto it = running_shared_.find(table);
     if (--it->second == 0) running_shared_.erase(it);

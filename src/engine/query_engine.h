@@ -415,8 +415,8 @@ class QueryEngine {
   QueryResult Execute(QueryTicket* ticket, QuerySpec spec) EXCLUDES(mu_);
   QueryResult ExecuteWrite(QueryId id, QuerySpec spec);
   /// Whether the query will resolve to a shared scan (Pending::share_eligible
-  /// — runs the chooser for use_chooser specs, so a selective query that
-  /// will pick an index path never jumps the FIFO for nothing).
+  /// — the plan Execute resolves, chooser included, so a selective query
+  /// that will pick an index path never jumps the FIFO for nothing).
   bool ShareEligible(const QuerySpec& spec) const;
   /// The table's published compressed extent, when the tier is enabled and
   /// serves this spec (key-column predicate, no interesting order). Null

@@ -18,7 +18,20 @@ bool FilterOp::NextBatchImpl(TupleBatch* out) {
   return false;
 }
 
+SortOp::SortOp(Engine* engine, std::unique_ptr<Operator> child,
+               std::vector<int> key_columns)
+    : engine_(engine),
+      child_(std::move(child)),
+      key_columns_(std::move(key_columns)) {
+  SMOOTHSCAN_CHECK(!key_columns_.empty());
+}
+
 Status SortOp::OpenImpl() {
+  auto* child_path = dynamic_cast<AccessPath*>(child_.get());
+  if (child_path != nullptr) {
+    child_path->SetExecContext(&ctx());
+    child_path->SetObs(obs());
+  }
   SMOOTHSCAN_RETURN_IF_ERROR(child_->Open());
   rows_.clear();
   next_ = 0;
@@ -28,21 +41,37 @@ Status SortOp::OpenImpl() {
       std::swap(rows_.emplace_back(), batch.row(i));
     }
   }
-  engine_->cpu().ChargeSort(rows_.size());
-  std::stable_sort(rows_.begin(), rows_.end(), less_);
+  if (child_path != nullptr) stats_ = child_path->stats();
+  order_.clear();
+  order_.reserve(rows_.size());
+  for (uint32_t i = 0; i < rows_.size(); ++i) {
+    order_.push_back({rows_[i][key_columns_[0]], i});
+  }
+  ctx().cpu->ChargeSort(rows_.size());
+  // The arrival index breaks key ties, which makes the sort stable.
+  std::sort(order_.begin(), order_.end(),
+            [this](const SortEntry& a, const SortEntry& b) {
+              int c = a.key.Compare(b.key);
+              for (size_t k = 1; c == 0 && k < key_columns_.size(); ++k) {
+                const int col = key_columns_[k];
+                c = rows_[a.row][col].Compare(rows_[b.row][col]);
+              }
+              return c != 0 ? c < 0 : a.row < b.row;
+            });
   return Status::OK();
 }
 
 bool SortOp::NextBatchImpl(TupleBatch* out) {
-  while (next_ < rows_.size() && !out->full()) {
-    std::swap(*out->AppendSlot(), rows_[next_++]);
+  while (next_ < order_.size() && !out->full()) {
+    std::swap(*out->AppendSlot(), rows_[order_[next_++].row]);
   }
   return !out->empty();
 }
 
 void SortOp::CloseImpl() {
-  rows_.clear();
-  rows_.shrink_to_fit();
+  // A closed sort holds no memory sized by its result.
+  rows_ = std::vector<Tuple>();
+  order_ = std::vector<SortEntry>();
   next_ = 0;
   child_->Close();
 }

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "access/access_path.h"
 #include "exec/operator.h"
 #include "index/bplus_tree.h"
 
@@ -44,12 +45,19 @@ class FilterOp : public Operator {
   std::function<bool(const Tuple&)> predicate_;
 };
 
-/// Blocking sort by a caller-supplied comparator; charges n log n CPU.
-class SortOp : public Operator {
+/// The engine's one row sort: a blocking, stable, ascending sort by key
+/// columns, each compared with Value::Compare; rows with equal keys keep
+/// their arrival order. Every ordered plan uses it: MakePath wraps each path
+/// that loses index order in one (the paper's posterior sort), and the TPC-H
+/// plans end in one. It charges one ChargeSort(n) to its context after the
+/// child drained. It is an access path so that it has a context: the
+/// engine's unless one is injected, and an access-path child runs on the
+/// sort's context and observability handle, so a query's sort and its scan
+/// charge the same stack. Its stats are the child path's, once drained.
+class SortOp : public AccessPath {
  public:
   SortOp(Engine* engine, std::unique_ptr<Operator> child,
-         std::function<bool(const Tuple&, const Tuple&)> less)
-      : engine_(engine), child_(std::move(child)), less_(std::move(less)) {}
+         std::vector<int> key_columns);
 
   const char* name() const override { return "Sort"; }
 
@@ -57,12 +65,20 @@ class SortOp : public Operator {
   Status OpenImpl() override;
   bool NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override;
+  ExecContext DefaultContext() const override { return EngineContext(engine_); }
 
  private:
+  /// A row's first key and arrival index: the sort moves these, not rows.
+  struct SortEntry {
+    Value key;
+    uint32_t row;
+  };
+
   Engine* engine_;
   std::unique_ptr<Operator> child_;
-  std::function<bool(const Tuple&, const Tuple&)> less_;
-  std::vector<Tuple> rows_;
+  std::vector<int> key_columns_;
+  std::vector<Tuple> rows_;  ///< In arrival order.
+  std::vector<SortEntry> order_;
   size_t next_ = 0;
 };
 

@@ -37,13 +37,20 @@ void WireClient::Cancel(uint64_t tag) {
 }
 
 WireResult WireClient::Wait(uint64_t tag) {
+  WireResult result;
   auto it = pending_.find(tag);
-  if (it == pending_.end()) return WireResult{};
+  if (it == pending_.end()) {
+    result.status = Status::IoError("no query in flight with this tag");
+    return result;
+  }
   while (!it->second.complete && !down_) {
     if (!PumpOnce()) down_ = true;
   }
-  WireResult result = std::move(it->second);
+  result = std::move(it->second);
   pending_.erase(it);
+  if (!result.complete) {
+    result.status = Status::IoError("connection lost before the query's DONE");
+  }
   return result;
 }
 

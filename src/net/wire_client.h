@@ -32,8 +32,9 @@ namespace net {
 
 /// Everything one query produced over the wire.
 struct WireResult {
-  /// False when the connection died before the query's DONE arrived (the
-  /// remaining fields are whatever had arrived by then).
+  /// False when the connection died before the query's DONE arrived, or
+  /// the tag named no query in flight; `status` is then kIoError and the
+  /// remaining fields are whatever had arrived by then.
   bool complete = false;
   Status status;          ///< The engine's status (or the server's error).
   QueryMetrics metrics;   ///< Bit-identical to the engine's accounting.
@@ -63,7 +64,8 @@ class WireClient {
   void Cancel(uint64_t tag);
 
   /// Blocks until `tag`'s DONE or ERROR frame arrives (reading and demuxing
-  /// frames for other in-flight tags along the way) and returns its result.
+  /// frames for other in-flight tags along the way) and returns its result;
+  /// a lost connection or an unknown tag returns kIoError, never OK.
   WireResult Wait(uint64_t tag);
 
   /// The server's metrics dump ("name value" lines); empty without a

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/operators.h"
+
 namespace smoothscan {
 
 const char* PathKindToString(PathKind kind) {
@@ -158,33 +160,38 @@ PlanChoice AccessPathChooser::Choose(const TableStats& stats,
 std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      const ScanPredicate& predicate,
                                      bool need_order, uint64_t estimate) {
+  std::unique_ptr<AccessPath> path;
   switch (kind) {
+    case PathKind::kIndexScan:
+      return std::make_unique<IndexScan>(index, predicate);
+    case PathKind::kSmoothScan: {
+      // The Result Cache keeps the index order without a posterior sort.
+      SmoothScanOptions options;
+      options.preserve_order = need_order;
+      return std::make_unique<SmoothScan>(index, predicate, options);
+    }
     case PathKind::kFullScan:
     case PathKind::kSharedScan:
     case PathKind::kCompressedScan:
       // The shared and compressed forms need the engine's coordinator or
       // extent map (QueryEngine builds them); without one, the heap full
       // scan is the exact solo-equivalent plan with the identical multiset.
-      return std::make_unique<FullScan>(index->heap(), predicate);
-    case PathKind::kIndexScan:
-      return std::make_unique<IndexScan>(index, predicate);
-    case PathKind::kSortScan: {
-      SortScanOptions options;
-      options.preserve_order = need_order;
-      return std::make_unique<SortScan>(index, predicate, options);
-    }
+      path = std::make_unique<FullScan>(index->heap(), predicate);
+      break;
+    case PathKind::kSortScan:
+      path = std::make_unique<SortScan>(index, predicate);
+      break;
     case PathKind::kSwitchScan: {
       SwitchScanOptions options;
       options.estimated_cardinality = estimate;
-      return std::make_unique<SwitchScan>(index, predicate, options);
-    }
-    case PathKind::kSmoothScan: {
-      SmoothScanOptions options;
-      options.preserve_order = need_order;
-      return std::make_unique<SmoothScan>(index, predicate, options);
+      path = std::make_unique<SwitchScan>(index, predicate, options);
+      break;
     }
   }
-  return nullptr;
+  if (!need_order) return path;
+  // The path lost the index order: the posterior sort on the key restores it.
+  return std::make_unique<SortOp>(index->heap()->engine(), std::move(path),
+                                  std::vector<int>{predicate.column});
 }
 
 std::unique_ptr<ParallelScan> MakeParallelPath(
@@ -198,8 +205,7 @@ std::unique_ptr<ParallelScan> MakeParallelPath(
     case PathKind::kIndexScan:
       return MakeParallelIndexScan(index, predicate, parallel);
     case PathKind::kSortScan:
-      return MakeParallelSortScan(index, predicate, SortScanOptions(),
-                                  parallel);
+      return MakeParallelSortScan(index, predicate, parallel);
     case PathKind::kSwitchScan: {
       SwitchScanOptions options;
       options.estimated_cardinality = estimate;

@@ -110,9 +110,13 @@ class AccessPathChooser {
 };
 
 /// Materializes an access path of `kind` over `index` (its heap) with
-/// `predicate`. `estimate` parameterizes Switch Scan's threshold and Smooth
-/// Scan's optimizer-driven trigger; Smooth Scan defaults to the paper's
-/// preferred Eager + Elastic configuration.
+/// `predicate`. `estimate` parameterizes Switch Scan's threshold; Smooth Scan
+/// runs the paper's preferred Eager + Elastic configuration. This is the one
+/// place that knows how a read gets its order: with `need_order`, Index Scan
+/// and Smooth Scan (through its Result Cache) keep the index order natively,
+/// and every other kind (Full, Sort and Switch, and Shared or Compressed as
+/// their FullScan fallback) comes wrapped in a SortOp on the predicate
+/// column, the posterior sort the chooser prices.
 std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      const ScanPredicate& predicate,
                                      bool need_order, uint64_t estimate);

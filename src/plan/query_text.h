@@ -16,7 +16,10 @@
 //
 // POLICY=auto (the default) runs the cost-based chooser against the bound
 // table's statistics — faithfully wrong when they lie, exactly like an
-// in-process chooser query. All values are INT64 (the engine's schema
+// in-process chooser query. ORDER BY KEY returns the rows in non-decreasing
+// order of the predicate column under every policy: Index and Smooth Scan
+// keep the index order, and any other plan ends in a posterior sort on that
+// column (MakePath), charged to the query. All values are INT64 (the engine's schema
 // currency). The parser owns syntax, the binder owns resolution; neither
 // touches execution or accounting.
 

@@ -21,7 +21,6 @@ namespace smoothscan {
 /// Borrowed pointers to the components an operator charges its work to.
 /// Copyable; the pointees must outlive every operator using the context.
 struct ExecContext {
-  StorageManager* storage = nullptr;
   BufferPool* pool = nullptr;
   CpuMeter* cpu = nullptr;
   SimDisk* disk = nullptr;
@@ -38,8 +37,7 @@ struct ExecContext {
 
 /// The engine's shared (serial) execution context.
 inline ExecContext EngineContext(Engine* engine) {
-  return ExecContext{&engine->storage(),    &engine->pool(),
-                     &engine->cpu(),        &engine->disk(),
+  return ExecContext{&engine->pool(), &engine->cpu(), &engine->disk(),
                      &engine->batch_pool(), &engine->scheduler()};
 }
 
@@ -75,7 +73,6 @@ class AccountingStack {
         pool_(&engine->storage(), &disk_, engine->options().buffer_pool_pages,
               num_shards) {
     pool_.SetMirror(mirror);
-    ctx_.storage = &engine->storage();
     ctx_.pool = &pool_;
     ctx_.cpu = &cpu_;
     ctx_.disk = &disk_;

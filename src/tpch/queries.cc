@@ -93,11 +93,8 @@ QueryOutput RunQ1(const TpchDb& db, PathKind lineitem_path,
   auto agg = std::make_unique<HashAggregateOp>(
       engine, std::move(scan),
       std::vector<int>{li::kReturnFlag, li::kLineStatus}, std::move(aggs));
-  auto sort = std::make_unique<SortOp>(
-      engine, std::move(agg), [](const Tuple& a, const Tuple& b) {
-        const int c = a[0].Compare(b[0]);
-        return c != 0 ? c < 0 : a[1].Compare(b[1]) < 0;
-      });
+  auto sort = std::make_unique<SortOp>(engine, std::move(agg),
+                                       std::vector<int>{0, 1});
   return Finish(std::move(sort), li_path);
 }
 
@@ -138,10 +135,8 @@ QueryOutput RunQ4(const TpchDb& db, PathKind lineitem_path,
   auto count = std::make_unique<HashAggregateOp>(
       engine, std::move(distinct), std::vector<int>{1},
       std::vector<AggSpec>{{AggFn::kCount, nullptr}});
-  auto sort = std::make_unique<SortOp>(
-      engine, std::move(count), [](const Tuple& a, const Tuple& b) {
-        return a[0].Compare(b[0]) < 0;
-      });
+  auto sort = std::make_unique<SortOp>(engine, std::move(count),
+                                       std::vector<int>{0});
   return Finish(std::move(sort), li_path);
 }
 
@@ -229,11 +224,8 @@ QueryOutput RunQ7(const TpchDb& db, PathKind lineitem_path,
   auto agg = std::make_unique<HashAggregateOp>(
       engine, std::move(filter), std::vector<int>{kN1Name, kN2Name},
       std::move(aggs));
-  auto sort = std::make_unique<SortOp>(
-      engine, std::move(agg), [](const Tuple& a, const Tuple& b) {
-        const int c = a[0].Compare(b[0]);
-        return c != 0 ? c < 0 : a[1].Compare(b[1]) < 0;
-      });
+  auto sort = std::make_unique<SortOp>(engine, std::move(agg),
+                                       std::vector<int>{0, 1});
   return Finish(std::move(sort), li_path);
 }
 

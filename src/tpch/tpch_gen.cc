@@ -257,12 +257,6 @@ TpchDb::TpchDb(Engine* engine, const TpchSpec& spec)
   p_partkey_idx_ = std::make_unique<BPlusTree>(engine, "part_pk_idx",
                                                part_.get(), part::kPartKey);
   p_partkey_idx_->BulkBuild();
-  s_suppkey_idx_ = std::make_unique<BPlusTree>(
-      engine, "supplier_pk_idx", supplier_.get(), supplier::kSuppKey);
-  s_suppkey_idx_->BulkBuild();
-  c_custkey_idx_ = std::make_unique<BPlusTree>(
-      engine, "customer_pk_idx", customer_.get(), customer::kCustKey);
-  c_custkey_idx_->BulkBuild();
 }
 
 }  // namespace smoothscan::tpch

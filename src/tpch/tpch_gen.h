@@ -119,8 +119,6 @@ class TpchDb {
   /// PK indexes for the nested-loop inner sides.
   const BPlusTree& orders_pk_index() const { return *o_orderkey_idx_; }
   const BPlusTree& part_pk_index() const { return *p_partkey_idx_; }
-  const BPlusTree& supplier_pk_index() const { return *s_suppkey_idx_; }
-  const BPlusTree& customer_pk_index() const { return *c_custkey_idx_; }
 
   Engine* engine() const { return engine_; }
   const TpchSpec& spec() const { return spec_; }
@@ -139,8 +137,6 @@ class TpchDb {
   std::unique_ptr<BPlusTree> l_shipdate_idx_;
   std::unique_ptr<BPlusTree> o_orderkey_idx_;
   std::unique_ptr<BPlusTree> p_partkey_idx_;
-  std::unique_ptr<BPlusTree> s_suppkey_idx_;
-  std::unique_ptr<BPlusTree> c_custkey_idx_;
 };
 
 }  // namespace smoothscan::tpch

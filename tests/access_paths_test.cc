@@ -14,6 +14,7 @@
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
 #include "common/rng.h"
+#include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -88,10 +89,9 @@ TEST_P(AccessPathEquivalence, AllPathsProduceOracleResult) {
   SortScan sort(&db_->index(), pred);
   EXPECT_EQ(Collect(&sort), expected) << "SortScan";
 
-  SortScanOptions ordered;
-  ordered.preserve_order = true;
-  SortScan sort_ordered(&db_->index(), pred, ordered);
-  EXPECT_EQ(Collect(&sort_ordered), expected) << "SortScan(ordered)";
+  std::unique_ptr<AccessPath> sort_ordered = MakePath(
+      PathKind::kSortScan, &db_->index(), pred, /*need_order=*/true, 0);
+  EXPECT_EQ(Collect(sort_ordered.get()), expected) << "SortScan(ordered)";
 
   SwitchScanOptions sw;
   sw.estimated_cardinality = 100;
@@ -150,14 +150,13 @@ TEST_F(AccessPathTest, IndexScanEmitsKeyOrder) {
 
 TEST_F(AccessPathTest, OrderedSortScanEmitsKeyOrder) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.05);
-  SortScanOptions options;
-  options.preserve_order = true;
-  SortScan sort(&db_->index(), pred, options);
+  std::unique_ptr<AccessPath> sort = MakePath(
+      PathKind::kSortScan, &db_->index(), pred, /*need_order=*/true, 0);
   engine_->ColdRestart();
-  ASSERT_TRUE(sort.Open().ok());
+  ASSERT_TRUE(sort->Open().ok());
   int64_t prev = INT64_MIN;
   TupleBatch batch;
-  while (sort.NextBatch(&batch)) {
+  while (sort->NextBatch(&batch)) {
     for (size_t i = 0; i < batch.size(); ++i) {
       const Tuple& t = batch.row(i);
       EXPECT_GE(t[kC2].AsInt64(), prev);
@@ -269,14 +268,15 @@ TEST_F(AccessPathTest, SortScanNeverReadsMorePagesThanTable) {
   SortScan sort(&db_->index(), pred);
   engine_->ColdRestart();
   Collect(&sort);
-  EXPECT_LE(sort.pages_fetched(), db_->heap().num_pages());
+  // Heap pages are distinct by construction.
+  EXPECT_LE(sort.stats().heap_pages_probed, db_->heap().num_pages());
 }
 
 TEST_F(AccessPathTest, SortScanFetchesOnlyResultPagesAtLowSelectivity) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.0005);
   SortScan sort(&db_->index(), pred);
   const auto results = Collect(&sort);
-  EXPECT_LE(sort.pages_fetched(), results.size() + 1);
+  EXPECT_LE(sort.stats().heap_pages_probed, results.size() + 1);
 }
 
 // ---------- Switch Scan ----------

@@ -22,6 +22,7 @@
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
 #include "exec/operators.h"
+#include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -103,10 +104,9 @@ TEST_F(BatchDifferentialTest, IndexScan) {
 
 TEST_F(BatchDifferentialTest, SortScan) {
   ScanPredicate pred = db_->PredicateForSelectivity(0.1);
-  SortScanOptions so;
-  so.preserve_order = true;
-  SortScan path(&db_->index(), pred, so);
-  CheckPath(engine_.get(), &path, "SortScan");
+  std::unique_ptr<AccessPath> path = MakePath(
+      PathKind::kSortScan, &db_->index(), pred, /*need_order=*/true, 0);
+  CheckPath(engine_.get(), path.get(), "SortScan");
 }
 
 TEST_F(BatchDifferentialTest, SwitchScan) {
@@ -301,7 +301,7 @@ struct SizedStack {
   SizedStack(Engine* engine, size_t pool_pages)
       : disk(engine->options().device, engine->options().page_size),
         pool(&engine->storage(), &disk, pool_pages),
-        ctx{&engine->storage(), &pool, &cpu, &disk, &engine->batch_pool()} {}
+        ctx{&pool, &cpu, &disk, &engine->batch_pool()} {}
 
   SimDisk disk;
   BufferPool pool;

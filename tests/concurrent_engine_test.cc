@@ -322,6 +322,92 @@ TEST_F(ConcurrentEngineTest, ChooserReusePerStreamQuery) {
   EXPECT_EQ(got, Oracle(spec.predicate));
 }
 
+/// One streamed query's rows, in arrival order, and its metrics.
+struct StreamedRun {
+  std::vector<int64_t> keys;     ///< Key column, in arrival order.
+  std::multiset<int64_t> ids;    ///< Column 0 (the row id).
+  QueryMetrics metrics;
+};
+
+StreamedRun RunStreamed(Session* session, const QuerySpec& spec) {
+  StreamedRun run;
+  QueryHandle h = session->Query().FromSpec(spec).Stream().Submit();
+  TupleBatch batch;
+  while (h.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      run.keys.push_back(t[MicroBenchDb::kIndexedColumn].AsInt64());
+      run.ids.insert(t[0].AsInt64());
+    }
+  }
+  const QueryResult& r = h.Wait();
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  run.metrics = r.metrics;
+  return run;
+}
+
+// Every ordered read comes back in key order, whatever plan it resolves to:
+// each PathKind (Switch Scan with an estimate that fires and one that does
+// not) at dop 0 and 2, and the chooser across the selectivity range. The
+// rows are the unordered read's. A plan that lost the index order pays the
+// posterior sort on the query's own stack: the serial unordered read's I/O,
+// and more CPU.
+TEST_F(ConcurrentEngineTest, OrderedReadsComeBackSortedOnEveryPlan) {
+  const TableStats stats =
+      TableStats::Compute(db_->heap(), MicroBenchDb::kIndexedColumn);
+  CostModelParams params;
+  params.num_tuples = db_->heap().num_tuples();
+  params.tuple_size =
+      8192 / (db_->heap().num_tuples() / db_->heap().num_pages());
+  const CostModel model(params);
+  QueryEngine qe(engine_.get(), QueryEngineOptions());
+  Session session(&qe);
+
+  const auto check = [&](QuerySpec spec, const std::string& label) {
+    spec.collect_keys = false;
+    const StreamedRun serial = RunStreamed(&session, spec);
+    for (const uint32_t dop : {0u, 2u}) {
+      const std::string at = label + " dop " + std::to_string(dop);
+      spec.dop = dop;
+      spec.need_order = false;
+      const StreamedRun unordered = RunStreamed(&session, spec);
+      spec.need_order = true;
+      const StreamedRun ordered = RunStreamed(&session, spec);
+      EXPECT_TRUE(std::is_sorted(ordered.keys.begin(), ordered.keys.end()))
+          << at;
+      EXPECT_EQ(ordered.ids, unordered.ids) << at;
+      EXPECT_FALSE(ordered.metrics.parallel) << at;
+      const PathKind kind = ordered.metrics.kind;
+      if (kind != serial.metrics.kind || kind == PathKind::kSmoothScan) {
+        continue;  // A different plan, or Smooth Scan's own ordered mode.
+      }
+      EXPECT_EQ(ordered.metrics.io_time, serial.metrics.io_time) << at;
+      if (kind == PathKind::kIndexScan) {
+        EXPECT_EQ(ordered.metrics.cpu_time, serial.metrics.cpu_time) << at;
+      } else {
+        EXPECT_GT(ordered.metrics.cpu_time, serial.metrics.cpu_time) << at;
+      }
+    }
+  };
+
+  for (const PathKind kind :
+       {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
+        PathKind::kSmoothScan, PathKind::kSharedScan,
+        PathKind::kCompressedScan}) {
+    check(Spec(kind, 0.5), PathKindToString(kind));
+  }
+  // 15,000 qualifying rows: the switch fires past 10, never past 10^6.
+  check(Spec(PathKind::kSwitchScan, 0.5, 10), "SwitchScan fired");
+  check(Spec(PathKind::kSwitchScan, 0.5, 1000000), "SwitchScan unfired");
+  for (const double sel : {0.0001, 0.01, 0.05, 0.5, 1.0}) {
+    QuerySpec spec = Spec(PathKind::kSmoothScan, sel);
+    spec.use_chooser = true;
+    spec.stats = &stats;
+    spec.cost_model = &model;
+    check(spec, "chooser sel " + std::to_string(sel));
+  }
+}
+
 TEST_F(ConcurrentEngineTest, MirrorPopulatesSharedPoolWithoutLeakingPins) {
   engine_->ColdRestart();
   ASSERT_EQ(engine_->pool().pinned_pages(), 0u);

@@ -15,6 +15,7 @@
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
 #include "common/rng.h"
+#include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -103,10 +104,9 @@ TEST_P(DifferentialTest, AllPathsAgreeWithOracle) {
   check(&full, false, "FullScan");
   IndexScan index(&db.index(), pred);
   check(&index, true, "IndexScan");
-  SortScanOptions sorted;
-  sorted.preserve_order = true;
-  SortScan sort(&db.index(), pred, sorted);
-  check(&sort, true, "SortScan");
+  std::unique_ptr<AccessPath> sort =
+      MakePath(PathKind::kSortScan, &db.index(), pred, /*need_order=*/true, 0);
+  check(sort.get(), true, "SortScan");
 
   SwitchScanOptions sw;
   sw.estimated_cardinality = static_cast<uint64_t>(rng.UniformInt(0, 2000));

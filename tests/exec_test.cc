@@ -126,11 +126,9 @@ TEST(FilterOpTest, EmptyInput) {
   EXPECT_TRUE(RunAll(&op).empty());
 }
 
-TEST(SortOpTest, SortsByComparator) {
+TEST(SortOpTest, SortsByKeyColumn) {
   Engine engine;
-  SortOp op(&engine, Ints({3, 1, 2}), [](const Tuple& a, const Tuple& b) {
-    return a[0].AsInt64() < b[0].AsInt64();
-  });
+  SortOp op(&engine, Ints({3, 1, 2}), {0});
   const auto rows = RunAll(&op);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0][0].AsInt64(), 1);
@@ -138,13 +136,32 @@ TEST(SortOpTest, SortsByComparator) {
   EXPECT_EQ(rows[2][0].AsInt64(), 3);
 }
 
+TEST(SortOpTest, LaterKeysBreakTiesAndEqualKeysKeepArrivalOrder) {
+  const auto row = [](int64_t k, const char* s, int64_t seq) {
+    return Tuple{Value::Int64(k), Value::String(s), Value::Int64(seq)};
+  };
+  const std::vector<Tuple> input = {row(2, "b", 0), row(1, "z", 1),
+                                    row(2, "a", 2), row(1, "a", 3),
+                                    row(2, "b", 4), row(1, "z", 5)};
+  const auto seqs = [](const std::vector<Tuple>& rows) {
+    std::vector<int64_t> out;
+    for (const Tuple& t : rows) out.push_back(t[2].AsInt64());
+    return out;
+  };
+  Engine engine;
+  SortOp by_first(&engine, std::make_unique<VectorSource>(input), {0});
+  EXPECT_EQ(seqs(RunAll(&by_first)),
+            (std::vector<int64_t>{1, 3, 5, 0, 2, 4}));
+  SortOp by_both(&engine, std::make_unique<VectorSource>(input), {0, 1});
+  EXPECT_EQ(seqs(RunAll(&by_both)),
+            (std::vector<int64_t>{3, 1, 5, 2, 0, 4}));
+}
+
 TEST(SortOpTest, ChargesCpu) {
   Engine engine;
   std::vector<int64_t> xs(1000);
   for (size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<int64_t>(i * 7 % 997);
-  SortOp op(&engine, Ints(xs), [](const Tuple& a, const Tuple& b) {
-    return a[0].AsInt64() < b[0].AsInt64();
-  });
+  SortOp op(&engine, Ints(xs), {0});
   const double before = engine.cpu().time();
   RunAll(&op);
   EXPECT_GT(engine.cpu().time(), before);

@@ -42,6 +42,7 @@
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
 #include "net/frame.h"
+#include "obs/metrics.h"
 #include "sharing/scan_sharing.h"
 #include "sharing/shared_scan_path.h"
 #include "storage/exec_context.h"
@@ -859,6 +860,40 @@ TEST_F(MemGovernanceTest, BrokerOnOffCostsBitIdenticalAcrossCaps) {
 // ---------------------------------------------------------------------------
 // Pressure responses: spill and shed, deterministically, losing nothing.
 // ---------------------------------------------------------------------------
+
+// Every serial Smooth Scan the engine runs answers to the engine's broker:
+// with no sharing coordinator, an ordered Smooth read's Result Cache spills
+// under global pressure, also at dop 2, where the ordered read runs serially.
+TEST_F(MemGovernanceTest, OrderedSmoothResultCacheAnswersToTheEngineBroker) {
+  MemoryBrokerOptions bo;
+  bo.global_budget_bytes = 16 * 1024;  // Below one batch: always pressed.
+  MemoryBroker broker(bo);
+  obs::MetricsRegistry registry;
+  QueryEngineOptions qeo;
+  qeo.broker = &broker;
+  qeo.metrics = &registry;
+  QueryEngine qe(engine_.get(), qeo);
+  Session session(&qe);
+  QuerySpec spec;
+  spec.index = &db_->index();
+  spec.predicate = db_->PredicateForSelectivity(0.3);
+  spec.kind = PathKind::kSmoothScan;
+  spec.need_order = true;
+  spec.collect_keys = true;
+  const std::multiset<int64_t> oracle = Oracle(spec.predicate);
+  uint64_t spills_before = 0;
+  for (const uint32_t dop : {0u, 2u}) {
+    spec.dop = dop;
+    const QueryResult r = session.Query().FromSpec(spec).Run();
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.metrics.parallel);
+    EXPECT_EQ(std::multiset<int64_t>(r.keys.begin(), r.keys.end()), oracle);
+    const uint64_t spills = static_cast<uint64_t>(
+        registry.Snapshot().Value("rc.pressure_spills"));
+    EXPECT_GT(spills, spills_before) << "dop " << dop;
+    spills_before = spills;
+  }
+}
 
 TEST_F(MemGovernanceTest, ResultCachePressureSpillIsDeterministicAndLossless) {
   auto run_once = [&](MemoryBroker* broker) {

@@ -449,6 +449,26 @@ TEST(WireClientTest, UnreadableTagFailsEveryPendingQuery) {
   }
 }
 
+TEST(WireClientTest, ConnectionLostBeforeDoneIsAnIoError) {
+  // One BATCH, then the server end closes: the query never completed, and
+  // a caller testing only the status must not read it as a success.
+  HandFedClient h;
+  const uint64_t tag = h.client->Submit("SELECT * FROM t");
+  h.Send(FrameType::kBatch, std::to_string(tag) + " 1,2");
+  h.peer->Shutdown();
+  const WireResult r = h.client->Wait(tag);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.status.code(), StatusCode::kIoError) << r.status.ToString();
+  EXPECT_EQ(r.rows, (std::vector<std::vector<int64_t>>{{1, 2}}));
+}
+
+TEST(WireClientTest, WaitOnAnUnknownTagIsAnIoError) {
+  HandFedClient h;
+  const WireResult r = h.client->Wait(41);  // Never submitted.
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.status.code(), StatusCode::kIoError) << r.status.ToString();
+}
+
 // ----------------------------------------------------------- server fixture
 
 /// One engine + micro-bench table + catalog + server, the seed fixed so two
@@ -661,6 +681,43 @@ TEST(NetServerTest, ReadOverATableTooWideForABatchFrameIsRejectedAtBind) {
     ASSERT_TRUE(heap.Append(Tuple(width, Value::Int64(INT64_MIN + i))).ok());
   }
   ExpectReadRejectedAtBind(&world, &heap, "wide", "too wide");
+}
+
+TEST(NetServerTest, OrderByKeyUnderTheChooserComesBackSorted) {
+  // POLICY=auto (the default) at 50% picks a plan that loses the index
+  // order; ORDER BY KEY must still deliver the rows in key order.
+  ServedDb world(/*max_admitted=*/2);
+  const TableStats stats = TableStats::Compute(
+      world.db->heap(), MicroBenchDb::kIndexedColumn);
+  CostModelParams params;
+  params.num_tuples = world.db->heap().num_tuples();
+  params.tuple_size =
+      8192 / (world.db->heap().num_tuples() / world.db->heap().num_pages());
+  const CostModel model(params);
+  TableBinding binding;
+  binding.index = &world.db->index();
+  binding.stats = &stats;
+  binding.cost_model = &model;
+  world.catalog.Register("ts", binding);
+  WireClient client(world.server->ConnectPipe());
+  const ScanPredicate pred = world.db->PredicateForSelectivity(0.5);
+  char text[160];
+  std::snprintf(text, sizeof text,
+                "SELECT * FROM ts WHERE C%d >= %lld AND C%d < %lld "
+                "ORDER BY KEY",
+                pred.column, static_cast<long long>(pred.lo), pred.column,
+                static_cast<long long>(pred.hi));
+  const WireResult r = client.Wait(client.Submit(text));
+  ASSERT_TRUE(r.complete);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_NE(r.metrics.kind, PathKind::kIndexScan);
+  ASSERT_GT(r.rows.size(), 0u);
+  EXPECT_EQ(r.rows.size(), r.metrics.tuples);
+  EXPECT_TRUE(std::is_sorted(r.rows.begin(), r.rows.end(),
+                             [&](const std::vector<int64_t>& a,
+                                 const std::vector<int64_t>& b) {
+                               return a[pred.column] < b[pred.column];
+                             }));
 }
 
 TEST(NetServerTest, SessionWindowBackpressureIsVisible) {

@@ -166,8 +166,7 @@ TEST_F(ParallelDifferentialTest, SortScanDopInvariant) {
     const std::multiset<int64_t> oracle = Oracle(pred);
     CostSnapshot dop1;
     for (const uint32_t dop : kDops) {
-      auto par = MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
-                                      Par(dop));
+      auto par = MakeParallelSortScan(&db_->index(), pred, Par(dop));
       const CostSnapshot cost =
           RunAndCheck(engine_.get(), par.get(), oracle, "ParallelSortScan");
       if (dop == 1) {
@@ -190,8 +189,7 @@ TEST_F(ParallelDifferentialTest, SortScanRunsOnlyPopulatedBuckets) {
     db_->heap().ForEachDirect([&](Tid tid, const Tuple& t) {
       if (pred.Matches(t)) buckets.insert(tid.page_id / 64);
     });
-    auto par = MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
-                                    Par(2));
+    auto par = MakeParallelSortScan(&db_->index(), pred, Par(2));
     ASSERT_TRUE(par->Open().ok());
     EXPECT_EQ(par->num_morsels(), buckets.size());
     par->Close();
@@ -423,8 +421,7 @@ TEST_F(SingleMorselTest, SortScanMatchesSerialOperator) {
   for (const double sel : {0.01, 0.3}) {
     const ScanPredicate pred = db_->PredicateForSelectivity(sel);
     SortScan serial(&db_->index(), pred);
-    auto par = MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
-                                    OneMorsel());
+    auto par = MakeParallelSortScan(&db_->index(), pred, OneMorsel());
     ExpectSameRun(&serial, par.get(), "sort sel=" + std::to_string(sel));
   }
 }
@@ -471,7 +468,7 @@ TEST_F(ParallelDifferentialTest, NonKeyPredicateIsRejectedLikeSerial) {
   ScanPredicate pred = db_->PredicateForSelectivity(0.1);
   pred.column = 0;  // Row id: not the index key.
   EXPECT_DEATH(
-      MakeParallelSortScan(&db_->index(), pred, SortScanOptions(), Par(2)),
+      MakeParallelSortScan(&db_->index(), pred, Par(2)),
       "");
   EXPECT_DEATH(MakeParallelSmoothScan(&db_->index(), pred,
                                       SmoothScanOptions(), Par(2)),

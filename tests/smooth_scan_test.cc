@@ -14,6 +14,7 @@
 #include "access/index_scan.h"
 #include "access/smooth_scan.h"
 #include "access/sort_scan.h"
+#include "plan/access_path_chooser.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -251,10 +252,9 @@ TEST(SmoothScanOrderTest, OrderedSmoothFirstKeysCheaperThanOrderedSortScan) {
   SmoothScanOptions so;
   so.preserve_order = true;
   SmoothScan smooth(&db.index(), pred, so);
-  SortScanOptions sorted;
-  sorted.preserve_order = true;
-  SortScan sort(&db.index(), pred, sorted);
-  EXPECT_LT(sim_cost(&smooth), sim_cost(&sort));
+  std::unique_ptr<AccessPath> sort =
+      MakePath(PathKind::kSortScan, &db.index(), pred, /*need_order=*/true, 0);
+  EXPECT_LT(sim_cost(&smooth), sim_cost(sort.get()));
 }
 
 // ---------- Worst-case bound (Section III-C, Eager) ----------
